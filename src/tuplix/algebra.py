@@ -354,10 +354,24 @@ def to_term(c: CanonicalTuplix) -> Tuplix:
     return compose(*parts)
 
 
-def ground_of(c: CanonicalTuplix) -> GroundForm | None:
-    """The canonical form as a GroundForm, or None if it is still open."""
+def ground_of(c: CanonicalTuplix, valuation: Valuation | None = None) -> GroundForm | None:
+    """The canonical form as a GroundForm, or None if it is still open.
+
+    Given a valuation binding every variable left in the form, the
+    residual tests and amounts are evaluated there instead: any nonzero
+    test makes the result Null. Folding is sound at every valuation and
+    evaluation is total, so normalizing under some bindings and then
+    evaluating under the rest gives the ground denotation under all of
+    them.
+    """
     if c.is_null:
         return GroundForm.null()
+    if valuation is not None:
+        if any(evaluate(test, valuation) != 0 for test in c.tests):
+            return GroundForm.null()
+        return GroundForm.of(
+            {channel: evaluate(amount, valuation) for channel, amount in c.entries}
+        )
     if c.tests:
         return None
     amounts: dict[str, Rational] = {}

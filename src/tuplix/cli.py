@@ -18,7 +18,7 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .algebra import (
@@ -27,6 +27,7 @@ from .algebra import (
     Violation,
     apply_test_substitution,
     free_vars_tuplix,
+    ground_of,
     normalize,
 )
 from .dsl import BudgetProgram, DslError, elaborate, parse
@@ -49,12 +50,11 @@ class EvalReport:
     entries: dict[str, Rational] | None  # present iff ok and fully closed
     residual_tests: list[str]
     violations: list[Violation]
-    bindings_used: dict[str, Rational] = field(default_factory=dict)
 
 
-def report_of(canonical: CanonicalTuplix, bindings: dict[str, Rational]) -> EvalReport:
+def report_of(canonical: CanonicalTuplix) -> EvalReport:
     if canonical.is_null:
-        return EvalReport("null", None, [], list(canonical.violations), dict(bindings))
+        return EvalReport("null", None, [], list(canonical.violations))
     entries: dict[str, Rational] | None = {}
     for channel, amount in canonical.entries:
         if isinstance(amount, Const) and entries is not None:
@@ -64,7 +64,7 @@ def report_of(canonical: CanonicalTuplix, bindings: dict[str, Rational]) -> Eval
     if canonical.tests:
         entries = None
     residual = [pretty(t) for t in canonical.tests]
-    return EvalReport("ok", entries, residual, [], dict(bindings))
+    return EvalReport("ok", entries, residual, [])
 
 
 def build_report(
@@ -77,7 +77,7 @@ def build_report(
     canonical = normalize(term, bindings)
     if substitute_tests and not canonical.is_null:
         canonical = apply_test_substitution(canonical)
-    return report_of(canonical, bindings)
+    return report_of(canonical)
 
 
 def _span_text(source: str, violation: Violation) -> str:
@@ -231,17 +231,24 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 1
 
 
+# A sweep keeps every row, and then its whole output, in memory before it
+# prints (about 1.4 KiB a row as text and 3.2 KiB as JSON for msc budget J),
+# so longer ranges are refused before any row is built.
+MAX_SWEEP_ROWS = 100_000
+
+
 def _sweep_values(start: Rational, stop: Rational, step: Rational) -> list[Rational]:
     if step <= 0:
         raise CliError("--step must be positive")
     if stop < start:
         raise CliError("--to must not be below --from")
-    values = []
-    value = start
-    while value <= stop:
-        values.append(value)
-        value = value + step
-    return values
+    count = (stop - start) // step + 1
+    if count > MAX_SWEEP_ROWS:
+        raise CliError(
+            f"the sweep would have {count} rows, more than the limit of {MAX_SWEEP_ROWS}; "
+            "use a larger --step or a shorter range"
+        )
+    return [start + i * step for i in range(count)]
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -250,44 +257,47 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     bindings = collect_bindings(args, program)
     if args.var not in program.param_names():
         raise CliError(f"--var {args.var!r} is not a parameter of the program")
+    # the swept value wins over any --set or --bindings value for the same name
+    fixed = {name: value for name, value in bindings.items() if name != args.var}
     term: Tuplix = elaborate(program, budget)
-    needed = sorted(free_vars_tuplix(term) - set(bindings) - {args.var})
+    needed = sorted(free_vars_tuplix(term) - set(fixed) - {args.var})
     if needed:
         raise CliError(
             "sweep requires every other parameter of the budget bound; missing: "
             + ", ".join(needed)
         )
-    rows: list[tuple[Rational, EvalReport]] = []
-    for value in _sweep_values(args.start, args.stop, args.step):
-        canonical = normalize(term, {**bindings, args.var: value})
-        rows.append((value, report_of(canonical, bindings)))
+    values = _sweep_values(args.start, args.stop, args.step)
+    # Normalize once; each row only evaluates what is left of the swept variable.
+    canonical = normalize(term, fixed)
+    rows: list[tuple[Rational, dict[str, Rational] | None]] = []  # None: a null row
+    for value in values:
+        ground = ground_of(canonical, {args.var: value})
+        rows.append((value, None if ground.is_null else ground.as_dict()))
     if args.format == "json":
         doc = [
             {
                 "value": format_rational(value),
-                "status": report.status,
+                "status": "null" if entries is None else "ok",
                 "entries": (
-                    {ch: format_rational(v) for ch, v in report.entries.items()}
-                    if report.entries is not None
+                    {ch: format_rational(v) for ch, v in entries.items()}
+                    if entries is not None
                     else None
                 ),
             }
-            for value, report in rows
+            for value, entries in rows
         ]
         sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
         return 0
-    channels: list[str] = sorted(
-        {ch for _, report in rows if report.entries for ch in report.entries}
-    )
+    channels: list[str] = sorted({ch for _, entries in rows if entries for ch in entries})
     header = [args.var, "status", *channels]
     table = [header]
-    for value, report in rows:
-        cells = [format_rational(value), report.status]
+    for value, entries in rows:
+        cells = [format_rational(value), "null" if entries is None else "ok"]
         for channel in channels:
-            if report.entries is not None and channel in report.entries:
-                cells.append(format_rational(report.entries[channel]))
+            if entries is not None and channel in entries:
+                cells.append(format_rational(entries[channel]))
             else:
-                cells.append("NULL" if report.status == "null" else "-")
+                cells.append("NULL" if entries is None else "-")
         table.append(cells)
     widths = [max(len(row[i]) for row in table) for i in range(len(header))]
     out = []

@@ -24,7 +24,7 @@ from tuplix.algebra import (
     random_tuplix,
     to_term,
 )
-from tuplix.expr import Add, Const, Mul, Neg, const, sub, var
+from tuplix.expr import Add, Const, Mul, Neg, const, random_rational, sub, var
 
 
 def ent(channel, n, d=1):
@@ -146,6 +146,17 @@ def test_normalize_agrees_with_direct_denotation():
     for trial in range(300):
         t = random_tuplix(rng.randint(1, 6), seed=9000 + trial)  # closed
         assert ground_of(normalize(t)) == denote_ground(t)
+
+
+def test_ground_of_at_a_valuation_agrees_with_the_oracle():
+    # normalize under x alone, then evaluate the residual form at k
+    rng = random.Random(29)
+    for trial in range(300):
+        t = random_tuplix(rng.randint(1, 8), names=("x", "k"), seed=7000 + trial)
+        x = random_rational(rng)
+        partial = normalize(t, {"x": x})
+        for k in (Fraction(0), random_rational(rng)):
+            assert ground_of(partial, {"k": k}) == denote_ground(t, {"x": x, "k": k})
 
 
 def test_free_vars_tuplix():

@@ -1,10 +1,14 @@
 import json
+import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
+from pathlib import Path
 
-from case_study import consistent_scenario
-from tuplix import bundled
+import tuplix
+from case_study import PROGRAMS, consistent_scenario, straight_line
+from tuplix import bundled, cli
 from tuplix.cli import main
 
 TRANSFER = str(bundled("transfer.bgt"))
@@ -69,10 +73,14 @@ def test_eval_json_is_byte_stable(capsys):
 
 
 def test_eval_entry_point_runs_as_subprocess():
+    # the child must import the same tuplix as this process, installed or not
+    src = str(Path(tuplix.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "tuplix.cli", "eval", TRANSFER, "--format", "json"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["entries"] == {"a": "-30", "c": "30"}
@@ -232,16 +240,67 @@ def test_sweep_k_across_the_unit_interval(capsys):
     assert all(r["entries"]["e"] == "24" for r in rows)
 
 
+def zero_degree_scenario():
+    """A consistent msc valuation in which no program awards a degree.
+
+    NDG = 0, so every program's degree share divides by zero and only has
+    a value because 1/0 = 0. The k-guard then leaves k = 0 as the one
+    consistent choice.
+    """
+    v = consistent_scenario(random.Random(5))
+    for x in PROGRAMS:
+        v[f"{x}:ndg"] = Fraction(0)
+    ecc = sum(v[f"{x}:nec"] for x in PROGRAMS) * v["cpec"]
+    v["bbpp"] = (1 - v["escf"]) * ecc / 6
+    v["k"] = Fraction(0)
+    for x in PROGRAMS:
+        v[f"{x}:pmt"] = Fraction(0)
+    leftover = straight_line(v).psi
+    for x in PROGRAMS:
+        v[f"{x}:pmt"] = leftover[x] / v["sscph"]
+    assert straight_line(v).feasible
+    return {name: str(value) for name, value in v.items()}
+
+
+def assert_rows_match_evals(capsys, budget, var, bindings, rows):
+    for row in rows:
+        point = dict(bindings, **{var: row["value"]})
+        _, single, _ = run(
+            ["eval", MSC, "--budget", budget, "--format", "json", *sets(point)], capsys
+        )
+        doc = json.loads(single)
+        assert (row["status"], row["entries"]) == (doc["status"], doc["entries"])
+
+
 def test_sweep_rows_match_individual_evals(capsys):
     _, out, _ = sweep_j(capsys, "k", "0", "1", "1/4")
     rows = json.loads(out)
     assert len(rows) == 5
-    for row in rows:
-        bindings = dict(S0, k=row["value"])
-        _, single, _ = run(
-            ["eval", MSC, "--budget", "J", "--format", "json", *sets(bindings)], capsys
-        )
-        assert json.loads(single)["entries"] == row["entries"]
+    assert_rows_match_evals(capsys, "J", "k", S0, rows)
+
+    # from bbpp = 0, where the k-guards divide by 3 * bbpp = 0, across the bound
+    _, out, _ = sweep_j(capsys, "bbpp", "0", "34", "17/4", extra=["--set", "k=1/2"])
+    rows = json.loads(out)
+    assert [r["status"] for r in rows] == ["null"] + ["ok"] * 7 + ["null"]
+    assert_rows_match_evals(capsys, "J", "bbpp", dict(S0, k="1/2"), rows)
+
+    scenario = zero_degree_scenario()
+    others = {name: value for name, value in scenario.items() if name != "k"}
+    _, out, _ = run(
+        ["sweep", MSC, "--budget", "Total", "--var", "k", "--from", "0", "--to", "1",
+         "--step", "1/4", "--format", "json", *sets(others)],
+        capsys,
+    )
+    rows = json.loads(out)
+    assert [r["status"] for r in rows] == ["ok", "null", "null", "null", "null"]
+    assert_rows_match_evals(capsys, "Total", "k", others, rows)
+
+
+def test_sweep_value_wins_over_a_bound_swept_variable(capsys):
+    plain = sweep_j(capsys, "k", "0", "1", "1/4", fmt="text")
+    also_set = sweep_j(capsys, "k", "0", "1", "1/4", extra=["--set", "k=5"], fmt="text")
+    assert plain[0] == 0
+    assert also_set == plain
 
 
 def test_sweep_bbpp_crosses_the_bound(capsys):
@@ -289,6 +348,26 @@ def test_sweep_rejects_bad_ranges(capsys):
     assert code == 2
     code, _, err = sweep_j(capsys, "k", "0", "1", "0")
     assert code == 2
+
+
+def test_sweep_counts_rows_before_building_them(capsys, monkeypatch):
+    # the last row is the last step that stays inside the range
+    code, out, _ = sweep_j(capsys, "k", "0", "1", "3/10")
+    assert code == 0
+    assert [r["value"] for r in json.loads(out)] == ["0", "3/10", "3/5", "9/10"]
+
+    monkeypatch.setattr(cli, "MAX_SWEEP_ROWS", 4)
+    assert sweep_j(capsys, "k", "0", "1", "3/10")[0] == 0
+    code, out, err = sweep_j(capsys, "k", "0", "1", "1/4")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "5 rows" in err
+    monkeypatch.undo()
+
+    # 10^9 + 1 rows: refused from the count alone, without building them
+    code, out, err = sweep_j(capsys, "k", "0", "1", "1/1000000000")
+    assert (code, out) == (2, "")
+    assert "1000000001 rows" in err
 
 
 # --- axioms ------------------------------------------------------------------
