@@ -43,7 +43,6 @@ from .expr import (
     random_expr,
     random_rational,
     sort_key,
-    substitute_all,
 )
 from .meadow import Rational
 
@@ -236,94 +235,31 @@ class CanonicalTuplix:
         return dict(self.entries)
 
 
-class _Acc:
-    """Mutable state threaded through normalization."""
-
-    __slots__ = ("null", "tests", "entries", "violations")
-
-    def __init__(self):
-        self.null = False
-        self.tests: list[tuple[Expr, str | None, str | None]] = []
-        self.entries: dict[str, list[Expr]] = {}
-        self.violations: list[Violation] = []
-
-    def fail(self, label: str, span: str | None, value: Rational) -> None:
-        self.violations.append(Violation(label, span, value))
-        self.null = True
-
-
 def _sum_amounts(summands: list[Expr]) -> Expr:
-    if len(summands) == 1:
-        return summands[0]
-    chain = reduce(Add, sorted(summands, key=sort_key))
-    return fold_constants(chain)
+    """Fold the sum of folded amounts: constants add up at once, the rest chain on."""
+    total = sum(s.value for s in summands if isinstance(s, Const))
+    rest = sorted((s for s in summands if not isinstance(s, Const)), key=sort_key)
+    if not rest:
+        return Const(total)
+    return reduce(Add, rest, Const(total)) if total else reduce(Add, rest)
 
 
-def _norm(t: Tuplix, bindings: Mapping[str, Expr]) -> _Acc:
-    acc = _Acc()
-    match t:
-        case Eps():
-            pass
-        case Delta(span):
-            acc.fail("delta", span, Fraction(1))
-        case Entry(channel, amount):
-            folded = fold_constants(substitute_all(amount, bindings))
-            acc.entries[channel] = [folded]
-        case Test(arg, label, span):
-            folded = fold_constants(substitute_all(arg, bindings))
-            if isinstance(folded, Const):
-                if folded.value != 0:
-                    acc.fail(label or pretty(arg), span, folded.value)
-            else:
-                acc.tests.append((folded, label, span))
-        case Comp(left, right):
-            a = _norm(left, bindings)
-            b = _norm(right, bindings)
-            acc.violations = a.violations + b.violations
-            if a.null or b.null:
-                acc.null = True
-            else:
-                acc.tests = a.tests + b.tests
-                acc.entries = a.entries
-                for channel, summands in b.entries.items():
-                    acc.entries.setdefault(channel, []).extend(summands)
-        case Encap(channels, body, span):
-            inner = _norm(body, bindings)
-            acc.violations = inner.violations
-            if inner.null:
-                acc.null = True
-            else:
-                acc.tests = inner.tests
-                acc.entries = inner.entries
-                for channel in sorted(channels):
-                    summands = acc.entries.pop(channel, None)
-                    if summands is None:
-                        continue
-                    amount = _sum_amounts(summands)
-                    label = f"enc{{{channel}}}"
-                    if isinstance(amount, Const):
-                        if amount.value != 0:
-                            acc.fail(label, span, amount.value)
-                    else:
-                        acc.tests.append((amount, label, span))
-                if acc.null:
-                    acc.tests = []
-                    acc.entries = {}
-        case _:
-            raise TypeError(f"not a budget term: {t!r}")
-    if acc.null:
-        acc.tests = []
-        acc.entries = {}
-    return acc
-
-
-def _canonical_tests(found: list[tuple[Expr, str | None, str | None]]) -> tuple[Expr, ...]:
-    ordered = sorted((expr for expr, _, _ in found), key=sort_key)
+def _canonical_tests(found: list[Expr]) -> tuple[Expr, ...]:
     out: list[Expr] = []
-    for expr in ordered:
+    for expr in sorted(found, key=sort_key):
         if not out or out[-1] != expr:
             out.append(expr)
     return tuple(out)
+
+
+@dataclass
+class _Settle:
+    """End of an enc{} scope on the normalization stack."""
+
+    channels: frozenset[str]
+    span: str | None
+    outer: dict[str, list[Expr]]  # the entry map the scope's leftovers join
+    mark: int  # violations recorded before the body
 
 
 def normalize(t: Tuplix, valuation: Valuation | None = None) -> CanonicalTuplix:
@@ -332,17 +268,51 @@ def normalize(t: Tuplix, valuation: Valuation | None = None) -> CanonicalTuplix:
     Closed tests are decided on the spot; a failing one makes the whole
     result Null and is recorded as a violation, in source traversal
     order. Open tests stay as residual expressions. Encapsulated
-    channels turn their accumulated amount into a balance test.
+    channels turn their accumulated amount into a balance test, unless
+    the body already recorded a violation.
     """
     bindings = {name: Const(value) for name, value in (valuation or {}).items()}
-    acc = _norm(t, bindings)
-    if acc.null:
-        return CanonicalTuplix(True, (), (), tuple(acc.violations))
-    entries = tuple(
-        (channel, _sum_amounts(summands))
-        for channel, summands in sorted(acc.entries.items())
-    )
-    return CanonicalTuplix(False, _canonical_tests(acc.tests), entries, ())
+    tests: list[Expr] = []
+    violations: list[Violation] = []  # nonempty exactly when the result is Null
+    entries: dict[str, list[Expr]] = {}  # summands of the innermost open enc{}
+    stack: list[Tuplix | _Settle] = [t]
+    while stack:
+        node = stack.pop()
+        match node:
+            case Comp(left, right):
+                stack += (right, left)
+            case Entry(channel, amount):
+                entries.setdefault(channel, []).append(fold_constants(amount, bindings))
+            case Test(arg, label, span):
+                folded = fold_constants(arg, bindings)
+                if not isinstance(folded, Const):
+                    tests.append(folded)
+                elif folded.value != 0:
+                    violations.append(Violation(label or pretty(arg), span, folded.value))
+            case Eps():
+                pass
+            case Delta(span):
+                violations.append(Violation("delta", span, Fraction(1)))
+            case Encap(channels, body, span):
+                stack += (_Settle(channels, span, entries, len(violations)), body)
+                entries = {}
+            case _Settle(channels, span, outer, mark):
+                if len(violations) == mark:
+                    for channel in sorted(channels & entries.keys()):
+                        amount = _sum_amounts(entries.pop(channel))
+                        if not isinstance(amount, Const):
+                            tests.append(amount)
+                        elif amount.value != 0:
+                            violations.append(Violation(f"enc{{{channel}}}", span, amount.value))
+                for channel, summands in entries.items():
+                    outer.setdefault(channel, []).extend(summands)
+                entries = outer
+            case _:
+                raise TypeError(f"not a budget term: {node!r}")
+    if violations:
+        return CanonicalTuplix(True, (), (), tuple(violations))
+    amounts = tuple((channel, _sum_amounts(entries[channel])) for channel in sorted(entries))
+    return CanonicalTuplix(False, _canonical_tests(tests), amounts, ())
 
 
 def to_term(c: CanonicalTuplix) -> Tuplix:
@@ -415,7 +385,6 @@ def apply_test_substitution(c: CanonicalTuplix, max_rounds: int = 100) -> Canoni
     tests: list[Expr] = list(c.tests)
     originals: list[Expr] = list(c.tests)
     entries: dict[str, Expr] = dict(c.entries)
-    violations: list[Violation] = list(c.violations)
     for _ in range(max_rounds):
         changed = False
         for i, candidate in enumerate(tests):
@@ -425,32 +394,30 @@ def apply_test_substitution(c: CanonicalTuplix, max_rounds: int = 100) -> Canoni
             name, replacement = solved
             binding = {name: replacement}
             for channel, amount in entries.items():
-                updated = fold_constants(substitute_all(amount, binding))
+                updated = fold_constants(amount, binding)
                 if updated != amount:
                     entries[channel] = updated
                     changed = True
             for j, other in enumerate(tests):
                 if j == i:
                     continue
-                updated = fold_constants(substitute_all(other, binding))
+                updated = fold_constants(other, binding)
                 if updated != other:
                     tests[j] = updated
                     changed = True
         if not changed:
             break
-    null = False
-    kept: list[tuple[Expr, str | None, str | None]] = []
+    violations: list[Violation] = []
+    kept: list[Expr] = []
     for original, test in zip(originals, tests):
-        if isinstance(test, Const):
-            if test.value != 0:
-                violations.append(Violation(pretty(original), None, test.value))
-                null = True
-        else:
-            kept.append((test, None, None))
-    if null:
+        if not isinstance(test, Const):
+            kept.append(test)
+        elif test.value != 0:
+            violations.append(Violation(pretty(original), None, test.value))
+    if violations:
         return CanonicalTuplix(True, (), (), tuple(violations))
     entry_items = tuple((channel, amount) for channel, amount in sorted(entries.items()))
-    return CanonicalTuplix(False, _canonical_tests(kept), entry_items, tuple(violations))
+    return CanonicalTuplix(False, _canonical_tests(kept), entry_items, ())
 
 
 # ---------------------------------------------------------------------------

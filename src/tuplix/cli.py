@@ -8,8 +8,9 @@ Subcommands:
   axioms  run the randomized law suite
 
 Exit codes: 0 success, 1 the budget is impossible (or a law failed),
-2 usage, parse or binding errors. Rationals cross the boundary as exact
-text ('n/d', or 'n' when the denominator is 1), never as floats.
+2 usage, parse or binding errors, or input nested too deeply. Rationals
+cross the boundary as exact text ('n/d', or 'n' when the denominator is
+1), never as floats.
 """
 
 from __future__ import annotations
@@ -31,11 +32,11 @@ from .algebra import (
     normalize,
 )
 from .dsl import BudgetProgram, DslError, elaborate, parse
-from .expr import Const, pretty
+from .expr import IDENT_PATTERN, pretty
 from .laws import all_laws, render_results, run_suite
 from .meadow import Rational, format_rational, parse_rational
 
-_BINDING_RE = re.compile(r"([A-Za-z_]\w*(?::[A-Za-z_]\w*)*)\s*=\s*(\S+)\Z")
+_BINDING_RE = re.compile(rf"({IDENT_PATTERN})\s*=\s*(\S+)\Z")
 
 
 class CliError(Exception):
@@ -55,16 +56,9 @@ class EvalReport:
 def report_of(canonical: CanonicalTuplix) -> EvalReport:
     if canonical.is_null:
         return EvalReport("null", None, [], list(canonical.violations))
-    entries: dict[str, Rational] | None = {}
-    for channel, amount in canonical.entries:
-        if isinstance(amount, Const) and entries is not None:
-            entries[channel] = amount.value
-        else:
-            entries = None
-    if canonical.tests:
-        entries = None
-    residual = [pretty(t) for t in canonical.tests]
-    return EvalReport("ok", entries, residual, [])
+    ground = ground_of(canonical)
+    entries = None if ground is None else ground.as_dict()
+    return EvalReport("ok", entries, [pretty(t) for t in canonical.tests], [])
 
 
 def build_report(
@@ -386,6 +380,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.run(args)
     except CliError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 2
+    except RecursionError:
+        sys.stderr.write("error: the input is nested too deeply\n")
         return 2
 
 

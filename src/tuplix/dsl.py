@@ -534,8 +534,17 @@ def elaborate(program: BudgetProgram, name: str) -> Tuplix:
                 return Entry(channel, inline(amount))
             case SynTest(cond, span):
                 return Test(encode_cond(cond, inline), label=pretty_cond(cond), span=str(span))
-            case SynComp(left, right):
-                return Comp(elab(left), elab(right))
+            case SynComp():
+                # the parser leans `|` chains left; a loop down that spine keeps
+                # long chains off the call stack
+                rights = []
+                while isinstance(syn, SynComp):
+                    rights.append(syn.right)
+                    syn = syn.left
+                term = elab(syn)
+                for right in reversed(rights):
+                    term = Comp(term, elab(right))
+                return term
             case SynEncap(channels, body, span):
                 return Encap(frozenset(channels), elab(body), span=str(span))
             case SynRef(ref_name):

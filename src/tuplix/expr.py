@@ -186,19 +186,25 @@ def substitute_all(e: Expr, bindings: Mapping[str, Expr]) -> Expr:
     raise TypeError(f"not an expression: {e!r}")
 
 
-def fold_constants(e: Expr) -> Expr:
+def fold_constants(e: Expr, bindings: Mapping[str, Expr] | None = None) -> Expr:
     """Bottom-up simplification that is sound for every valuation.
 
     Constant subtrees collapse (with totalized inversion); the only
     identities applied are x+0->x, x*1->x, x*0->0, Neg(Neg(x))->x and
     Inv(Inv(x))->x. Notably x/x is NOT rewritten to 1: its value depends
     on whether x is zero.
+
+    Bound variables are replaced on the way, in the same pass: with
+    `bindings` mapping names to folded expressions, the result equals
+    fold_constants(substitute_all(e, bindings)).
     """
     match e:
-        case Const() | Var():
+        case Const():
             return e
+        case Var(name):
+            return bindings.get(name, e) if bindings else e
         case Add(left, right):
-            left, right = fold_constants(left), fold_constants(right)
+            left, right = fold_constants(left, bindings), fold_constants(right, bindings)
             if isinstance(left, Const) and isinstance(right, Const):
                 return Const(left.value + right.value)
             if left == ZERO:
@@ -207,7 +213,7 @@ def fold_constants(e: Expr) -> Expr:
                 return left
             return Add(left, right)
         case Mul(left, right):
-            left, right = fold_constants(left), fold_constants(right)
+            left, right = fold_constants(left, bindings), fold_constants(right, bindings)
             if isinstance(left, Const) and isinstance(right, Const):
                 return Const(left.value * right.value)
             if left == ZERO or right == ZERO:
@@ -218,21 +224,21 @@ def fold_constants(e: Expr) -> Expr:
                 return left
             return Mul(left, right)
         case Neg(arg):
-            arg = fold_constants(arg)
+            arg = fold_constants(arg, bindings)
             if isinstance(arg, Const):
                 return Const(-arg.value)
             if isinstance(arg, Neg):
                 return arg.arg
             return Neg(arg)
         case Inv(arg):
-            arg = fold_constants(arg)
+            arg = fold_constants(arg, bindings)
             if isinstance(arg, Const):
                 return Const(minv(arg.value))
             if isinstance(arg, Inv):
                 return arg.arg
             return Inv(arg)
         case Abs(arg):
-            arg = fold_constants(arg)
+            arg = fold_constants(arg, bindings)
             if isinstance(arg, Const):
                 return Const(abs(arg.value))
             return Abs(arg)

@@ -28,22 +28,6 @@ def make_rational(num: int, den: int = 1) -> Rational:
     return Fraction(num, den)
 
 
-def add(x: Rational, y: Rational) -> Rational:
-    return x + y
-
-
-def sub(x: Rational, y: Rational) -> Rational:
-    return x - y
-
-
-def mul(x: Rational, y: Rational) -> Rational:
-    return x * y
-
-
-def neg(x: Rational) -> Rational:
-    return -x
-
-
 def minv(x: Rational) -> Rational:
     """Multiplicative inverse, totalized: minv(0) is 0."""
     if x == 0:
@@ -51,27 +35,9 @@ def minv(x: Rational) -> Rational:
     return 1 / x
 
 
-def div(x: Rational, y: Rational) -> Rational:
-    """Total division x * minv(y); anything divided by zero is zero."""
-    return x * minv(y)
-
-
 def indicator(x: Rational) -> Rational:
     """x/x under total division: 0 if x is 0, else 1."""
     return ZERO if x == 0 else ONE
-
-
-def abs_val(x: Rational) -> Rational:
-    return abs(x)
-
-
-def leq_encode(p: Rational, q: Rational) -> Rational:
-    """Encode p <= q as a number that is zero exactly when it holds.
-
-    |q - p| - (q - p) is 0 when q >= p and 2*(p - q) > 0 otherwise.
-    """
-    d = q - p
-    return abs(d) - d
 
 
 def parse_rational(text: str) -> Rational:

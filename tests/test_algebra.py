@@ -113,6 +113,22 @@ def test_encap_open_balance_becomes_test():
     assert c.entries == ()
 
 
+def test_null_body_settles_nothing():
+    # the delta makes enc{a}'s body null, so its unbalanced a(1) is not reported
+    t = Comp(encap({"a"}, Comp(ent("a", 1), DELTA)), Test(const(2), label="late"))
+    assert [v.label for v in normalize(t).violations] == ["delta", "late"]
+
+
+def test_deep_encap_nesting_normalizes():
+    # 20,000 levels of enc{c}(c(x) | ... | c(-x)), far past the recursion limit
+    x = var("x")
+    term = EPS
+    for _ in range(20_000):
+        term = encap({"c"}, compose(Entry("c", x), term, Entry("c", Neg(x))))
+    assert normalize(term).tests == (Add(x, Neg(x)),)
+    assert normalize(term, {"x": Fraction(3)}).is_empty
+
+
 def test_encap_missing_channel_is_identity():
     assert normalize(encap({"z"}, ent("a", 4))) == normalize(ent("a", 4))
 

@@ -72,18 +72,44 @@ def test_eval_json_is_byte_stable(capsys):
     }
 
 
-def test_eval_entry_point_runs_as_subprocess():
+def run_child(argv):
     # the child must import the same tuplix as this process, installed or not
     src = str(Path(tuplix.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "tuplix.cli", "eval", TRANSFER, "--format", "json"],
+    return subprocess.run(
+        [sys.executable, "-m", "tuplix.cli", *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_eval_entry_point_runs_as_subprocess():
+    proc = run_child(["eval", TRANSFER, "--format", "json"])
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["entries"] == {"a": "-30", "c": "30"}
+
+
+def test_eval_of_a_long_flat_composition(tmp_path, capsys):
+    # 20,000 entries a(x + i) lie far past the interpreter's recursion limit
+    n = 20_000
+    f = tmp_path / "flat.bgt"
+    f.write_text("param x\nbudget B = " + " | ".join(f"a(x + {i})" for i in range(n)) + "\n")
+    code, out, _ = run(["eval", str(f), "--set", "x=1/2"], capsys)
+    assert code == 0
+    assert out == f"status: ok\nentries:\n  a: {n // 2 + n * (n - 1) // 2}\n"
+    assert run(["eval", str(f)], capsys)[:2] == (0, "status: ok\n")
+
+
+def test_input_nested_too_deeply_exits_2(tmp_path):
+    long_sum = tmp_path / "sum.bgt"
+    long_sum.write_text("param x\nbudget B = a(x" + " + 1" * 3000 + ")\n")
+    deep = tmp_path / "deep.bgt"
+    deep.write_text("budget B = " + "enc{c}(" * 1500 + "c(1)" + ")" * 1500 + "\n")
+    for f in (long_sum, deep):
+        proc = run_child(["eval", str(f)])
+        assert proc.returncode == 2
+        assert proc.stderr == "error: the input is nested too deeply\n"
 
 
 def test_eval_partial_bindings_leave_residual(capsys):

@@ -20,6 +20,7 @@ from tuplix.expr import (
     free_vars,
     pretty,
     random_expr,
+    random_rational,
     random_valuation,
     sort_key,
     sub,
@@ -110,6 +111,21 @@ def test_fold_preserves_value():
         e = random_expr(rng, names, rng.randint(0, 5))
         v = random_valuation(rng, names)
         assert evaluate(fold_constants(e), v) == evaluate(e, v)
+
+
+def test_fold_with_bindings_equals_fold_after_substitution():
+    rng = random.Random(17)
+    names = ("x", "y", "z")
+    for _ in range(1000):
+        e = random_expr(rng, names, rng.randint(0, 6))
+        bindings = {}
+        for name in names:
+            roll = rng.random()
+            if roll < 0.35:
+                bindings[name] = Const(random_rational(rng))  # zero a quarter of the time
+            elif roll < 0.7:
+                bindings[name] = fold_constants(random_expr(rng, names, rng.randint(0, 3)))
+        assert fold_constants(e, bindings) == fold_constants(substitute_all(e, bindings))
 
 
 def test_equiv_prob_detects_indicator_vs_one():
