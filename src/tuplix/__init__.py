@@ -5,6 +5,12 @@ rational amount ``p``), guard tests, composition, and encapsulation, with a
 totalized inverse on the amounts so that every expression evaluates. The
 package normalizes such terms, decides feasibility, and ships a small text
 format (``.bgt``) plus a CLI around the same operations.
+
+The package root holds the term and expression constructors, the pipeline
+(``parse``, ``elaborate``, ``normalize``, ``ground_of``,
+``apply_test_substitution``) with its oracle ``denote_ground``, the
+randomized equivalence checks and the result types; every other name is
+imported from its own module.
 """
 
 from importlib import resources
@@ -21,55 +27,17 @@ from .algebra import (
     Eps,
     GroundForm,
     Test,
-    Tuplix,
     Violation,
     apply_test_substitution,
     compose,
     denote_ground,
     encap,
-    equiv_ground,
     equiv_prob_tuplix,
-    free_vars_tuplix,
     ground_of,
     normalize,
-    random_tuplix,
-    to_term,
 )
-from .constraints import conjunction_expr, leq_expr, test_and, test_eq, test_leq
-from .dsl import BudgetProgram, DslError, elaborate, list_params, parse, pretty_program
-from .expr import (
-    Abs,
-    Add,
-    Const,
-    Expr,
-    Inv,
-    Mul,
-    Neg,
-    UnboundVariableError,
-    Var,
-    const,
-    div,
-    equiv_prob,
-    evaluate,
-    fold_constants,
-    free_vars,
-    pretty,
-    sub,
-    substitute,
-    substitute_all,
-    var,
-)
-from .laws import all_laws, run_law, run_suite
-from .meadow import (
-    ONE,
-    ZERO,
-    Rational,
-    format_rational,
-    indicator,
-    make_rational,
-    minv,
-    parse_rational,
-)
+from .dsl import BudgetProgram, DslError, elaborate, parse
+from .expr import Abs, Add, Const, Inv, Mul, Neg, Var, equiv_prob
 
 __version__ = "0.1.0"
 
@@ -97,57 +65,22 @@ __all__ = [
     "Encap",
     "Entry",
     "Eps",
-    "Expr",
     "GroundForm",
     "Inv",
     "Mul",
     "Neg",
-    "ONE",
-    "Rational",
     "Test",
-    "Tuplix",
-    "UnboundVariableError",
     "Var",
     "Violation",
-    "ZERO",
-    "all_laws",
     "apply_test_substitution",
     "bundled",
     "compose",
-    "conjunction_expr",
-    "const",
     "denote_ground",
-    "div",
     "elaborate",
     "encap",
-    "equiv_ground",
     "equiv_prob",
     "equiv_prob_tuplix",
-    "evaluate",
-    "fold_constants",
-    "format_rational",
-    "free_vars",
-    "free_vars_tuplix",
     "ground_of",
-    "indicator",
-    "leq_expr",
-    "list_params",
-    "make_rational",
-    "minv",
     "normalize",
     "parse",
-    "parse_rational",
-    "pretty",
-    "pretty_program",
-    "random_tuplix",
-    "run_law",
-    "run_suite",
-    "sub",
-    "substitute",
-    "substitute_all",
-    "test_and",
-    "test_eq",
-    "test_leq",
-    "to_term",
-    "var",
 ]

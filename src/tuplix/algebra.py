@@ -305,7 +305,12 @@ def normalize(t: Tuplix, valuation: Valuation | None = None) -> CanonicalTuplix:
                         elif amount.value != 0:
                             violations.append(Violation(f"enc{{{channel}}}", span, amount.value))
                 for channel, summands in entries.items():
-                    outer.setdefault(channel, []).extend(summands)
+                    # extend the longer list, so nesting costs linear time in all
+                    kept = outer.get(channel, [])
+                    if len(kept) < len(summands):
+                        kept, summands = summands, kept
+                    kept.extend(summands)
+                    outer[channel] = kept
                 entries = outer
             case _:
                 raise TypeError(f"not a budget term: {node!r}")
@@ -371,21 +376,28 @@ def _solved_form(e: Expr) -> tuple[str, Expr] | None:
     return None
 
 
-def apply_test_substitution(c: CanonicalTuplix, max_rounds: int = 100) -> CanonicalTuplix:
+# Test substitution stops after this many passes even short of a fixed
+# point: nothing guarantees that rewriting with mutually dependent tests
+# reaches one.
+_MAX_SUBSTITUTION_ROUNDS = 100
+
+
+def apply_test_substitution(c: CanonicalTuplix) -> CanonicalTuplix:
     """Propagate solved tests (x - r or r - x) into entries and other tests.
 
     The matched test itself is kept, so the constraint is not lost. When
     a test matches both shapes (x - y), the left variable is the one
-    substituted. Runs to a fixed point, capped at `max_rounds` passes.
-    The result denotes the same budget at every total valuation; closed
-    contradictions revealed along the way collapse the form to Null.
+    substituted. Runs to a fixed point, capped at
+    `_MAX_SUBSTITUTION_ROUNDS` passes. The result denotes the same budget
+    at every total valuation; closed contradictions revealed along the
+    way collapse the form to Null.
     """
     if c.is_null:
         raise ValueError("cannot substitute tests in the null form")
     tests: list[Expr] = list(c.tests)
     originals: list[Expr] = list(c.tests)
     entries: dict[str, Expr] = dict(c.entries)
-    for _ in range(max_rounds):
+    for _ in range(_MAX_SUBSTITUTION_ROUNDS):
         changed = False
         for i, candidate in enumerate(tests):
             solved = _solved_form(candidate)

@@ -99,14 +99,17 @@ def render_text(report: EvalReport, source: str = "") -> str:
     return "\n".join(lines) + "\n"
 
 
+def _entries_json(entries: dict[str, Rational] | None) -> dict[str, str] | None:
+    """An entry map as JSON: exact rational strings, or null for no entries."""
+    if entries is None:
+        return None
+    return {channel: format_rational(amount) for channel, amount in entries.items()}
+
+
 def render_json(report: EvalReport, source: str = "") -> str:
     doc = {
         "status": report.status,
-        "entries": (
-            {ch: format_rational(v) for ch, v in report.entries.items()}
-            if report.entries is not None
-            else None
-        ),
+        "entries": _entries_json(report.entries),
         "residual_tests": report.residual_tests,
         "violations": [
             {
@@ -165,8 +168,7 @@ def collect_bindings(args: argparse.Namespace, program: BudgetProgram) -> dict[s
     for item in args.set or []:
         name, value = _parse_set_flag(item)
         bindings[name] = value
-    known = set(program.param_names())
-    unknown = sorted(set(bindings) - known)
+    unknown = sorted(bindings.keys() - program.params.keys())
     if unknown:
         raise CliError("unknown parameter(s) in bindings: " + ", ".join(unknown))
     return bindings
@@ -185,7 +187,7 @@ def _load_program(path_text: str) -> tuple[BudgetProgram, str]:
 
 
 def _pick_budget(args: argparse.Namespace, program: BudgetProgram) -> str:
-    names = program.budget_names()
+    names = list(program.budgets)
     if not names:
         raise CliError("the program declares no budgets")
     if args.budget is None:
@@ -212,7 +214,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     program, source = _load_program(args.file)
     budget = _pick_budget(args, program)
     bindings = collect_bindings(args, program)
-    missing = sorted(set(program.param_names()) - set(bindings))
+    missing = sorted(program.params.keys() - bindings.keys())
     if missing:
         raise CliError("check requires every parameter bound; missing: " + ", ".join(missing))
     report = build_report(program, budget, bindings)
@@ -249,7 +251,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     program, source = _load_program(args.file)
     budget = _pick_budget(args, program)
     bindings = collect_bindings(args, program)
-    if args.var not in program.param_names():
+    if args.var not in program.params:
         raise CliError(f"--var {args.var!r} is not a parameter of the program")
     # the swept value wins over any --set or --bindings value for the same name
     fixed = {name: value for name, value in bindings.items() if name != args.var}
@@ -272,11 +274,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             {
                 "value": format_rational(value),
                 "status": "null" if entries is None else "ok",
-                "entries": (
-                    {ch: format_rational(v) for ch, v in entries.items()}
-                    if entries is not None
-                    else None
-                ),
+                "entries": _entries_json(entries),
             }
             for value, entries in rows
         ]

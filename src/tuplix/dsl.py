@@ -26,13 +26,19 @@ colons (A:C1:sslt) and are otherwise opaque. Comments run from '#' to
 the end of the line; newlines are insignificant. The keywords param,
 def, budget, eps, delta, test, enc and abs are reserved. Only <= and ==
 comparisons exist; strict inequality is deliberately unsupported.
+
+The parser builds core terms (`algebra.Tuplix`) directly, in one pass:
+defs are inlined where they are used, a condition becomes one test
+argument that is zero iff every relation holds, a budget reference
+returns the term already built, and each test, delta and enc{} keeps
+its source position "line:col" (a test also its source text, with defs
+named) for violation reports.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Union
+from dataclasses import dataclass
 
 from .algebra import (
     EPS,
@@ -74,123 +80,17 @@ class DslError(Exception):
 
 
 @dataclass(frozen=True)
-class Span:
-    line: int
-    col: int
-
-    def __str__(self) -> str:
-        return f"{self.line}:{self.col}"
-
-
-# --- surface syntax trees ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CondLeq:
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class CondEq:
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class CondAnd:
-    left: "Cond"
-    right: "Cond"
-
-
-@dataclass(frozen=True)
-class CondExpr:
-    expr: Expr
-
-
-Cond = Union[CondLeq, CondEq, CondAnd, CondExpr]
-
-
-@dataclass(frozen=True)
-class SynEps:
-    span: Span = field(compare=False)
-
-
-@dataclass(frozen=True)
-class SynDelta:
-    span: Span = field(compare=False)
-
-
-@dataclass(frozen=True)
-class SynEntry:
-    channel: str
-    amount: Expr
-    span: Span = field(compare=False)
-
-
-@dataclass(frozen=True)
-class SynTest:
-    cond: Cond
-    span: Span = field(compare=False)
-
-
-@dataclass(frozen=True)
-class SynComp:
-    left: "TuplixSyntax"
-    right: "TuplixSyntax"
-    span: Span = field(compare=False)
-
-
-@dataclass(frozen=True)
-class SynEncap:
-    channels: tuple[str, ...]
-    body: "TuplixSyntax"
-    span: Span = field(compare=False)
-
-
-@dataclass(frozen=True)
-class SynRef:
-    name: str
-    span: Span = field(compare=False)
-
-
-TuplixSyntax = Union[SynEps, SynDelta, SynEntry, SynTest, SynComp, SynEncap, SynRef]
-
-
-@dataclass(frozen=True)
-class ParamDecl:
-    name: str
-    doc: str | None
-    span: Span = field(compare=False)
-
-
-@dataclass(frozen=True)
-class DefDecl:
-    name: str
-    body: Expr
-    span: Span = field(compare=False)
-
-
-@dataclass(frozen=True)
-class BudgetDecl:
-    name: str
-    body: TuplixSyntax
-    span: Span = field(compare=False)
-
-
-@dataclass(frozen=True)
 class BudgetProgram:
-    """A parsed program; identifiers are unique and declared before use."""
+    """A parsed program, in declaration order.
 
-    params: tuple[ParamDecl, ...]
-    defs: tuple[DefDecl, ...]
-    budgets: tuple[BudgetDecl, ...]
+    `params` maps each parameter to its documentation string, or None;
+    `budgets` maps each budget to its core term. Defs are already inlined
+    in those terms, so a term's free variables are exactly the params it
+    depends on.
+    """
 
-    def param_names(self) -> tuple[str, ...]:
-        return tuple(p.name for p in self.params)
-
-    def budget_names(self) -> tuple[str, ...]:
-        return tuple(b.name for b in self.budgets)
+    params: dict[str, str | None]
+    budgets: dict[str, Tuplix]
 
 
 # --- lexer -------------------------------------------------------------------
@@ -253,9 +153,9 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.declared: dict[str, str] = {}  # name -> "param" | "def" | "budget"
-        self.params: list[ParamDecl] = []
-        self.defs: list[DefDecl] = []
-        self.budgets: list[BudgetDecl] = []
+        self.params: dict[str, str | None] = {}
+        self.inlined: dict[str, Expr] = {}  # def name -> body over params only
+        self.budgets: dict[str, Tuplix] = {}
 
     # token helpers
 
@@ -309,46 +209,49 @@ class _Parser:
                 raise self.error(f"expected a param, def or budget declaration, found {shown!r}")
             self.advance()
             if tok.text == "param":
-                self.parse_param(tok)
+                self.parse_param()
             elif tok.text == "def":
-                self.parse_def(tok)
+                self.parse_def()
             else:
-                self.parse_budget(tok)
-        return BudgetProgram(tuple(self.params), tuple(self.defs), tuple(self.budgets))
+                self.parse_budget()
+        return BudgetProgram(self.params, self.budgets)
 
-    def parse_param(self, kw: _Token) -> None:
+    def parse_param(self) -> None:
         name = self.expect_name("a parameter name")
         doc = None
         if self.peek().kind == "string":
             doc = self.advance().text[1:-1]
         self.declare(name, "param")
-        self.params.append(ParamDecl(name.text, doc, Span(kw.line, kw.col)))
+        self.params[name.text] = doc
 
-    def parse_def(self, kw: _Token) -> None:
+    def parse_def(self) -> None:
         name = self.expect_name("a definition name")
         self.expect_op("=")
         body = self.parse_expr()
         self.declare(name, "def")
-        self.defs.append(DefDecl(name.text, body, Span(kw.line, kw.col)))
+        self.inlined[name.text] = self.inline(body)
 
-    def parse_budget(self, kw: _Token) -> None:
+    def parse_budget(self) -> None:
         name = self.expect_name("a budget name")
         self.expect_op("=")
         body = self.parse_tuplix()
         self.declare(name, "budget")
-        self.budgets.append(BudgetDecl(name.text, body, Span(kw.line, kw.col)))
+        self.budgets[name.text] = body
+
+    def inline(self, e: Expr) -> Expr:
+        """Replace the defs declared so far by their bodies."""
+        return substitute_all(e, self.inlined)
 
     # budget terms
 
-    def parse_tuplix(self) -> TuplixSyntax:
-        node = self.parse_tuplix_primary()
+    def parse_tuplix(self) -> Tuplix:
+        term = self.parse_tuplix_primary()
         while self.at_op("|"):
-            op = self.advance()
-            right = self.parse_tuplix_primary()
-            node = SynComp(node, right, Span(op.line, op.col))
-        return node
+            self.advance()
+            term = Comp(term, self.parse_tuplix_primary())
+        return term
 
-    def parse_tuplix_primary(self) -> TuplixSyntax:
+    def parse_tuplix_primary(self) -> Tuplix:
         tok = self.peek()
         if self.at_op("("):
             self.advance()
@@ -358,19 +261,19 @@ class _Parser:
         if tok.kind != "ident":
             shown = tok.text or "end of input"
             raise self.error(f"expected a budget term, found {shown!r}")
-        span = Span(tok.line, tok.col)
+        span = f"{tok.line}:{tok.col}"
         if tok.text == "eps":
             self.advance()
-            return SynEps(span)
+            return EPS
         if tok.text == "delta":
             self.advance()
-            return SynDelta(span)
+            return Delta(span=span)
         if tok.text == "test":
             self.advance()
             self.expect_op("(")
-            cond = self.parse_cond()
+            arg, label = self.parse_cond()
             self.expect_op(")")
-            return SynTest(cond, span)
+            return Test(arg, label=label, span=span)
         if tok.text == "enc":
             self.advance()
             self.expect_op("{")
@@ -382,7 +285,7 @@ class _Parser:
             self.expect_op("(")
             body = self.parse_tuplix()
             self.expect_op(")")
-            return SynEncap(tuple(channels), body, span)
+            return Encap(frozenset(channels), body, span=span)
         if tok.text in KEYWORDS:
             raise self.error(f"keyword {tok.text!r} cannot start a budget term")
         self.advance()
@@ -390,34 +293,45 @@ class _Parser:
             self.advance()
             amount = self.parse_expr()
             self.expect_op(")")
-            return SynEntry(tok.text, amount, span)
+            return Entry(tok.text, self.inline(amount))
         if self.declared.get(tok.text) != "budget":
             raise self.error(f"reference to undeclared budget {tok.text!r}", tok)
-        return SynRef(tok.text, span)
+        return self.budgets[tok.text]
 
     # conditions
 
-    def parse_cond(self) -> Cond:
-        node: Cond = self.parse_relation()
-        while self.at_op("&&"):
-            self.advance()
-            node = CondAnd(node, self.parse_relation())
-        return node
+    def parse_cond(self) -> tuple[Expr, str]:
+        """A test's argument, zero iff every relation holds, and its label.
 
-    def parse_relation(self) -> Cond:
+        The label is the source text of the relations, with defs named
+        rather than inlined.
+        """
+        args, texts = [], []
+        while True:
+            arg, text = self.parse_relation()
+            args.append(arg)
+            texts.append(text)
+            if not self.at_op("&&"):
+                break
+            self.advance()
+        arg = args[0] if len(args) == 1 else conjunction_expr(args)
+        return arg, " && ".join(texts)
+
+    def parse_relation(self) -> tuple[Expr, str]:
         left = self.parse_expr()
         tok = self.peek()
         if tok.kind == "op" and tok.text in _COMPARISONS_UNSUPPORTED:
             raise self.error(
                 f"comparison {tok.text!r} is not supported; only <= and == exist"
             )
-        if self.at_op("<="):
-            self.advance()
-            return CondLeq(left, self.parse_expr())
-        if self.at_op("=="):
-            self.advance()
-            return CondEq(left, self.parse_expr())
-        return CondExpr(left)
+        if not (self.at_op("<=") or self.at_op("==")):
+            return self.inline(left), pretty(left)
+        self.advance()
+        right = self.parse_expr()
+        text = f"{pretty(left)} {tok.text} {pretty(right)}"
+        if tok.text == "<=":
+            return leq_expr(self.inline(left), self.inline(right)), text
+        return sub(self.inline(left), self.inline(right)), text
 
     # expressions
 
@@ -483,137 +397,9 @@ def parse(text: str) -> BudgetProgram:
     return _Parser(_tokenize(text)).parse_program()
 
 
-# --- elaboration ---------------------------------------------------------------
-
-
-def _cond_atoms(cond: Cond) -> list[Cond]:
-    if isinstance(cond, CondAnd):
-        return _cond_atoms(cond.left) + _cond_atoms(cond.right)
-    return [cond]
-
-
-def _encode_atom(cond: Cond, inline) -> Expr:
-    if isinstance(cond, CondLeq):
-        return leq_expr(inline(cond.left), inline(cond.right))
-    if isinstance(cond, CondEq):
-        return sub(inline(cond.left), inline(cond.right))
-    assert isinstance(cond, CondExpr)
-    return inline(cond.expr)
-
-
-def encode_cond(cond: Cond, inline) -> Expr:
-    """Turn a condition into a single zero-iff-holds expression."""
-    atoms = [_encode_atom(a, inline) for a in _cond_atoms(cond)]
-    if len(atoms) == 1:
-        return atoms[0]
-    return conjunction_expr(atoms)
-
-
 def elaborate(program: BudgetProgram, name: str) -> Tuplix:
-    """Expand a named budget into a core term.
-
-    Definitions are inlined by substitution, so the result's free
-    variables are exactly the params it depends on; budget references
-    splice in the referenced (already elaborated) term. Tests keep their
-    source text and position for later violation reports.
-    """
-    inlined: dict[str, Expr] = {}
-    for d in program.defs:
-        inlined[d.name] = substitute_all(d.body, inlined)
-
-    def inline(e: Expr) -> Expr:
-        return substitute_all(e, inlined)
-
-    def elab(syn: TuplixSyntax) -> Tuplix:
-        match syn:
-            case SynEps():
-                return EPS
-            case SynDelta(span):
-                return Delta(span=str(span))
-            case SynEntry(channel, amount):
-                return Entry(channel, inline(amount))
-            case SynTest(cond, span):
-                return Test(encode_cond(cond, inline), label=pretty_cond(cond), span=str(span))
-            case SynComp():
-                # the parser leans `|` chains left; a loop down that spine keeps
-                # long chains off the call stack
-                rights = []
-                while isinstance(syn, SynComp):
-                    rights.append(syn.right)
-                    syn = syn.left
-                term = elab(syn)
-                for right in reversed(rights):
-                    term = Comp(term, elab(right))
-                return term
-            case SynEncap(channels, body, span):
-                return Encap(frozenset(channels), elab(body), span=str(span))
-            case SynRef(ref_name):
-                return terms[ref_name]
-        raise TypeError(f"not budget syntax: {syn!r}")
-
-    terms: dict[str, Tuplix] = {}
-    for b in program.budgets:
-        terms[b.name] = elab(b.body)
-        if b.name == name:
-            return terms[b.name]
-    raise ValueError(f"no budget named {name!r}")
-
-
-def list_params(program: BudgetProgram) -> list[tuple[str, str | None]]:
-    """Parameter names with their documentation, in declaration order."""
-    return [(p.name, p.doc) for p in program.params]
-
-
-# --- pretty-printing -----------------------------------------------------------
-
-
-def pretty_cond(cond: Cond) -> str:
-    if isinstance(cond, CondLeq):
-        return f"{pretty(cond.left)} <= {pretty(cond.right)}"
-    if isinstance(cond, CondEq):
-        return f"{pretty(cond.left)} == {pretty(cond.right)}"
-    if isinstance(cond, CondAnd):
-        return f"{pretty_cond(cond.left)} && {pretty_cond(cond.right)}"
-    return pretty(cond.expr)
-
-
-def pretty_tuplix(syn: TuplixSyntax) -> str:
-    def render(node: TuplixSyntax, nested: bool) -> str:
-        match node:
-            case SynEps():
-                return "eps"
-            case SynDelta():
-                return "delta"
-            case SynEntry(channel, amount):
-                return f"{channel}({pretty(amount)})"
-            case SynTest(cond):
-                return f"test({pretty_cond(cond)})"
-            case SynComp(left, right):
-                text = f"{render(left, False)} | {render(right, True)}"
-                return f"({text})" if nested else text
-            case SynEncap(channels, body):
-                return f"enc{{{', '.join(channels)}}}({render(body, False)})"
-            case SynRef(name):
-                return name
-        raise TypeError(f"not budget syntax: {node!r}")
-
-    return render(syn, False)
-
-
-def pretty_program(program: BudgetProgram) -> str:
-    """Render a program; reparsing yields a structurally equal program."""
-    lines: list[str] = []
-    for p in program.params:
-        if p.doc is not None:
-            lines.append(f'param {p.name} "{p.doc}"')
-        else:
-            lines.append(f"param {p.name}")
-    if program.params and program.defs:
-        lines.append("")
-    for d in program.defs:
-        lines.append(f"def {d.name} = {pretty(d.body)}")
-    if program.budgets and (program.params or program.defs):
-        lines.append("")
-    for b in program.budgets:
-        lines.append(f"budget {b.name} = {pretty_tuplix(b.body)}")
-    return "\n".join(lines) + "\n"
+    """The core term of a named budget, as the parser built it."""
+    try:
+        return program.budgets[name]
+    except KeyError:
+        raise ValueError(f"no budget named {name!r}") from None
