@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from typing import Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Union
 
 from .expr import (
     Const,
@@ -35,6 +35,7 @@ from .expr import (
     Neg,
     Var,
     Valuation,
+    compile_exprs,
     evaluate,
     fold_constants,
     free_vars,
@@ -329,24 +330,15 @@ def to_term(c: CanonicalTuplix) -> Tuplix:
     return compose(*parts)
 
 
-def ground_of(c: CanonicalTuplix, valuation: Valuation | None = None) -> GroundForm | None:
-    """The canonical form as a GroundForm, or None if it is still open.
+def ground_of(c: CanonicalTuplix) -> GroundForm | None:
+    """The closed canonical form as a GroundForm, or None if it is still open.
 
-    Given a valuation binding every variable left in the form, the
-    residual tests and amounts are evaluated there instead: any nonzero
-    test makes the result Null. Folding is sound at every valuation and
-    evaluation is total, so normalizing under some bindings and then
-    evaluating under the rest gives the ground denotation under all of
-    them.
+    A form is closed when it is Null, or has no residual tests and only
+    constant amounts. To evaluate an open form at many valuations, use
+    `ground_evaluator`.
     """
     if c.is_null:
         return GroundForm.null()
-    if valuation is not None:
-        if any(evaluate(test, valuation) != 0 for test in c.tests):
-            return GroundForm.null()
-        return GroundForm.of(
-            {channel: evaluate(amount, valuation) for channel, amount in c.entries}
-        )
     if c.tests:
         return None
     amounts: dict[str, Rational] = {}
@@ -355,6 +347,32 @@ def ground_of(c: CanonicalTuplix, valuation: Valuation | None = None) -> GroundF
             return None
         amounts[channel] = amount.value
     return GroundForm.of(amounts)
+
+
+def ground_evaluator(c: CanonicalTuplix) -> Callable[[Valuation], GroundForm]:
+    """Compile a canonical form once into a function from valuations to GroundForms.
+
+    The valuation must bind every variable left in the form. Any nonzero
+    residual test makes the result Null; otherwise the amounts, already
+    sorted by channel, make the entries. Folding is sound at every
+    valuation and evaluation is total, so normalizing under some bindings
+    and then evaluating under the rest gives the ground denotation under
+    all of them. Each distinct subterm costs one step per call, and no
+    depth is too great (see `expr.compile_exprs`).
+    """
+    if c.is_null:
+        return lambda valuation: GroundForm.null()
+    program = compile_exprs([*c.tests, *(amount for _, amount in c.entries)])
+    channels = [channel for channel, _ in c.entries]
+    tested = len(c.tests)
+
+    def ground(valuation: Valuation) -> GroundForm:
+        values = program(valuation)
+        if any(values[:tested]):
+            return GroundForm.null()
+        return GroundForm(tuple(zip(channels, values[tested:])))
+
+    return ground
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from .algebra import (
     Violation,
     apply_test_substitution,
     free_vars_tuplix,
+    ground_evaluator,
     ground_of,
     normalize,
 )
@@ -263,12 +264,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             + ", ".join(needed)
         )
     values = _sweep_values(args.start, args.stop, args.step)
-    # Normalize once; each row only evaluates what is left of the swept variable.
-    canonical = normalize(term, fixed)
+    # Normalize and compile once; each row only runs what is left of the swept variable.
+    ground = ground_evaluator(normalize(term, fixed))
     rows: list[tuple[Rational, dict[str, Rational] | None]] = []  # None: a null row
     for value in values:
-        ground = ground_of(canonical, {args.var: value})
-        rows.append((value, None if ground.is_null else ground.as_dict()))
+        form = ground({args.var: value})
+        rows.append((value, None if form.is_null else form.as_dict()))
     if args.format == "json":
         doc = [
             {

@@ -9,11 +9,12 @@ zero is zero.
 
 from __future__ import annotations
 
+import operator
 import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Union
+from typing import Callable, Iterator, Mapping, Sequence, Union
 
 from .meadow import Rational, decimal_repr, format_rational, minv
 
@@ -119,6 +120,96 @@ def evaluate(e: Expr, valuation: Valuation) -> Rational:
         case Abs(arg):
             return abs(evaluate(arg, valuation))
     raise TypeError(f"not an expression: {e!r}")
+
+
+# Each operator node becomes one instruction applying its function to one
+# slot (unary) or two (binary).
+_OPS = {Add: operator.add, Mul: operator.mul, Neg: operator.neg, Inv: minv, Abs: abs}
+
+
+@dataclass(frozen=True)
+class SlotProgram:
+    """A straight-line program that evaluates several expressions at once.
+
+    Slots hold, in order, the constants, the values of the variables and
+    the result of each instruction. An instruction `(op, a, b)` appends
+    `op(slot a, slot b)`, or `op(slot a)` when `b` is -1; every distinct
+    subterm of the roots has one slot, so shared work is done once.
+    """
+
+    constants: tuple[Rational, ...]
+    variables: tuple[str, ...]
+    instructions: tuple[tuple[Callable, int, int], ...]
+    outputs: tuple[int, ...]  # the slot of each root
+
+    def __call__(self, valuation: Valuation) -> list[Rational]:
+        """The value of every root under a valuation binding all its variables."""
+        slots = list(self.constants)
+        for name in self.variables:
+            try:
+                slots.append(valuation[name])
+            except KeyError:
+                raise UnboundVariableError(name) from None
+        append = slots.append
+        for op, a, b in self.instructions:
+            append(op(slots[a]) if b < 0 else op(slots[a], slots[b]))
+        return [slots[i] for i in self.outputs]
+
+
+def compile_exprs(roots: Sequence[Expr]) -> SlotProgram:
+    """Compile expressions into one program that computes each distinct subterm once.
+
+    Nodes are interned by their kind and their children's slots, never by
+    the node itself, whose hash and equality recurse; the walk keeps its
+    own stack, so any depth compiles.
+    """
+    order: list[Expr] = []  # distinct node objects, children before parents
+    constants: dict[Rational, int] = {}
+    variables: dict[str, int] = {}
+    seen: set[int] = set()
+    stack: list[tuple[Expr, bool]] = [(root, False) for root in reversed(roots)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        match node:
+            case Const(value):
+                constants.setdefault(value, len(constants))
+            case Var(name):
+                variables.setdefault(name, len(variables))
+            case Add(left, right) | Mul(left, right):
+                stack += ((right, False), (left, False))
+            case Neg(arg) | Inv(arg) | Abs(arg):
+                stack.append((arg, False))
+            case _:
+                raise TypeError(f"not an expression: {node!r}")
+    first_op = len(constants) + len(variables)
+    slot_of: dict[int, int] = {}  # id(node) -> slot
+    interned: dict[tuple[Callable, int, int], int] = {}  # instruction -> slot
+    for node in order:
+        match node:
+            case Const(value):
+                slot = constants[value]
+            case Var(name):
+                slot = len(constants) + variables[name]
+            case Add(left, right) | Mul(left, right):
+                key = (_OPS[type(node)], slot_of[id(left)], slot_of[id(right)])
+                slot = interned.setdefault(key, first_op + len(interned))
+            case Neg(arg) | Inv(arg) | Abs(arg):
+                key = (_OPS[type(node)], slot_of[id(arg)], -1)
+                slot = interned.setdefault(key, first_op + len(interned))
+        slot_of[id(node)] = slot
+    return SlotProgram(
+        tuple(constants),
+        tuple(variables),
+        tuple(interned),
+        tuple(slot_of[id(root)] for root in roots),
+    )
 
 
 def zero_inversion_count(e: Expr, valuation: Valuation) -> int:

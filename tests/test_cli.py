@@ -8,8 +8,9 @@ from pathlib import Path
 
 import tuplix
 from case_study import PROGRAMS, consistent_scenario, straight_line
-from tuplix import bundled, cli
+from tuplix import algebra, bundled, cli
 from tuplix.cli import main
+from tuplix.expr import compile_exprs
 
 TRANSFER = str(bundled("transfer.bgt"))
 MSC = str(bundled("msc.bgt"))
@@ -320,6 +321,111 @@ def test_sweep_rows_match_individual_evals(capsys):
     rows = json.loads(out)
     assert [r["status"] for r in rows] == ["ok", "null", "null", "null", "null"]
     assert_rows_match_evals(capsys, "Total", "k", others, rows)
+
+
+# S0 holds the bindings of the README's sweep example
+README_SWEEP = [
+    "sweep", MSC, "--budget", "J", "--var", "k", "--from", "0", "--to", "1", "--step", "1/4",
+    *sets(S0),
+]
+
+README_SWEEP_TEXT = """\
+k    status  a   b   c   e   in
+0    ok      52  24  20  24  -120
+1/4  ok      51  25  20  24  -120
+1/2  ok      50  26  20  24  -120
+3/4  ok      49  27  20  24  -120
+1    ok      48  28  20  24  -120
+"""
+
+README_SWEEP_JSON_ROW = """\
+  {{
+    "entries": {{
+      "a": "{a}",
+      "b": "{b}",
+      "c": "20",
+      "e": "24",
+      "in": "-120"
+    }},
+    "status": "ok",
+    "value": "{value}"
+  }}"""
+
+
+def test_readme_sweep_is_byte_stable(capsys):
+    assert run(README_SWEEP, capsys) == (0, README_SWEEP_TEXT, "")
+    rows = [("0", 52, 24), ("1/4", 51, 25), ("1/2", 50, 26), ("3/4", 49, 27), ("1", 48, 28)]
+    expected = ",\n".join(
+        README_SWEEP_JSON_ROW.format(value=value, a=a, b=b) for value, a, b in rows
+    )
+    assert run([*README_SWEEP, "--format", "json"], capsys) == (0, f"[\n{expected}\n]\n", "")
+
+
+def spy_compiles(monkeypatch):
+    """Record every program that a sweep compiles."""
+    programs = []
+
+    def compile_and_record(roots):
+        programs.append(compile_exprs(roots))
+        return programs[-1]
+
+    monkeypatch.setattr(algebra, "compile_exprs", compile_and_record)
+    return programs
+
+
+def test_sweep_of_an_unmentioned_parameter_repeats_eval(capsys, monkeypatch):
+    # budget J never mentions A:pmt, so its compiled program has no variable slot
+    programs = spy_compiles(monkeypatch)
+    code, out, _ = run(
+        ["sweep", MSC, "--budget", "J", "--var", "A:pmt", "--from", "0", "--to", "2",
+         "--step", "1", "--format", "json", *sets(dict(S0, k="1/2"))],
+        capsys,
+    )
+    assert code == 0
+    assert [program.variables for program in programs] == [()]
+    rows = json.loads(out)
+    assert [r["value"] for r in rows] == ["0", "1", "2"]
+    assert_rows_match_evals(capsys, "J", "A:pmt", dict(S0, k="1/2"), rows)
+
+
+def test_sweep_of_a_null_form_compiles_nothing(capsys, monkeypatch):
+    # bbpp = 40 breaks the first guard of J at every k
+    programs = spy_compiles(monkeypatch)
+    code, out, _ = sweep_j(capsys, "k", "0", "1", "1/2", extra=["--set", "bbpp=40"], fmt="text")
+    assert code == 0
+    assert programs == []
+    # no row has entries, so the table has no channel columns
+    assert out == "k    status\n0    null\n1/2  null\n1    null\n"
+
+
+def test_sweep_of_a_residual_folded_to_constants(tmp_path, capsys, monkeypatch):
+    # x * 0 folds away, so every row is the same constant form
+    f = tmp_path / "folded.bgt"
+    f.write_text("param x\nparam y\nbudget B = a(x * 0 + y) | b(2 * y) | test(0 * x)\n")
+    programs = spy_compiles(monkeypatch)
+    code, out, _ = run(
+        ["sweep", str(f), "--var", "x", "--from", "-1", "--to", "1", "--step", "1",
+         "--set", "y=3"],
+        capsys,
+    )
+    assert code == 0
+    assert [(p.variables, p.instructions) for p in programs] == [((), ())]
+    assert out == "x   status  a  b\n-1  ok      3  6\n0   ok      3  6\n1   ok      3  6\n"
+
+
+def test_sweep_of_a_long_flat_composition(tmp_path, capsys):
+    # the summed amount of 3,000 entries a(x + i) is a 3,000-deep chain
+    n = 3000
+    f = tmp_path / "flat.bgt"
+    f.write_text("param x\nbudget B = " + " | ".join(f"a(x + {i})" for i in range(n)) + "\n")
+    code, out, _ = run(
+        ["sweep", str(f), "--var", "x", "--from", "0", "--to", "2", "--step", "1",
+         "--format", "json"],
+        capsys,
+    )
+    assert code == 0
+    rows = json.loads(out)
+    assert [r["entries"]["a"] for r in rows] == [str(n * x + 4_498_500) for x in range(3)]
 
 
 def test_sweep_value_wins_over_a_bound_swept_variable(capsys):

@@ -12,6 +12,7 @@ from tuplix.expr import (
     Neg,
     UnboundVariableError,
     Var,
+    compile_exprs,
     const,
     div,
     equiv_prob,
@@ -27,6 +28,7 @@ from tuplix.expr import (
     substitute,
     substitute_all,
     var,
+    walk,
     zero_inversion_count,
 )
 
@@ -126,6 +128,54 @@ def test_fold_with_bindings_equals_fold_after_substitution():
             elif roll < 0.7:
                 bindings[name] = fold_constants(random_expr(rng, names, rng.randint(0, 3)))
         assert fold_constants(e, bindings) == fold_constants(substitute_all(e, bindings))
+
+
+def operator_subterms(roots):
+    return {node for root in roots for node in walk(root) if not isinstance(node, (Const, Var))}
+
+
+def test_compiled_program_agrees_with_evaluate():
+    rng = random.Random(23)
+    names = ("x", "y", "z")
+    x = var("x")
+    for trial in range(300):
+        e = random_expr(rng, names, rng.randint(0, 8))
+        copy = random_expr(random.Random(trial), names, 6)  # equal, separately built
+        again = random_expr(random.Random(trial), names, 6)
+        roots = [
+            e,
+            Add(e, e),  # the same node object twice
+            Mul(copy, again),
+            Abs(Add(copy, Neg(again))),
+            Inv(sub(x, x)),  # an inverse of zero at every valuation
+            random_expr(rng, names, rng.randint(0, 8)),
+        ]
+        program = compile_exprs(roots)
+        assert len(program.instructions) == len(operator_subterms(roots))
+        for _ in range(3):
+            v = random_valuation(rng, names)  # zero a quarter of the time
+            assert program(v) == [evaluate(root, v) for root in roots]
+        zeros = dict.fromkeys(names, Fraction(0))
+        assert program(zeros) == [evaluate(root, zeros) for root in roots]
+
+
+def test_compiled_program_names_an_unbound_variable():
+    program = compile_exprs([Add(var("x"), Inv(const(0))), var("missing")])
+    assert program({"x": Fraction(2), "missing": Fraction(1)}) == [Fraction(2), Fraction(1)]
+    with pytest.raises(UnboundVariableError) as info:
+        program({"x": Fraction(2)})
+    assert info.value.name == "missing"
+
+
+def test_compiled_program_runs_a_deep_chain():
+    # 20,000 nested Adds: far past the recursion limit of evaluate and of == on nodes
+    n = 20_000
+    chain = var("x")
+    for i in range(n):
+        chain = Add(chain, Const(Fraction(i)))
+    program = compile_exprs([chain])
+    assert len(program.instructions) == n
+    assert program({"x": Fraction(1, 2)}) == [Fraction(1, 2) + n * (n - 1) // 2]
 
 
 def test_equiv_prob_detects_indicator_vs_one():
