@@ -35,6 +35,7 @@ from .expr import (
     Neg,
     Var,
     Valuation,
+    compare,
     compile_exprs,
     evaluate,
     fold_constants,
@@ -115,23 +116,19 @@ def compose(*terms: Tuplix) -> Tuplix:
 
 
 def free_vars_tuplix(t: Tuplix) -> frozenset[str]:
-    names: set[str] = set()
+    amounts: list[Expr] = []  # every entry amount and test argument
     stack = [t]
     while stack:
-        node = stack.pop()
-        match node:
-            case Eps() | Delta():
-                pass
+        match stack.pop():
             case Entry(_, amount):
-                names |= free_vars(amount)
+                amounts.append(amount)
             case Test(arg):
-                names |= free_vars(arg)
+                amounts.append(arg)
             case Comp(left, right):
-                stack.append(left)
-                stack.append(right)
+                stack += (left, right)
             case Encap(_, body):
                 stack.append(body)
-    return frozenset(names)
+    return free_vars(*amounts)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +245,7 @@ def _sum_amounts(summands: list[Expr]) -> Expr:
 def _canonical_tests(found: list[Expr]) -> tuple[Expr, ...]:
     out: list[Expr] = []
     for expr in sorted(found, key=sort_key):
-        if not out or out[-1] != expr:
+        if not out or compare(out[-1], expr):
             out.append(expr)
     return tuple(out)
 
@@ -273,6 +270,7 @@ def normalize(t: Tuplix, valuation: Valuation | None = None) -> CanonicalTuplix:
     the body already recorded a violation.
     """
     bindings = {name: Const(value) for name, value in (valuation or {}).items()}
+    memo: dict[int, Expr] = {}  # one fold per distinct node of the term's amounts
     tests: list[Expr] = []
     violations: list[Violation] = []  # nonempty exactly when the result is Null
     entries: dict[str, list[Expr]] = {}  # summands of the innermost open enc{}
@@ -283,9 +281,9 @@ def normalize(t: Tuplix, valuation: Valuation | None = None) -> CanonicalTuplix:
             case Comp(left, right):
                 stack += (right, left)
             case Entry(channel, amount):
-                entries.setdefault(channel, []).append(fold_constants(amount, bindings))
+                entries.setdefault(channel, []).append(fold_constants(amount, bindings, memo))
             case Test(arg, label, span):
-                folded = fold_constants(arg, bindings)
+                folded = fold_constants(arg, bindings, memo)
                 if not isinstance(folded, Const):
                     tests.append(folded)
                 elif folded.value != 0:
@@ -423,18 +421,13 @@ def apply_test_substitution(c: CanonicalTuplix) -> CanonicalTuplix:
                 continue
             name, replacement = solved
             binding = {name: replacement}
-            for channel, amount in entries.items():
-                updated = fold_constants(amount, binding)
-                if updated != amount:
-                    entries[channel] = updated
-                    changed = True
-            for j, other in enumerate(tests):
-                if j == i:
-                    continue
-                updated = fold_constants(other, binding)
-                if updated != other:
-                    tests[j] = updated
-                    changed = True
+            before = [*entries.values(), *tests]  # keeps the memo's nodes alive
+            memo: dict[int, Expr] = {}
+            entries = {ch: fold_constants(amount, binding, memo) for ch, amount in entries.items()}
+            tests[:] = [
+                t if j == i else fold_constants(t, binding, memo) for j, t in enumerate(tests)
+            ]
+            changed |= any(new is not old for new, old in zip([*entries.values(), *tests], before))
         if not changed:
             break
     violations: list[Violation] = []

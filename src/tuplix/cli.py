@@ -8,9 +8,9 @@ Subcommands:
   axioms  run the randomized law suite
 
 Exit codes: 0 success, 1 the budget is impossible (or a law failed),
-2 usage, parse or binding errors, or input nested too deeply. Rationals
-cross the boundary as exact text ('n/d', or 'n' when the denominator is
-1), never as floats.
+2 usage, parse or binding errors, nesting past 256 brackets among them.
+Rationals cross the boundary as exact text ('n/d', or 'n' when the
+denominator is 1), never as floats.
 """
 
 from __future__ import annotations
@@ -379,9 +379,6 @@ def main(argv: list[str] | None = None) -> int:
         return args.run(args)
     except CliError as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except RecursionError:
-        sys.stderr.write("error: the input is nested too deeply\n")
         return 2
 
 

@@ -147,11 +147,19 @@ def _tokenize(text: str) -> list[_Token]:
 
 _COMPARISONS_UNSUPPORTED = {"<", ">", ">=", "!="}
 
+# Brackets of any kind ("(", "abs(", "enc{...}(", "test(", an entry's "(")
+# may nest this deep and no deeper. Each costs the parser at most three
+# Python frames (a test's bracket five, but only once on any path), so it
+# refuses deeper input with a DslError well before the interpreter's
+# default limit of 1,000 frames.
+MAX_NESTING = 256
+
 
 class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # brackets open at the current token
         self.declared: dict[str, str] = {}  # name -> "param" | "def" | "budget"
         self.params: dict[str, str | None] = {}
         self.inlined: dict[str, Expr] = {}  # def name -> body over params only
@@ -177,6 +185,16 @@ class _Parser:
             shown = tok.text or "end of input"
             raise self.error(f"expected {text!r}, found {shown!r}")
         return self.advance()
+
+    def open_bracket(self) -> None:
+        tok = self.expect_op("(")
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self.error(f"brackets nested more than {MAX_NESTING} deep", tok)
+
+    def close_bracket(self) -> None:
+        self.expect_op(")")
+        self.depth -= 1
 
     def at_op(self, text: str) -> bool:
         tok = self.peek()
@@ -254,9 +272,9 @@ class _Parser:
     def parse_tuplix_primary(self) -> Tuplix:
         tok = self.peek()
         if self.at_op("("):
-            self.advance()
+            self.open_bracket()
             inner = self.parse_tuplix()
-            self.expect_op(")")
+            self.close_bracket()
             return inner
         if tok.kind != "ident":
             shown = tok.text or "end of input"
@@ -270,9 +288,9 @@ class _Parser:
             return Delta(span=span)
         if tok.text == "test":
             self.advance()
-            self.expect_op("(")
+            self.open_bracket()
             arg, label = self.parse_cond()
-            self.expect_op(")")
+            self.close_bracket()
             return Test(arg, label=label, span=span)
         if tok.text == "enc":
             self.advance()
@@ -282,17 +300,17 @@ class _Parser:
                 self.advance()
                 channels.append(self.expect_name("a channel name").text)
             self.expect_op("}")
-            self.expect_op("(")
+            self.open_bracket()
             body = self.parse_tuplix()
-            self.expect_op(")")
+            self.close_bracket()
             return Encap(frozenset(channels), body, span=span)
         if tok.text in KEYWORDS:
             raise self.error(f"keyword {tok.text!r} cannot start a budget term")
         self.advance()
         if self.at_op("("):
-            self.advance()
+            self.open_bracket()
             amount = self.parse_expr()
-            self.expect_op(")")
+            self.close_bracket()
             return Entry(tok.text, self.inline(amount))
         if self.declared.get(tok.text) != "budget":
             raise self.error(f"reference to undeclared budget {tok.text!r}", tok)
@@ -348,22 +366,20 @@ class _Parser:
                 return node
 
     def parse_term(self) -> Expr:
-        node = self.parse_factor()
+        """Factors joined by * and /, each a primary under any number of unary minuses."""
+        node, op = None, "*"
         while True:
-            if self.at_op("*"):
+            minuses = 0
+            while self.at_op("-"):
                 self.advance()
-                node = Mul(node, self.parse_factor())
-            elif self.at_op("/"):
-                self.advance()
-                node = Mul(node, Inv(self.parse_factor()))
-            else:
+                minuses += 1
+            factor = self.parse_primary()
+            for _ in range(minuses):
+                factor = Neg(factor)
+            node = factor if node is None else Mul(node, factor if op == "*" else Inv(factor))
+            if not (self.at_op("*") or self.at_op("/")):
                 return node
-
-    def parse_factor(self) -> Expr:
-        if self.at_op("-"):
-            self.advance()
-            return Neg(self.parse_factor())
-        return self.parse_primary()
+            op = self.advance().text
 
     def parse_primary(self) -> Expr:
         tok = self.peek()
@@ -371,16 +387,16 @@ class _Parser:
             self.advance()
             return Const(parse_rational(tok.text))
         if self.at_op("("):
-            self.advance()
+            self.open_bracket()
             inner = self.parse_expr()
-            self.expect_op(")")
+            self.close_bracket()
             return inner
         if tok.kind == "ident":
             if tok.text == "abs":
                 self.advance()
-                self.expect_op("(")
+                self.open_bracket()
                 inner = self.parse_expr()
-                self.expect_op(")")
+                self.close_bracket()
                 return Abs(inner)
             if tok.text in KEYWORDS:
                 raise self.error(f"keyword {tok.text!r} cannot appear in an expression")

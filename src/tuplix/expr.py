@@ -1,10 +1,13 @@
 """Symbolic rational expressions over named variables.
 
-Expressions are immutable trees built from constants, variables, sums,
-products, negation, totalized inversion and absolute value. Subtraction
-and division are sugar: a - b is Add(a, Neg(b)), a / b is Mul(a, Inv(b)).
-Evaluation is total for any fully bound valuation because the inverse of
-zero is zero.
+Expressions are immutable DAGs built from constants, variables, sums,
+products, negation, totalized inversion and absolute value: a subterm may
+be shared by object (the budget language inlines a def by sharing its
+body). Every pass walks the `postorder` of its roots, each distinct node
+walked once, with its own stack, so neither sharing nor depth costs
+more than the nodes themselves. Subtraction and division are sugar:
+a - b is Add(a, Neg(b)), a / b is Mul(a, Inv(b)). Evaluation is total
+for any fully bound valuation because the inverse of zero is zero.
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping, Sequence, Union
+from functools import cmp_to_key
+from typing import Callable, Container, Mapping, Sequence, Union
 
 from .meadow import Rational, decimal_repr, format_rational, minv
 
@@ -80,7 +84,6 @@ Expr = Union[Const, Var, Add, Mul, Neg, Inv, Abs]
 Valuation = Mapping[str, Rational]
 
 ZERO = Const(Fraction(0))
-ONE = Const(Fraction(1))
 
 
 def const(value) -> Const:
@@ -122,6 +125,41 @@ def evaluate(e: Expr, valuation: Valuation) -> Rational:
     raise TypeError(f"not an expression: {e!r}")
 
 
+_EMIT = object()  # on the postorder stack: the node below it has all its children listed
+
+
+def postorder(roots: Sequence[Expr], done: Container[int] = ()) -> list[Expr]:
+    """Each distinct node object under the roots once, children before parents.
+
+    Nodes whose id() is in `done` are left out, and so is whatever lies
+    only below them: a pass memoized by id() passes its memo, so that no
+    node is visited twice across its calls.
+    """
+    order: list[Expr] = []
+    seen: set[int] = set()
+    stack: list = list(reversed(roots))
+    pop = stack.pop
+    while stack:
+        node = pop()
+        if node is _EMIT:
+            order.append(pop())
+            continue
+        key = id(node)
+        if key in seen or key in done:
+            continue
+        seen.add(key)
+        kind = type(node)
+        if kind is Add or kind is Mul:
+            stack += (node, _EMIT, node.right, node.left)
+        elif kind is Neg or kind is Inv or kind is Abs:
+            stack += (node, _EMIT, node.arg)
+        elif kind is Const or kind is Var:
+            order.append(node)
+        else:
+            raise TypeError(f"not an expression: {node!r}")
+    return order
+
+
 # Each operator node becomes one instruction applying its function to one
 # slot (unary) or two (binary).
 _OPS = {Add: operator.add, Mul: operator.mul, Neg: operator.neg, Inv: minv, Abs: abs}
@@ -160,49 +198,28 @@ def compile_exprs(roots: Sequence[Expr]) -> SlotProgram:
     """Compile expressions into one program that computes each distinct subterm once.
 
     Nodes are interned by their kind and their children's slots, never by
-    the node itself, whose hash and equality recurse; the walk keeps its
-    own stack, so any depth compiles.
+    the node itself, whose hash and equality recurse.
     """
-    order: list[Expr] = []  # distinct node objects, children before parents
-    constants: dict[Rational, int] = {}
-    variables: dict[str, int] = {}
-    seen: set[int] = set()
-    stack: list[tuple[Expr, bool]] = [(root, False) for root in reversed(roots)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        match node:
-            case Const(value):
-                constants.setdefault(value, len(constants))
-            case Var(name):
-                variables.setdefault(name, len(variables))
-            case Add(left, right) | Mul(left, right):
-                stack += ((right, False), (left, False))
-            case Neg(arg) | Inv(arg) | Abs(arg):
-                stack.append((arg, False))
-            case _:
-                raise TypeError(f"not an expression: {node!r}")
-    first_op = len(constants) + len(variables)
+    order = postorder(roots)
+    constants = dict.fromkeys(node.value for node in order if type(node) is Const)
+    variables = dict.fromkeys(node.name for node in order if type(node) is Var)
+    # a name never equals a number, so constants and variables share one index
+    leaves = {leaf: slot for slot, leaf in enumerate([*constants, *variables])}
+    first_op = len(leaves)
     slot_of: dict[int, int] = {}  # id(node) -> slot
     interned: dict[tuple[Callable, int, int], int] = {}  # instruction -> slot
     for node in order:
-        match node:
-            case Const(value):
-                slot = constants[value]
-            case Var(name):
-                slot = len(constants) + variables[name]
-            case Add(left, right) | Mul(left, right):
-                key = (_OPS[type(node)], slot_of[id(left)], slot_of[id(right)])
-                slot = interned.setdefault(key, first_op + len(interned))
-            case Neg(arg) | Inv(arg) | Abs(arg):
-                key = (_OPS[type(node)], slot_of[id(arg)], -1)
-                slot = interned.setdefault(key, first_op + len(interned))
+        kind = type(node)
+        if kind is Const:
+            slot = leaves[node.value]
+        elif kind is Var:
+            slot = leaves[node.name]
+        else:
+            if kind is Add or kind is Mul:
+                key = (_OPS[kind], slot_of[id(node.left)], slot_of[id(node.right)])
+            else:
+                key = (_OPS[kind], slot_of[id(node.arg)], -1)
+            slot = interned.setdefault(key, first_op + len(interned))
         slot_of[id(node)] = slot
     return SlotProgram(
         tuple(constants),
@@ -212,128 +229,83 @@ def compile_exprs(roots: Sequence[Expr]) -> SlotProgram:
     )
 
 
-def zero_inversion_count(e: Expr, valuation: Valuation) -> int:
-    """How many Inv nodes hit a zero argument under this valuation.
-
-    Diagnostic only: such hits are well-defined (they yield 0), but a
-    nonzero count can flag a formula leaning on that convention.
-    """
-    match e:
-        case Const() | Var():
-            return 0
-        case Add(left, right) | Mul(left, right):
-            return zero_inversion_count(left, valuation) + zero_inversion_count(
-                right, valuation
-            )
-        case Neg(arg) | Abs(arg):
-            return zero_inversion_count(arg, valuation)
-        case Inv(arg):
-            hit = 1 if evaluate(arg, valuation) == 0 else 0
-            return hit + zero_inversion_count(arg, valuation)
-    raise TypeError(f"not an expression: {e!r}")
-
-
-def free_vars(e: Expr) -> frozenset[str]:
-    names: set[str] = set()
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        match node:
-            case Const():
-                pass
-            case Var(name):
-                names.add(name)
-            case Add(left, right) | Mul(left, right):
-                stack.append(left)
-                stack.append(right)
-            case Neg(arg) | Inv(arg) | Abs(arg):
-                stack.append(arg)
-    return frozenset(names)
-
-
-def substitute(e: Expr, name: str, replacement: Expr) -> Expr:
-    return substitute_all(e, {name: replacement})
+def free_vars(*roots: Expr) -> frozenset[str]:
+    """The names of the variables in any of the expressions."""
+    return frozenset(node.name for node in postorder(roots) if type(node) is Var)
 
 
 def substitute_all(e: Expr, bindings: Mapping[str, Expr]) -> Expr:
-    """Replace every bound variable with its expression, in one pass."""
+    """Replace every bound variable with its expression, simultaneously."""
     if not bindings:
         return e
-    match e:
-        case Const():
-            return e
-        case Var(name):
-            return bindings.get(name, e)
-        case Add(left, right):
-            return Add(substitute_all(left, bindings), substitute_all(right, bindings))
-        case Mul(left, right):
-            return Mul(substitute_all(left, bindings), substitute_all(right, bindings))
-        case Neg(arg):
-            return Neg(substitute_all(arg, bindings))
-        case Inv(arg):
-            return Inv(substitute_all(arg, bindings))
-        case Abs(arg):
-            return Abs(substitute_all(arg, bindings))
-    raise TypeError(f"not an expression: {e!r}")
+    out: dict[int, Expr] = {}  # id(node) -> the node with its variables replaced
+    for node in postorder([e]):
+        kind = type(node)
+        if kind is Var:
+            new = bindings.get(node.name, node)
+        elif kind is Const:
+            new = node
+        elif kind is Add or kind is Mul:
+            left, right = out[id(node.left)], out[id(node.right)]
+            new = node if left is node.left and right is node.right else kind(left, right)
+        else:
+            arg = out[id(node.arg)]
+            new = node if arg is node.arg else kind(arg)
+        out[id(node)] = new
+    return out[id(e)]
 
 
-def fold_constants(e: Expr, bindings: Mapping[str, Expr] | None = None) -> Expr:
+def fold_constants(
+    e: Expr, bindings: Mapping[str, Expr] | None = None, memo: dict[int, Expr] | None = None
+) -> Expr:
     """Bottom-up simplification that is sound for every valuation.
 
     Constant subtrees collapse (with totalized inversion); the only
     identities applied are x+0->x, x*1->x, x*0->0, Neg(Neg(x))->x and
     Inv(Inv(x))->x. Notably x/x is NOT rewritten to 1: its value depends
-    on whether x is zero.
+    on whether x is zero. A node whose children fold to themselves and
+    that no rule rewrites is returned as it is, so `fold_constants(e) is e`
+    tells that nothing changed.
 
     Bound variables are replaced on the way, in the same pass: with
     `bindings` mapping names to folded expressions, the result equals
     fold_constants(substitute_all(e, bindings)).
+
+    `memo` maps the id() of each node folded so far to its result. Calls
+    that share the bindings may share it, so that a subterm they have in
+    common is folded once; it holds only while those nodes stay alive.
     """
-    match e:
-        case Const():
-            return e
-        case Var(name):
-            return bindings.get(name, e) if bindings else e
-        case Add(left, right):
-            left, right = fold_constants(left, bindings), fold_constants(right, bindings)
-            if isinstance(left, Const) and isinstance(right, Const):
-                return Const(left.value + right.value)
-            if left == ZERO:
-                return right
-            if right == ZERO:
-                return left
-            return Add(left, right)
-        case Mul(left, right):
-            left, right = fold_constants(left, bindings), fold_constants(right, bindings)
-            if isinstance(left, Const) and isinstance(right, Const):
-                return Const(left.value * right.value)
-            if left == ZERO or right == ZERO:
-                return ZERO
-            if left == ONE:
-                return right
-            if right == ONE:
-                return left
-            return Mul(left, right)
-        case Neg(arg):
-            arg = fold_constants(arg, bindings)
-            if isinstance(arg, Const):
-                return Const(-arg.value)
-            if isinstance(arg, Neg):
-                return arg.arg
-            return Neg(arg)
-        case Inv(arg):
-            arg = fold_constants(arg, bindings)
-            if isinstance(arg, Const):
-                return Const(minv(arg.value))
-            if isinstance(arg, Inv):
-                return arg.arg
-            return Inv(arg)
-        case Abs(arg):
-            arg = fold_constants(arg, bindings)
-            if isinstance(arg, Const):
-                return Const(abs(arg.value))
-            return Abs(arg)
-    raise TypeError(f"not an expression: {e!r}")
+    folded = {} if memo is None else memo
+    for node in postorder([e], folded):
+        kind = type(node)
+        if kind is Add or kind is Mul:
+            left, right = folded[id(node.left)], folded[id(node.right)]
+            lconst, rconst = type(left) is Const, type(right) is Const
+            unit = 0 if kind is Add else 1
+            if lconst and rconst:
+                out = Const(_OPS[kind](left.value, right.value))
+            elif kind is Mul and ((lconst and left.value == 0) or (rconst and right.value == 0)):
+                out = ZERO
+            elif lconst and left.value == unit:
+                out = right
+            elif rconst and right.value == unit:
+                out = left
+            else:
+                out = node if left is node.left and right is node.right else kind(left, right)
+        elif kind is Var:
+            out = bindings.get(node.name, node) if bindings else node
+        elif kind is Const:
+            out = node
+        else:
+            arg = folded[id(node.arg)]
+            if type(arg) is Const:
+                out = Const(_OPS[kind](arg.value))
+            elif kind is not Abs and type(arg) is kind:  # Neg(Neg(x)), Inv(Inv(x))
+                out = arg.arg
+            else:
+                out = node if arg is node.arg else kind(arg)
+        folded[id(node)] = out
+    return folded[id(e)]
 
 
 def random_rational(rng: random.Random) -> Rational:
@@ -381,7 +353,7 @@ def equiv_prob(e1: Expr, e2: Expr, trials: int, seed: int) -> bool:
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = random.Random(seed)
-    names = sorted(free_vars(e1) | free_vars(e2))
+    names = sorted(free_vars(e1, e2))
     for _ in range(trials):
         valuation = {name: random_rational(rng) for name in names}
         if evaluate(e1, valuation) != evaluate(e2, valuation):
@@ -389,72 +361,56 @@ def equiv_prob(e1: Expr, e2: Expr, trials: int, seed: int) -> bool:
     return True
 
 
-def sort_key(e: Expr):
-    """Total structural order on expressions, used for canonical forms."""
-    match e:
-        case Const(value):
-            return (0, value.numerator, value.denominator)
-        case Var(name):
-            return (1, name)
-        case Add(left, right):
-            return (2, sort_key(left), sort_key(right))
-        case Mul(left, right):
-            return (3, sort_key(left), sort_key(right))
-        case Neg(arg):
-            return (4, sort_key(arg))
-        case Inv(arg):
-            return (5, sort_key(arg))
-        case Abs(arg):
-            return (6, sort_key(arg))
-    raise TypeError(f"not an expression: {e!r}")
+_KIND_ORDER = {Const: 0, Var: 1, Add: 2, Mul: 3, Neg: 4, Inv: 5, Abs: 6}
 
+
+def compare(a: Expr, b: Expr) -> int:
+    """Total structural order on expressions, used for canonical forms: -1, 0 or 1.
+
+    Nodes order first by kind (Const, Var, Add, Mul, Neg, Inv, Abs), then
+    constants by numerator and denominator, variables by name and
+    operators by their children, left before right. A pair of nodes
+    found equal is not compared again, so shared subterms cost once.
+    """
+    equal: set[tuple[int, int]] = set()
+    stack: list[tuple] = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if x is None:  # every child pair of the pair `y` compared equal
+            equal.add(y)
+            continue
+        if x is y or (id(x), id(y)) in equal:
+            continue
+        kind, other = _KIND_ORDER[type(x)], _KIND_ORDER[type(y)]
+        if kind != other:
+            return -1 if kind < other else 1
+        if kind == 0:
+            p, q = x.value.as_integer_ratio(), y.value.as_integer_ratio()
+        elif kind == 1:
+            p, q = x.name, y.name
+        else:
+            stack.append((None, (id(x), id(y))))
+            if kind < 4:
+                stack += ((x.right, y.right), (x.left, y.left))
+            else:
+                stack.append((x.arg, y.arg))
+            continue
+        if p != q:
+            return -1 if p < q else 1
+    return 0
+
+
+sort_key = cmp_to_key(compare)
 
 # Pretty-printing precedence levels.
 _ADD, _MUL, _UNARY, _ATOM = 10, 20, 30, 40
+_LEVEL = {Var: _ATOM, Abs: _ATOM, Add: _ADD, Mul: _MUL, Inv: _MUL, Neg: _UNARY}
 
 
 def _level(e: Expr) -> int:
-    match e:
-        case Const(value):
-            return _UNARY if value < 0 else _ATOM
-        case Var() | Abs():
-            return _ATOM
-        case Add():
-            return _ADD
-        case Mul() | Inv():
-            return _MUL
-        case Neg():
-            return _UNARY
-    raise TypeError(f"not an expression: {e!r}")
-
-
-def _render(e: Expr, context: int) -> str:
-    match e:
-        case Const(value):
-            text = decimal_repr(value)
-            out = text if text is not None else format_rational(value)
-        case Var(name):
-            out = name
-        case Add(left, Neg(arg)):
-            out = f"{_render(left, _ADD)} - {_render(arg, _ADD + 1)}"
-        case Add(left, right):
-            out = f"{_render(left, _ADD)} + {_render(right, _ADD + 1)}"
-        case Mul(left, Inv(arg)):
-            out = f"{_render(left, _MUL)} / {_render(arg, _MUL + 1)}"
-        case Mul(left, right):
-            out = f"{_render(left, _MUL)} * {_render(right, _MUL + 1)}"
-        case Neg(arg):
-            out = f"-{_render(arg, _UNARY)}"
-        case Inv(arg):
-            # No bare-inverse surface syntax; render through a division.
-            out = f"1 / {_render(arg, _MUL + 1)}"
-        case Abs(arg):
-            out = f"abs({_render(arg, 0)})"
-        case _:
-            raise TypeError(f"not an expression: {e!r}")
-    if _level(e) < context:
-        return f"({out})"
-    return out
+    if type(e) is Const:
+        return _UNARY if e.value < 0 else _ATOM
+    return _LEVEL[type(e)]
 
 
 def pretty(e: Expr) -> str:
@@ -462,22 +418,54 @@ def pretty(e: Expr) -> str:
 
     Reparsing the result of printing a parsed expression reproduces the
     same tree; programmatic trees (bare Inv, negative Const) still render
-    as semantically equal text.
+    as semantically equal text. The text is written out piece by piece,
+    so its cost is linear in its length; a node met a second time reuses
+    the text it was given the first time, bracketed as its context needs.
     """
-    return _render(e, 0)
-
-
-def walk(e: Expr) -> Iterator[Expr]:
-    """Yield every node of the expression tree, parents first."""
-    stack = [e]
+    parts: list[str] = []
+    # id(node) -> where its text lies in `parts`, then the text itself once it is met again
+    texts: dict[int, tuple[int, int] | str] = {}
+    stack: list = [(e, 0)]  # (node, context), (id(node), start) for the end of a node, or text
     while stack:
-        node = stack.pop()
-        yield node
-        match node:
-            case Add(left, right) | Mul(left, right):
-                stack.append(right)
-                stack.append(left)
-            case Neg(arg) | Inv(arg) | Abs(arg):
-                stack.append(arg)
-            case _:
-                pass
+        item = stack.pop()
+        if type(item) is str:
+            parts.append(item)
+            continue
+        node, context = item
+        if type(node) is int:
+            texts[node] = (context, len(parts))
+            continue
+        kind = type(node)
+        bracket = _level(node) < context
+        text = texts.get(id(node))
+        if kind is Const:
+            decimal = decimal_repr(node.value)
+            text = decimal if decimal is not None else format_rational(node.value)
+        elif kind is Var:
+            text = node.name
+        elif type(text) is tuple:
+            text = texts[id(node)] = "".join(parts[text[0] : text[1]])
+        if text is not None:
+            parts.append(f"({text})" if bracket else text)
+            continue
+        if bracket:
+            parts.append("(")
+            stack.append(")")
+        stack.append((id(node), len(parts)))
+        if kind is Add and type(node.right) is Neg:
+            pieces = ((node.left, _ADD), " - ", (node.right.arg, _ADD + 1))
+        elif kind is Add:
+            pieces = ((node.left, _ADD), " + ", (node.right, _ADD + 1))
+        elif kind is Mul and type(node.right) is Inv:
+            pieces = ((node.left, _MUL), " / ", (node.right.arg, _MUL + 1))
+        elif kind is Mul:
+            pieces = ((node.left, _MUL), " * ", (node.right, _MUL + 1))
+        elif kind is Neg:
+            pieces = ("-", (node.arg, _UNARY))
+        elif kind is Inv:
+            # No bare-inverse surface syntax; render through a division.
+            pieces = ("1 / ", (node.arg, _MUL + 1))
+        else:
+            pieces = ("abs(", (node.arg, 0), ")")
+        stack += reversed(pieces)
+    return "".join(parts)

@@ -42,11 +42,11 @@ from .expr import (
     evaluate,
     fold_constants,
     free_vars,
+    postorder,
     random_expr,
     random_rational,
     sub,
-    substitute,
-    walk,
+    substitute_all,
 )
 from .meadow import indicator, minv
 
@@ -326,7 +326,7 @@ def _law_constraint_nodes(rng):
     kinds = (Const, Var, Add, Mul, Neg, Inv, Abs)
     p, q = _expr(rng), _expr(rng)
     built = [test_leq(p, q), test_eq(p, q), test_and([p, q])]
-    return all(isinstance(node, kinds) for t in built for node in walk(t.arg))
+    return all(isinstance(node, kinds) for t in built for node in postorder([t.arg]))
 
 
 def constraint_laws() -> list[Law]:
@@ -357,7 +357,7 @@ def _law_substitute_binds(rng):
     name = rng.choice(_NAMES)
     r = random_rational(rng)
     rest = {n: random_rational(rng) for n in _NAMES if n != name}
-    bound = substitute(e, name, Const(r))
+    bound = substitute_all(e, {name: Const(r)})
     if name in free_vars(bound):
         return False
     return evaluate(bound, rest) == evaluate(e, {**rest, name: r})

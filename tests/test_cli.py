@@ -9,8 +9,10 @@ from pathlib import Path
 import tuplix
 from case_study import PROGRAMS, consistent_scenario, straight_line
 from tuplix import algebra, bundled, cli
+from tuplix.algebra import normalize
 from tuplix.cli import main
-from tuplix.expr import compile_exprs
+from tuplix.dsl import MAX_NESTING, parse
+from tuplix.expr import compile_exprs, postorder
 
 TRANSFER = str(bundled("transfer.bgt"))
 MSC = str(bundled("msc.bgt"))
@@ -103,14 +105,73 @@ def test_eval_of_a_long_flat_composition(tmp_path, capsys):
 
 
 def test_input_nested_too_deeply_exits_2(tmp_path):
+    # a long sum is not nesting: every expression pass keeps its own stack
     long_sum = tmp_path / "sum.bgt"
     long_sum.write_text("param x\nbudget B = a(x" + " + 1" * 3000 + ")\n")
+    proc = run_child(["eval", str(long_sum), "--set", "x=1/2"])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "status: ok\nentries:\n  a: 6001/2\n"
+    # the parser refuses the first bracket past MAX_NESTING, before Python runs out of stack
     deep = tmp_path / "deep.bgt"
     deep.write_text("budget B = " + "enc{c}(" * 1500 + "c(1)" + ")" * 1500 + "\n")
-    for f in (long_sum, deep):
-        proc = run_child(["eval", str(f)])
-        assert proc.returncode == 2
-        assert proc.stderr == "error: the input is nested too deeply\n"
+    proc = run_child(["eval", str(deep)])
+    col = len("budget B = " + "enc{c}(" * MAX_NESTING + "enc{c}(")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    message = f"brackets nested more than {MAX_NESTING} deep"
+    assert proc.stderr == f"error: deep.bgt:1:{col}: {message}\n"
+
+
+def doubling_chain(tmp_path, depth):
+    """A program whose amount, d0 = x + 1 doubled `depth` times, is (x + 1) * 2^depth."""
+    lines = ["param x", "def d0 = x + 1"]
+    lines += [f"def d{i} = d{i - 1} + d{i - 1}" for i in range(1, depth + 1)]
+    f = tmp_path / "doubling.bgt"
+    f.write_text("\n".join(lines) + f"\nbudget B = a(d{depth})\n")
+    return f
+
+
+def test_doubling_def_chain_costs_its_depth(tmp_path, capsys):
+    # written out as a tree the amount would have about 2^202 nodes; parsed, it has 203
+    f = doubling_chain(tmp_path, 200)
+    amount = normalize(parse(f.read_text()).budgets["B"]).entry_map()["a"]
+    assert len(postorder([amount])) == 203
+    assert run(["eval", str(f), "--set", "x=1"], capsys) == (
+        0, f"status: ok\nentries:\n  a: {2**201}\n", ""
+    )
+    assert run(["eval", str(f)], capsys) == (0, "status: ok\n", "")
+    code, out, _ = run(
+        ["sweep", str(f), "--var", "x", "--from", "0", "--to", "2", "--step", "1",
+         "--format", "json"],
+        capsys,
+    )
+    assert code == 0
+    assert [row["entries"] for row in json.loads(out)] == [
+        {"a": str((x + 1) * 2**200)} for x in range(3)
+    ]
+
+
+def test_eval_of_a_100000_term_sum(tmp_path, capsys):
+    n = 100_000
+    f = tmp_path / "sum.bgt"
+    f.write_text("param x\nbudget B = a(x" + " + 1" * (n - 1) + ")\n")
+    assert run(["eval", str(f), "--set", "x=1/2"], capsys) == (
+        0, f"status: ok\nentries:\n  a: {2 * n - 1}/2\n", ""
+    )
+    assert run(["eval", str(f)], capsys) == (0, "status: ok\n", "")
+
+
+def test_substitute_tests_through_a_5000_term_chain(tmp_path, capsys):
+    # y = 2 solves x = y + 1 + ... + 1 to 5002, which breaks x <= 10
+    n = 5000
+    chain = "y" + " + 1" * n
+    f = tmp_path / "pin.bgt"
+    tests = f"test(x == {chain}) | test(y == 2) | test(x <= 10)"
+    f.write_text(f"param x\nparam y\nbudget B = {tests} | a(x)\n")
+    residual = f"  x - ({chain})\n  y + -2\n  abs(10 - x) - (10 - x)\n"
+    assert run(["eval", str(f)], capsys) == (0, f"status: ok\nresidual tests:\n{residual}", "")
+    assert run(["eval", str(f), "--substitute-tests"], capsys) == (
+        1, f"status: null\nviolations:\n  abs(10 - x) - (10 - x)  value {2 * (n + 2 - 10)}\n", ""
+    )
 
 
 def test_eval_partial_bindings_leave_residual(capsys):

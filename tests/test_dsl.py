@@ -11,7 +11,7 @@ from tuplix.algebra import (
     ground_of,
     normalize,
 )
-from tuplix.dsl import DslError, elaborate, parse
+from tuplix.dsl import MAX_NESTING, DslError, elaborate, parse
 from tuplix.expr import Const, evaluate
 
 
@@ -111,6 +111,12 @@ def test_operator_precedence_and_unary_minus():
     assert evaluate(amount, {"x": Fraction(5)}) == Fraction(-4)
 
 
+def test_unary_minus_runs_any_length():
+    prog = parse("param x\nbudget B = a(" + "-" * 5001 + "x * 2)\n")
+    c = normalize(elaborate(prog, "B"), {"x": Fraction(3)})
+    assert ground_of(c).as_dict() == {"a": Fraction(-6)}
+
+
 def test_abs_in_programs():
     prog = parse("param x\nbudget B = a(abs(x - 2))\n")
     amount = elaborate(prog, "B").amount
@@ -186,6 +192,29 @@ def test_enc_requires_channels():
 def test_error_str_carries_position():
     e = err("param x\nparam x\n")
     assert str(e).startswith("2:")
+
+
+# Each kind of bracket, opened `n` times around a body; every form closes them all.
+NESTINGS = {
+    "parens": lambda n: "a(" + "(" * (n - 1) + "x" + ")" * n,
+    "abs": lambda n: "a(" + "abs(" * (n - 1) + "x" + ")" * n,
+    "test": lambda n: "test(" + "(" * (n - 1) + "x" + ")" * n,
+    "enc": lambda n: "enc{c}(" * (n - 1) + "c(x)" + ")" * (n - 1),
+    "budget parens": lambda n: "(" * (n - 1) + "a(x)" + ")" * (n - 1),
+    "mixed": lambda n: "enc{c}(" * (n // 2) + "c("
+    + "".join(("abs(", "(")[i % 2] for i in range(n - n // 2 - 1))
+    + "x" + ")" * (n - n // 2) + ")" * (n // 2),
+}
+
+
+@pytest.mark.parametrize("kind", NESTINGS)
+def test_brackets_nest_up_to_the_limit(kind):
+    program = "param x\nbudget B = {}\n"
+    term = elaborate(parse(program.format(NESTINGS[kind](MAX_NESTING))), "B")
+    assert free_vars_tuplix(term) == {"x"}
+    e = err(program.format(NESTINGS[kind](MAX_NESTING + 1)))
+    assert e.message == f"brackets nested more than {MAX_NESTING} deep"
+    assert e.line == 2
 
 
 def test_elaborate_unknown_budget():

@@ -12,6 +12,7 @@ from tuplix.expr import (
     Neg,
     UnboundVariableError,
     Var,
+    compare,
     compile_exprs,
     const,
     div,
@@ -19,17 +20,15 @@ from tuplix.expr import (
     evaluate,
     fold_constants,
     free_vars,
+    postorder,
     pretty,
     random_expr,
     random_rational,
     random_valuation,
     sort_key,
     sub,
-    substitute,
     substitute_all,
     var,
-    walk,
-    zero_inversion_count,
 )
 
 
@@ -62,13 +61,6 @@ def test_var_rejects_bad_identifiers():
     assert Var("A:C1:sslt").name == "A:C1:sslt"
 
 
-def test_zero_inversion_count():
-    e = Add(div(var("x"), var("x")), Inv(var("y")))
-    assert zero_inversion_count(e, {"x": Fraction(0), "y": Fraction(2)}) == 1
-    assert zero_inversion_count(e, {"x": Fraction(0), "y": Fraction(0)}) == 2
-    assert zero_inversion_count(e, {"x": Fraction(5), "y": Fraction(3)}) == 0
-
-
 def test_free_vars():
     e = Mul(Add(var("a"), Neg(var("b"))), Inv(var("a")))
     assert free_vars(e) == {"a", "b"}
@@ -77,10 +69,11 @@ def test_free_vars():
 
 def test_substitute():
     e = Add(var("x"), var("y"))
-    assert substitute(e, "x", const(2)) == Add(const(2), var("y"))
+    assert substitute_all(e, {"x": const(2)}) == Add(const(2), var("y"))
     swapped = substitute_all(e, {"x": var("y"), "y": var("x")})
     assert swapped == Add(var("y"), var("x"))  # simultaneous, not sequential
-    assert free_vars(substitute(e, "x", const(2))) == free_vars(e) - {"x"}
+    assert free_vars(substitute_all(e, {"x": const(2)})) == free_vars(e) - {"x"}
+    assert substitute_all(e, {"z": const(2)}) is e  # nothing bound, nothing rebuilt
 
 
 def test_fold_collapses_constants():
@@ -131,7 +124,7 @@ def test_fold_with_bindings_equals_fold_after_substitution():
 
 
 def operator_subterms(roots):
-    return {node for root in roots for node in walk(root) if not isinstance(node, (Const, Var))}
+    return {node for node in postorder(roots) if not isinstance(node, (Const, Var))}
 
 
 def test_compiled_program_agrees_with_evaluate():
@@ -196,6 +189,88 @@ def test_sort_key_is_a_total_order():
     a, b = var("a"), var("b")
     assert sort_key(a) != sort_key(b)
     assert sort_key(Add(a, b)) != sort_key(Mul(a, b))
+
+
+def reference_sort_key(e):
+    """The recursive structural key whose order `sort_key` keeps exactly."""
+    match e:
+        case Const(value):
+            return (0, value.numerator, value.denominator)
+        case Var(name):
+            return (1, name)
+        case Add(left, right):
+            return (2, reference_sort_key(left), reference_sort_key(right))
+        case Mul(left, right):
+            return (3, reference_sort_key(left), reference_sort_key(right))
+        case Neg(arg):
+            return (4, reference_sort_key(arg))
+        case Inv(arg):
+            return (5, reference_sort_key(arg))
+        case Abs(arg):
+            return (6, reference_sort_key(arg))
+    raise TypeError(f"not an expression: {e!r}")
+
+
+def test_sort_key_orders_exactly_as_the_recursive_key():
+    rng = random.Random(31)
+    names = ("u", "v", "w")
+    for trial in range(1000):
+        shared = random_expr(rng, names, rng.randint(0, 4))
+        exprs = [random_expr(rng, names, rng.randint(0, 5)) for _ in range(rng.randint(0, 6))]
+        exprs += [
+            shared,
+            Add(shared, shared),  # one node object twice
+            Mul(shared, random_expr(rng, names, 1)),
+            random_expr(random.Random(trial), names, 3),  # equal, separately built
+            random_expr(random.Random(trial), names, 3),
+        ]
+        rng.shuffle(exprs)
+        assert [id(e) for e in sorted(exprs, key=sort_key)] == [
+            id(e) for e in sorted(exprs, key=reference_sort_key)
+        ]
+        for a, b in zip(exprs, exprs[1:]):
+            ka, kb = reference_sort_key(a), reference_sort_key(b)
+            assert compare(a, b) == (ka > kb) - (ka < kb)
+
+
+def test_postorder_lists_each_node_once_children_first():
+    x, one = var("x"), const(1)
+    shared = Add(x, one)
+    root = Mul(shared, Neg(shared))
+    assert postorder([root, shared]) == [x, one, shared, root.right, root]
+    assert postorder([root], {id(shared)}) == [root.right, root]
+    with pytest.raises(TypeError):
+        postorder([Add(x, "y")])
+
+
+def test_fold_returns_unchanged_nodes_and_shares_its_memo():
+    e = fold_constants(Add(Mul(var("x"), Inv(var("y"))), Neg(Abs(var("z")))))
+    assert fold_constants(e) is e
+    shared = Add(var("x"), Add(const(1), const(2)))
+    roots = [Mul(shared, var("y")), Neg(shared)]  # alive as long as the memo is used
+    memo = {}
+    first, second = (fold_constants(root, {"y": const(2)}, memo) for root in roots)
+    assert first.left is second.arg == Add(var("x"), const(3))
+
+
+def test_passes_run_deep_chains_and_shared_nodes_once():
+    n = 20_000  # far past the recursion limit
+    chain = var("x")
+    for _ in range(n):
+        chain = sub(chain, const(1))
+    folded = fold_constants(chain)  # each Neg(1) becomes the constant -1
+    assert fold_constants(folded, {"x": const(n)}) == const(0)
+    assert free_vars(chain) == {"x"}
+    assert pretty(chain) == "x" + " - 1" * n
+    assert substitute_all(chain, {"x": const(2)}).left.left.right is chain.left.left.right
+    assert compare(chain, folded) == 1 and compare(folded, chain) == -1  # Neg after Const
+    doubled, again = var("x"), var("x")
+    for _ in range(200):  # 2^200 paths, 201 distinct nodes
+        doubled, again = Add(doubled, doubled), Add(again, again)
+    assert len(postorder([doubled])) == 201
+    assert fold_constants(doubled, {"x": const(1)}) == Const(Fraction(2**200))
+    assert compare(doubled, again) == 0
+    assert free_vars(doubled) == {"x"}
 
 
 def test_pretty_spells_sums_and_quotients():
