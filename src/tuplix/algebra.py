@@ -355,8 +355,10 @@ def ground_evaluator(c: CanonicalTuplix) -> Callable[[Valuation], GroundForm]:
     sorted by channel, make the entries. Folding is sound at every
     valuation and evaluation is total, so normalizing under some bindings
     and then evaluating under the rest gives the ground denotation under
-    all of them. Each distinct subterm costs one step per call, and no
-    depth is too great (see `expr.compile_exprs`).
+    all of them. The residuals are compiled once, as linear forms, so a
+    call costs about one exact step per term of each form and one per
+    atom (an inverse, absolute value or product that does not reduce),
+    and no depth is too great (see `expr.compile_exprs`).
     """
     if c.is_null:
         return lambda valuation: GroundForm.null()

@@ -248,6 +248,28 @@ def _sweep_values(start: Rational, stop: Rational, step: Rational) -> list[Ratio
     return [start + i * step for i in range(count)]
 
 
+def _sweep_row_json(value: Rational, entries: dict[str, Rational] | None) -> str:
+    """One row of a JSON sweep, laid out as json.dumps(rows, sort_keys=True, indent=2) would.
+
+    Each key and value is encoded on its own, by the C encoder, which an
+    `indent` would bypass for the whole document.
+    """
+    if entries is None:
+        body, status = "null", "null"
+    elif entries:
+        lines = [
+            f"      {json.dumps(channel)}: {json.dumps(format_rational(entries[channel]))}"
+            for channel in sorted(entries)
+        ]
+        body, status = "{\n" + ",\n".join(lines) + "\n    }", "ok"
+    else:
+        body, status = "{}", "ok"
+    return (
+        f'  {{\n    "entries": {body},\n    "status": "{status}",\n'
+        f'    "value": {json.dumps(format_rational(value))}\n  }}'
+    )
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     program, source = _load_program(args.file)
     budget = _pick_budget(args, program)
@@ -271,15 +293,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         form = ground({args.var: value})
         rows.append((value, None if form.is_null else form.as_dict()))
     if args.format == "json":
-        doc = [
-            {
-                "value": format_rational(value),
-                "status": "null" if entries is None else "ok",
-                "entries": _entries_json(entries),
-            }
-            for value, entries in rows
-        ]
-        sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write("[\n" + ",\n".join(_sweep_row_json(*row) for row in rows) + "\n]\n")
         return 0
     channels: list[str] = sorted({ch for _, entries in rows if entries for ch in entries})
     header = [args.var, "status", *channels]

@@ -96,13 +96,9 @@ class BudgetProgram:
 # --- lexer -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # ident, int, decimal, string, op, eof
-    text: str
-    line: int
-    col: int
-
+# A token is a plain tuple (kind, text, line, col); kind is one of ident,
+# int, decimal, string, op and eof.
+_Token = tuple[str, str, int, int]
 
 _TOKEN_RE = re.compile(
     r"""(?P<ws>[ \t\r]+)
@@ -119,27 +115,31 @@ _TOKEN_RE = re.compile(
 
 
 def _tokenize(text: str) -> list[_Token]:
+    """The tokens of a program, in one pass of the token pattern, then an eof token.
+
+    Each match must start where the last one ended; at a gap nothing
+    matches, and that character is an error.
+    """
     tokens: list[_Token] = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            snippet = text[pos]
-            if snippet == '"':
-                raise DslError("unterminated string", line, col)
-            raise DslError(f"unexpected character {snippet!r}", line, col)
+    append = tokens.append
+    line, line_start, pos = 1, 0, 0
+    for m in _TOKEN_RE.finditer(text):
+        start = m.start()
+        if start != pos:
+            break
         kind = m.lastgroup
-        value = m.group()
+        pos = m.end()
         if kind == "newline":
             line += 1
-            col = 1
-        else:
-            if kind not in ("ws", "comment"):
-                tokens.append(_Token(kind, value, line, col))
-            col += len(value)
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, col))
+            line_start = pos
+        elif kind != "ws" and kind != "comment":
+            append((kind, m.group(), line, start - line_start + 1))
+    col = pos - line_start + 1
+    if pos < len(text):
+        if text[pos] == '"':
+            raise DslError("unterminated string", line, col)
+        raise DslError(f"unexpected character {text[pos]!r}", line, col)
+    append(("eof", "", line, col))
     return tokens
 
 
@@ -176,13 +176,12 @@ class _Parser:
         return tok
 
     def error(self, message: str, tok: _Token | None = None) -> DslError:
-        tok = tok or self.peek()
-        return DslError(message, tok.line, tok.col)
+        _, _, line, col = tok or self.peek()
+        return DslError(message, line, col)
 
     def expect_op(self, text: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "op" or tok.text != text:
-            shown = tok.text or "end of input"
+        if not self.at_op(text):
+            shown = self.peek()[1] or "end of input"
             raise self.error(f"expected {text!r}, found {shown!r}")
         return self.advance()
 
@@ -197,38 +196,38 @@ class _Parser:
         self.depth -= 1
 
     def at_op(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "op" and tok.text == text
+        # no token of another kind has an operator's text
+        return self.tokens[self.pos][1] == text
 
     def expect_name(self, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "ident":
-            shown = tok.text or "end of input"
+        kind, text, _, _ = self.peek()
+        if kind != "ident":
+            shown = text or "end of input"
             raise self.error(f"expected {what}, found {shown!r}")
-        if tok.text in KEYWORDS:
-            raise self.error(f"keyword {tok.text!r} cannot be used as {what}")
+        if text in KEYWORDS:
+            raise self.error(f"keyword {text!r} cannot be used as {what}")
         return self.advance()
 
     def declare(self, tok: _Token, kind: str) -> None:
-        seen = self.declared.get(tok.text)
+        name = tok[1]
+        seen = self.declared.get(name)
         if seen is not None:
-            raise self.error(f"duplicate identifier {tok.text!r} (already a {seen})", tok)
-        self.declared[tok.text] = kind
+            raise self.error(f"duplicate identifier {name!r} (already a {seen})", tok)
+        self.declared[name] = kind
 
     # statements
 
     def parse_program(self) -> BudgetProgram:
         while True:
-            tok = self.peek()
-            if tok.kind == "eof":
+            kind, text, _, _ = self.peek()
+            if kind == "eof":
                 break
-            if tok.kind != "ident" or tok.text not in ("param", "def", "budget"):
-                shown = tok.text or "end of input"
-                raise self.error(f"expected a param, def or budget declaration, found {shown!r}")
+            if kind != "ident" or text not in ("param", "def", "budget"):
+                raise self.error(f"expected a param, def or budget declaration, found {text!r}")
             self.advance()
-            if tok.text == "param":
+            if text == "param":
                 self.parse_param()
-            elif tok.text == "def":
+            elif text == "def":
                 self.parse_def()
             else:
                 self.parse_budget()
@@ -237,24 +236,24 @@ class _Parser:
     def parse_param(self) -> None:
         name = self.expect_name("a parameter name")
         doc = None
-        if self.peek().kind == "string":
-            doc = self.advance().text[1:-1]
+        if self.peek()[0] == "string":
+            doc = self.advance()[1][1:-1]
         self.declare(name, "param")
-        self.params[name.text] = doc
+        self.params[name[1]] = doc
 
     def parse_def(self) -> None:
         name = self.expect_name("a definition name")
         self.expect_op("=")
         body = self.parse_expr()
         self.declare(name, "def")
-        self.inlined[name.text] = self.inline(body)
+        self.inlined[name[1]] = self.inline(body)
 
     def parse_budget(self) -> None:
         name = self.expect_name("a budget name")
         self.expect_op("=")
         body = self.parse_tuplix()
         self.declare(name, "budget")
-        self.budgets[name.text] = body
+        self.budgets[name[1]] = body
 
     def inline(self, e: Expr) -> Expr:
         """Replace the defs declared so far by their bodies."""
@@ -271,50 +270,51 @@ class _Parser:
 
     def parse_tuplix_primary(self) -> Tuplix:
         tok = self.peek()
-        if self.at_op("("):
+        kind, text, line, col = tok
+        if text == "(":
             self.open_bracket()
             inner = self.parse_tuplix()
             self.close_bracket()
             return inner
-        if tok.kind != "ident":
-            shown = tok.text or "end of input"
+        if kind != "ident":
+            shown = text or "end of input"
             raise self.error(f"expected a budget term, found {shown!r}")
-        span = f"{tok.line}:{tok.col}"
-        if tok.text == "eps":
+        span = f"{line}:{col}"
+        if text == "eps":
             self.advance()
             return EPS
-        if tok.text == "delta":
+        if text == "delta":
             self.advance()
             return Delta(span=span)
-        if tok.text == "test":
+        if text == "test":
             self.advance()
             self.open_bracket()
             arg, label = self.parse_cond()
             self.close_bracket()
             return Test(arg, label=label, span=span)
-        if tok.text == "enc":
+        if text == "enc":
             self.advance()
             self.expect_op("{")
-            channels = [self.expect_name("a channel name").text]
+            channels = [self.expect_name("a channel name")[1]]
             while self.at_op(","):
                 self.advance()
-                channels.append(self.expect_name("a channel name").text)
+                channels.append(self.expect_name("a channel name")[1])
             self.expect_op("}")
             self.open_bracket()
             body = self.parse_tuplix()
             self.close_bracket()
             return Encap(frozenset(channels), body, span=span)
-        if tok.text in KEYWORDS:
-            raise self.error(f"keyword {tok.text!r} cannot start a budget term")
+        if text in KEYWORDS:
+            raise self.error(f"keyword {text!r} cannot start a budget term")
         self.advance()
         if self.at_op("("):
             self.open_bracket()
             amount = self.parse_expr()
             self.close_bracket()
-            return Entry(tok.text, self.inline(amount))
-        if self.declared.get(tok.text) != "budget":
-            raise self.error(f"reference to undeclared budget {tok.text!r}", tok)
-        return self.budgets[tok.text]
+            return Entry(text, self.inline(amount))
+        if self.declared.get(text) != "budget":
+            raise self.error(f"reference to undeclared budget {text!r}", tok)
+        return self.budgets[text]
 
     # conditions
 
@@ -337,17 +337,17 @@ class _Parser:
 
     def parse_relation(self) -> tuple[Expr, str]:
         left = self.parse_expr()
-        tok = self.peek()
-        if tok.kind == "op" and tok.text in _COMPARISONS_UNSUPPORTED:
+        kind, op, _, _ = self.peek()
+        if kind == "op" and op in _COMPARISONS_UNSUPPORTED:
             raise self.error(
-                f"comparison {tok.text!r} is not supported; only <= and == exist"
+                f"comparison {op!r} is not supported; only <= and == exist"
             )
-        if not (self.at_op("<=") or self.at_op("==")):
+        if op != "<=" and op != "==":
             return self.inline(left), pretty(left)
         self.advance()
         right = self.parse_expr()
-        text = f"{pretty(left)} {tok.text} {pretty(right)}"
-        if tok.text == "<=":
+        text = f"{pretty(left)} {op} {pretty(right)}"
+        if op == "<=":
             return leq_expr(self.inline(left), self.inline(right)), text
         return sub(self.inline(left), self.inline(right)), text
 
@@ -379,32 +379,33 @@ class _Parser:
             node = factor if node is None else Mul(node, factor if op == "*" else Inv(factor))
             if not (self.at_op("*") or self.at_op("/")):
                 return node
-            op = self.advance().text
+            op = self.advance()[1]
 
     def parse_primary(self) -> Expr:
         tok = self.peek()
-        if tok.kind in ("int", "decimal"):
+        kind, text, _, _ = tok
+        if kind == "int" or kind == "decimal":
             self.advance()
-            return Const(parse_rational(tok.text))
-        if self.at_op("("):
+            return Const(parse_rational(text))
+        if text == "(":
             self.open_bracket()
             inner = self.parse_expr()
             self.close_bracket()
             return inner
-        if tok.kind == "ident":
-            if tok.text == "abs":
+        if kind == "ident":
+            if text == "abs":
                 self.advance()
                 self.open_bracket()
                 inner = self.parse_expr()
                 self.close_bracket()
                 return Abs(inner)
-            if tok.text in KEYWORDS:
-                raise self.error(f"keyword {tok.text!r} cannot appear in an expression")
-            if self.declared.get(tok.text) not in ("param", "def"):
-                raise self.error(f"reference to undeclared identifier {tok.text!r}", tok)
+            if text in KEYWORDS:
+                raise self.error(f"keyword {text!r} cannot appear in an expression")
+            if self.declared.get(text) not in ("param", "def"):
+                raise self.error(f"reference to undeclared identifier {text!r}", tok)
             self.advance()
-            return Var(tok.text)
-        shown = tok.text or "end of input"
+            return Var(text)
+        shown = text or "end of input"
         raise self.error(f"expected an expression, found {shown!r}")
 
 

@@ -8,6 +8,12 @@ walked once, with its own stack, so neither sharing nor depth costs
 more than the nodes themselves. Subtraction and division are sugar:
 a - b is Add(a, Neg(b)), a / b is Mul(a, Inv(b)). Evaluation is total
 for any fully bound valuation because the inverse of zero is zero.
+
+Two representations serve different ends. `fold_constants` keeps the
+tree as written, only smaller, and `pretty` prints it. `compile_exprs`
+turns expressions into linear forms, a constant plus exact multiples of
+atoms, which the rationals with a total inverse (a meadow, a commutative
+ring) let it collect, and emits a straight-line program from those.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from typing import Callable, Container, Mapping, Sequence, Union
 
-from .meadow import Rational, decimal_repr, format_rational, minv
+from .meadow import ONE, Rational, decimal_repr, format_rational, minv
 
 # Shared with the budget language: names are colon-separated word segments.
 IDENT_PATTERN = r"[A-Za-z_]\w*(?::[A-Za-z_]\w*)*"
@@ -160,8 +166,7 @@ def postorder(roots: Sequence[Expr], done: Container[int] = ()) -> list[Expr]:
     return order
 
 
-# Each operator node becomes one instruction applying its function to one
-# slot (unary) or two (binary).
+# fold_constants applies one of these to the folded children of an operator node.
 _OPS = {Add: operator.add, Mul: operator.mul, Neg: operator.neg, Inv: minv, Abs: abs}
 
 
@@ -171,8 +176,7 @@ class SlotProgram:
 
     Slots hold, in order, the constants, the values of the variables and
     the result of each instruction. An instruction `(op, a, b)` appends
-    `op(slot a, slot b)`, or `op(slot a)` when `b` is -1; every distinct
-    subterm of the roots has one slot, so shared work is done once.
+    `op(slot a, slot b)`, or `op(slot a)` when `b` is -1.
     """
 
     constants: tuple[Rational, ...]
@@ -194,38 +198,211 @@ class SlotProgram:
         return [slots[i] for i in self.outputs]
 
 
-def compile_exprs(roots: Sequence[Expr]) -> SlotProgram:
-    """Compile expressions into one program that computes each distinct subterm once.
+# A linear form of more terms than this is large. A large form is never
+# copied, since copies could cost its size at every link of a chain:
+# scaling one changes only its scale, and one that more than one node or
+# root uses is computed into a slot, which its users take as an atom. So
+# a large form has a single user, which may change it in place.
+_SMALL_TERMS_MAX = 8
 
-    Nodes are interned by their kind and their children's slots, never by
-    the node itself, whose hash and equality recurse.
+
+class _Form:
+    """The linear form scale * (const + the sum of coefficient * atom) of a node.
+
+    `terms` maps each atom, a slot reference of the program being built,
+    to its coefficient, which is never zero. The scale is kept apart so
+    that scaling a large form costs one step.
+    """
+
+    __slots__ = ("scale", "const", "terms")
+
+    def __init__(self, const: Rational, terms: dict[int, Rational]):
+        self.scale, self.const, self.terms = ONE, const, terms
+
+    def value(self) -> Rational:
+        """The value of a form without terms."""
+        return self.scale * self.const
+
+    def copy(self) -> _Form:
+        form = _Form(self.const, dict(self.terms))
+        form.scale = self.scale
+        return form
+
+    def scaled(self, factor: Rational) -> _Form:
+        """This form times a constant: a new form if this one is small, else this one changed."""
+        if factor == 0:
+            return _Form(ZERO.value, {})
+        if len(self.terms) > _SMALL_TERMS_MAX:
+            self.scale *= factor
+            return self
+        if self.scale is not ONE:
+            factor *= self.scale
+        return _Form(self.const * factor, {atom: c * factor for atom, c in self.terms.items()})
+
+    def merge(self, other: _Form) -> None:
+        """Add another form into this one, which the caller owns."""
+        ratio = None if other.scale is self.scale else other.scale / self.scale
+        terms = self.terms
+        for atom, coefficient in other.terms.items():
+            if ratio is not None:
+                coefficient *= ratio
+            old = terms.get(atom)
+            if old is None:
+                terms[atom] = coefficient
+            else:
+                total = old + coefficient
+                if total:
+                    terms[atom] = total
+                else:
+                    del terms[atom]
+        if other.const:
+            self.const += other.const if ratio is None else other.const * ratio
+
+    def settle(self) -> None:
+        """Fold the scale into the constant and the coefficients; the value stays."""
+        scale = self.scale
+        if scale is not ONE:
+            self.const *= scale
+            self.terms = {atom: c * scale for atom, c in self.terms.items()}
+            self.scale = ONE
+
+
+def compile_exprs(roots: Sequence[Expr]) -> SlotProgram:
+    """Compile expressions into one program that computes their linear forms.
+
+    Each node becomes a linear form c0 + c1 * atom1 + ... with exact
+    coefficients, by rules that hold in a meadow, a commutative ring: sums
+    merge, a negation or a product with a constant side scales, and an
+    inverse or absolute value of a constant folds. Zero coefficients are
+    dropped, so x - x is 0. An atom is a variable, or one instruction for
+    an inverse, an absolute value or a product of two non-constant forms,
+    applied to the slots of its argument forms. Products are never
+    expanded, and x * Inv(x) stays an atom. Forms and atoms are interned by
+    their content, never by the node, whose hash and equality recurse, so
+    equal subterms built apart share their slots.
+
+    A form costs about one instruction per term: an addition or a
+    subtraction, and a product by its coefficient unless that is 1 or -1.
+    Compiling takes time near linear in the number of distinct nodes.
+    Running the program needs every variable of the roots bound, as
+    `evaluate` does, even one whose terms cancel.
     """
     order = postorder(roots)
-    constants = dict.fromkeys(node.value for node in order if type(node) is Const)
-    variables = dict.fromkeys(node.name for node in order if type(node) is Var)
-    # a name never equals a number, so constants and variables share one index
-    leaves = {leaf: slot for slot, leaf in enumerate([*constants, *variables])}
-    first_op = len(leaves)
-    slot_of: dict[int, int] = {}  # id(node) -> slot
-    interned: dict[tuple[Callable, int, int], int] = {}  # instruction -> slot
+    names = dict.fromkeys(node.name for node in order if type(node) is Var)
+    variables = {name: j for j, name in enumerate(names)}
+    # While compiling, a slot is referred to as -1 - i for constant i, as j
+    # for variable j and as len(variables) + k for instruction k: the
+    # constants, whose slots come first, are known only at the end.
+    constants: dict[Rational, int] = {}
+    instructions: dict[tuple[Callable, int, int | None], int] = {}
+
+    def constant(value: Rational) -> int:
+        ref = constants.get(value)
+        if ref is None:
+            ref = constants[value] = -1 - len(constants)
+        return ref
+
+    def instruction(op: Callable, a: int, b: int | None = None) -> int:
+        return instructions.setdefault((op, a, b), len(variables) + len(instructions))
+
+    def times(coefficient: Rational, atom: int) -> int:
+        if coefficient == 1:
+            return atom
+        if coefficient == -1:
+            return instruction(operator.neg, atom)
+        return instruction(operator.mul, constant(coefficient), atom)
+
+    def emit(form: _Form) -> int:
+        """The slot of a form's value, after the instructions that compute it.
+
+        The terms go in the order of their atoms, so equal forms emit the
+        same instructions, which are interned, and share their slot.
+        """
+        form.settle()
+        terms, c0 = form.terms, form.const
+        added = [constant(c0)] if c0 or not terms else []
+        subtracted = []
+        for atom in sorted(terms):
+            coefficient = terms[atom]
+            if coefficient > 0:
+                added.append(times(coefficient, atom))
+            else:
+                subtracted.append((coefficient, atom))
+        if added:
+            ref = added[0]
+            for other in added[1:]:
+                ref = instruction(operator.add, ref, other)
+        else:
+            ref = times(*subtracted.pop(0))
+        for coefficient, atom in subtracted:
+            ref = instruction(operator.sub, ref, times(-coefficient, atom))
+        return ref
+
+    def atom(ref: int) -> _Form:
+        return _Form(ZERO.value, {ref: ONE})
+
+    uses = dict.fromkeys(map(id, order), 0)  # the parents and root places yet to take each form
+    for node in order:
+        kind = type(node)
+        if kind is Add or kind is Mul:
+            uses[id(node.left)] += 1
+            uses[id(node.right)] += 1
+        elif kind is Neg or kind is Inv or kind is Abs:
+            uses[id(node.arg)] += 1
+    for root in roots:
+        uses[id(root)] += 1
+    forms: dict[int, _Form] = {}  # id(node) -> its form, until its last use takes it
+
+    def take(node: Expr) -> tuple[_Form, bool]:
+        """A node's form, and whether this is its last use, which may change it."""
+        key = id(node)
+        uses[key] -= 1
+        if uses[key]:
+            return forms[key], False
+        return forms.pop(key), True
+
     for node in order:
         kind = type(node)
         if kind is Const:
-            slot = leaves[node.value]
+            form = _Form(node.value, {})
         elif kind is Var:
-            slot = leaves[node.name]
-        else:
-            if kind is Add or kind is Mul:
-                key = (_OPS[kind], slot_of[id(node.left)], slot_of[id(node.right)])
+            form = atom(variables[node.name])
+        elif kind is Add:
+            (a, a_owned), (b, b_owned) = take(node.left), take(node.right)
+            if a is b:
+                form = a.scaled(2)
             else:
-                key = (_OPS[kind], slot_of[id(node.arg)], -1)
-            slot = interned.setdefault(key, first_op + len(interned))
-        slot_of[id(node)] = slot
+                if len(a.terms) < len(b.terms):
+                    a, a_owned, b = b, b_owned, a
+                form = a if a_owned else a.copy()
+                form.merge(b)
+        elif kind is Mul:
+            a, b = take(node.left)[0], take(node.right)[0]
+            if not a.terms:
+                form = b.scaled(a.value())
+            elif not b.terms:
+                form = a.scaled(b.value())
+            else:
+                form = atom(instruction(operator.mul, *sorted((emit(a), emit(b)))))
+        elif kind is Neg:
+            form = take(node.arg)[0].scaled(-ONE)
+        else:
+            a = take(node.arg)[0]
+            op = _OPS[kind]
+            form = _Form(op(a.value()), {}) if not a.terms else atom(instruction(op, emit(a)))
+        if uses[id(node)] > 1 and len(form.terms) > _SMALL_TERMS_MAX:
+            form = atom(emit(form))
+        forms[id(node)] = form
+    outputs = [emit(take(root)[0]) for root in roots]
+
+    def slot(ref: int) -> int:
+        return len(constants) + ref if ref >= 0 else -1 - ref
+
     return SlotProgram(
         tuple(constants),
         tuple(variables),
-        tuple(interned),
-        tuple(slot_of[id(root)] for root in roots),
+        tuple((op, slot(a), -1 if b is None else slot(b)) for op, a, b in instructions),
+        tuple(map(slot, outputs)),
     )
 
 

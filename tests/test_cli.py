@@ -422,6 +422,27 @@ def test_readme_sweep_is_byte_stable(capsys):
     assert run([*README_SWEEP, "--format", "json"], capsys) == (0, f"[\n{expected}\n]\n", "")
 
 
+def test_sweep_json_is_laid_out_as_json_dumps(tmp_path, capsys):
+    # ok rows with and without entries, null rows, and a channel name that must be escaped
+    f = tmp_path / "rows.bgt"
+    f.write_text("param x\nbudget A = a\u00e9(x) | b(1/3) | test(x * (x - 1))\nbudget E = test(x)\n")
+    for budget in ("A", "E"):
+        code, out, _ = run(
+            ["sweep", str(f), "--budget", budget, "--var", "x", "--from", "-1", "--to", "2",
+             "--step", "1/2", "--format", "json"],
+            capsys,
+        )
+        assert code == 0
+        rows = json.loads(out)
+        assert {row["status"] for row in rows} == {"ok", "null"}
+        assert out == json.dumps(rows, sort_keys=True, indent=2) + "\n"
+    assert '"a\\u00e9": "1"' in run(
+        ["sweep", str(f), "--budget", "A", "--var", "x", "--from", "1", "--to", "1", "--step", "1",
+         "--format", "json"],
+        capsys,
+    )[1]
+
+
 def spy_compiles(monkeypatch):
     """Record every program that a sweep compiles."""
     programs = []
@@ -472,6 +493,42 @@ def test_sweep_of_a_residual_folded_to_constants(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert [(p.variables, p.instructions) for p in programs] == [((), ())]
     assert out == "x   status  a  b\n-1  ok      3  6\n0   ok      3  6\n1   ok      3  6\n"
+
+
+def test_sweep_programs_of_msc_collect_linear_forms(capsys, monkeypatch):
+    # every amount of J and Total is affine in k, so a row costs a few Fraction steps
+    programs = spy_compiles(monkeypatch)
+    assert run(README_SWEEP, capsys)[0] == 0
+    for seed in range(3):
+        scenario = consistent_scenario(random.Random(seed))
+        others = {name: value for name, value in scenario.items() if name != "k"}
+        code, _, _ = run(
+            ["sweep", MSC, "--budget", "Total", "--var", "k", "--from", "0", "--to", "1",
+             "--step", "1/2", *sets(others)],
+            capsys,
+        )
+        assert code == 0
+    assert len(programs) == 4
+    assert all(len(program.instructions) <= 16 for program in programs)
+
+
+def test_sweep_of_a_doubling_product_chain(tmp_path, capsys, monkeypatch):
+    # d200 is x to the power 2^200: one product per level, exact where x^2 = x
+    lines = ["param x", "def d0 = x"]
+    lines += [f"def d{i} = d{i - 1} * d{i - 1}" for i in range(1, 201)]
+    f = tmp_path / "squaring.bgt"
+    f.write_text("\n".join(lines) + "\nbudget B = a(d200) | b(d200 + d0)\n")
+    programs = spy_compiles(monkeypatch)
+    code, out, _ = run(
+        ["sweep", str(f), "--var", "x", "--from", "-1", "--to", "1", "--step", "1",
+         "--format", "json"],
+        capsys,
+    )
+    assert code == 0
+    assert [row["entries"] for row in json.loads(out)] == [
+        {"a": "1", "b": "0"}, {"a": "0", "b": "0"}, {"a": "1", "b": "2"}
+    ]
+    assert len(programs[0].instructions) == 201  # 200 products and one sum
 
 
 def test_sweep_of_a_long_flat_composition(tmp_path, capsys):

@@ -1,4 +1,7 @@
+import gc
+import operator
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -30,6 +33,7 @@ from tuplix.expr import (
     substitute_all,
     var,
 )
+from tuplix.meadow import minv
 
 
 def test_evaluate_basic():
@@ -123,33 +127,27 @@ def test_fold_with_bindings_equals_fold_after_substitution():
         assert fold_constants(e, bindings) == fold_constants(substitute_all(e, bindings))
 
 
-def operator_subterms(roots):
-    return {node for node in postorder(roots) if not isinstance(node, (Const, Var))}
-
-
 def test_compiled_program_agrees_with_evaluate():
+    # the program collects sums and scalings, over shared and separately built subterms
     rng = random.Random(23)
     names = ("x", "y", "z")
     x = var("x")
-    for trial in range(300):
-        e = random_expr(rng, names, rng.randint(0, 8))
-        copy = random_expr(random.Random(trial), names, 6)  # equal, separately built
-        again = random_expr(random.Random(trial), names, 6)
+    zeros = dict.fromkeys(names, Fraction(0))
+    for trial in range(10_000):
+        e = random_expr(rng, names, rng.randint(0, 6))
+        copy = random_expr(random.Random(trial), names, 3)  # equal, separately built
+        again = random_expr(random.Random(trial), names, 3)
         roots = [
             e,
             Add(e, e),  # the same node object twice
             Mul(copy, again),
-            Abs(Add(copy, Neg(again))),
+            Abs(Add(copy, Neg(again))),  # zero at every valuation
             Inv(sub(x, x)),  # an inverse of zero at every valuation
-            random_expr(rng, names, rng.randint(0, 8)),
+            Add(Mul(const(3), e), random_expr(rng, names, rng.randint(0, 4))),
         ]
         program = compile_exprs(roots)
-        assert len(program.instructions) == len(operator_subterms(roots))
-        for _ in range(3):
-            v = random_valuation(rng, names)  # zero a quarter of the time
+        for v in (random_valuation(rng, names), zeros):  # zero a quarter of the time, or all
             assert program(v) == [evaluate(root, v) for root in roots]
-        zeros = dict.fromkeys(names, Fraction(0))
-        assert program(zeros) == [evaluate(root, zeros) for root in roots]
 
 
 def test_compiled_program_names_an_unbound_variable():
@@ -167,8 +165,109 @@ def test_compiled_program_runs_a_deep_chain():
     for i in range(n):
         chain = Add(chain, Const(Fraction(i)))
     program = compile_exprs([chain])
-    assert len(program.instructions) == n
+    assert len(program.instructions) == 1  # the constants collect into one: x + n(n-1)/2
     assert program({"x": Fraction(1, 2)}) == [Fraction(1, 2) + n * (n - 1) // 2]
+
+
+def test_compiled_program_collects_linear_forms():
+    x = var("x")
+    roots = [
+        sub(x, x),  # 0
+        Add(Mul(const(2), x), Neg(Add(x, x))),  # 0
+        Mul(x, Inv(x)),  # stays a product: 0 at x = 0
+        Mul(Add(x, const(1)), Add(const(1), x)),  # one product of one form with itself
+        Abs(Mul(const(3), Add(x, Neg(const(1))))),
+    ]
+    program = compile_exprs(roots)
+    ops = [op for op, _, _ in program.instructions]
+    assert ops == [minv, operator.mul, operator.add, operator.mul, operator.mul, operator.add, abs]
+    for value in (Fraction(0), Fraction(1), Fraction(-5, 2)):
+        v = {"x": value}
+        assert program(v) == [evaluate(root, v) for root in roots]
+
+
+def test_running_totals_compile_to_a_linear_program():
+    # Every partial sum x_i + (x_{i-1} + (...)) is an output too. Written out
+    # as linear forms the outputs would have n^2 / 2 terms; a form of more
+    # than a few terms that is used again becomes an atom of its users.
+    n = 2_000
+    names = [f"x{i}" for i in range(n)]
+    totals = [var(names[0])]
+    for name in names[1:]:
+        totals.append(Add(var(name), totals[-1]))
+    totals.reverse()
+    program = compile_exprs(totals)
+    assert len(program.instructions) < 10 * n
+    v = {name: Fraction(i, 3) for i, name in enumerate(names)}
+    assert program(v) == [Fraction(i * (i + 1), 6) for i in reversed(range(n))]
+
+
+def ring_expr(rng, names, size):
+    """A random expression without Inv or Abs, with at most `size` operator nodes."""
+    if size <= 0:
+        return Var(rng.choice(names)) if rng.random() < 0.6 else Const(random_rational(rng))
+    pick = rng.randrange(3)
+    if pick == 2:
+        return Neg(ring_expr(rng, names, size - 1))
+    split = rng.randint(0, size - 1)
+    kind = Add if pick == 0 else Mul
+    return kind(ring_expr(rng, names, split), ring_expr(rng, names, size - 1 - split))
+
+
+def test_compiled_linear_forms_expand_to_the_same_polynomial_as_sympy():
+    # run on symbols, the program reads its linear forms back as sympy expressions;
+    # evaluate on symbols writes out each tree as it stands
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(37)
+    names = ("x", "y", "z")
+    symbols = {name: sympy.Symbol(name) for name in names}
+    for _ in range(300):
+        roots = [ring_expr(rng, names, rng.randint(0, 10)) for _ in range(3)]
+        roots += [Add(roots[0], Neg(roots[1])), Mul(roots[2], roots[2])]
+        program = compile_exprs(roots)
+        for form, root in zip(program(symbols), roots):
+            assert sympy.expand(form - evaluate(root, symbols)) == 0
+
+
+def sum_of_distinct_abs(n):
+    """abs(x) + abs(x + 1) + ... + abs(x + n - 1), summed left to right."""
+    x = var("x")
+    total = Abs(x)
+    for i in range(1, n):
+        total = Add(total, Abs(Add(x, Const(Fraction(i)))))
+    return total
+
+
+def compile_seconds(root):
+    """The time to compile `root`, with the cyclic garbage collector paused.
+
+    A full collection walks every live object, the expression included,
+    whatever the compiler does, and it comes at thresholds that make the
+    time of one compile jump by a third.
+    """
+    gc.collect()
+    gc.disable()
+    try:
+        start = time.perf_counter()
+        program = compile_exprs([root])
+        return time.perf_counter() - start, program
+    finally:
+        gc.enable()
+
+
+def test_compiling_a_sum_of_distinct_atoms_takes_linear_time():
+    n = 20_000
+    small, large = sum_of_distinct_abs(n), sum_of_distinct_abs(2 * n)
+    seconds, program = compile_seconds(small)
+    assert seconds < 1.0
+    assert len(program.instructions) == 3 * n - 2  # per term: x + i, abs and the running sum
+    assert program({"x": Fraction(-1, 2)}) == [sum(abs(Fraction(2 * i - 1, 2)) for i in range(n))]
+    # the best of three runs of each size, taken in turn
+    doubled = compile_seconds(large)[0]
+    for _ in range(2):
+        seconds = min(seconds, compile_seconds(small)[0])
+        doubled = min(doubled, compile_seconds(large)[0])
+    assert doubled < 2.5 * seconds
 
 
 def test_equiv_prob_detects_indicator_vs_one():
