@@ -254,13 +254,11 @@ def _sweep_row_json(value: Rational, entries: dict[str, Rational] | None) -> str
     Each key and value is encoded on its own, by the C encoder, which an
     `indent` would bypass for the whole document.
     """
-    if entries is None:
+    doc = _entries_json(entries)
+    if doc is None:
         body, status = "null", "null"
-    elif entries:
-        lines = [
-            f"      {json.dumps(channel)}: {json.dumps(format_rational(entries[channel]))}"
-            for channel in sorted(entries)
-        ]
+    elif doc:
+        lines = [f"      {json.dumps(channel)}: {json.dumps(doc[channel])}" for channel in sorted(doc)]
         body, status = "{\n" + ",\n".join(lines) + "\n    }", "ok"
     else:
         body, status = "{}", "ok"

@@ -198,20 +198,12 @@ class SlotProgram:
         return [slots[i] for i in self.outputs]
 
 
-# A linear form of more terms than this is large. A large form is never
-# copied, since copies could cost its size at every link of a chain:
-# scaling one changes only its scale, and one that more than one node or
-# root uses is computed into a slot, which its users take as an atom. So
-# a large form has a single user, which may change it in place.
-_SMALL_TERMS_MAX = 8
-
-
 class _Form:
     """The linear form scale * (const + the sum of coefficient * atom) of a node.
 
     `terms` maps each atom, a slot reference of the program being built,
     to its coefficient, which is never zero. The scale is kept apart so
-    that scaling a large form costs one step.
+    that scaling a form its caller owns costs one step.
     """
 
     __slots__ = ("scale", "const", "terms")
@@ -228,16 +220,13 @@ class _Form:
         form.scale = self.scale
         return form
 
-    def scaled(self, factor: Rational) -> _Form:
-        """This form times a constant: a new form if this one is small, else this one changed."""
+    def scaled(self, factor: Rational, owned: bool) -> _Form:
+        """This form times a constant: this one changed if the caller owns it, else a copy."""
         if factor == 0:
             return _Form(ZERO.value, {})
-        if len(self.terms) > _SMALL_TERMS_MAX:
-            self.scale *= factor
-            return self
-        if self.scale is not ONE:
-            factor *= self.scale
-        return _Form(self.const * factor, {atom: c * factor for atom, c in self.terms.items()})
+        form = self if owned else self.copy()
+        form.scale *= factor
+        return form
 
     def merge(self, other: _Form) -> None:
         """Add another form into this one, which the caller owns."""
@@ -279,11 +268,15 @@ def compile_exprs(roots: Sequence[Expr]) -> SlotProgram:
     applied to the slots of its argument forms. Products are never
     expanded, and x * Inv(x) stays an atom. Forms and atoms are interned by
     their content, never by the node, whose hash and equality recurse, so
-    equal subterms built apart share their slots.
+    equal subterms built apart share their slots. A node that more than
+    one node or root uses, such as the body of a def, is computed once
+    into a slot and is an atom of each user.
 
     A form costs about one instruction per term: an addition or a
     subtraction, and a product by its coefficient unless that is 1 or -1.
-    Compiling takes time near linear in the number of distinct nodes.
+    A form grows only in the one user that owns it, and a form that is
+    still to be used elsewhere has at most one term, so compiling takes
+    time near linear in the number of distinct nodes.
     Running the program needs every variable of the roots bound, as
     `evaluate` does, even one whose terms cancel.
     """
@@ -370,27 +363,28 @@ def compile_exprs(roots: Sequence[Expr]) -> SlotProgram:
         elif kind is Add:
             (a, a_owned), (b, b_owned) = take(node.left), take(node.right)
             if a is b:
-                form = a.scaled(2)
+                form = a.scaled(2, b_owned)
             else:
                 if len(a.terms) < len(b.terms):
                     a, a_owned, b = b, b_owned, a
                 form = a if a_owned else a.copy()
                 form.merge(b)
         elif kind is Mul:
-            a, b = take(node.left)[0], take(node.right)[0]
+            (a, a_owned), (b, b_owned) = take(node.left), take(node.right)
             if not a.terms:
-                form = b.scaled(a.value())
+                form = b.scaled(a.value(), b_owned)
             elif not b.terms:
-                form = a.scaled(b.value())
+                form = a.scaled(b.value(), a_owned)
             else:
                 form = atom(instruction(operator.mul, *sorted((emit(a), emit(b)))))
         elif kind is Neg:
-            form = take(node.arg)[0].scaled(-ONE)
+            a, a_owned = take(node.arg)
+            form = a.scaled(-ONE, a_owned)
         else:
             a = take(node.arg)[0]
             op = _OPS[kind]
             form = _Form(op(a.value()), {}) if not a.terms else atom(instruction(op, emit(a)))
-        if uses[id(node)] > 1 and len(form.terms) > _SMALL_TERMS_MAX:
+        if uses[id(node)] > 1 and form.terms:
             form = atom(emit(form))
         forms[id(node)] = form
     outputs = [emit(take(root)[0]) for root in roots]

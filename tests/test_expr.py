@@ -128,26 +128,27 @@ def test_fold_with_bindings_equals_fold_after_substitution():
 
 
 def test_compiled_program_agrees_with_evaluate():
-    # the program collects sums and scalings, over shared and separately built subterms
     rng = random.Random(23)
     names = ("x", "y", "z")
     x = var("x")
-    zeros = dict.fromkeys(names, Fraction(0))
     for trial in range(10_000):
-        e = random_expr(rng, names, rng.randint(0, 6))
-        copy = random_expr(random.Random(trial), names, 3)  # equal, separately built
-        again = random_expr(random.Random(trial), names, 3)
+        e = random_expr(rng, names, rng.randint(0, 8))
+        copy = random_expr(random.Random(trial), names, 6)  # equal, separately built
+        again = random_expr(random.Random(trial), names, 6)
         roots = [
             e,
             Add(e, e),  # the same node object twice
             Mul(copy, again),
-            Abs(Add(copy, Neg(again))),  # zero at every valuation
+            Abs(Add(copy, Neg(again))),
             Inv(sub(x, x)),  # an inverse of zero at every valuation
-            Add(Mul(const(3), e), random_expr(rng, names, rng.randint(0, 4))),
+            random_expr(rng, names, rng.randint(0, 8)),
         ]
         program = compile_exprs(roots)
-        for v in (random_valuation(rng, names), zeros):  # zero a quarter of the time, or all
+        for _ in range(3):
+            v = random_valuation(rng, names)  # zero a quarter of the time
             assert program(v) == [evaluate(root, v) for root in roots]
+        zeros = dict.fromkeys(names, Fraction(0))
+        assert program(zeros) == [evaluate(root, zeros) for root in roots]
 
 
 def test_compiled_program_names_an_unbound_variable():
@@ -188,8 +189,8 @@ def test_compiled_program_collects_linear_forms():
 
 def test_running_totals_compile_to_a_linear_program():
     # Every partial sum x_i + (x_{i-1} + (...)) is an output too. Written out
-    # as linear forms the outputs would have n^2 / 2 terms; a form of more
-    # than a few terms that is used again becomes an atom of its users.
+    # as linear forms the outputs would have n^2 / 2 terms; a node that is
+    # used again is computed once and is an atom of its users.
     n = 2_000
     names = [f"x{i}" for i in range(n)]
     totals = [var(names[0])]
@@ -197,9 +198,47 @@ def test_running_totals_compile_to_a_linear_program():
         totals.append(Add(var(name), totals[-1]))
     totals.reverse()
     program = compile_exprs(totals)
-    assert len(program.instructions) < 10 * n
+    assert len(program.instructions) == n - 1
     v = {name: Fraction(i, 3) for i, name in enumerate(names)}
     assert program(v) == [Fraction(i * (i + 1), 6) for i in reversed(range(n))]
+
+
+def sum_of_vars(names):
+    """names[0] + (names[1] + ...), summed right to left."""
+    total = var(names[-1])
+    for name in reversed(names[:-1]):
+        total = Add(var(name), total)
+    return total
+
+
+def test_compiled_program_agrees_on_scaled_and_cancelling_forms():
+    # Forms of many terms, scaled in place by the one node that owns them,
+    # merged at a scale other than theirs, cancelled, and shared once scaled.
+    names = [f"x{i}" for i in range(1, 25)]
+    first, second, every = names[:12], names[12:], names
+    chain = var(names[19])
+    for name in reversed(names[:19]):
+        chain = sub(var(name), chain)  # x1 - (x2 - (x3 - ... x20))
+    scaled = Mul(const(3), sum_of_vars(first))
+    roots = [
+        chain,
+        Add(Mul(const(3), sum_of_vars(first)), Neg(sum_of_vars(second))),
+        Add(Neg(sum_of_vars(first)), Add(sum_of_vars(first), var("y"))),
+        Mul(const(5), Add(Neg(Add(sum_of_vars(every), var("y"))), sum_of_vars(every))),
+        Add(scaled, Mul(scaled, const(Fraction(-1, 3)))),  # used twice, so one atom
+        Add(const(5), Neg(Add(sum_of_vars(second), const(2)))),
+    ]
+    program = compile_exprs(roots)
+    names.append("y")
+    valuations = [
+        dict.fromkeys(names, Fraction(0)),
+        {name: Fraction(i + 1) for i, name in enumerate(names)},
+        {name: Fraction(-1) ** i * Fraction(i, 7) for i, name in enumerate(names)},
+    ]
+    for v in valuations:
+        assert program(v) == [evaluate(root, v) for root in roots]
+    v = valuations[1]
+    assert program(v) == [-10, 3 * 78 - 222, 25, -125, 2 * 78, 5 - 222 - 2]
 
 
 def ring_expr(rng, names, size):
@@ -238,19 +277,19 @@ def sum_of_distinct_abs(n):
     return total
 
 
-def compile_seconds(root):
-    """The time to compile `root`, with the cyclic garbage collector paused.
+def seconds(run, *args):
+    """The time of one call, with the cyclic garbage collector paused.
 
     A full collection walks every live object, the expression included,
-    whatever the compiler does, and it comes at thresholds that make the
+    whatever the call does, and it comes at thresholds that make the
     time of one compile jump by a third.
     """
     gc.collect()
     gc.disable()
     try:
         start = time.perf_counter()
-        program = compile_exprs([root])
-        return time.perf_counter() - start, program
+        run(*args)
+        return time.perf_counter() - start
     finally:
         gc.enable()
 
@@ -258,16 +297,21 @@ def compile_seconds(root):
 def test_compiling_a_sum_of_distinct_atoms_takes_linear_time():
     n = 20_000
     small, large = sum_of_distinct_abs(n), sum_of_distinct_abs(2 * n)
-    seconds, program = compile_seconds(small)
-    assert seconds < 1.0
+    half = Fraction(-1, 2)
+    program = compile_exprs([small])
     assert len(program.instructions) == 3 * n - 2  # per term: x + i, abs and the running sum
-    assert program({"x": Fraction(-1, 2)}) == [sum(abs(Fraction(2 * i - 1, 2)) for i in range(n))]
-    # the best of three runs of each size, taken in turn
-    doubled = compile_seconds(large)[0]
-    for _ in range(2):
-        seconds = min(seconds, compile_seconds(small)[0])
-        doubled = min(doubled, compile_seconds(large)[0])
-    assert doubled < 2.5 * seconds
+    assert program({"x": half}) == [sum(abs(Fraction(2 * i - 1, 2)) for i in range(n))]
+    # the best of three runs of each, taken in turn
+    compiled = doubled = folded = float("inf")
+    for _ in range(3):
+        compiled = min(compiled, seconds(compile_exprs, [small]))
+        doubled = min(doubled, seconds(compile_exprs, [large]))
+        folded = min(folded, seconds(fold_constants, small, {"x": const(half)}))
+    # Against folding the same nodes to a constant, a walk with a Fraction step
+    # per node, so that the bound holds on a slower host too: compiling took
+    # 0.4-0.5 s, 1.5-2.1 times as long as folding, on a 2-vCPU x86 host.
+    assert compiled < 4 * folded
+    assert doubled < 2.5 * compiled
 
 
 def test_equiv_prob_detects_indicator_vs_one():
