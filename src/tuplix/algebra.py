@@ -225,13 +225,6 @@ class CanonicalTuplix:
     entries: tuple[tuple[str, Expr], ...]
     violations: tuple[Violation, ...] = field(default=(), compare=False)
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.is_null and not self.tests and not self.entries
-
-    def entry_map(self) -> dict[str, Expr]:
-        return dict(self.entries)
-
 
 def _sum_amounts(summands: list[Expr]) -> Expr:
     """Fold the sum of folded amounts: constants add up at once, the rest chain on."""
@@ -317,15 +310,6 @@ def normalize(t: Tuplix, valuation: Valuation | None = None) -> CanonicalTuplix:
         return CanonicalTuplix(True, (), (), tuple(violations))
     amounts = tuple((channel, _sum_amounts(entries[channel])) for channel in sorted(entries))
     return CanonicalTuplix(False, _canonical_tests(tests), amounts, ())
-
-
-def to_term(c: CanonicalTuplix) -> Tuplix:
-    """Rebuild a term whose normal form is the given canonical form."""
-    if c.is_null:
-        return DELTA
-    parts: list[Tuplix] = [Test(expr) for expr in c.tests]
-    parts.extend(Entry(channel, amount) for channel, amount in c.entries)
-    return compose(*parts)
 
 
 def ground_of(c: CanonicalTuplix) -> GroundForm | None:
@@ -449,10 +433,6 @@ def apply_test_substitution(c: CanonicalTuplix) -> CanonicalTuplix:
 # Equivalence checks and random terms
 
 
-def equiv_ground(t1: Tuplix, t2: Tuplix, valuation: Valuation | None = None) -> bool:
-    return denote_ground(t1, valuation) == denote_ground(t2, valuation)
-
-
 def equiv_prob_tuplix(t1: Tuplix, t2: Tuplix, trials: int, seed: int) -> bool:
     """Equal ground denotations on `trials` seeded random valuations."""
     if trials < 1:
@@ -466,26 +446,10 @@ def equiv_prob_tuplix(t1: Tuplix, t2: Tuplix, trials: int, seed: int) -> bool:
     return True
 
 
-def random_tuplix(
-    size: int,
-    channels: Iterable[str] = ("a", "b", "c"),
-    names: Iterable[str] = (),
-    seed: int = 0,
-) -> Tuplix:
-    """Random term with roughly `size` nodes; deterministic for a seed.
-
-    Free variables are drawn from `names` (none means a closed term);
-    entry channels from `channels`. All six constructors can appear.
-    """
-    if size < 1:
-        raise ValueError("size must be >= 1")
-    rng = random.Random(seed)
-    return _random_term(rng, size, tuple(channels), tuple(names))
-
-
 def _random_term(
     rng: random.Random, size: int, channels: tuple[str, ...], names: tuple[str, ...]
 ) -> Tuplix:
+    """A random term of about `size` >= 1 nodes over `channels` and the variables `names`."""
     if size >= 2:
         roll = rng.random()
         if roll < 0.45:

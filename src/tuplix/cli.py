@@ -81,6 +81,13 @@ def _span_text(source: str, violation: Violation) -> str:
     return f"{source}:{violation.span}"
 
 
+def _violation_line(source: str, violation: Violation) -> str:
+    """'file:line:col  label  value v', without the place when the test has no span."""
+    where = _span_text(source, violation)
+    prefix = f"{where}  " if where else ""
+    return f"{prefix}{violation.label}  value {format_rational(violation.value)}"
+
+
 def render_text(report: EvalReport, source: str = "") -> str:
     lines = [f"status: {report.status}"]
     if report.entries is not None:
@@ -94,9 +101,7 @@ def render_text(report: EvalReport, source: str = "") -> str:
     if report.violations:
         lines.append("violations:")
         for v in report.violations:
-            where = _span_text(source, v)
-            prefix = f"  {where}  " if where else "  "
-            lines.append(f"{prefix}{v.label}  value {format_rational(v.value)}")
+            lines.append(f"  {_violation_line(source, v)}")
     return "\n".join(lines) + "\n"
 
 
@@ -222,9 +227,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     if report.status == "ok" and not report.residual_tests:
         return 0
     for v in report.violations:
-        where = _span_text(source, v)
-        prefix = f"{where}  " if where else ""
-        sys.stderr.write(f"{prefix}{v.label}  value {format_rational(v.value)}\n")
+        sys.stderr.write(_violation_line(source, v) + "\n")
     return 1
 
 

@@ -1,7 +1,9 @@
-"""Constraints expressed as budget tests.
+"""Constraints expressed as budget test arguments.
 
-Every constraint becomes a single Test whose argument is zero exactly
-when the constraint holds, using only the expression constructors:
+Every constraint becomes a single expression that is zero exactly when
+the constraint holds, built from the expression constructors alone, so
+that Test(...) of it is void when the constraint holds and impossible
+otherwise:
 
   p <= q   via |q - p| - (q - p), which is 0 iff q >= p
   p == q   via p - q
@@ -13,7 +15,6 @@ from __future__ import annotations
 
 from functools import reduce
 
-from .algebra import Test
 from .expr import Abs, Add, Expr, div, sub
 
 
@@ -23,21 +24,8 @@ def leq_expr(p: Expr, q: Expr) -> Expr:
     return sub(Abs(d), d)
 
 
-def test_leq(p: Expr, q: Expr) -> Test:
-    return Test(leq_expr(p, q))
-
-
-def test_eq(p: Expr, q: Expr) -> Test:
-    return Test(sub(p, q))
-
-
 def conjunction_expr(args: list[Expr]) -> Expr:
     """Zero iff every argument is zero; a left-folded sum of indicators."""
     if not args:
         raise ValueError("conjunction of no constraints")
     return reduce(Add, (div(a, a) for a in args))
-
-
-def test_and(args: list[Expr]) -> Test:
-    """Combine test arguments into one test that passes iff all would."""
-    return Test(conjunction_expr(args))

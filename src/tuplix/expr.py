@@ -45,13 +45,35 @@ class UnboundVariableError(LookupError):
         self.name = name
 
 
-@dataclass(frozen=True)
-class Const:
+class _Node:
+    """Structural equality and hashing for the expression nodes, without recursion."""
+
+    def __eq__(self, other):
+        if not isinstance(other, _Node):
+            return NotImplemented
+        return compare(self, other) == 0
+
+    def __hash__(self):
+        hashes: dict[int, int] = {}  # id(node) -> its hash, which agrees with compare
+        for node in postorder([self]):
+            kind = _KIND_ORDER[type(node)]
+            if kind < 2:
+                fields = node.value if kind == 0 else node.name
+            elif kind < 4:
+                fields = hashes[id(node.left)], hashes[id(node.right)]
+            else:
+                fields = hashes[id(node.arg)]
+            hashes[id(node)] = hash((kind, fields))
+        return hashes[id(self)]
+
+
+@dataclass(frozen=True, eq=False)
+class Const(_Node):
     value: Rational
 
 
-@dataclass(frozen=True)
-class Var:
+@dataclass(frozen=True, eq=False)
+class Var(_Node):
     name: str
 
     def __post_init__(self):
@@ -59,30 +81,30 @@ class Var:
             raise ValueError(f"invalid variable name: {self.name!r}")
 
 
-@dataclass(frozen=True)
-class Add:
+@dataclass(frozen=True, eq=False)
+class Add(_Node):
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class Mul:
+@dataclass(frozen=True, eq=False)
+class Mul(_Node):
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class Neg:
+@dataclass(frozen=True, eq=False)
+class Neg(_Node):
     arg: "Expr"
 
 
-@dataclass(frozen=True)
-class Inv:
+@dataclass(frozen=True, eq=False)
+class Inv(_Node):
     arg: "Expr"
 
 
-@dataclass(frozen=True)
-class Abs:
+@dataclass(frozen=True, eq=False)
+class Abs(_Node):
     arg: "Expr"
 
 
@@ -90,14 +112,6 @@ Expr = Union[Const, Var, Add, Mul, Neg, Inv, Abs]
 Valuation = Mapping[str, Rational]
 
 ZERO = Const(Fraction(0))
-
-
-def const(value) -> Const:
-    return Const(Fraction(value))
-
-
-def var(name: str) -> Var:
-    return Var(name)
 
 
 def sub(a: Expr, b: Expr) -> Expr:
@@ -203,7 +217,7 @@ class _Form:
 
     `terms` maps each atom, a slot reference of the program being built,
     to its coefficient, which is never zero. The scale is kept apart so
-    that scaling a form its caller owns costs one step.
+    that scaling a form costs one step.
     """
 
     __slots__ = ("scale", "const", "terms")
@@ -220,16 +234,15 @@ class _Form:
         form.scale = self.scale
         return form
 
-    def scaled(self, factor: Rational, owned: bool) -> _Form:
-        """This form times a constant: this one changed if the caller owns it, else a copy."""
+    def scaled(self, factor: Rational) -> _Form:
+        """This form times a constant, changed in place."""
         if factor == 0:
             return _Form(ZERO.value, {})
-        form = self if owned else self.copy()
-        form.scale *= factor
-        return form
+        self.scale *= factor
+        return self
 
     def merge(self, other: _Form) -> None:
-        """Add another form into this one, which the caller owns."""
+        """Add another form into this one."""
         ratio = None if other.scale is self.scale else other.scale / self.scale
         terms = self.terms
         for atom, coefficient in other.terms.items():
@@ -267,16 +280,16 @@ def compile_exprs(roots: Sequence[Expr]) -> SlotProgram:
     an inverse, an absolute value or a product of two non-constant forms,
     applied to the slots of its argument forms. Products are never
     expanded, and x * Inv(x) stays an atom. Forms and atoms are interned by
-    their content, never by the node, whose hash and equality recurse, so
-    equal subterms built apart share their slots. A node that more than
-    one node or root uses, such as the body of a def, is computed once
-    into a slot and is an atom of each user.
+    their content, never by the node, whose hash and equality walk its
+    whole tree, so equal subterms built apart share their slots. A node
+    that more than one node or root uses, such as the body of a def, is
+    computed once into a slot and is an atom of each user.
 
     A form costs about one instruction per term: an addition or a
     subtraction, and a product by its coefficient unless that is 1 or -1.
-    A form grows only in the one user that owns it, and a form that is
-    still to be used elsewhere has at most one term, so compiling takes
-    time near linear in the number of distinct nodes.
+    A form grows only in its one user, and each user of a shared node
+    takes a copy of a form of at most one term, so compiling takes time
+    near linear in the number of distinct nodes.
     Running the program needs every variable of the roots bound, as
     `evaluate` does, even one whose terms cancel.
     """
@@ -334,7 +347,7 @@ def compile_exprs(roots: Sequence[Expr]) -> SlotProgram:
     def atom(ref: int) -> _Form:
         return _Form(ZERO.value, {ref: ONE})
 
-    uses = dict.fromkeys(map(id, order), 0)  # the parents and root places yet to take each form
+    uses = dict.fromkeys(map(id, order), 0)  # the parents and root places that take each form
     for node in order:
         kind = type(node)
         if kind is Add or kind is Mul:
@@ -344,15 +357,12 @@ def compile_exprs(roots: Sequence[Expr]) -> SlotProgram:
             uses[id(node.arg)] += 1
     for root in roots:
         uses[id(root)] += 1
-    forms: dict[int, _Form] = {}  # id(node) -> its form, until its last use takes it
+    forms: dict[int, _Form] = {}  # id(node) -> its form
 
-    def take(node: Expr) -> tuple[_Form, bool]:
-        """A node's form, and whether this is its last use, which may change it."""
+    def take(node: Expr) -> _Form:
+        """A node's form, for its user to change: a copy if the node has other users."""
         key = id(node)
-        uses[key] -= 1
-        if uses[key]:
-            return forms[key], False
-        return forms.pop(key), True
+        return forms[key].copy() if uses[key] > 1 else forms.pop(key)
 
     for node in order:
         kind = type(node)
@@ -361,33 +371,28 @@ def compile_exprs(roots: Sequence[Expr]) -> SlotProgram:
         elif kind is Var:
             form = atom(variables[node.name])
         elif kind is Add:
-            (a, a_owned), (b, b_owned) = take(node.left), take(node.right)
-            if a is b:
-                form = a.scaled(2, b_owned)
-            else:
-                if len(a.terms) < len(b.terms):
-                    a, a_owned, b = b, b_owned, a
-                form = a if a_owned else a.copy()
-                form.merge(b)
+            form, b = take(node.left), take(node.right)
+            if len(form.terms) < len(b.terms):
+                form, b = b, form
+            form.merge(b)
         elif kind is Mul:
-            (a, a_owned), (b, b_owned) = take(node.left), take(node.right)
+            a, b = take(node.left), take(node.right)
             if not a.terms:
-                form = b.scaled(a.value(), b_owned)
+                form = b.scaled(a.value())
             elif not b.terms:
-                form = a.scaled(b.value(), a_owned)
+                form = a.scaled(b.value())
             else:
                 form = atom(instruction(operator.mul, *sorted((emit(a), emit(b)))))
         elif kind is Neg:
-            a, a_owned = take(node.arg)
-            form = a.scaled(-ONE, a_owned)
+            form = take(node.arg).scaled(-ONE)
         else:
-            a = take(node.arg)[0]
+            a = take(node.arg)
             op = _OPS[kind]
             form = _Form(op(a.value()), {}) if not a.terms else atom(instruction(op, emit(a)))
         if uses[id(node)] > 1 and form.terms:
             form = atom(emit(form))
         forms[id(node)] = form
-    outputs = [emit(take(root)[0]) for root in roots]
+    outputs = [emit(take(root)) for root in roots]
 
     def slot(ref: int) -> int:
         return len(constants) + ref if ref >= 0 else -1 - ref
@@ -511,10 +516,6 @@ def random_expr(rng: random.Random, names: tuple[str, ...], size: int) -> Expr:
     return Abs(random_expr(rng, names, size - 1))
 
 
-def random_valuation(rng: random.Random, names) -> dict[str, Rational]:
-    return {name: random_rational(rng) for name in sorted(names)}
-
-
 def equiv_prob(e1: Expr, e2: Expr, trials: int, seed: int) -> bool:
     """Probabilistic equivalence: equal values on `trials` random valuations.
 
@@ -536,7 +537,7 @@ _KIND_ORDER = {Const: 0, Var: 1, Add: 2, Mul: 3, Neg: 4, Inv: 5, Abs: 6}
 
 
 def compare(a: Expr, b: Expr) -> int:
-    """Total structural order on expressions, used for canonical forms: -1, 0 or 1.
+    """Total structural order on expressions, for canonical forms and ==: -1, 0 or 1.
 
     Nodes order first by kind (Const, Var, Add, Mul, Neg, Inv, Abs), then
     constants by numerator and denominator, variables by name and

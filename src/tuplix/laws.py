@@ -28,7 +28,7 @@ from .algebra import (
     normalize,
     _random_term,
 )
-from .constraints import test_and, test_eq, test_leq
+from .constraints import conjunction_expr, leq_expr
 from .expr import (
     Abs,
     Add,
@@ -302,7 +302,7 @@ def meadow_laws() -> list[Law]:
 
 def _law_leq_encoding(rng):
     p, q = _nums(rng, 2)
-    form = denote_ground(test_leq(Const(p), Const(q)))
+    form = denote_ground(Test(leq_expr(Const(p), Const(q))))
     return form.is_null == (not p <= q)
 
 
@@ -310,14 +310,14 @@ def _law_eq_encoding(rng):
     p, q = _nums(rng, 2)
     if rng.random() < 0.3:
         q = p
-    form = denote_ground(test_eq(Const(p), Const(q)))
+    form = denote_ground(Test(sub(Const(p), Const(q))))
     return form.is_null == (p != q)
 
 
 def _law_conjunction_encoding(rng):
     parts = [_expr(rng) for _ in range(rng.randint(2, 4))]
     v = _valuation(rng)
-    combined = denote_ground(test_and(parts), v)
+    combined = denote_ground(Test(conjunction_expr(parts)), v)
     separate = denote_ground(compose(*[Test(p) for p in parts]), v)
     return combined == separate
 
@@ -325,7 +325,7 @@ def _law_conjunction_encoding(rng):
 def _law_constraint_nodes(rng):
     kinds = (Const, Var, Add, Mul, Neg, Inv, Abs)
     p, q = _expr(rng), _expr(rng)
-    built = [test_leq(p, q), test_eq(p, q), test_and([p, q])]
+    built = [Test(leq_expr(p, q)), Test(sub(p, q)), Test(conjunction_expr([p, q]))]
     return all(isinstance(node, kinds) for t in built for node in postorder([t.arg]))
 
 

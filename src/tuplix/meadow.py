@@ -21,13 +21,6 @@ ONE = Fraction(1)
 _RATIONAL_RE = re.compile(r"([+-]?)(\d+)(?:/(\d+)|\.(\d+))?\Z")
 
 
-def make_rational(num: int, den: int = 1) -> Rational:
-    """Build a rational in lowest terms. A zero denominator is an error."""
-    if den == 0:
-        raise ValueError("zero denominator in rational constant")
-    return Fraction(num, den)
-
-
 def minv(x: Rational) -> Rational:
     """Multiplicative inverse, totalized: minv(0) is 0."""
     if x == 0:
@@ -51,7 +44,9 @@ def parse_rational(text: str) -> Rational:
         raise ValueError(f"not a rational constant: {text!r}")
     sign, intpart, den, decimals = m.groups()
     if den is not None:
-        value = make_rational(int(intpart), int(den))
+        if int(den) == 0:
+            raise ValueError("zero denominator in rational constant")
+        value = Fraction(int(intpart), int(den))
     elif decimals is not None:
         value = Fraction(int(intpart)) + Fraction(int(decimals), 10 ** len(decimals))
     else:

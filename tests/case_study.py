@@ -11,7 +11,7 @@ from fractions import Fraction
 from functools import reduce
 
 from tuplix.constraints import leq_expr
-from tuplix.expr import Add, Const, Mul, const, div, sub, var
+from tuplix.expr import Add, Const, Mul, Var, div, sub
 
 PROGRAMS = ("A", "B", "C")
 COURSES = ("C1", "C2", "C3", "C4")
@@ -143,24 +143,24 @@ def _total(parts):
 
 
 def _scaled(name_x, factor):
-    return Mul(var(name_x), factor)
+    return Mul(Var(name_x), factor)
 
 
 def expr_formulas():
     """Symbolic forms of the entries and guards, built without the parser."""
-    one = const(1)
-    rest = sub(one, var("escf"))
-    nec = _total([var(f"{x}:nec") for x in PROGRAMS])
-    ndg = _total([var(f"{x}:ndg") for x in PROGRAMS])
-    ecc = Mul(nec, var("cpec"))
-    dgc = Mul(ndg, var("cpdg"))
-    esc = Mul(var("escf"), Add(ecc, dgc))
+    one, two, three = (Const(Fraction(n)) for n in (1, 2, 3))
+    rest = sub(one, Var("escf"))
+    nec = _total([Var(f"{x}:nec") for x in PROGRAMS])
+    ndg = _total([Var(f"{x}:ndg") for x in PROGRAMS])
+    ecc = Mul(nec, Var("cpec"))
+    dgc = Mul(ndg, Var("cpdg"))
+    esc = Mul(Var("escf"), Add(ecc, dgc))
 
     third = Const(Fraction(1, 3))
     phis = [
-        leq_expr(var("bbpp"), Mul(Mul(third, rest), Add(ecc, dgc))),
-        leq_expr(var("k"), div(Mul(dgc, rest), Mul(const(3), var("bbpp")))),
-        leq_expr(sub(one, var("k")), div(Mul(ecc, rest), Mul(const(3), var("bbpp")))),
+        leq_expr(Var("bbpp"), Mul(Mul(third, rest), Add(ecc, dgc))),
+        leq_expr(Var("k"), div(Mul(dgc, rest), Mul(three, Var("bbpp")))),
+        leq_expr(sub(one, Var("k")), div(Mul(ecc, rest), Mul(three, Var("bbpp")))),
     ]
 
     psis = {}
@@ -168,42 +168,42 @@ def expr_formulas():
     ecc_shares = []
     for x in PROGRAMS:
         xdgc = div(
-            Mul(sub(Mul(dgc, rest), Mul(Mul(const(3), var("k")), var("bbpp"))), var(f"{x}:ndg")),
+            Mul(sub(Mul(dgc, rest), Mul(Mul(three, Var("k")), Var("bbpp"))), Var(f"{x}:ndg")),
             ndg,
         )
         xecc = div(
             Mul(
-                sub(Mul(ecc, rest), Mul(Mul(const(3), sub(one, var("k"))), var("bbpp"))),
-                var(f"{x}:nec"),
+                sub(Mul(ecc, rest), Mul(Mul(three, sub(one, Var("k"))), Var("bbpp"))),
+                Var(f"{x}:nec"),
             ),
             nec,
         )
         dgc_shares.append(xdgc)
         ecc_shares.append(xecc)
-        staff = Add(var("bbpp"), Add(xdgc, xecc))
+        staff = Add(Var("bbpp"), Add(xdgc, xecc))
         ssh = _total(
             [
-                Add(Mul(var(f"{x}:{c}:sslt"), Add(one, var(f"{x}:lpf"))), var(f"{x}:sset"))
+                Add(Mul(Var(f"{x}:{c}:sslt"), Add(one, Var(f"{x}:lpf"))), Var(f"{x}:sset"))
                 for c in COURSES
             ]
-            + [Mul(Mul(var(f"{x}:ndg"), const(2)), var(f"{x}:sspst"))]
+            + [Mul(Mul(Var(f"{x}:ndg"), two), Var(f"{x}:sspst"))]
         )
         jsh = _total(
-            [var(f"{x}:{c}:jsst") for c in COURSES]
-            + [Mul(Mul(var(f"{x}:ndg"), const(2)), var(f"{x}:jspst"))]
+            [Var(f"{x}:{c}:jsst") for c in COURSES]
+            + [Mul(Mul(Var(f"{x}:ndg"), two), Var(f"{x}:jspst"))]
         )
-        ses = Mul(ssh, var("sscph"))
-        jes = Mul(jsh, var("jscph"))
-        pm = Mul(Add(var(f"{x}:ssot"), var(f"{x}:pmt")), var("sscph"))
+        ses = Mul(ssh, Var("sscph"))
+        jes = Mul(jsh, Var("jscph"))
+        pm = Mul(Add(Var(f"{x}:ssot"), Var(f"{x}:pmt")), Var("sscph"))
         psis[x] = sub(staff, Add(ses, Add(jes, pm)))
 
     # The degree and EC income left after the service-center share and the
     # basic budgets is exactly what the per-program shares hand out; as
     # tests these two sums are redundant next to the guards.
-    sigma_dgc = sub(_total(dgc_shares), sub(Mul(dgc, rest), Mul(Mul(const(3), var("k")), var("bbpp"))))
+    sigma_dgc = sub(_total(dgc_shares), sub(Mul(dgc, rest), Mul(Mul(three, Var("k")), Var("bbpp"))))
     sigma_ecc = sub(
         _total(ecc_shares),
-        sub(Mul(ecc, rest), Mul(Mul(const(3), sub(one, var("k"))), var("bbpp"))),
+        sub(Mul(ecc, rest), Mul(Mul(three, sub(one, Var("k"))), Var("bbpp"))),
     )
 
     return {

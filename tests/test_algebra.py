@@ -16,20 +16,39 @@ from tuplix.algebra import (
     compose,
     denote_ground,
     encap,
-    equiv_ground,
     equiv_prob_tuplix,
     free_vars_tuplix,
     ground_evaluator,
     ground_of,
     normalize,
-    random_tuplix,
-    to_term,
+    _random_term,
 )
-from tuplix.expr import Add, Const, Mul, Neg, const, random_rational, sub, var
+from tuplix.dsl import elaborate, parse
+from tuplix.expr import Add, Const, Mul, Neg, Var, random_rational, sub
+
+EMPTY = CanonicalTuplix(False, (), (), ())
+
+
+def const(value):
+    return Const(Fraction(value))
 
 
 def ent(channel, n, d=1):
     return Entry(channel, Const(Fraction(n, d)))
+
+
+def to_term(c):
+    """A term whose normal form is the given canonical form."""
+    if c.is_null:
+        return DELTA
+    return compose(*(Test(e) for e in c.tests), *(Entry(ch, amount) for ch, amount in c.entries))
+
+
+def random_tuplix(size, channels=("a", "b", "c"), names=(), seed=0):
+    """A random term of roughly `size` nodes, the same for the same seed."""
+    if size < 1:
+        raise ValueError("size must be >= 1")
+    return _random_term(random.Random(seed), size, tuple(channels), tuple(names))
 
 
 def test_transfer_example():
@@ -44,15 +63,14 @@ def test_transfer_example():
 
 def test_zero_entries_discharge_to_empty():
     c = normalize(encap({"a", "b"}, Comp(ent("a", 0), ent("b", 0))))
-    assert c == CanonicalTuplix(False, (), (), ())
-    assert c.is_empty
+    assert c == EMPTY
     assert ground_of(c).as_dict() == {}
 
 
 def test_zero_entry_is_not_empty():
     # a(0) still occupies channel a; only encapsulation removes it
     c = normalize(ent("a", 0))
-    assert not c.is_empty
+    assert c != EMPTY
     assert ground_of(c).as_dict() == {"a": Fraction(0)}
     assert denote_ground(ent("a", 0)) != denote_ground(EPS)
 
@@ -70,7 +88,7 @@ def test_delta_absorbs_and_is_reported():
 
 
 def test_closed_tests_decide():
-    assert normalize(Test(const(0))).is_empty
+    assert normalize(Test(const(0))) == EMPTY
     failing = normalize(Test(sub(const(2), const(1)), label="demand"))
     assert failing.is_null
     assert failing.violations[0].label == "demand"
@@ -78,16 +96,16 @@ def test_closed_tests_decide():
 
 
 def test_open_tests_stay_residual():
-    c = normalize(Comp(Test(var("u")), ent("a", 3)))
+    c = normalize(Comp(Test(Var("u")), ent("a", 3)))
     assert not c.is_null
-    assert c.tests == (var("u"),)
+    assert c.tests == (Var("u"),)
     assert ground_of(c) is None  # still open
-    closed = normalize(Comp(Test(var("u")), ent("a", 3)), {"u": Fraction(0)})
+    closed = normalize(Comp(Test(Var("u")), ent("a", 3)), {"u": Fraction(0)})
     assert ground_of(closed).as_dict() == {"a": Fraction(3)}
 
 
 def test_valuation_closes_amounts():
-    c = normalize(Entry("a", Add(var("u"), var("v"))), {"u": Fraction(1), "v": Fraction(2)})
+    c = normalize(Entry("a", Add(Var("u"), Var("v"))), {"u": Fraction(1), "v": Fraction(2)})
     assert ground_of(c).as_dict() == {"a": Fraction(3)}
 
 
@@ -109,8 +127,8 @@ def test_encap_balance_failure_names_channel():
 
 
 def test_encap_open_balance_becomes_test():
-    c = normalize(encap({"a"}, Entry("a", var("u"))))
-    assert c.tests == (var("u"),)
+    c = normalize(encap({"a"}, Entry("a", Var("u"))))
+    assert c.tests == (Var("u"),)
     assert c.entries == ()
 
 
@@ -122,12 +140,12 @@ def test_null_body_settles_nothing():
 
 def test_deep_encap_nesting_normalizes():
     # 20,000 levels of enc{c}(c(x) | ... | c(-x)), far past the recursion limit
-    x = var("x")
+    x = Var("x")
     term = EPS
     for _ in range(20_000):
         term = encap({"c"}, compose(Entry("c", x), term, Entry("c", Neg(x))))
     assert normalize(term).tests == (Add(x, Neg(x)),)
-    assert normalize(term, {"x": Fraction(3)}).is_empty
+    assert normalize(term, {"x": Fraction(3)}) == EMPTY
 
 
 def test_deep_encap_leftovers_reach_the_top():
@@ -189,7 +207,7 @@ def test_ground_of_at_a_valuation_agrees_with_the_oracle():
 
 
 def test_free_vars_tuplix():
-    t = Comp(Entry("a", var("u")), encap({"a"}, Test(var("v"))))
+    t = Comp(Entry("a", Var("u")), encap({"a"}, Test(Var("v"))))
     assert free_vars_tuplix(t) == {"u", "v"}
 
 
@@ -203,30 +221,30 @@ def test_ground_form_constructors():
 
 def test_denote_ground_requires_closed_terms():
     with pytest.raises(Exception):
-        denote_ground(Entry("a", var("u")))
+        denote_ground(Entry("a", Var("u")))
 
 
 def test_substitution_solves_entry_amounts():
     # test(x - 5) pins x, so a(x) becomes a(5)
-    c = normalize(Comp(Test(sub(var("x"), const(5))), Entry("a", var("x"))))
+    c = normalize(Comp(Test(sub(Var("x"), const(5))), Entry("a", Var("x"))))
     s = apply_test_substitution(c)
     assert dict(s.entries)["a"] == const(5)
     assert len(s.tests) == 1  # the solved test is kept
 
 
 def test_substitution_prefers_left_variable():
-    c = normalize(Comp(Test(sub(var("x"), var("y"))), Entry("a", Add(var("x"), var("y")))))
+    c = normalize(Comp(Test(sub(Var("x"), Var("y"))), Entry("a", Add(Var("x"), Var("y")))))
     s = apply_test_substitution(c)
     # x := y, so the amount mentions only y
     assert free_vars_tuplix(to_term(s)) <= {"y", "x"}
-    assert dict(s.entries)["a"] == Add(var("y"), var("y"))
+    assert dict(s.entries)["a"] == Add(Var("y"), Var("y"))
 
 
 def test_substitution_chains():
     t = compose(
-        Test(sub(var("x"), var("y"))),
-        Test(sub(var("y"), const(2))),
-        Entry("a", var("x")),
+        Test(sub(Var("x"), Var("y"))),
+        Test(sub(Var("y"), const(2))),
+        Entry("a", Var("x")),
     )
     s = apply_test_substitution(normalize(t))
     assert dict(s.entries)["a"] == const(2)
@@ -235,9 +253,9 @@ def test_substitution_chains():
 def test_substitution_preserves_denotation():
     rng = random.Random(21)
     t = compose(
-        Test(sub(var("x"), var("y"))),
-        Entry("a", Mul(var("x"), var("y"))),
-        Entry("b", var("y")),
+        Test(sub(Var("x"), Var("y"))),
+        Entry("a", Mul(Var("x"), Var("y"))),
+        Entry("b", Var("y")),
     )
     s = to_term(apply_test_substitution(normalize(t)))
     for _ in range(200):
@@ -247,7 +265,7 @@ def test_substitution_preserves_denotation():
 
 
 def test_substitution_reveals_contradictions():
-    t = compose(Test(sub(var("x"), const(1))), Test(sub(var("x"), const(2))))
+    t = compose(Test(sub(Var("x"), const(1))), Test(sub(Var("x"), const(2))))
     s = apply_test_substitution(normalize(t))
     assert s.is_null
     assert len(s.violations) == 1
@@ -261,9 +279,9 @@ def test_substitution_rejects_null_input():
 def test_substitution_caps_rounds():
     # mutually dependent tests stop within the pass cap without diverging
     t = compose(
-        Test(sub(var("x"), Add(var("y"), const(1)))),
-        Test(sub(var("y"), Add(var("x"), Neg(const(1))))),
-        Entry("a", var("x")),
+        Test(sub(Var("x"), Add(Var("y"), const(1)))),
+        Test(sub(Var("y"), Add(Var("x"), Neg(const(1))))),
+        Entry("a", Var("x")),
     )
     s = apply_test_substitution(normalize(t))
     assert not s.is_null
@@ -272,14 +290,14 @@ def test_substitution_caps_rounds():
 def test_equivalence_helpers():
     one_way = Comp(ent("a", 1), ent("a", 2))
     other = ent("a", 3)
-    assert equiv_ground(one_way, other)
+    assert denote_ground(one_way) == denote_ground(other)
     assert equiv_prob_tuplix(
-        Comp(Test(var("u")), Entry("a", var("v"))),
-        Comp(Entry("a", var("v")), Test(var("u"))),
+        Comp(Test(Var("u")), Entry("a", Var("v"))),
+        Comp(Entry("a", Var("v")), Test(Var("u"))),
         trials=100,
         seed=3,
     )
-    assert not equiv_prob_tuplix(Entry("a", var("u")), EPS, trials=100, seed=3)
+    assert not equiv_prob_tuplix(Entry("a", Var("u")), EPS, trials=100, seed=3)
 
 
 def test_random_tuplix_is_deterministic_and_varied():
@@ -309,4 +327,17 @@ def test_entry_rejects_bad_channel():
 
 def test_canonical_entry_map():
     c = normalize(Comp(ent("b", 2), ent("a", 1)))
-    assert c.entry_map() == {"a": const(1), "b": const(2)}
+    assert c.entries == (("a", const(1)), ("b", const(2)))
+
+
+def test_normal_forms_of_long_sums_compare_and_hash_without_recursion():
+    # a(x + 1 + ... + 1) with 5,000 terms folds to a chain 5,000 deep
+    ones = [" + 1"] * 5_000
+    forms = []
+    for terms in (ones, ones, ones[:-1] + [" + 2"]):
+        program = parse("param x\nbudget B = a(x" + "".join(terms) + ")\n")
+        forms.append(normalize(elaborate(program, "B")))
+    same, again, changed = forms
+    assert same == again and same.entries[0][1] is not again.entries[0][1]
+    assert hash(same) == hash(again)
+    assert same != changed

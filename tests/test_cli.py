@@ -133,7 +133,7 @@ def doubling_chain(tmp_path, depth):
 def test_doubling_def_chain_costs_its_depth(tmp_path, capsys):
     # written out as a tree the amount would have about 2^202 nodes; parsed, it has 203
     f = doubling_chain(tmp_path, 200)
-    amount = normalize(parse(f.read_text()).budgets["B"]).entry_map()["a"]
+    amount = dict(normalize(parse(f.read_text()).budgets["B"]).entries)["a"]
     assert len(postorder([amount])) == 203
     assert run(["eval", str(f), "--set", "x=1"], capsys) == (
         0, f"status: ok\nentries:\n  a: {2**201}\n", ""

@@ -3,14 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-# qualified import: several public names here start with test_
-from tuplix import constraints as con
 from tuplix.algebra import Comp, Entry, Test, compose, denote_ground, normalize
-from tuplix.expr import const, div, evaluate, var
+from tuplix.constraints import conjunction_expr, leq_expr
+from tuplix.expr import Const, Var, div, evaluate, sub
 
 
 def test_leq_expr_void_iff_ordered():
-    e = con.leq_expr(var("p"), var("q"))
+    e = leq_expr(Var("p"), Var("q"))
     rng = random.Random(1)
     for _ in range(500):
         p = Fraction(rng.randint(-20, 20), rng.randint(1, 8))
@@ -21,30 +20,30 @@ def test_leq_expr_void_iff_ordered():
 
 
 def test_leq_guards_a_budget():
-    t = Comp(con.test_leq(var("p"), const(4)), Entry("a", const(1)))
+    t = Comp(Test(leq_expr(Var("p"), Const(Fraction(4)))), Entry("a", Const(Fraction(1))))
     assert not denote_ground(t, {"p": Fraction(3)}).is_null
     assert not denote_ground(t, {"p": Fraction(4)}).is_null
     assert denote_ground(t, {"p": Fraction(5)}).is_null
 
 
 def test_eq_guard():
-    t = con.test_eq(var("p"), const(2))
+    t = Test(sub(Var("p"), Const(Fraction(2))))
     assert not denote_ground(t, {"p": Fraction(2)}).is_null
     assert denote_ground(t, {"p": Fraction(1)}).is_null
 
 
 def test_conjunction_counts_failures():
-    e = con.conjunction_expr([var("x"), var("y"), var("z")])
+    e = conjunction_expr([Var("x"), Var("y"), Var("z")])
     v = {"x": Fraction(0), "y": Fraction(7), "z": Fraction(-2)}
     assert evaluate(e, v) == Fraction(2)  # two conjuncts violated
     assert evaluate(e, {k: Fraction(0) for k in "xyz"}) == Fraction(0)
     with pytest.raises(ValueError):
-        con.conjunction_expr([])
+        conjunction_expr([])
 
 
 def test_combined_guard_matches_composed_tests():
-    args = [var("x"), con.leq_expr(var("x"), var("y"))]
-    combined = con.test_and(args)
+    args = [Var("x"), leq_expr(Var("x"), Var("y"))]
+    combined = Test(conjunction_expr(args))
     separate = compose(*(Test(a) for a in args))
     rng = random.Random(8)
     for _ in range(300):
@@ -56,5 +55,5 @@ def test_combined_guard_matches_composed_tests():
 
 
 def test_single_conjunct_becomes_its_indicator():
-    c = normalize(con.test_and([var("x")]))
-    assert c.tests == (div(var("x"), var("x")),)
+    c = normalize(Test(conjunction_expr([Var("x")])))
+    assert c.tests == (div(Var("x"), Var("x")),)

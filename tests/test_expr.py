@@ -17,7 +17,6 @@ from tuplix.expr import (
     Var,
     compare,
     compile_exprs,
-    const,
     div,
     equiv_prob,
     evaluate,
@@ -27,13 +26,15 @@ from tuplix.expr import (
     pretty,
     random_expr,
     random_rational,
-    random_valuation,
     sort_key,
     sub,
     substitute_all,
-    var,
 )
 from tuplix.meadow import minv
+
+
+def const(value):
+    return Const(Fraction(value))
 
 
 def test_evaluate_basic():
@@ -46,14 +47,14 @@ def test_evaluate_basic():
 def test_evaluate_totalizes_inverse():
     assert evaluate(Inv(Const(Fraction(0))), {}) == Fraction(0)
     # x/x is 0 at x = 0 and 1 elsewhere
-    ind = div(var("x"), var("x"))
+    ind = div(Var("x"), Var("x"))
     assert evaluate(ind, {"x": Fraction(0)}) == Fraction(0)
     assert evaluate(ind, {"x": Fraction(-7, 3)}) == Fraction(1)
 
 
 def test_evaluate_unbound_names_the_variable():
     with pytest.raises(UnboundVariableError) as info:
-        evaluate(var("missing"), {"other": Fraction(1)})
+        evaluate(Var("missing"), {"other": Fraction(1)})
     assert info.value.name == "missing"
 
 
@@ -66,16 +67,16 @@ def test_var_rejects_bad_identifiers():
 
 
 def test_free_vars():
-    e = Mul(Add(var("a"), Neg(var("b"))), Inv(var("a")))
+    e = Mul(Add(Var("a"), Neg(Var("b"))), Inv(Var("a")))
     assert free_vars(e) == {"a", "b"}
     assert free_vars(const(4)) == set()
 
 
 def test_substitute():
-    e = Add(var("x"), var("y"))
-    assert substitute_all(e, {"x": const(2)}) == Add(const(2), var("y"))
-    swapped = substitute_all(e, {"x": var("y"), "y": var("x")})
-    assert swapped == Add(var("y"), var("x"))  # simultaneous, not sequential
+    e = Add(Var("x"), Var("y"))
+    assert substitute_all(e, {"x": const(2)}) == Add(const(2), Var("y"))
+    swapped = substitute_all(e, {"x": Var("y"), "y": Var("x")})
+    assert swapped == Add(Var("y"), Var("x"))  # simultaneous, not sequential
     assert free_vars(substitute_all(e, {"x": const(2)})) == free_vars(e) - {"x"}
     assert substitute_all(e, {"z": const(2)}) is e  # nothing bound, nothing rebuilt
 
@@ -88,7 +89,7 @@ def test_fold_collapses_constants():
 
 
 def test_fold_identities():
-    x = var("x")
+    x = Var("x")
     assert fold_constants(Add(x, const(0))) == x
     assert fold_constants(Add(const(0), x)) == x
     assert fold_constants(Mul(x, const(1))) == x
@@ -99,7 +100,7 @@ def test_fold_identities():
 
 def test_fold_keeps_open_indicators():
     # x/x is NOT 1: at x = 0 it is 0, so folding it away would be wrong
-    e = div(var("x"), var("x"))
+    e = div(Var("x"), Var("x"))
     assert fold_constants(e) == e
 
 
@@ -108,7 +109,7 @@ def test_fold_preserves_value():
     names = ("x", "y", "z")
     for _ in range(400):
         e = random_expr(rng, names, rng.randint(0, 5))
-        v = random_valuation(rng, names)
+        v = {name: random_rational(rng) for name in names}
         assert evaluate(fold_constants(e), v) == evaluate(e, v)
 
 
@@ -130,7 +131,7 @@ def test_fold_with_bindings_equals_fold_after_substitution():
 def test_compiled_program_agrees_with_evaluate():
     rng = random.Random(23)
     names = ("x", "y", "z")
-    x = var("x")
+    x = Var("x")
     for trial in range(10_000):
         e = random_expr(rng, names, rng.randint(0, 8))
         copy = random_expr(random.Random(trial), names, 6)  # equal, separately built
@@ -145,14 +146,14 @@ def test_compiled_program_agrees_with_evaluate():
         ]
         program = compile_exprs(roots)
         for _ in range(3):
-            v = random_valuation(rng, names)  # zero a quarter of the time
+            v = {name: random_rational(rng) for name in names}  # zero a quarter of the time
             assert program(v) == [evaluate(root, v) for root in roots]
         zeros = dict.fromkeys(names, Fraction(0))
         assert program(zeros) == [evaluate(root, zeros) for root in roots]
 
 
 def test_compiled_program_names_an_unbound_variable():
-    program = compile_exprs([Add(var("x"), Inv(const(0))), var("missing")])
+    program = compile_exprs([Add(Var("x"), Inv(const(0))), Var("missing")])
     assert program({"x": Fraction(2), "missing": Fraction(1)}) == [Fraction(2), Fraction(1)]
     with pytest.raises(UnboundVariableError) as info:
         program({"x": Fraction(2)})
@@ -160,9 +161,9 @@ def test_compiled_program_names_an_unbound_variable():
 
 
 def test_compiled_program_runs_a_deep_chain():
-    # 20,000 nested Adds: far past the recursion limit of evaluate and of == on nodes
+    # 20,000 nested Adds: far past the recursion limit of evaluate
     n = 20_000
-    chain = var("x")
+    chain = Var("x")
     for i in range(n):
         chain = Add(chain, Const(Fraction(i)))
     program = compile_exprs([chain])
@@ -171,7 +172,7 @@ def test_compiled_program_runs_a_deep_chain():
 
 
 def test_compiled_program_collects_linear_forms():
-    x = var("x")
+    x = Var("x")
     roots = [
         sub(x, x),  # 0
         Add(Mul(const(2), x), Neg(Add(x, x))),  # 0
@@ -193,9 +194,9 @@ def test_running_totals_compile_to_a_linear_program():
     # used again is computed once and is an atom of its users.
     n = 2_000
     names = [f"x{i}" for i in range(n)]
-    totals = [var(names[0])]
+    totals = [Var(names[0])]
     for name in names[1:]:
-        totals.append(Add(var(name), totals[-1]))
+        totals.append(Add(Var(name), totals[-1]))
     totals.reverse()
     program = compile_exprs(totals)
     assert len(program.instructions) == n - 1
@@ -205,9 +206,9 @@ def test_running_totals_compile_to_a_linear_program():
 
 def sum_of_vars(names):
     """names[0] + (names[1] + ...), summed right to left."""
-    total = var(names[-1])
+    total = Var(names[-1])
     for name in reversed(names[:-1]):
-        total = Add(var(name), total)
+        total = Add(Var(name), total)
     return total
 
 
@@ -216,15 +217,15 @@ def test_compiled_program_agrees_on_scaled_and_cancelling_forms():
     # merged at a scale other than theirs, cancelled, and shared once scaled.
     names = [f"x{i}" for i in range(1, 25)]
     first, second, every = names[:12], names[12:], names
-    chain = var(names[19])
+    chain = Var(names[19])
     for name in reversed(names[:19]):
-        chain = sub(var(name), chain)  # x1 - (x2 - (x3 - ... x20))
+        chain = sub(Var(name), chain)  # x1 - (x2 - (x3 - ... x20))
     scaled = Mul(const(3), sum_of_vars(first))
     roots = [
         chain,
         Add(Mul(const(3), sum_of_vars(first)), Neg(sum_of_vars(second))),
-        Add(Neg(sum_of_vars(first)), Add(sum_of_vars(first), var("y"))),
-        Mul(const(5), Add(Neg(Add(sum_of_vars(every), var("y"))), sum_of_vars(every))),
+        Add(Neg(sum_of_vars(first)), Add(sum_of_vars(first), Var("y"))),
+        Mul(const(5), Add(Neg(Add(sum_of_vars(every), Var("y"))), sum_of_vars(every))),
         Add(scaled, Mul(scaled, const(Fraction(-1, 3)))),  # used twice, so one atom
         Add(const(5), Neg(Add(sum_of_vars(second), const(2)))),
     ]
@@ -270,7 +271,7 @@ def test_compiled_linear_forms_expand_to_the_same_polynomial_as_sympy():
 
 def sum_of_distinct_abs(n):
     """abs(x) + abs(x + 1) + ... + abs(x + n - 1), summed left to right."""
-    x = var("x")
+    x = Var("x")
     total = Abs(x)
     for i in range(1, n):
         total = Add(total, Abs(Add(x, Const(Fraction(i)))))
@@ -316,8 +317,8 @@ def test_compiling_a_sum_of_distinct_atoms_takes_linear_time():
 
 def test_equiv_prob_detects_indicator_vs_one():
     # sampling hits zero often enough to separate x/x from 1
-    assert equiv_prob(div(var("x"), var("x")), const(1), trials=200, seed=5) is False
-    assert equiv_prob(Add(var("x"), var("y")), Add(var("y"), var("x")), 200, 5) is True
+    assert equiv_prob(div(Var("x"), Var("x")), const(1), trials=200, seed=5) is False
+    assert equiv_prob(Add(Var("x"), Var("y")), Add(Var("y"), Var("x")), 200, 5) is True
     with pytest.raises(ValueError):
         equiv_prob(const(0), const(0), trials=0, seed=1)
 
@@ -329,7 +330,7 @@ def test_sort_key_is_a_total_order():
     assert sorted(keyed, key=sort_key) == keyed
     for e in exprs:
         assert sort_key(e) == sort_key(e)
-    a, b = var("a"), var("b")
+    a, b = Var("a"), Var("b")
     assert sort_key(a) != sort_key(b)
     assert sort_key(Add(a, b)) != sort_key(Mul(a, b))
 
@@ -377,7 +378,7 @@ def test_sort_key_orders_exactly_as_the_recursive_key():
 
 
 def test_postorder_lists_each_node_once_children_first():
-    x, one = var("x"), const(1)
+    x, one = Var("x"), const(1)
     shared = Add(x, one)
     root = Mul(shared, Neg(shared))
     assert postorder([root, shared]) == [x, one, shared, root.right, root]
@@ -387,18 +388,18 @@ def test_postorder_lists_each_node_once_children_first():
 
 
 def test_fold_returns_unchanged_nodes_and_shares_its_memo():
-    e = fold_constants(Add(Mul(var("x"), Inv(var("y"))), Neg(Abs(var("z")))))
+    e = fold_constants(Add(Mul(Var("x"), Inv(Var("y"))), Neg(Abs(Var("z")))))
     assert fold_constants(e) is e
-    shared = Add(var("x"), Add(const(1), const(2)))
-    roots = [Mul(shared, var("y")), Neg(shared)]  # alive as long as the memo is used
+    shared = Add(Var("x"), Add(const(1), const(2)))
+    roots = [Mul(shared, Var("y")), Neg(shared)]  # alive as long as the memo is used
     memo = {}
     first, second = (fold_constants(root, {"y": const(2)}, memo) for root in roots)
-    assert first.left is second.arg == Add(var("x"), const(3))
+    assert first.left is second.arg == Add(Var("x"), const(3))
 
 
 def test_passes_run_deep_chains_and_shared_nodes_once():
     n = 20_000  # far past the recursion limit
-    chain = var("x")
+    chain = Var("x")
     for _ in range(n):
         chain = sub(chain, const(1))
     folded = fold_constants(chain)  # each Neg(1) becomes the constant -1
@@ -407,7 +408,7 @@ def test_passes_run_deep_chains_and_shared_nodes_once():
     assert pretty(chain) == "x" + " - 1" * n
     assert substitute_all(chain, {"x": const(2)}).left.left.right is chain.left.left.right
     assert compare(chain, folded) == 1 and compare(folded, chain) == -1  # Neg after Const
-    doubled, again = var("x"), var("x")
+    doubled, again = Var("x"), Var("x")
     for _ in range(200):  # 2^200 paths, 201 distinct nodes
         doubled, again = Add(doubled, doubled), Add(again, again)
     assert len(postorder([doubled])) == 201
@@ -417,15 +418,15 @@ def test_passes_run_deep_chains_and_shared_nodes_once():
 
 
 def test_pretty_spells_sums_and_quotients():
-    assert pretty(sub(var("a"), var("b"))) == "a - b"
-    assert pretty(div(var("a"), var("b"))) == "a / b"
-    assert pretty(Inv(var("a"))) == "1 / a"
-    assert pretty(Mul(Add(var("a"), var("b")), var("c"))) == "(a + b) * c"
-    assert pretty(Neg(Add(var("a"), var("b")))) == "-(a + b)"
+    assert pretty(sub(Var("a"), Var("b"))) == "a - b"
+    assert pretty(div(Var("a"), Var("b"))) == "a / b"
+    assert pretty(Inv(Var("a"))) == "1 / a"
+    assert pretty(Mul(Add(Var("a"), Var("b")), Var("c"))) == "(a + b) * c"
+    assert pretty(Neg(Add(Var("a"), Var("b")))) == "-(a + b)"
     assert pretty(Const(Fraction(1, 4))) == "0.25"
     assert pretty(Const(Fraction(1, 3))) == "1/3"
     assert pretty(Const(Fraction(-2))) == "-2"
-    assert pretty(Abs(var("x"))) == "abs(x)"
+    assert pretty(Abs(Var("x"))) == "abs(x)"
 
 
 def test_random_expr_is_deterministic():

@@ -9,22 +9,22 @@ from tuplix.meadow import (
     decimal_repr,
     format_rational,
     indicator,
-    make_rational,
     minv,
     parse_rational,
 )
 
 
-def test_make_rational_reduces():
-    assert make_rational(4, 6) == Fraction(2, 3)
-    assert make_rational(3, -6) == Fraction(-1, 2)
-    assert make_rational(0, 7) == ZERO
-    assert make_rational(5) == Fraction(5)
+def test_parse_rational_reduces():
+    assert parse_rational("4/6") == Fraction(2, 3)
+    assert parse_rational("-3/6") == Fraction(-1, 2)
+    assert parse_rational("0/7") == ZERO
+    assert parse_rational("5") == Fraction(5)
 
 
-def test_make_rational_rejects_zero_denominator():
-    with pytest.raises(ValueError):
-        make_rational(1, 0)
+def test_parse_rational_rejects_zero_denominator():
+    for text in ("1/0", "0/0", "-3/00"):
+        with pytest.raises(ValueError, match="^zero denominator in rational constant$"):
+            parse_rational(text)
 
 
 def test_minv_totalizes_zero():

@@ -1,0 +1,47 @@
+import ast
+from collections import Counter
+from pathlib import Path
+
+import tuplix
+
+SRC = Path(tuplix.__file__).parent
+
+
+def names_in(node):
+    """How often each name is used in a syntax tree, as a variable or an attribute."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def unused_definitions():
+    """Top-level functions and classes, and methods, that no other code in the package names.
+
+    A name is used when some code outside the definition itself refers to
+    it; dunder methods, which the language calls, and the names in
+    `tuplix.__all__` count as used.
+    """
+    modules = [ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))]
+    used = sum(map(names_in, modules), Counter())
+    found = []
+    for module in modules:
+        for top in module.body:
+            if isinstance(top, ast.ClassDef):
+                nodes = [top, *(item for item in top.body if isinstance(item, ast.FunctionDef))]
+            elif isinstance(top, ast.FunctionDef):
+                nodes = [top]
+            else:
+                continue
+            for node in nodes:
+                exported = node is top and node.name in tuplix.__all__
+                dunder = node.name.startswith("__") and node.name.endswith("__")
+                if not (exported or dunder) and used[node.name] <= names_in(node)[node.name]:
+                    found.append(node.name if node is top else f"{top.name}.{node.name}")
+    return found
+
+
+def test_every_definition_is_used_by_the_package_or_exported():
+    # helpers that only tests call belong in the tests
+    assert unused_definitions() == []
