@@ -25,7 +25,6 @@ from .algebra import (
     Encap,
     Entry,
     Eps,
-    GroundForm,
     Test,
     Violation,
     apply_test_substitution,
@@ -65,7 +64,6 @@ __all__ = [
     "Encap",
     "Entry",
     "Eps",
-    "GroundForm",
     "Inv",
     "Mul",
     "Neg",

@@ -13,11 +13,12 @@ blocks are:
                  to zero, and then disappears from the budget
 
 Two views are provided. `denote_ground` evaluates a fully bound term to
-either Null or a finite channel->amount map, and is deliberately the
-simplest possible recursion so it can act as an oracle. `normalize`
-reduces a partially bound term to a canonical form with residual
-symbolic tests and per-channel amounts, and must agree with the oracle
-whenever the term is fully bound.
+its ground value: None for the null budget, or a dict from channel to
+amount. It is deliberately the simplest possible recursion so it can act
+as an oracle. `normalize` reduces a partially bound term to a canonical
+form with residual symbolic tests and per-channel amounts; `ground_of`
+and `ground_evaluator` turn that form into a ground value, which must
+equal the oracle's whenever the term is fully bound.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Iterable, Union
 
 from .expr import (
     Const,
@@ -135,66 +136,39 @@ def free_vars_tuplix(t: Tuplix) -> frozenset[str]:
 # Ground denotation
 
 
-@dataclass(frozen=True)
-class GroundForm:
-    """Value of a fully bound term: Null, or a channel->amount map.
+def denote_ground(t: Tuplix, valuation: Valuation | None = None) -> dict[str, Rational] | None:
+    """Evaluate a term under a valuation binding every free variable.
 
-    An explicit zero entry is kept distinct from no entry at all: a
+    The result is None for the null budget, or a fresh channel->amount
+    dict. An explicit zero entry is kept distinct from no entry at all: a
     channel carrying amount 0 is still a commitment on that channel.
     """
-
-    entries: tuple[tuple[str, Rational], ...] | None  # None encodes Null
-
-    @classmethod
-    def null(cls) -> "GroundForm":
-        return cls(None)
-
-    @classmethod
-    def of(cls, amounts: Mapping[str, Rational]) -> "GroundForm":
-        return cls(tuple(sorted(amounts.items())))
-
-    @property
-    def is_null(self) -> bool:
-        return self.entries is None
-
-    def as_dict(self) -> dict[str, Rational]:
-        if self.entries is None:
-            raise ValueError("the null budget has no entries")
-        return dict(self.entries)
-
-
-def denote_ground(t: Tuplix, valuation: Valuation | None = None) -> GroundForm:
-    """Evaluate a term under a valuation binding every free variable."""
     v = valuation if valuation is not None else {}
     match t:
         case Eps():
-            return GroundForm.of({})
+            return {}
         case Delta():
-            return GroundForm.null()
+            return None
         case Entry(channel, amount):
-            return GroundForm.of({channel: evaluate(amount, v)})
+            return {channel: evaluate(amount, v)}
         case Test(arg):
-            return GroundForm.of({}) if evaluate(arg, v) == 0 else GroundForm.null()
+            return {} if evaluate(arg, v) == 0 else None
         case Comp(left, right):
             a = denote_ground(left, v)
             b = denote_ground(right, v)
-            if a.is_null or b.is_null:
-                return GroundForm.null()
-            amounts = a.as_dict()
-            for channel, amount in b.entries:
-                amounts[channel] = amounts.get(channel, Fraction(0)) + amount
-            return GroundForm.of(amounts)
+            if a is None or b is None:
+                return None
+            for channel, amount in b.items():
+                a[channel] = a.get(channel, Fraction(0)) + amount
+            return a
         case Encap(channels, body):
-            inner = denote_ground(body, v)
-            if inner.is_null:
-                return GroundForm.null()
-            amounts = inner.as_dict()
+            amounts = denote_ground(body, v)
+            if amounts is None:
+                return None
             for channel in channels:
-                if channel in amounts:
-                    if amounts[channel] != 0:
-                        return GroundForm.null()
-                    del amounts[channel]
-            return GroundForm.of(amounts)
+                if channel in amounts and amounts.pop(channel) != 0:
+                    return None
+            return amounts
     raise TypeError(f"not a budget term: {t!r}")
 
 
@@ -312,49 +286,48 @@ def normalize(t: Tuplix, valuation: Valuation | None = None) -> CanonicalTuplix:
     return CanonicalTuplix(False, _canonical_tests(tests), amounts, ())
 
 
-def ground_of(c: CanonicalTuplix) -> GroundForm | None:
-    """The closed canonical form as a GroundForm, or None if it is still open.
+def ground_of(c: CanonicalTuplix) -> dict[str, Rational] | None:
+    """The amounts of a closed canonical form, or None if it is null or still open.
 
-    A form is closed when it is Null, or has no residual tests and only
-    constant amounts. To evaluate an open form at many valuations, use
-    `ground_evaluator`.
+    A form is closed when it has no residual tests and only constant
+    amounts; `c.is_null` tells the two None cases apart. To evaluate an
+    open form at many valuations, use `ground_evaluator`.
     """
-    if c.is_null:
-        return GroundForm.null()
-    if c.tests:
+    if c.is_null or c.tests:
         return None
     amounts: dict[str, Rational] = {}
     for channel, amount in c.entries:
         if not isinstance(amount, Const):
             return None
         amounts[channel] = amount.value
-    return GroundForm.of(amounts)
+    return amounts
 
 
-def ground_evaluator(c: CanonicalTuplix) -> Callable[[Valuation], GroundForm]:
-    """Compile a canonical form once into a function from valuations to GroundForms.
+def ground_evaluator(c: CanonicalTuplix) -> Callable[[Valuation], dict[str, Rational] | None]:
+    """Compile a canonical form once into a function from valuations to ground values.
 
     The valuation must bind every variable left in the form. Any nonzero
-    residual test makes the result Null; otherwise the amounts, already
-    sorted by channel, make the entries. Folding is sound at every
-    valuation and evaluation is total, so normalizing under some bindings
-    and then evaluating under the rest gives the ground denotation under
-    all of them. The residuals are compiled once, as linear forms, so a
-    call costs about one exact step per term of each form and one per
-    atom (an inverse, absolute value or product that does not reduce),
-    and no depth is too great (see `expr.compile_exprs`).
+    residual test makes the result None, the null budget; otherwise the
+    result maps every channel of the form, in sorted order, to its amount.
+    Folding is sound at every valuation and evaluation is total, so
+    normalizing under some bindings and then evaluating under the rest
+    gives the ground denotation under all of them. The residuals are
+    compiled once, as linear forms, so a call costs about one exact step
+    per term of each form and one per atom (an inverse, absolute value or
+    product that does not reduce), and no depth is too great (see
+    `expr.compile_exprs`).
     """
     if c.is_null:
-        return lambda valuation: GroundForm.null()
+        return lambda valuation: None
     program = compile_exprs([*c.tests, *(amount for _, amount in c.entries)])
     channels = [channel for channel, _ in c.entries]
     tested = len(c.tests)
 
-    def ground(valuation: Valuation) -> GroundForm:
+    def ground(valuation: Valuation) -> dict[str, Rational] | None:
         values = program(valuation)
         if any(values[:tested]):
-            return GroundForm.null()
-        return GroundForm(tuple(zip(channels, values[tested:])))
+            return None
+        return dict(zip(channels, values[tested:]))
 
     return ground
 

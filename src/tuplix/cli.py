@@ -57,9 +57,7 @@ class EvalReport:
 def report_of(canonical: CanonicalTuplix) -> EvalReport:
     if canonical.is_null:
         return EvalReport("null", None, [], list(canonical.violations))
-    ground = ground_of(canonical)
-    entries = None if ground is None else ground.as_dict()
-    return EvalReport("ok", entries, [pretty(t) for t in canonical.tests], [])
+    return EvalReport("ok", ground_of(canonical), [pretty(t) for t in canonical.tests], [])
 
 
 def build_report(
@@ -161,16 +159,23 @@ def _parse_set_flag(item: str) -> tuple[str, Rational]:
         raise CliError(f"--set {item!r}: {exc}") from None
 
 
+def _read_text(path: Path) -> str:
+    """A file's text, decoded as UTF-8; a file that cannot be read or decoded is a CliError."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise CliError(str(exc)) from None
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise CliError(f"{path.name}:{line}: not valid UTF-8 ({exc.reason})") from None
+
+
 def collect_bindings(args: argparse.Namespace, program: BudgetProgram) -> dict[str, Rational]:
     """File bindings first, then --set pairs in order; the last value wins."""
     bindings: dict[str, Rational] = {}
     if args.bindings:
         path = Path(args.bindings)
-        try:
-            text = path.read_text()
-        except OSError as exc:
-            raise CliError(str(exc)) from None
-        bindings.update(parse_bindings_text(text, path.name))
+        bindings.update(parse_bindings_text(_read_text(path), path.name))
     for item in args.set or []:
         name, value = _parse_set_flag(item)
         bindings[name] = value
@@ -182,10 +187,7 @@ def collect_bindings(args: argparse.Namespace, program: BudgetProgram) -> dict[s
 
 def _load_program(path_text: str) -> tuple[BudgetProgram, str]:
     path = Path(path_text)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise CliError(str(exc)) from None
+    text = _read_text(path)
     try:
         return parse(text), path.name
     except DslError as exc:
@@ -289,24 +291,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     values = _sweep_values(args.start, args.stop, args.step)
     # Normalize and compile once; each row only runs what is left of the swept variable.
     ground = ground_evaluator(normalize(term, fixed))
-    rows: list[tuple[Rational, dict[str, Rational] | None]] = []  # None: a null row
-    for value in values:
-        form = ground({args.var: value})
-        rows.append((value, None if form.is_null else form.as_dict()))
+    rows = [(value, ground({args.var: value})) for value in values]  # None: a null row
     if args.format == "json":
         sys.stdout.write("[\n" + ",\n".join(_sweep_row_json(*row) for row in rows) + "\n]\n")
         return 0
-    channels: list[str] = sorted({ch for _, entries in rows if entries for ch in entries})
+    # every ok row carries every channel of the compiled form, in sorted order
+    channels = next((list(entries) for _, entries in rows if entries is not None), [])
     header = [args.var, "status", *channels]
     table = [header]
     for value, entries in rows:
-        cells = [format_rational(value), "null" if entries is None else "ok"]
-        for channel in channels:
-            if entries is not None and channel in entries:
-                cells.append(format_rational(entries[channel]))
-            else:
-                cells.append("NULL" if entries is None else "-")
-        table.append(cells)
+        if entries is None:
+            table.append([format_rational(value), "null", *["NULL"] * len(channels)])
+        else:
+            table.append([format_rational(value), "ok", *map(format_rational, entries.values())])
     widths = [max(len(row[i]) for row in table) for i in range(len(header))]
     out = []
     for row in table:

@@ -303,7 +303,7 @@ def meadow_laws() -> list[Law]:
 def _law_leq_encoding(rng):
     p, q = _nums(rng, 2)
     form = denote_ground(Test(leq_expr(Const(p), Const(q))))
-    return form.is_null == (not p <= q)
+    return (form is None) == (not p <= q)
 
 
 def _law_eq_encoding(rng):
@@ -311,7 +311,7 @@ def _law_eq_encoding(rng):
     if rng.random() < 0.3:
         q = p
     form = denote_ground(Test(sub(Const(p), Const(q))))
-    return form.is_null == (p != q)
+    return (form is None) == (p != q)
 
 
 def _law_conjunction_encoding(rng):

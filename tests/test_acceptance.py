@@ -60,9 +60,9 @@ def test_acceptance_1_transfer_example():
     ok = (
         not c.is_null
         and c.tests == ()
-        and got.as_dict() == {"a": Fraction(-30), "c": Fraction(30)}
+        and got == {"a": Fraction(-30), "c": Fraction(30)}
     )
-    report(1, ok, time.perf_counter() - t0, 1.0, f"entries {got.as_dict()}")
+    report(1, ok, time.perf_counter() - t0, 1.0, f"entries {got}")
 
 
 def test_acceptance_2_zero_entries_discharge():
@@ -166,7 +166,7 @@ def test_acceptance_5_share_constraints_are_redundant():
         v = domain_valuation(rng)
         a = denote_ground(j, v)
         agree += a == denote_ground(augmented, v)
-        nulls += a.is_null
+        nulls += a is None
     report(
         5,
         agree == trials,
@@ -188,8 +188,8 @@ def test_share_constraints_need_the_domain():
         "A:nec": Fraction(3), "B:nec": Fraction(3), "C:nec": Fraction(3),
         "A:ndg": Fraction(1), "B:ndg": Fraction(-1), "C:ndg": Fraction(0),
     }
-    assert not denote_ground(j, v).is_null
-    assert denote_ground(augmented, v).is_null
+    assert denote_ground(j, v) is not None
+    assert denote_ground(augmented, v) is None
 
 
 def run_criterion(n, laws, trials, bound, seed):

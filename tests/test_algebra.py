@@ -10,7 +10,6 @@ from tuplix.algebra import (
     Comp,
     Encap,
     Entry,
-    GroundForm,
     Test,
     apply_test_substitution,
     compose,
@@ -58,32 +57,32 @@ def test_transfer_example():
     c = normalize(encap({"b"}, Comp(p, q)))
     assert not c.is_null
     assert c.tests == ()
-    assert ground_of(c).as_dict() == {"a": Fraction(-30), "c": Fraction(30)}
+    assert ground_of(c) == {"a": Fraction(-30), "c": Fraction(30)}
 
 
 def test_zero_entries_discharge_to_empty():
     c = normalize(encap({"a", "b"}, Comp(ent("a", 0), ent("b", 0))))
     assert c == EMPTY
-    assert ground_of(c).as_dict() == {}
+    assert ground_of(c) == {}
 
 
 def test_zero_entry_is_not_empty():
     # a(0) still occupies channel a; only encapsulation removes it
     c = normalize(ent("a", 0))
     assert c != EMPTY
-    assert ground_of(c).as_dict() == {"a": Fraction(0)}
+    assert ground_of(c) == {"a": Fraction(0)}
     assert denote_ground(ent("a", 0)) != denote_ground(EPS)
 
 
 def test_entries_accumulate():
     c = normalize(Comp(ent("a", 5), Comp(ent("a", 7), ent("b", 1))))
-    assert ground_of(c).as_dict() == {"a": Fraction(12), "b": Fraction(1)}
+    assert ground_of(c) == {"a": Fraction(12), "b": Fraction(1)}
 
 
 def test_delta_absorbs_and_is_reported():
     c = normalize(Comp(ent("a", 5), DELTA))
     assert c.is_null
-    assert ground_of(c).is_null
+    assert ground_of(c) is None
     assert [v.label for v in c.violations] == ["delta"]
 
 
@@ -101,12 +100,12 @@ def test_open_tests_stay_residual():
     assert c.tests == (Var("u"),)
     assert ground_of(c) is None  # still open
     closed = normalize(Comp(Test(Var("u")), ent("a", 3)), {"u": Fraction(0)})
-    assert ground_of(closed).as_dict() == {"a": Fraction(3)}
+    assert ground_of(closed) == {"a": Fraction(3)}
 
 
 def test_valuation_closes_amounts():
     c = normalize(Entry("a", Add(Var("u"), Var("v"))), {"u": Fraction(1), "v": Fraction(2)})
-    assert ground_of(c).as_dict() == {"a": Fraction(3)}
+    assert ground_of(c) == {"a": Fraction(3)}
 
 
 def test_violations_collect_across_composition():
@@ -153,7 +152,7 @@ def test_deep_encap_leftovers_reach_the_top():
     term = ent("a", 1)
     for _ in range(20_000):
         term = encap({"b"}, Comp(ent("a", 1), term))
-    assert ground_of(normalize(term)).as_dict() == {"a": Fraction(20_001)}
+    assert ground_of(normalize(term)) == {"a": Fraction(20_001)}
 
 
 def test_encap_missing_channel_is_identity():
@@ -209,14 +208,6 @@ def test_ground_of_at_a_valuation_agrees_with_the_oracle():
 def test_free_vars_tuplix():
     t = Comp(Entry("a", Var("u")), encap({"a"}, Test(Var("v"))))
     assert free_vars_tuplix(t) == {"u", "v"}
-
-
-def test_ground_form_constructors():
-    assert GroundForm.null().is_null
-    g = GroundForm.of({"b": Fraction(1), "a": Fraction(0)})
-    assert g.as_dict() == {"a": Fraction(0), "b": Fraction(1)}
-    with pytest.raises(ValueError):
-        GroundForm.null().as_dict()
 
 
 def test_denote_ground_requires_closed_terms():

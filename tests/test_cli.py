@@ -276,6 +276,22 @@ def test_bindings_file_syntax_error_carries_line(tmp_path, capsys):
     assert "bad.bindings:2" in err
 
 
+def test_program_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    f = tmp_path / "bad.bgt"
+    f.write_bytes(b"param x\nbudget B = a(x) # caf\xe9\n")
+    assert run(["eval", str(f), "--set", "x=1"], capsys) == (
+        2, "", "error: bad.bgt:2: not valid UTF-8 (invalid continuation byte)\n"
+    )
+
+
+def test_bindings_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    f = tmp_path / "bad.bindings"
+    f.write_bytes(b"bbpp = 8\n\xff\n")
+    assert run(["eval", MSC, "--bindings", str(f)], capsys) == (
+        2, "", "error: bad.bindings:2: not valid UTF-8 (invalid start byte)\n"
+    )
+
+
 def test_unknown_budget_lists_choices(capsys):
     code, _, err = run(["eval", TRANSFER, "--budget", "Zed"], capsys)
     assert code == 2
@@ -570,6 +586,18 @@ def test_sweep_text_table_marks_null_rows(capsys):
     # shares at bbpp=31, k=1/2: A gets 31 + 3/2*(2/3) + 3/2*(1/2) = 131/4
     assert lines[1].split() == ["31", "ok", "131/4", "127/4", "63/2", "24", "-120"]
     assert lines[3].split() == ["33", "null", "NULL", "NULL", "NULL", "NULL", "NULL"]
+
+
+def test_sweep_of_a_compiled_form_whose_every_row_is_null(capsys, monkeypatch):
+    # at k = 1/2 the guards of J fail from bbpp = 33 on; the form under the
+    # other bindings is not null, so it is compiled, and no row has channels
+    programs = spy_compiles(monkeypatch)
+    code, out, _ = sweep_j(capsys, "bbpp", "33", "35", "1", extra=["--set", "k=1/2"], fmt="text")
+    assert (code, len(programs)) == (0, 1)
+    assert out == "bbpp  status\n33    null\n34    null\n35    null\n"
+    code, out, _ = sweep_j(capsys, "bbpp", "33", "35", "1", extra=["--set", "k=1/2"])
+    rows = [{"entries": None, "status": "null", "value": value} for value in ("33", "34", "35")]
+    assert (code, out) == (0, json.dumps(rows, sort_keys=True, indent=2) + "\n")
 
 
 def test_sweep_single_point(capsys):

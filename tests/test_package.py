@@ -5,6 +5,7 @@ from pathlib import Path
 import tuplix
 
 SRC = Path(tuplix.__file__).parent
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def names_in(node):
@@ -45,3 +46,13 @@ def unused_definitions():
 def test_every_definition_is_used_by_the_package_or_exported():
     # helpers that only tests call belong in the tests
     assert unused_definitions() == []
+
+
+def test_readme_library_example_gives_the_value_in_its_comment():
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Library\n\n```python\n", 1)[1].split("\n```\n", 1)[0]
+    *body, last = block.splitlines()
+    expression, comment = last.split("#", 1)
+    namespace = {}
+    exec("\n".join(body), namespace)
+    assert repr(eval(expression, namespace)) == comment.strip()
