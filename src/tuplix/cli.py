@@ -8,7 +8,8 @@ Subcommands:
   axioms  run the randomized law suite
 
 Exit codes: 0 success, 1 the budget is impossible (or a law failed),
-2 usage, parse or binding errors, nesting past 256 brackets among them.
+2 usage, parse or binding errors, nesting past 256 brackets and a
+number past the interpreter's digit limit among them.
 Rationals cross the boundary as exact text ('n/d', or 'n' when the
 denominator is 1), never as floats.
 """
@@ -19,7 +20,6 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .algebra import (
@@ -35,7 +35,7 @@ from .algebra import (
 from .dsl import BudgetProgram, DslError, elaborate, parse
 from .expr import IDENT_PATTERN, pretty
 from .laws import all_laws, render_results, run_suite
-from .meadow import Rational, format_rational, parse_rational
+from .meadow import DigitLimitError, Rational, format_rational, parse_rational
 
 _BINDING_RE = re.compile(rf"({IDENT_PATTERN})\s*=\s*(\S+)\Z")
 
@@ -44,39 +44,9 @@ class CliError(Exception):
     """A usage-level problem; maps to exit code 2."""
 
 
-@dataclass
-class EvalReport:
-    """Outcome of evaluating one budget under one set of bindings."""
-
-    status: str  # "ok" | "null"
-    entries: dict[str, Rational] | None  # present iff ok and fully closed
-    residual_tests: list[str]
-    violations: list[Violation]
-
-
-def report_of(canonical: CanonicalTuplix) -> EvalReport:
-    if canonical.is_null:
-        return EvalReport("null", None, [], list(canonical.violations))
-    return EvalReport("ok", ground_of(canonical), [pretty(t) for t in canonical.tests], [])
-
-
-def build_report(
-    program: BudgetProgram,
-    budget: str,
-    bindings: dict[str, Rational],
-    substitute_tests: bool = False,
-) -> EvalReport:
-    term = elaborate(program, budget)
-    canonical = normalize(term, bindings)
-    if substitute_tests and not canonical.is_null:
-        canonical = apply_test_substitution(canonical)
-    return report_of(canonical)
-
-
 def _span_text(source: str, violation: Violation) -> str:
-    if violation.span is None:
-        return ""
-    return f"{source}:{violation.span}"
+    """A violation's place as 'file:line:col', or '' when its test has no place in the source."""
+    return "" if violation.span is None else f"{source}:{violation.span}"
 
 
 def _violation_line(source: str, violation: Violation) -> str:
@@ -86,20 +56,18 @@ def _violation_line(source: str, violation: Violation) -> str:
     return f"{prefix}{violation.label}  value {format_rational(violation.value)}"
 
 
-def render_text(report: EvalReport, source: str = "") -> str:
-    lines = [f"status: {report.status}"]
-    if report.entries is not None:
+def render_text(c: CanonicalTuplix, source: str = "") -> str:
+    lines = [f"status: {'null' if c.is_null else 'ok'}"]
+    entries = ground_of(c)  # sorted by channel
+    if entries is not None:
         lines.append("entries:")
-        for channel in sorted(report.entries):
-            lines.append(f"  {channel}: {format_rational(report.entries[channel])}")
-    if report.residual_tests:
+        lines += [f"  {channel}: {format_rational(amount)}" for channel, amount in entries.items()]
+    if c.tests:
         lines.append("residual tests:")
-        for text in report.residual_tests:
-            lines.append(f"  {text}")
-    if report.violations:
+        lines += [f"  {pretty(t)}" for t in c.tests]
+    if c.violations:
         lines.append("violations:")
-        for v in report.violations:
-            lines.append(f"  {_violation_line(source, v)}")
+        lines += [f"  {_violation_line(source, v)}" for v in c.violations]
     return "\n".join(lines) + "\n"
 
 
@@ -110,18 +78,14 @@ def _entries_json(entries: dict[str, Rational] | None) -> dict[str, str] | None:
     return {channel: format_rational(amount) for channel, amount in entries.items()}
 
 
-def render_json(report: EvalReport, source: str = "") -> str:
+def render_json(c: CanonicalTuplix, source: str = "") -> str:
     doc = {
-        "status": report.status,
-        "entries": _entries_json(report.entries),
-        "residual_tests": report.residual_tests,
+        "status": "null" if c.is_null else "ok",
+        "entries": _entries_json(ground_of(c)),
+        "residual_tests": [pretty(t) for t in c.tests],
         "violations": [
-            {
-                "span": _span_text(source, v),
-                "test": v.label,
-                "value": format_rational(v.value),
-            }
-            for v in report.violations
+            {"span": _span_text(source, v), "test": v.label, "value": format_rational(v.value)}
+            for v in c.violations
         ],
     }
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
@@ -185,51 +149,49 @@ def collect_bindings(args: argparse.Namespace, program: BudgetProgram) -> dict[s
     return bindings
 
 
-def _load_program(path_text: str) -> tuple[BudgetProgram, str]:
-    path = Path(path_text)
+def _load(args: argparse.Namespace) -> tuple[str, BudgetProgram, Tuplix, dict[str, Rational]]:
+    """The source name, program, chosen budget's term and bindings of a command.
+
+    Fails, in this order, on a file that cannot be read, a parse error, an
+    unknown budget name and bad bindings.
+    """
+    path = Path(args.file)
     text = _read_text(path)
     try:
-        return parse(text), path.name
+        program = parse(text)
     except DslError as exc:
         raise CliError(f"{path.name}:{exc}") from None
-
-
-def _pick_budget(args: argparse.Namespace, program: BudgetProgram) -> str:
     names = list(program.budgets)
     if not names:
         raise CliError("the program declares no budgets")
-    if args.budget is None:
-        return names[-1]
-    if args.budget not in names:
-        raise CliError(f"no budget named {args.budget!r}; available: " + ", ".join(names))
-    return args.budget
+    budget = names[-1] if args.budget is None else args.budget
+    if budget not in program.budgets:
+        raise CliError(f"no budget named {budget!r}; available: " + ", ".join(names))
+    return path.name, program, elaborate(program, budget), collect_bindings(args, program)
 
 
 # --- subcommands -------------------------------------------------------------
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    program, source = _load_program(args.file)
-    budget = _pick_budget(args, program)
-    bindings = collect_bindings(args, program)
-    report = build_report(program, budget, bindings, substitute_tests=args.substitute_tests)
+    source, _, term, bindings = _load(args)
+    c = normalize(term, bindings)
+    if args.substitute_tests and not c.is_null:
+        c = apply_test_substitution(c)
     render = render_json if args.format == "json" else render_text
-    sys.stdout.write(render(report, source))
-    return 0 if report.status == "ok" else 1
+    sys.stdout.write(render(c, source))
+    return 1 if c.is_null else 0
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    program, source = _load_program(args.file)
-    budget = _pick_budget(args, program)
-    bindings = collect_bindings(args, program)
+    source, program, term, bindings = _load(args)
     missing = sorted(program.params.keys() - bindings.keys())
     if missing:
         raise CliError("check requires every parameter bound; missing: " + ", ".join(missing))
-    report = build_report(program, budget, bindings)
-    if report.status == "ok" and not report.residual_tests:
+    c = normalize(term, bindings)
+    if not c.is_null and not c.tests:
         return 0
-    for v in report.violations:
-        sys.stderr.write(_violation_line(source, v) + "\n")
+    sys.stderr.write("".join(_violation_line(source, v) + "\n" for v in c.violations))
     return 1
 
 
@@ -274,14 +236,11 @@ def _sweep_row_json(value: Rational, entries: dict[str, Rational] | None) -> str
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    program, source = _load_program(args.file)
-    budget = _pick_budget(args, program)
-    bindings = collect_bindings(args, program)
+    _, program, term, bindings = _load(args)
     if args.var not in program.params:
         raise CliError(f"--var {args.var!r} is not a parameter of the program")
     # the swept value wins over any --set or --bindings value for the same name
     fixed = {name: value for name, value in bindings.items() if name != args.var}
-    term: Tuplix = elaborate(program, budget)
     needed = sorted(free_vars_tuplix(term) - set(fixed) - {args.var})
     if needed:
         raise CliError(
@@ -305,10 +264,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         else:
             table.append([format_rational(value), "ok", *map(format_rational, entries.values())])
     widths = [max(len(row[i]) for row in table) for i in range(len(header))]
-    out = []
-    for row in table:
-        out.append("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip())
-    sys.stdout.write("\n".join(out) + "\n")
+    lines = ("  ".join(map(str.ljust, row, widths)).rstrip() for row in table)
+    sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 
@@ -389,7 +346,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exit_.code or 0)
     try:
         return args.run(args)
-    except CliError as exc:
+    except (CliError, DigitLimitError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -64,7 +64,7 @@ from .expr import (
     sub,
     substitute_all,
 )
-from .meadow import parse_rational
+from .meadow import DigitLimitError, parse_rational
 
 KEYWORDS = frozenset({"param", "def", "budget", "eps", "delta", "test", "enc", "abs"})
 
@@ -386,7 +386,10 @@ class _Parser:
         kind, text, _, _ = tok
         if kind == "int" or kind == "decimal":
             self.advance()
-            return Const(parse_rational(text))
+            try:
+                return Const(parse_rational(text))
+            except DigitLimitError as exc:
+                raise self.error(str(exc), tok) from None
         if text == "(":
             self.open_bracket()
             inner = self.parse_expr()

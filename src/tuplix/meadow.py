@@ -9,6 +9,7 @@ test: it is 0 when x is 0 and 1 otherwise.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 # Canonical representation: stdlib Fraction already stores lowest terms
@@ -19,6 +20,13 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 _RATIONAL_RE = re.compile(r"([+-]?)(\d+)(?:/(\d+)|\.(\d+))?\Z")
+
+
+class DigitLimitError(ValueError):
+    """An int past sys.get_int_max_str_digits() digits, which cannot be turned into text or back."""
+
+    def __init__(self) -> None:
+        super().__init__(f"a number has more than {sys.get_int_max_str_digits()} decimal digits")
 
 
 def minv(x: Rational) -> Rational:
@@ -43,22 +51,25 @@ def parse_rational(text: str) -> Rational:
     if m is None:
         raise ValueError(f"not a rational constant: {text!r}")
     sign, intpart, den, decimals = m.groups()
-    if den is not None:
-        if int(den) == 0:
-            raise ValueError("zero denominator in rational constant")
-        value = Fraction(int(intpart), int(den))
-    elif decimals is not None:
-        value = Fraction(int(intpart)) + Fraction(int(decimals), 10 ** len(decimals))
-    else:
-        value = Fraction(int(intpart))
+    if den is not None and not den.strip("0"):
+        raise ValueError("zero denominator in rational constant")
+    try:
+        value = Fraction(int(intpart), int(den or "1"))
+        if decimals is not None:
+            value += Fraction(int(decimals), 10 ** len(decimals))
+    except ValueError:
+        raise DigitLimitError() from None
     return -value if sign == "-" else value
 
 
 def format_rational(x: Rational) -> str:
     """Canonical text form: 'n/d', or just 'n' when the denominator is 1."""
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    try:
+        if x.denominator == 1:
+            return str(x.numerator)
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError:
+        raise DigitLimitError() from None
 
 
 def decimal_repr(x: Rational) -> str | None:
@@ -68,7 +79,7 @@ def decimal_repr(x: Rational) -> str | None:
     """
     den = x.denominator
     if den == 1:
-        return str(x.numerator)
+        return format_rational(x)
     twos = 0
     while den % 2 == 0:
         den //= 2
@@ -81,6 +92,9 @@ def decimal_repr(x: Rational) -> str | None:
         return None
     places = max(twos, fives)
     scaled = abs(x.numerator) * 10**places // x.denominator
-    digits = str(scaled).rjust(places + 1, "0")
+    try:
+        digits = str(scaled).rjust(places + 1, "0")
+    except ValueError:
+        raise DigitLimitError() from None
     sign = "-" if x < 0 else ""
     return f"{sign}{digits[:-places]}.{digits[-places:]}"

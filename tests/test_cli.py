@@ -1,6 +1,9 @@
 import json
+import math
 import os
 import random
+import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -73,6 +76,72 @@ def test_eval_json_is_byte_stable(capsys):
         "status": "ok",
         "violations": [],
     }
+
+
+GOLDEN_BGT = """\
+param x
+param y
+budget Open = test(x <= y && x == 1) | a(x) | b(1/3)
+budget Null = test(x <= 1) | delta | enc{b}(b(x) | a(1))
+budget Pin = test(x == 2) | test(x <= 1) | a(x)
+"""
+
+OPEN_TEST = "(abs(y - x) - (y - x)) / (abs(y - x) - (y - x)) + (x + -1) / (x + -1)"
+
+NULL_VIOLATIONS = """\
+golden.bgt:4:15  x <= 1  value 2
+golden.bgt:4:30  delta  value 1
+golden.bgt:4:38  enc{b}  value 2
+"""
+
+
+def violation_json(span, test, value):
+    return (
+        f'    {{\n      "span": "{span}",\n      "test": "{test}",\n'
+        f'      "value": "{value}"\n    }}'
+    )
+
+
+def report_json(entries, residual_tests, status, violations):
+    tests = "[]" if not residual_tests else "[\n" + ",\n".join(
+        f'    "{t}"' for t in residual_tests
+    ) + "\n  ]"
+    listed = "[]" if not violations else "[\n" + ",\n".join(violations) + "\n  ]"
+    return (
+        f'{{\n  "entries": {entries},\n  "residual_tests": {tests},\n'
+        f'  "status": "{status}",\n  "violations": {listed}\n}}\n'
+    )
+
+
+GOLDEN_REPORTS = [
+    # residual tests, entries withheld
+    (["eval", "--budget", "Open"], 0, f"status: ok\nresidual tests:\n  {OPEN_TEST}\n", ""),
+    (["eval", "--budget", "Open", "--format", "json"], 0,
+     report_json("null", [OPEN_TEST], "ok", []), ""),
+    # a failed test, delta and an unbalanced enc, each at its place
+    (["eval", "--budget", "Null", "--set", "x=2", "--set", "y=0"], 1,
+     "status: null\nviolations:\n" + "".join(f"  {line}\n" for line in NULL_VIOLATIONS.splitlines()),
+     ""),
+    (["eval", "--budget", "Null", "--set", "x=2", "--set", "y=0", "--format", "json"], 1,
+     report_json("null", [], "null", [
+         violation_json("golden.bgt:4:15", "x <= 1", "2"),
+         violation_json("golden.bgt:4:30", "delta", "1"),
+         violation_json("golden.bgt:4:38", "enc{b}", "2"),
+     ]), ""),
+    (["check", "--budget", "Null", "--set", "x=2", "--set", "y=0"], 1, "", NULL_VIOLATIONS),
+    # a test made by substitution has no place in the source
+    (["eval", "--budget", "Pin", "--substitute-tests"], 1,
+     "status: null\nviolations:\n  abs(1 - x) - (1 - x)  value 2\n", ""),
+    (["eval", "--budget", "Pin", "--substitute-tests", "--format", "json"], 1,
+     report_json("null", [], "null", [violation_json("", "abs(1 - x) - (1 - x)", "2")]), ""),
+]
+
+
+def test_eval_and_check_reports_are_byte_exact(tmp_path, capsys):
+    f = tmp_path / "golden.bgt"
+    f.write_text(GOLDEN_BGT)
+    for (command, *flags), code, out, err in GOLDEN_REPORTS:
+        assert run([command, str(f), *flags], capsys) == (code, out, err), flags
 
 
 def run_child(argv):
@@ -292,6 +361,45 @@ def test_bindings_file_that_is_not_utf8_exits_2(tmp_path, capsys):
     )
 
 
+# the interpreter converts ints of at most LIMIT digits to and from text
+LIMIT = sys.get_int_max_str_digits()
+PAST_THE_LIMIT = (2, "", f"error: a number has more than {LIMIT} decimal digits\n")
+
+
+def squaring_chain(tmp_path):
+    """A program whose last def squares x until, at x = 2, it is past the digit limit."""
+    depth = 0
+    while 2**depth * math.log10(2) <= LIMIT:
+        depth += 1
+    lines = ["param x", "def D0 = x"] + [f"def D{i} = D{i - 1} * D{i - 1}" for i in range(1, depth + 1)]
+    f = tmp_path / "big.bgt"
+    f.write_text("\n".join(lines) + f"\nbudget B = a(D{depth})\nbudget T = test(D{depth} == 0)\n")
+    return str(f)
+
+
+def test_numbers_past_the_digit_limit_exit_2(tmp_path, capsys):
+    f = squaring_chain(tmp_path)
+    for fmt in ("text", "json"):
+        argv = ["eval", f, "--budget", "B", "--set", "x=2", "--format", fmt]
+        assert run(argv, capsys) == PAST_THE_LIMIT
+        argv = ["sweep", f, "--budget", "B", "--var", "x", "--from", "1", "--to", "2", "--step", "1",
+                "--format", fmt]
+        assert run(argv, capsys) == PAST_THE_LIMIT
+    assert run(["check", f, "--budget", "T", "--set", "x=2"], capsys) == PAST_THE_LIMIT
+    assert run(["eval", f, "--budget", "B", "--set", "x=1"], capsys) == (
+        0, "status: ok\nentries:\n  a: 1\n", ""
+    )
+    literal = "1" * (LIMIT + 1)
+    assert run(["eval", f, "--set", f"x={literal}"], capsys) == (
+        2, "", f"error: --set 'x={literal}': a number has more than {LIMIT} decimal digits\n"
+    )
+    program = tmp_path / "literal.bgt"
+    program.write_text(f"param x\nbudget B = a(x + {literal})\n")
+    assert run(["eval", str(program)], capsys) == (
+        2, "", f"error: literal.bgt:2:18: a number has more than {LIMIT} decimal digits\n"
+    )
+
+
 def test_unknown_budget_lists_choices(capsys):
     code, _, err = run(["eval", TRANSFER, "--budget", "Zed"], capsys)
     assert code == 2
@@ -400,20 +508,38 @@ def test_sweep_rows_match_individual_evals(capsys):
     assert_rows_match_evals(capsys, "Total", "k", others, rows)
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_examples():
+    """Each README shell block that is one `$ tuplix` command and its whole output.
+
+    A backslash at the end of a line continues the command. A block that
+    elides output with `...`, or runs a second command, is left out.
+    """
+    examples = []
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S):
+        command, *output = block.replace("\\\n", " ").splitlines(keepends=True)
+        if command.startswith("$ tuplix ") and "..." not in block and not any(
+            line.startswith("$") for line in output
+        ):
+            examples.append((shlex.split(command)[2:], "".join(output)))
+    return examples
+
+
+def test_readme_examples_run_as_written(capsys, monkeypatch):
+    monkeypatch.chdir(README.parent)
+    examples = readme_examples()
+    assert [argv[0] for argv, _ in examples] == ["eval", "sweep"]
+    for argv, output in examples:
+        assert run(argv, capsys) == (0, output, "")
+
+
 # S0 holds the bindings of the README's sweep example
 README_SWEEP = [
     "sweep", MSC, "--budget", "J", "--var", "k", "--from", "0", "--to", "1", "--step", "1/4",
     *sets(S0),
 ]
-
-README_SWEEP_TEXT = """\
-k    status  a   b   c   e   in
-0    ok      52  24  20  24  -120
-1/4  ok      51  25  20  24  -120
-1/2  ok      50  26  20  24  -120
-3/4  ok      49  27  20  24  -120
-1    ok      48  28  20  24  -120
-"""
 
 README_SWEEP_JSON_ROW = """\
   {{
@@ -430,7 +556,6 @@ README_SWEEP_JSON_ROW = """\
 
 
 def test_readme_sweep_is_byte_stable(capsys):
-    assert run(README_SWEEP, capsys) == (0, README_SWEEP_TEXT, "")
     rows = [("0", 52, 24), ("1/4", 51, 25), ("1/2", 50, 26), ("3/4", 49, 27), ("1", 48, 28)]
     expected = ",\n".join(
         README_SWEEP_JSON_ROW.format(value=value, a=a, b=b) for value, a, b in rows

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -218,6 +219,14 @@ def test_brackets_nest_up_to_the_limit(kind):
     e = err(program.format(NESTINGS[kind](MAX_NESTING + 1)))
     assert e.message == f"brackets nested more than {MAX_NESTING} deep"
     assert e.line == 2
+
+
+def test_literal_past_the_digit_limit_is_a_parse_error():
+    limit = sys.get_int_max_str_digits()
+    for literal in ("1" * (limit + 1), "0." + "5" * (limit + 1)):
+        e = err(f"param x\nbudget B = a(x + {literal})\n")
+        assert (e.line, e.col) == (2, 18)
+        assert e.message == f"a number has more than {limit} decimal digits"
 
 
 def test_elaborate_unknown_budget():

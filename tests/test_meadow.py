@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from tuplix.meadow import (
     ONE,
     ZERO,
+    DigitLimitError,
     decimal_repr,
     format_rational,
     indicator,
@@ -75,3 +77,21 @@ def test_decimal_repr_only_for_terminating_fractions():
     assert decimal_repr(Fraction(1, 3)) is None
     assert decimal_repr(Fraction(1, 20)) == "0.05"
     assert parse_rational(decimal_repr(Fraction(9, 40))) == Fraction(9, 40)
+
+
+def test_numbers_past_the_digit_limit_raise_a_plain_error():
+    # the interpreter converts ints of at most this many digits to and from text
+    limit = sys.get_int_max_str_digits()
+    message = f"^a number has more than {limit} decimal digits$"
+    at_limit = "9" * limit
+    assert format_rational(parse_rational(at_limit)) == at_limit
+    for text in ("1" * (limit + 1), f"1/{'3' * (limit + 1)}", f"0.{'5' * (limit + 1)}"):
+        with pytest.raises(DigitLimitError, match=message):
+            parse_rational(text)
+    past = Fraction(10**limit)
+    for x in (past, Fraction(1, 10**limit * 3), Fraction(10**limit * 3, 7)):
+        with pytest.raises(DigitLimitError, match=message):
+            format_rational(x)
+    for x in (past, Fraction(10**limit + 1, 2), Fraction(1, 2**(4 * limit))):
+        with pytest.raises(DigitLimitError, match=message):
+            decimal_repr(x)
