@@ -42,11 +42,11 @@ __version__ = "0.1.0"
 
 
 def bundled(name: str) -> Path:
-    """Path of a budget program shipped with the package, e.g. ``msc.bgt``."""
+    """Path of a file shipped with the package, e.g. ``msc.bgt`` or ``scenario.bindings``."""
     candidate = resources.files(__package__) / "data" / name
     with resources.as_file(candidate) as path:
         if not path.is_file():
-            raise FileNotFoundError(f"no bundled program named {name!r}")
+            raise FileNotFoundError(f"no bundled file named {name!r}")
         return path
 
 

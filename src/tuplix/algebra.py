@@ -33,8 +33,11 @@ from .expr import (
     Const,
     Expr,
     Add,
+    LinearForms,
+    Mul,
     Neg,
     Var,
+    ZERO,
     Valuation,
     compare,
     compile_exprs,
@@ -46,6 +49,7 @@ from .expr import (
     random_expr,
     random_rational,
     sort_key,
+    sub,
 )
 from .meadow import Rational
 
@@ -312,10 +316,7 @@ def ground_evaluator(c: CanonicalTuplix) -> Callable[[Valuation], dict[str, Rati
     Folding is sound at every valuation and evaluation is total, so
     normalizing under some bindings and then evaluating under the rest
     gives the ground denotation under all of them. The residuals are
-    compiled once, as linear forms, so a call costs about one exact step
-    per term of each form and one per atom (an inverse, absolute value or
-    product that does not reduce), and no depth is too great (see
-    `expr.compile_exprs`).
+    compiled once, by `expr.compile_exprs`, so no depth is too great.
     """
     if c.is_null:
         return lambda valuation: None
@@ -335,71 +336,69 @@ def ground_evaluator(c: CanonicalTuplix) -> Callable[[Valuation], dict[str, Rati
 # ---------------------------------------------------------------------------
 # Test substitution
 
-# A residual test gamma(u) pins u to zero, so a test shaped x - r or
-# r - x (with x not free in r) lets us rewrite x to r everywhere else.
 
+def _linear_test(test: Expr) -> tuple[tuple[str, Rational] | None, bool]:
+    """A variable the test is linear in with its coefficient, and whether the test is 0.
 
-def _solved_form(e: Expr) -> tuple[str, Expr] | None:
-    match e:
-        case Add(Var(name), Neg(r)) if name not in free_vars(r):
-            return name, r
-        case Add(r, Neg(Var(name))) if name not in free_vars(r):
-            return name, r
-        # folding collapses Neg(Const c) to Const(-c), so x + c needs its own arm
-        case Add(Var(name), Const(value)):
-            return name, Const(-value)
-    return None
-
-
-# Test substitution stops after this many passes even short of a fixed
-# point: nothing guarantees that rewriting with mutually dependent tests
-# reaches one.
-_MAX_SUBSTITUTION_ROUNDS = 100
+    The variable is the first one written with a coefficient in the test's
+    linear form (see `expr.LinearForms`) and under none of its other atoms.
+    """
+    linear = LinearForms([test])
+    form = linear.forms[0]
+    under = linear.variables_under(atom for atom in form.terms if atom >= len(linear.variables))
+    for name, atom in linear.variables.items():
+        if atom in form.terms and name not in under:
+            return (name, form.scale * form.terms[atom]), False
+    return None, not form.terms and not form.const
 
 
 def apply_test_substitution(c: CanonicalTuplix) -> CanonicalTuplix:
-    """Propagate solved tests (x - r or r - x) into entries and other tests.
+    """Solve residual tests that are linear in a variable into the amounts and other tests.
 
-    The matched test itself is kept, so the constraint is not lost. When
-    a test matches both shapes (x - y), the left variable is the one
-    substituted. Runs to a fixed point, capped at
-    `_MAX_SUBSTITUTION_ROUNDS` passes. The result denotes the same budget
-    at every total valuation; closed contradictions revealed along the
-    way collapse the form to Null.
+    The first test, in canonical order, of the form c0 + c1 * x + c2 *
+    atom2 + ..., with x under none of the other atoms (`_linear_test`),
+    pins x to r = -(c0 + c2 * atom2 + ...) / c1: x becomes r in every entry
+    and other test, and the test is kept as x - r, with the same zeros.
+    Then the next; x is left in its own test alone, so each variable and
+    test is solved at most once. Tests that are identically 0 are dropped,
+    and a closed test that fails makes the form Null. The result denotes
+    the same budget at every total valuation.
     """
     if c.is_null:
         raise ValueError("cannot substitute tests in the null form")
-    tests: list[Expr] = list(c.tests)
-    originals: list[Expr] = list(c.tests)
-    entries: dict[str, Expr] = dict(c.entries)
-    for _ in range(_MAX_SUBSTITUTION_ROUNDS):
-        changed = False
-        for i, candidate in enumerate(tests):
-            solved = _solved_form(candidate)
-            if solved is None:
-                continue
-            name, replacement = solved
-            binding = {name: replacement}
-            before = [*entries.values(), *tests]  # keeps the memo's nodes alive
-            memo: dict[int, Expr] = {}
-            entries = {ch: fold_constants(amount, binding, memo) for ch, amount in entries.items()}
-            tests[:] = [
-                t if j == i else fold_constants(t, binding, memo) for j, t in enumerate(tests)
-            ]
-            changed |= any(new is not old for new, old in zip([*entries.values(), *tests], before))
-        if not changed:
-            break
-    violations: list[Violation] = []
-    kept: list[Expr] = []
-    for original, test in zip(originals, tests):
-        if not isinstance(test, Const):
-            kept.append(test)
-        elif test.value != 0:
-            violations.append(Violation(pretty(original), None, test.value))
+    tests = dict(enumerate(c.tests))  # the tests not solved yet, by their place in c.tests
+    linear: dict[int, tuple] = {}  # the _linear_test of each of them, until it changes
+    solved: list[Expr] = []  # x - r for each solved test
+    entries = dict(c.entries)
+
+    def solvable(i: int) -> bool:
+        if i not in linear:
+            linear[i] = _linear_test(tests[i])
+        return linear[i][0] is not None
+
+    while (i := next(filter(solvable, tests), None)) is not None:
+        (name, coefficient), _ = linear.pop(i)
+        at_zero = fold_constants(tests.pop(i), {name: ZERO})
+        r = Neg(at_zero) if coefficient == 1 else Mul(Const(-1 / coefficient), at_zero)
+        r = fold_constants(at_zero if coefficient == -1 else r)
+        before = [*entries.values(), *tests.values(), *solved]  # keeps the memo's nodes alive
+        binding, memo = {name: r}, {}
+        entries = {ch: fold_constants(amount, binding, memo) for ch, amount in entries.items()}
+        solved = [fold_constants(t, binding, memo) for t in solved]
+        solved.append(fold_constants(sub(Var(name), r)))
+        for j, test in tests.items():
+            if (new := fold_constants(test, binding, memo)) is not test:
+                tests[j] = new
+                linear.pop(j, None)
+    violations = [
+        Violation(pretty(c.tests[i]), None, test.value)
+        for i, test in tests.items()
+        if isinstance(test, Const) and test.value != 0
+    ]
     if violations:
         return CanonicalTuplix(True, (), (), tuple(violations))
-    entry_items = tuple((channel, amount) for channel, amount in sorted(entries.items()))
-    return CanonicalTuplix(False, _canonical_tests(kept), entry_items, ())
+    kept = [test for i, test in tests.items() if not linear[i][1]]  # each test that is not 0
+    return CanonicalTuplix(False, _canonical_tests(solved + kept), tuple(entries.items()), ())
 
 
 # ---------------------------------------------------------------------------

@@ -113,14 +113,15 @@ def parse_bindings_text(text: str, origin: str) -> dict[str, Rational]:
 
 
 def _parse_set_flag(item: str) -> tuple[str, Rational]:
+    shown = repr(item if len(item) <= 40 else item[:40] + "...")  # an error stays one short line
     m = _BINDING_RE.match(item.strip())
     if m is None:
-        raise CliError(f"--set expects VAR=RATIONAL, found {item!r}")
+        raise CliError(f"--set expects VAR=RATIONAL, found {shown}")
     name, value = m.groups()
     try:
         return name, parse_rational(value)
     except ValueError as exc:
-        raise CliError(f"--set {item!r}: {exc}") from None
+        raise CliError(f"--set {shown}: {exc}") from None
 
 
 def _read_text(path: Path) -> str:
@@ -313,7 +314,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_eval.add_argument(
         "--substitute-tests",
         action="store_true",
-        help="propagate solved residual tests into the amounts",
+        help="solve residual tests that are linear in a parameter into the amounts",
     )
     p_eval.set_defaults(run=cmd_eval)
 

@@ -10,10 +10,10 @@ a - b is Add(a, Neg(b)), a / b is Mul(a, Inv(b)). Evaluation is total
 for any fully bound valuation because the inverse of zero is zero.
 
 Two representations serve different ends. `fold_constants` keeps the
-tree as written, only smaller, and `pretty` prints it. `compile_exprs`
-turns expressions into linear forms, a constant plus exact multiples of
-atoms, which the rationals with a total inverse (a meadow, a commutative
-ring) let it collect, and emits a straight-line program from those.
+tree as written, only smaller, and `pretty` prints it. `LinearForms`
+writes expressions as a constant plus exact multiples of atoms, as a
+meadow allows; `compile_exprs` builds a straight-line program from
+those, and test substitution solves the tests linear in a variable.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from typing import Callable, Container, Mapping, Sequence, Union
+from typing import Callable, Container, Iterable, Mapping, Sequence, Union
 
 from .meadow import ONE, Rational, decimal_repr, format_rational, minv
 
@@ -269,8 +269,8 @@ class _Form:
             self.scale = ONE
 
 
-def compile_exprs(roots: Sequence[Expr]) -> SlotProgram:
-    """Compile expressions into one program that computes their linear forms.
+class LinearForms:
+    """The linear forms of expressions, over the atoms of one straight-line program.
 
     Each node becomes a linear form c0 + c1 * atom1 + ... with exact
     coefficients, by rules that hold in a meadow, a commutative ring: sums
@@ -285,6 +285,114 @@ def compile_exprs(roots: Sequence[Expr]) -> SlotProgram:
     that more than one node or root uses, such as the body of a def, is
     computed once into a slot and is an atom of each user.
 
+    `forms` holds each root's form; `emit` adds the instructions that compute
+    a form. A slot is j for variable j, len(variables) + k for instruction
+    k and -1 - i for constant i, as constants come first but are known last.
+    """
+
+    def __init__(self, roots: Sequence[Expr]):
+        order = postorder(roots)
+        names = dict.fromkeys(node.name for node in order if type(node) is Var)
+        self.variables = {name: j for j, name in enumerate(names)}
+        self.constants: dict[Rational, int] = {}
+        self.instructions: dict[tuple[Callable, int, int | None], int] = {}
+        instruction, emit = self._instruction, self.emit
+
+        def atom(ref: int) -> _Form:
+            return _Form(ZERO.value, {ref: ONE})
+
+        uses = dict.fromkeys(map(id, order), 0)  # the parents and root places that take each form
+        for node in order:
+            kind = type(node)
+            if kind is Add or kind is Mul:
+                uses[id(node.left)] += 1
+                uses[id(node.right)] += 1
+            elif kind is Neg or kind is Inv or kind is Abs:
+                uses[id(node.arg)] += 1
+        for root in roots:
+            uses[id(root)] += 1
+        forms: dict[int, _Form] = {}  # id(node) -> its form
+
+        def take(node: Expr) -> _Form:
+            """A node's form, for its user to change: a copy if the node has other users."""
+            key = id(node)
+            return forms[key].copy() if uses[key] > 1 else forms.pop(key)
+
+        for node in order:
+            kind = type(node)
+            if kind is Const:
+                form = _Form(node.value, {})
+            elif kind is Var:
+                form = atom(self.variables[node.name])
+            elif kind is Add:
+                form, b = take(node.left), take(node.right)
+                if len(form.terms) < len(b.terms):
+                    form, b = b, form
+                form.merge(b)
+            elif kind is Mul:
+                a, b = take(node.left), take(node.right)
+                if not a.terms:
+                    form = b.scaled(a.value())
+                elif not b.terms:
+                    form = a.scaled(b.value())
+                else:
+                    form = atom(instruction(operator.mul, *sorted((emit(a), emit(b)))))
+            elif kind is Neg:
+                form = take(node.arg).scaled(-ONE)
+            else:
+                a = take(node.arg)
+                op = _OPS[kind]
+                form = _Form(op(a.value()), {}) if not a.terms else atom(instruction(op, emit(a)))
+            if uses[id(node)] > 1 and form.terms:
+                form = atom(emit(form))
+            forms[id(node)] = form
+        self.forms = [take(root) for root in roots]
+
+    def _constant(self, value: Rational) -> int:
+        return self.constants.setdefault(value, -1 - len(self.constants))
+
+    def _instruction(self, op: Callable, a: int, b: int | None = None) -> int:
+        ref = len(self.variables) + len(self.instructions)
+        return self.instructions.setdefault((op, a, b), ref)
+
+    def _times(self, coefficient: Rational, atom: int) -> int:
+        if coefficient == 1:
+            return atom
+        if coefficient == -1:
+            return self._instruction(operator.neg, atom)
+        return self._instruction(operator.mul, self._constant(coefficient), atom)
+
+    def emit(self, form: _Form) -> int:
+        """The slot reference of a form's value, after the instructions that compute it.
+
+        The terms go in the order of their atoms, so equal forms emit the
+        same instructions, which are interned, and share their slot.
+        """
+        form.settle()
+        terms, c0 = sorted(form.terms.items()), form.const
+        added = [self._constant(c0)] if c0 or not terms else []
+        added += [self._times(c, atom) for atom, c in terms if c > 0]
+        subtracted = [(c, atom) for atom, c in terms if c < 0]
+        ref = added[0] if added else self._times(*subtracted.pop(0))
+        for other in added[1:]:
+            ref = self._instruction(operator.add, ref, other)
+        for c, atom in subtracted:
+            ref = self._instruction(operator.sub, ref, self._times(-c, atom))
+        return ref
+
+    def variables_under(self, atoms: Iterable[int]) -> set[str]:
+        """The names of the variables that any of the atoms is computed from."""
+        names, operands = list(self.variables), list(self.instructions)
+        refs = set(atoms)
+        for k in reversed(range(len(operands))):  # each instruction before its operands
+            if len(names) + k in refs:
+                refs.update(operands[k][1:])
+        return {names[ref] for ref in refs if ref is not None and 0 <= ref < len(names)}
+
+
+def compile_exprs(roots: Sequence[Expr]) -> SlotProgram:
+    """Compile expressions into one program that computes their `LinearForms`.
+
     A form costs about one instruction per term: an addition or a
     subtraction, and a product by its coefficient unless that is 1 or -1.
     A form grows only in its one user, and each user of a shared node
@@ -293,114 +401,16 @@ def compile_exprs(roots: Sequence[Expr]) -> SlotProgram:
     Running the program needs every variable of the roots bound, as
     `evaluate` does, even one whose terms cancel.
     """
-    order = postorder(roots)
-    names = dict.fromkeys(node.name for node in order if type(node) is Var)
-    variables = {name: j for j, name in enumerate(names)}
-    # While compiling, a slot is referred to as -1 - i for constant i, as j
-    # for variable j and as len(variables) + k for instruction k: the
-    # constants, whose slots come first, are known only at the end.
-    constants: dict[Rational, int] = {}
-    instructions: dict[tuple[Callable, int, int | None], int] = {}
-
-    def constant(value: Rational) -> int:
-        ref = constants.get(value)
-        if ref is None:
-            ref = constants[value] = -1 - len(constants)
-        return ref
-
-    def instruction(op: Callable, a: int, b: int | None = None) -> int:
-        return instructions.setdefault((op, a, b), len(variables) + len(instructions))
-
-    def times(coefficient: Rational, atom: int) -> int:
-        if coefficient == 1:
-            return atom
-        if coefficient == -1:
-            return instruction(operator.neg, atom)
-        return instruction(operator.mul, constant(coefficient), atom)
-
-    def emit(form: _Form) -> int:
-        """The slot of a form's value, after the instructions that compute it.
-
-        The terms go in the order of their atoms, so equal forms emit the
-        same instructions, which are interned, and share their slot.
-        """
-        form.settle()
-        terms, c0 = form.terms, form.const
-        added = [constant(c0)] if c0 or not terms else []
-        subtracted = []
-        for atom in sorted(terms):
-            coefficient = terms[atom]
-            if coefficient > 0:
-                added.append(times(coefficient, atom))
-            else:
-                subtracted.append((coefficient, atom))
-        if added:
-            ref = added[0]
-            for other in added[1:]:
-                ref = instruction(operator.add, ref, other)
-        else:
-            ref = times(*subtracted.pop(0))
-        for coefficient, atom in subtracted:
-            ref = instruction(operator.sub, ref, times(-coefficient, atom))
-        return ref
-
-    def atom(ref: int) -> _Form:
-        return _Form(ZERO.value, {ref: ONE})
-
-    uses = dict.fromkeys(map(id, order), 0)  # the parents and root places that take each form
-    for node in order:
-        kind = type(node)
-        if kind is Add or kind is Mul:
-            uses[id(node.left)] += 1
-            uses[id(node.right)] += 1
-        elif kind is Neg or kind is Inv or kind is Abs:
-            uses[id(node.arg)] += 1
-    for root in roots:
-        uses[id(root)] += 1
-    forms: dict[int, _Form] = {}  # id(node) -> its form
-
-    def take(node: Expr) -> _Form:
-        """A node's form, for its user to change: a copy if the node has other users."""
-        key = id(node)
-        return forms[key].copy() if uses[key] > 1 else forms.pop(key)
-
-    for node in order:
-        kind = type(node)
-        if kind is Const:
-            form = _Form(node.value, {})
-        elif kind is Var:
-            form = atom(variables[node.name])
-        elif kind is Add:
-            form, b = take(node.left), take(node.right)
-            if len(form.terms) < len(b.terms):
-                form, b = b, form
-            form.merge(b)
-        elif kind is Mul:
-            a, b = take(node.left), take(node.right)
-            if not a.terms:
-                form = b.scaled(a.value())
-            elif not b.terms:
-                form = a.scaled(b.value())
-            else:
-                form = atom(instruction(operator.mul, *sorted((emit(a), emit(b)))))
-        elif kind is Neg:
-            form = take(node.arg).scaled(-ONE)
-        else:
-            a = take(node.arg)
-            op = _OPS[kind]
-            form = _Form(op(a.value()), {}) if not a.terms else atom(instruction(op, emit(a)))
-        if uses[id(node)] > 1 and form.terms:
-            form = atom(emit(form))
-        forms[id(node)] = form
-    outputs = [emit(take(root)) for root in roots]
+    linear = LinearForms(roots)
+    outputs = [linear.emit(form) for form in linear.forms]
 
     def slot(ref: int) -> int:
-        return len(constants) + ref if ref >= 0 else -1 - ref
+        return len(linear.constants) + ref if ref >= 0 else -1 - ref
 
     return SlotProgram(
-        tuple(constants),
-        tuple(variables),
-        tuple((op, slot(a), -1 if b is None else slot(b)) for op, a, b in instructions),
+        tuple(linear.constants),
+        tuple(linear.variables),
+        tuple((op, slot(a), -1 if b is None else slot(b)) for op, a, b in linear.instructions),
         tuple(map(slot, outputs)),
     )
 

@@ -23,7 +23,19 @@ from tuplix.algebra import (
     _random_term,
 )
 from tuplix.dsl import elaborate, parse
-from tuplix.expr import Add, Const, Mul, Neg, Var, random_rational, sub
+from tuplix.expr import (
+    Abs,
+    Add,
+    Const,
+    Mul,
+    Neg,
+    Var,
+    evaluate,
+    free_vars,
+    pretty,
+    random_rational,
+    sub,
+)
 
 EMPTY = CanonicalTuplix(False, (), (), ())
 
@@ -267,15 +279,72 @@ def test_substitution_rejects_null_input():
         apply_test_substitution(normalize(DELTA))
 
 
-def test_substitution_caps_rounds():
-    # mutually dependent tests stop within the pass cap without diverging
+def test_substitution_solves_one_of_two_mutually_dependent_tests():
+    # x = y + 1 solves x; y = x - 1 then reads y - (y + 1 + -1), which is 0 and dropped
     t = compose(
         Test(sub(Var("x"), Add(Var("y"), const(1)))),
         Test(sub(Var("y"), Add(Var("x"), Neg(const(1))))),
         Entry("a", Var("x")),
     )
     s = apply_test_substitution(normalize(t))
-    assert not s.is_null
+    assert s == CanonicalTuplix(
+        False, (sub(Var("x"), Add(Var("y"), const(1))),), (("a", Add(Var("y"), const(1))),)
+    )
+
+
+def test_substitution_drops_tests_that_are_identically_zero():
+    zero = sub(Var("y"), Add(Add(Var("y"), const(1)), const(-1)))
+    c = normalize(Comp(Test(zero), Entry("a", Var("y"))))
+    assert c.tests == (zero,)  # folding keeps it
+    assert apply_test_substitution(c) == CanonicalTuplix(False, (), (("a", Var("y")),))
+
+
+def test_substitution_keeps_a_solved_test_as_x_minus_r():
+    t = compose(
+        Test(sub(Mul(const(3), Abs(Var("y"))), Var("x"))),
+        Test(sub(const(5), Var("z"))),
+        Entry("a", Add(Var("x"), Var("z"))),
+    )
+    c = normalize(t)
+    assert [pretty(e) for e in c.tests] == ["5 - z", "3 * abs(y) - x"]
+    s = apply_test_substitution(c)
+    assert [pretty(e) for e in s.tests] == ["x - 3 * abs(y)", "z + -5"]
+    assert pretty(dict(s.entries)["a"]) == "3 * abs(y) + 5"
+
+
+def test_substitution_solves_a_test_linear_in_a_variable():
+    # 2 * (x + 3 * y * y) - 4 pins x to 2 - 3 * y * y: x is under a constant factor, y * y an atom
+    t = Comp(
+        Test(Add(Mul(const(2), Add(Var("x"), Mul(Mul(const(3), Var("y")), Var("y")))), const(-4))),
+        Entry("a", Var("x")),
+    )
+    s = apply_test_substitution(normalize(t))
+    assert free_vars_tuplix(to_term(s)) == {"x", "y"}
+    assert free_vars(dict(s.entries)["a"]) == {"y"}
+    for y in (Fraction(0), Fraction(1, 3), Fraction(-2)):
+        x = 2 - 3 * y * y
+        assert denote_ground(to_term(s), {"x": x, "y": y}) == {"a": x}
+        assert denote_ground(to_term(s), {"x": x + 1, "y": y}) is None
+
+
+def test_substitution_agrees_with_the_oracle_on_random_terms():
+    # Each solved test reads x - r with r free of every solved variable; the
+    # valuation puts x at r's value, so that the test holds as often as not.
+    rng = random.Random(11)
+    names = ("u", "v", "w")
+    for _ in range(10_000):
+        t = _random_term(rng, rng.randint(1, 8), ("a", "b"), names)
+        partial = {name: random_rational(rng) for name in names if rng.random() < 0.3}
+        c = normalize(t, partial)
+        if c.is_null:
+            continue
+        s = apply_test_substitution(c)
+        full = {**{name: random_rational(rng) for name in names}, **partial}
+        for test in s.tests:
+            if type(test) is Add and type(test.left) is Var and rng.random() < 0.9:
+                if test.left.name not in free_vars(test.right):
+                    full[test.left.name] = -evaluate(test.right, full)
+        assert denote_ground(to_term(s), full) == denote_ground(t, full)
 
 
 def test_equivalence_helpers():

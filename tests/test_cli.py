@@ -15,7 +15,7 @@ from tuplix import algebra, bundled, cli
 from tuplix.algebra import normalize
 from tuplix.cli import main
 from tuplix.dsl import MAX_NESTING, parse
-from tuplix.expr import compile_exprs, postorder
+from tuplix.expr import Const, compile_exprs, postorder
 
 TRANSFER = str(bundled("transfer.bgt"))
 MSC = str(bundled("msc.bgt"))
@@ -243,6 +243,29 @@ def test_substitute_tests_through_a_5000_term_chain(tmp_path, capsys):
     )
 
 
+def test_bundled_scenario_is_the_consistent_scenario_without_k():
+    scenario = consistent_scenario(random.Random(1))
+    path = bundled("scenario.bindings")
+    assert cli.parse_bindings_text(path.read_text(), path.name) == {
+        name: value for name, value in scenario.items() if name != "k"
+    }
+    assert scenario["k"] == Fraction(424, 1495)
+
+
+def test_substitute_tests_solves_the_one_parameter_left_free(capsys):
+    # each staffing balance is affine in the free parameter, with the scenario's value as its root
+    scenario = consistent_scenario(random.Random(1))
+    total = parse(Path(MSC).read_text()).budgets["Total"]
+    solutions = {"k": "k + -424/1495", "bbpp": "bbpp + -358.8", "escf": "escf + -0.7"}
+    for name, solved in solutions.items():
+        bound = {other: value for other, value in scenario.items() if other != name}
+        argv = ["eval", MSC, "--budget", "Total", *sets(bound), "--substitute-tests"]
+        assert run(argv, capsys) == (0, f"status: ok\nresidual tests:\n  {solved}\n", ""), name
+        c = algebra.apply_test_substitution(normalize(total, bound))
+        assert [type(amount) for _, amount in c.entries] == [Const, Const]
+        assert run(argv[:-1], capsys)[1].count("\n  ") >= 5  # without substitution, all stay open
+
+
 def test_eval_partial_bindings_leave_residual(capsys):
     code, out, _ = run(["eval", MSC, "--budget", "Total", "--format", "json"], capsys)
     assert code == 0
@@ -390,13 +413,27 @@ def test_numbers_past_the_digit_limit_exit_2(tmp_path, capsys):
         0, "status: ok\nentries:\n  a: 1\n", ""
     )
     literal = "1" * (LIMIT + 1)
+    shown = f"x={literal}"[:40] + "..."
     assert run(["eval", f, "--set", f"x={literal}"], capsys) == (
-        2, "", f"error: --set 'x={literal}': a number has more than {LIMIT} decimal digits\n"
+        2, "", f"error: --set '{shown}': a number has more than {LIMIT} decimal digits\n"
     )
     program = tmp_path / "literal.bgt"
     program.write_text(f"param x\nbudget B = a(x + {literal})\n")
     assert run(["eval", str(program)], capsys) == (
         2, "", f"error: literal.bgt:2:18: a number has more than {LIMIT} decimal digits\n"
+    )
+
+
+def test_set_errors_quote_a_long_item_cut_short(capsys):
+    long = "1" * (LIMIT + 1)
+    reasons = {f"x={long}": "a number has more than", f"x{long}": "expects VAR=RATIONAL"}
+    for item, reason in reasons.items():
+        code, out, err = run(["eval", MSC, "--set", item], capsys)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and err.startswith("error: ") and len(err) < 120
+        assert reason in err and "1" * 38 + "...'" in err
+    assert run(["eval", MSC, "--set", "k=1/0"], capsys)[2] == (
+        "error: --set 'k=1/0': zero denominator in rational constant\n"
     )
 
 
@@ -530,7 +567,7 @@ def readme_examples():
 def test_readme_examples_run_as_written(capsys, monkeypatch):
     monkeypatch.chdir(README.parent)
     examples = readme_examples()
-    assert [argv[0] for argv, _ in examples] == ["eval", "sweep"]
+    assert [argv[0] for argv, _ in examples] == ["eval", "eval", "check", "sweep"]
     for argv, output in examples:
         assert run(argv, capsys) == (0, output, "")
 
