@@ -337,19 +337,20 @@ def ground_evaluator(c: CanonicalTuplix) -> Callable[[Valuation], dict[str, Rati
 # Test substitution
 
 
-def _linear_test(test: Expr) -> tuple[tuple[str, Rational] | None, bool]:
-    """A variable the test is linear in with its coefficient, and whether the test is 0.
+def _linear_test(test: Expr) -> tuple[tuple[str, Rational] | None, Rational | None]:
+    """A variable the test is linear in with its coefficient, and the test's constant value.
 
     The variable is the first one written with a coefficient in the test's
     linear form (see `expr.LinearForms`) and under none of its other atoms.
+    The value is None unless that form has no terms, as for x - x + -1.
     """
     linear = LinearForms([test])
     form = linear.forms[0]
     under = linear.variables_under(atom for atom in form.terms if atom >= len(linear.variables))
     for name, atom in linear.variables.items():
         if atom in form.terms and name not in under:
-            return (name, form.scale * form.terms[atom]), False
-    return None, not form.terms and not form.const
+            return (name, form.scale * form.terms[atom]), None
+    return None, None if form.terms else form.value()
 
 
 def apply_test_substitution(c: CanonicalTuplix) -> CanonicalTuplix:
@@ -361,8 +362,9 @@ def apply_test_substitution(c: CanonicalTuplix) -> CanonicalTuplix:
     and other test, and the test is kept as x - r, with the same zeros.
     Then the next; x is left in its own test alone, so each variable and
     test is solved at most once. Tests that are identically 0 are dropped,
-    and a closed test that fails makes the form Null. The result denotes
-    the same budget at every total valuation.
+    and a test that is a nonzero constant, closed or not, fails at every
+    valuation and makes the form Null. The result denotes the same budget
+    at every total valuation.
     """
     if c.is_null:
         raise ValueError("cannot substitute tests in the null form")
@@ -390,14 +392,10 @@ def apply_test_substitution(c: CanonicalTuplix) -> CanonicalTuplix:
             if (new := fold_constants(test, binding, memo)) is not test:
                 tests[j] = new
                 linear.pop(j, None)
-    violations = [
-        Violation(pretty(c.tests[i]), None, test.value)
-        for i, test in tests.items()
-        if isinstance(test, Const) and test.value != 0
-    ]
+    violations = [Violation(pretty(c.tests[i]), None, value) for i in tests if (value := linear[i][1])]
     if violations:
         return CanonicalTuplix(True, (), (), tuple(violations))
-    kept = [test for i, test in tests.items() if not linear[i][1]]  # each test that is not 0
+    kept = [test for i, test in tests.items() if linear[i][1] is None]  # each test that is not constant
     return CanonicalTuplix(False, _canonical_tests(solved + kept), tuple(entries.items()), ())
 
 

@@ -35,7 +35,7 @@ from .algebra import (
 from .dsl import BudgetProgram, DslError, elaborate, parse
 from .expr import IDENT_PATTERN, pretty
 from .laws import all_laws, render_results, run_suite
-from .meadow import DigitLimitError, Rational, format_rational, parse_rational
+from .meadow import DigitLimitError, Rational, format_rational, parse_rational, quoted
 
 _BINDING_RE = re.compile(rf"({IDENT_PATTERN})\s*=\s*(\S+)\Z")
 
@@ -103,7 +103,7 @@ def parse_bindings_text(text: str, origin: str) -> dict[str, Rational]:
             continue
         m = _BINDING_RE.match(line)
         if m is None:
-            raise CliError(f"{origin}:{number}: expected 'NAME = RATIONAL', found {raw.strip()!r}")
+            raise CliError(f"{origin}:{number}: expected 'NAME = RATIONAL', found {quoted(raw.strip())}")
         name, value = m.groups()
         try:
             out[name] = parse_rational(value)
@@ -113,7 +113,7 @@ def parse_bindings_text(text: str, origin: str) -> dict[str, Rational]:
 
 
 def _parse_set_flag(item: str) -> tuple[str, Rational]:
-    shown = repr(item if len(item) <= 40 else item[:40] + "...")  # an error stays one short line
+    shown = quoted(item)
     m = _BINDING_RE.match(item.strip())
     if m is None:
         raise CliError(f"--set expects VAR=RATIONAL, found {shown}")

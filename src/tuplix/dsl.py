@@ -27,17 +27,21 @@ the end of the line; newlines are insignificant. The keywords param,
 def, budget, eps, delta, test, enc and abs are reserved. Only <= and ==
 comparisons exist; strict inequality is deliberately unsupported.
 
-The parser builds core terms (`algebra.Tuplix`) directly, in one pass:
-defs are inlined where they are used, a condition becomes one test
-argument that is zero iff every relation holds, a budget reference
-returns the term already built, and each test, delta and enc{} keeps
-its source position "line:col" (a test also its source text, with defs
-named) for violation reports.
+The parser builds core terms (`algebra.Tuplix`) directly, in one pass
+over the tokens: a reference to a def is the def's body, the same object
+at every use, a condition becomes one test argument that is zero iff
+every relation holds, a budget reference returns the term already
+built, and each test, delta and enc{} keeps its source position
+"line:col" (a test also its source text, with defs named) for violation
+reports. A token carries only its offset into the text; its line and
+column are worked out, over an index of the text's newlines built on
+first use, only for those positions and for errors.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .algebra import (
@@ -96,51 +100,32 @@ class BudgetProgram:
 # --- lexer -------------------------------------------------------------------
 
 
-# A token is a plain tuple (kind, text, line, col); kind is one of ident,
-# int, decimal, string, op and eof.
-_Token = tuple[str, str, int, int]
+# A token is a plain tuple (kind, text, offset): kind is one of ident, int,
+# decimal, string, op and eof, and offset is where its text starts in the
+# program. Whitespace and comments make no tokens, and a token's line:col
+# is worked out from its offset only where one is reported (`_Parser.place`).
+_Token = tuple[str, str, int]
 
+# One match skips the whitespace before a comment or token, then matches
+# it; the number of the group that matched gives its kind (`_KINDS`). The
+# last two groups match the end of the text and any other character, so a
+# match is found at every place past the last one, and none backtracks
+# into the whitespace or scans ahead for a later match.
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>[ \t\r]+)
-      | (?P<comment>\#[^\n]*)
-      | (?P<newline>\n)
-      | (?P<ident>IDENT)
-      | (?P<decimal>\d+\.\d+)
-      | (?P<int>\d+)
-      | (?P<string>"[^"\n]*")
-      | (?P<op><=|==|&&|>=|!=|[(){},|=+\-*/<>&])
-    """.replace("IDENT", IDENT_PATTERN),
+    r"""[ \t\r\n]*
+      (?: (\#[^\n]*)
+        | (IDENT)
+        | (\d+\.\d+)
+        | (\d+)
+        | ("[^"\n]*")
+        | (<=|==|&&|>=|!=|[(){},|=+\-*/<>&])
+        | (\Z)
+        | (.)
+      )""".replace("IDENT", IDENT_PATTERN),
     re.VERBOSE,
 )
-
-
-def _tokenize(text: str) -> list[_Token]:
-    """The tokens of a program, in one pass of the token pattern, then an eof token.
-
-    Each match must start where the last one ended; at a gap nothing
-    matches, and that character is an error.
-    """
-    tokens: list[_Token] = []
-    append = tokens.append
-    line, line_start, pos = 1, 0, 0
-    for m in _TOKEN_RE.finditer(text):
-        start = m.start()
-        if start != pos:
-            break
-        kind = m.lastgroup
-        pos = m.end()
-        if kind == "newline":
-            line += 1
-            line_start = pos
-        elif kind != "ws" and kind != "comment":
-            append((kind, m.group(), line, start - line_start + 1))
-    col = pos - line_start + 1
-    if pos < len(text):
-        if text[pos] == '"':
-            raise DslError("unterminated string", line, col)
-        raise DslError(f"unexpected character {text[pos]!r}", line, col)
-    append(("eof", "", line, col))
-    return tokens
+_KINDS = (None, "comment", "ident", "decimal", "int", "string", "op", "eof", "error")
+_COMMENT, _EOF = _KINDS.index("comment"), _KINDS.index("eof")
 
 
 # --- parser ------------------------------------------------------------------
@@ -156,14 +141,50 @@ MAX_NESTING = 256
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.text = text
+        self.newlines: list[int] | None = None  # offsets of the text's newlines, listed on first use
+        self.tokens = self.tokenize()
         self.pos = 0
         self.depth = 0  # brackets open at the current token
         self.declared: dict[str, str] = {}  # name -> "param" | "def" | "budget"
         self.params: dict[str, str | None] = {}
-        self.inlined: dict[str, Expr] = {}  # def name -> body over params only
+        self.values: dict[str, Expr] = {}  # param -> its Var, def -> its body over params only
+        self.names: dict[str, Var] = {}  # param or def -> its Var, for conditions, whose labels name defs
+        self.scope = self.values  # what a name in an expression stands for here
+        self.constants: dict[str, Const] = {}  # literal text -> its Const
         self.budgets: dict[str, Tuplix] = {}
+
+    def tokenize(self) -> list[_Token]:
+        """The tokens of the text, in one pass of the token pattern, ending with an eof token."""
+        text = self.text
+        tokens: list[_Token] = []
+        append = tokens.append
+        for m in _TOKEN_RE.finditer(text):
+            kind = m.lastindex
+            if kind != _COMMENT:
+                append((_KINDS[kind], m.group(kind), m.start(kind)))
+                if kind >= _EOF:
+                    break
+        kind, char, pos = tokens[-1]
+        if kind == "error":
+            if char == '"':
+                raise DslError("unterminated string", *self.place(pos))
+            raise DslError(f"unexpected character {char!r}", *self.place(pos))
+        return tokens
+
+    # positions
+
+    def place(self, offset: int) -> tuple[int, int]:
+        """The line and column, both from 1, of an offset into the text."""
+        if self.newlines is None:
+            self.newlines = [m.start() for m in re.finditer("\n", self.text)]
+        line = bisect_left(self.newlines, offset)  # the newlines before the offset
+        return line + 1, offset - (self.newlines[line - 1] if line else -1)
+
+    def span(self, tok: _Token) -> str:
+        line, col = self.place(tok[2])
+        return f"{line}:{col}"
 
     # token helpers
 
@@ -176,8 +197,7 @@ class _Parser:
         return tok
 
     def error(self, message: str, tok: _Token | None = None) -> DslError:
-        _, _, line, col = tok or self.peek()
-        return DslError(message, line, col)
+        return DslError(message, *self.place((tok or self.peek())[2]))
 
     def expect_op(self, text: str) -> _Token:
         if not self.at_op(text):
@@ -200,7 +220,7 @@ class _Parser:
         return self.tokens[self.pos][1] == text
 
     def expect_name(self, what: str) -> _Token:
-        kind, text, _, _ = self.peek()
+        kind, text, _ = self.peek()
         if kind != "ident":
             shown = text or "end of input"
             raise self.error(f"expected {what}, found {shown!r}")
@@ -219,7 +239,7 @@ class _Parser:
 
     def parse_program(self) -> BudgetProgram:
         while True:
-            kind, text, _, _ = self.peek()
+            kind, text, _ = self.peek()
             if kind == "eof":
                 break
             if kind != "ident" or text not in ("param", "def", "budget"):
@@ -240,13 +260,15 @@ class _Parser:
             doc = self.advance()[1][1:-1]
         self.declare(name, "param")
         self.params[name[1]] = doc
+        self.values[name[1]] = self.names[name[1]] = Var(name[1])
 
     def parse_def(self) -> None:
         name = self.expect_name("a definition name")
         self.expect_op("=")
         body = self.parse_expr()
         self.declare(name, "def")
-        self.inlined[name[1]] = self.inline(body)
+        self.values[name[1]] = body
+        self.names[name[1]] = Var(name[1])
 
     def parse_budget(self) -> None:
         name = self.expect_name("a budget name")
@@ -254,10 +276,6 @@ class _Parser:
         body = self.parse_tuplix()
         self.declare(name, "budget")
         self.budgets[name[1]] = body
-
-    def inline(self, e: Expr) -> Expr:
-        """Replace the defs declared so far by their bodies."""
-        return substitute_all(e, self.inlined)
 
     # budget terms
 
@@ -270,7 +288,7 @@ class _Parser:
 
     def parse_tuplix_primary(self) -> Tuplix:
         tok = self.peek()
-        kind, text, line, col = tok
+        kind, text, _ = tok
         if text == "(":
             self.open_bracket()
             inner = self.parse_tuplix()
@@ -279,19 +297,18 @@ class _Parser:
         if kind != "ident":
             shown = text or "end of input"
             raise self.error(f"expected a budget term, found {shown!r}")
-        span = f"{line}:{col}"
         if text == "eps":
             self.advance()
             return EPS
         if text == "delta":
             self.advance()
-            return Delta(span=span)
+            return Delta(span=self.span(tok))
         if text == "test":
             self.advance()
             self.open_bracket()
             arg, label = self.parse_cond()
             self.close_bracket()
-            return Test(arg, label=label, span=span)
+            return Test(arg, label=label, span=self.span(tok))
         if text == "enc":
             self.advance()
             self.expect_op("{")
@@ -303,7 +320,7 @@ class _Parser:
             self.open_bracket()
             body = self.parse_tuplix()
             self.close_bracket()
-            return Encap(frozenset(channels), body, span=span)
+            return Encap(frozenset(channels), body, span=self.span(tok))
         if text in KEYWORDS:
             raise self.error(f"keyword {text!r} cannot start a budget term")
         self.advance()
@@ -311,10 +328,11 @@ class _Parser:
             self.open_bracket()
             amount = self.parse_expr()
             self.close_bracket()
-            return Entry(text, self.inline(amount))
-        if self.declared.get(text) != "budget":
+            return Entry(text, amount)
+        term = self.budgets.get(text)
+        if term is None:
             raise self.error(f"reference to undeclared budget {text!r}", tok)
-        return self.budgets[text]
+        return term
 
     # conditions
 
@@ -324,6 +342,7 @@ class _Parser:
         The label is the source text of the relations, with defs named
         rather than inlined.
         """
+        self.scope = self.names
         args, texts = [], []
         while True:
             arg, text = self.parse_relation()
@@ -332,89 +351,104 @@ class _Parser:
             if not self.at_op("&&"):
                 break
             self.advance()
+        self.scope = self.values
         arg = args[0] if len(args) == 1 else conjunction_expr(args)
         return arg, " && ".join(texts)
 
     def parse_relation(self) -> tuple[Expr, str]:
+        """A relation's argument, with defs inlined, and its source text, with defs named."""
         left = self.parse_expr()
-        kind, op, _, _ = self.peek()
+        kind, op, _ = self.peek()
         if kind == "op" and op in _COMPARISONS_UNSUPPORTED:
             raise self.error(
                 f"comparison {op!r} is not supported; only <= and == exist"
             )
         if op != "<=" and op != "==":
-            return self.inline(left), pretty(left)
+            return substitute_all(left, self.values), pretty(left)
         self.advance()
         right = self.parse_expr()
         text = f"{pretty(left)} {op} {pretty(right)}"
-        if op == "<=":
-            return leq_expr(self.inline(left), self.inline(right)), text
-        return sub(self.inline(left), self.inline(right)), text
+        left, right = substitute_all(left, self.values), substitute_all(right, self.values)
+        return (leq_expr(left, right) if op == "<=" else sub(left, right)), text
 
     # expressions
 
     def parse_expr(self) -> Expr:
+        tokens = self.tokens
         node = self.parse_term()
         while True:
-            if self.at_op("+"):
-                self.advance()
+            op = tokens[self.pos][1]
+            if op == "+":
+                self.pos += 1
                 node = Add(node, self.parse_term())
-            elif self.at_op("-"):
-                self.advance()
+            elif op == "-":
+                self.pos += 1
                 node = sub(node, self.parse_term())
             else:
                 return node
 
     def parse_term(self) -> Expr:
         """Factors joined by * and /, each a primary under any number of unary minuses."""
+        tokens = self.tokens
         node, op = None, "*"
         while True:
             minuses = 0
-            while self.at_op("-"):
-                self.advance()
+            while tokens[self.pos][1] == "-":
+                self.pos += 1
                 minuses += 1
             factor = self.parse_primary()
             for _ in range(minuses):
                 factor = Neg(factor)
             node = factor if node is None else Mul(node, factor if op == "*" else Inv(factor))
-            if not (self.at_op("*") or self.at_op("/")):
+            op = tokens[self.pos][1]
+            if op != "*" and op != "/":
                 return node
-            op = self.advance()[1]
+            self.pos += 1
 
     def parse_primary(self) -> Expr:
-        tok = self.peek()
-        kind, text, _, _ = tok
-        if kind == "int" or kind == "decimal":
-            self.advance()
-            try:
-                return Const(parse_rational(text))
-            except DigitLimitError as exc:
-                raise self.error(str(exc), tok) from None
-        if text == "(":
-            self.open_bracket()
-            inner = self.parse_expr()
-            self.close_bracket()
-            return inner
+        """A number, a name, or a bracketed or abs(...) expression.
+
+        A param is its Var. A def is its body, the same object at every
+        reference, except in a condition, where it is its Var until the
+        relation has been printed for the label.
+        """
+        tok = self.tokens[self.pos]
+        kind, text, _ = tok
         if kind == "ident":
+            node = self.scope.get(text)
+            if node is not None:
+                self.pos += 1
+                return node
             if text == "abs":
-                self.advance()
+                self.pos += 1
                 self.open_bracket()
                 inner = self.parse_expr()
                 self.close_bracket()
                 return Abs(inner)
             if text in KEYWORDS:
                 raise self.error(f"keyword {text!r} cannot appear in an expression")
-            if self.declared.get(text) not in ("param", "def"):
-                raise self.error(f"reference to undeclared identifier {text!r}", tok)
-            self.advance()
-            return Var(text)
+            raise self.error(f"reference to undeclared identifier {text!r}", tok)
+        if kind == "int" or kind == "decimal":
+            node = self.constants.get(text)
+            if node is None:
+                try:
+                    node = self.constants[text] = Const(parse_rational(text))
+                except DigitLimitError as exc:
+                    raise self.error(str(exc), tok) from None
+            self.pos += 1
+            return node
+        if text == "(":
+            self.open_bracket()
+            inner = self.parse_expr()
+            self.close_bracket()
+            return inner
         shown = text or "end of input"
         raise self.error(f"expected an expression, found {shown!r}")
 
 
 def parse(text: str) -> BudgetProgram:
     """Parse a program; raises DslError with line:col on any problem."""
-    return _Parser(_tokenize(text)).parse_program()
+    return _Parser(text).parse_program()
 
 
 def elaborate(program: BudgetProgram, name: str) -> Tuplix:

@@ -29,6 +29,11 @@ class DigitLimitError(ValueError):
         super().__init__(f"a number has more than {sys.get_int_max_str_digits()} decimal digits")
 
 
+def quoted(text: str) -> str:
+    """The repr of a text cut to 40 characters and "...", so that an error stays one short line."""
+    return repr(text if len(text) <= 40 else text[:40] + "...")
+
+
 def minv(x: Rational) -> Rational:
     """Multiplicative inverse, totalized: minv(0) is 0."""
     if x == 0:
@@ -49,7 +54,7 @@ def parse_rational(text: str) -> Rational:
     """
     m = _RATIONAL_RE.match(text.strip())
     if m is None:
-        raise ValueError(f"not a rational constant: {text!r}")
+        raise ValueError(f"not a rational constant: {quoted(text)}")
     sign, intpart, den, decimals = m.groups()
     if den is not None and not den.strip("0"):
         raise ValueError("zero denominator in rational constant")

@@ -266,6 +266,16 @@ def test_substitute_tests_solves_the_one_parameter_left_free(capsys):
         assert run(argv[:-1], capsys)[1].count("\n  ") >= 5  # without substitution, all stay open
 
 
+def test_substitute_tests_makes_a_constant_nonzero_test_a_violation(tmp_path, capsys):
+    # x - x + -1 is open as written, but its linear form is the constant -1: it fails everywhere
+    f = tmp_path / "never.bgt"
+    f.write_text("param x\nbudget B = test(x - x == 1) | a(x)\n")
+    assert run(["eval", str(f)], capsys) == (0, "status: ok\nresidual tests:\n  x - x + -1\n", "")
+    assert run(["eval", str(f), "--substitute-tests"], capsys) == (
+        1, "status: null\nviolations:\n  x - x + -1  value -1\n", ""
+    )
+
+
 def test_eval_partial_bindings_leave_residual(capsys):
     code, out, _ = run(["eval", MSC, "--budget", "Total", "--format", "json"], capsys)
     assert code == 0
@@ -435,6 +445,24 @@ def test_set_errors_quote_a_long_item_cut_short(capsys):
     assert run(["eval", MSC, "--set", "k=1/0"], capsys)[2] == (
         "error: --set 'k=1/0': zero denominator in rational constant\n"
     )
+
+
+def test_errors_quote_a_long_value_cut_short(tmp_path, capsys):
+    value = "1." * 2200
+    (tmp_path / "value.bindings").write_text(f"x = {value}\n")
+    (tmp_path / "equals.bindings").write_text(f"x == {value}\n")
+    calls = [
+        ["eval", MSC, "--set", f"x={value}"],
+        ["eval", MSC, "--bindings", str(tmp_path / "value.bindings")],
+        ["eval", MSC, "--bindings", str(tmp_path / "equals.bindings")],
+        ["sweep", MSC, "--var", "k", "--from", value, "--to", "1", "--step", "1"],
+    ]
+    for argv in calls:
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        line = err.splitlines()[-1]  # a sweep's usage lines come first
+        assert "error: " in line and line.endswith("...'")
+        assert len(line.encode()) < 200
 
 
 def test_unknown_budget_lists_choices(capsys):

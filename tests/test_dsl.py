@@ -1,4 +1,5 @@
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ from tuplix.algebra import (
     normalize,
 )
 from tuplix.dsl import MAX_NESTING, DslError, elaborate, parse
-from tuplix.expr import Const, evaluate
+from tuplix.expr import Add, Const, Var, evaluate
 
 EMPTY = CanonicalTuplix(False, (), (), ())
 
@@ -198,6 +199,49 @@ def test_error_str_carries_position():
     assert str(e).startswith("2:")
 
 
+# --- lexer ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("closing", [")", '"'])
+def test_a_last_line_comment_without_newline_is_skipped(closing):
+    prog = parse(f"budget B = a(1)\n# a({closing}")
+    assert list(prog.budgets) == ["B"]
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("param x\r\nbudget B = a(x)\r\n  $", "3:3: unexpected character '$'"),
+        ("param x\n\tbudget B = a(x) @\n", "2:18: unexpected character '@'"),
+        ('param x\nparam y "doc', "2:9: unterminated string"),
+        ("# one\n# two\n  # three\nbudget B = ?\n", "4:12: unexpected character '?'"),
+    ],
+)
+def test_lexical_errors_count_lines_and_columns_past_whitespace(text, where):
+    assert str(err(text)) == where
+
+
+def test_a_lexical_error_past_a_long_run_of_blanks_is_found_in_linear_time():
+    # A token pattern that can fail after skipping the blanks backtracks
+    # through them, and then a search for the next match starts again at
+    # each blank: 20,000 blanks took about 17 s that way on a 2-vCPU x86
+    # host, and take under 1 ms when every place matches something.
+    blanks = " " * 20_000
+    for text, where in [
+        (f"budget B = a(1){blanks}$", "1:20016: unexpected character '$'"),
+        (f'param x "{blanks}', "1:9: unterminated string"),
+    ]:
+        start = time.perf_counter()
+        assert str(err(text)) == where
+        assert time.perf_counter() - start < 1
+
+
+def test_a_test_span_is_counted_past_comments_and_a_tab():
+    prog = parse("param p  # the price\n# one\n# two\nbudget B =\n\ttest(p <= 1)\n")
+    c = normalize(elaborate(prog, "B"), {"p": Fraction(3)})
+    assert [(v.label, v.span) for v in c.violations] == [("p <= 1", "5:2")]
+
+
 # Each kind of bracket, opened `n` times around a body; every form closes them all.
 NESTINGS = {
     "parens": lambda n: "a(" + "(" * (n - 1) + "x" + ")" * n,
@@ -266,6 +310,21 @@ def test_budget_reference_reuses_the_built_term():
     prog = parse("param p\nbudget A = a(p) | test(p)\nbudget B = A | A\n")
     b = elaborate(prog, "B")
     assert b.left is elaborate(prog, "A") and b.right is b.left
+
+
+def test_every_reference_to_a_def_is_its_body():
+    prog = parse(
+        "param x\ndef D = x + 1\ndef E = D * D\n"
+        "budget B = a(D) | enc{c}(c(D) | c(-E)) | test(D <= 5)\n"
+    )
+    b = elaborate(prog, "B")
+    entry, enc, test = b.left.left, b.left.right, b.right
+    body = entry.amount
+    assert body == Add(Var("x"), Const(Fraction(1)))
+    assert enc.body.left.amount is body
+    square = enc.body.right.amount.arg  # c(-E) holds Neg(E)
+    assert square.left is body and square.right is body
+    assert test.label == "D <= 5"
 
 
 # --- case study program shape ----------------------------------------------
