@@ -125,9 +125,12 @@ def _parse_set_flag(item: str) -> tuple[str, Rational]:
 
 
 def _read_text(path: Path) -> str:
-    """A file's text, decoded as UTF-8; a file that cannot be read or decoded is a CliError."""
+    """A file's text, decoded as UTF-8 after any byte-order mark.
+
+    A file that cannot be read or decoded is a CliError.
+    """
     try:
-        return path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise CliError(str(exc)) from None
     except UnicodeDecodeError as exc:
@@ -167,7 +170,7 @@ def _load(args: argparse.Namespace) -> tuple[str, BudgetProgram, Tuplix, dict[st
         raise CliError("the program declares no budgets")
     budget = names[-1] if args.budget is None else args.budget
     if budget not in program.budgets:
-        raise CliError(f"no budget named {budget!r}; available: " + ", ".join(names))
+        raise CliError(f"no budget named {quoted(budget)}; available: " + ", ".join(names))
     return path.name, program, elaborate(program, budget), collect_bindings(args, program)
 
 
@@ -239,7 +242,7 @@ def _sweep_row_json(value: Rational, entries: dict[str, Rational] | None) -> str
 def cmd_sweep(args: argparse.Namespace) -> int:
     _, program, term, bindings = _load(args)
     if args.var not in program.params:
-        raise CliError(f"--var {args.var!r} is not a parameter of the program")
+        raise CliError(f"--var {quoted(args.var)} is not a parameter of the program")
     # the swept value wins over any --set or --bindings value for the same name
     fixed = {name: value for name, value in bindings.items() if name != args.var}
     needed = sorted(free_vars_tuplix(term) - set(fixed) - {args.var})

@@ -32,14 +32,16 @@ over the tokens: a reference to a def is the def's body, the same object
 at every use, a condition becomes one test argument that is zero iff
 every relation holds, a budget reference returns the term already
 built, and each test, delta and enc{} keeps its source position
-"line:col" (a test also its source text, with defs named) for violation
-reports. A token carries only its offset into the text; its line and
+"line:col" for violation reports. A test also keeps its source text,
+printed from its argument with each def's body written as the def's
+name. A token carries only its offset into the text; its line and
 column are worked out, over an index of the text's newlines built on
 first use, only for those positions and for errors.
 """
 
 from __future__ import annotations
 
+import copy
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -66,9 +68,8 @@ from .expr import (
     Var,
     pretty,
     sub,
-    substitute_all,
 )
-from .meadow import DigitLimitError, parse_rational
+from .meadow import DigitLimitError, parse_rational, quoted
 
 KEYWORDS = frozenset({"param", "def", "budget", "eps", "delta", "test", "enc", "abs"})
 
@@ -149,9 +150,8 @@ class _Parser:
         self.depth = 0  # brackets open at the current token
         self.declared: dict[str, str] = {}  # name -> "param" | "def" | "budget"
         self.params: dict[str, str | None] = {}
-        self.values: dict[str, Expr] = {}  # param -> its Var, def -> its body over params only
-        self.names: dict[str, Var] = {}  # param or def -> its Var, for conditions, whose labels name defs
-        self.scope = self.values  # what a name in an expression stands for here
+        self.values: dict[str, Expr] = {}  # param -> its Var, def -> its body, the node at every reference
+        self.defs: dict[int, str] = {}  # id(body) -> its def's name, for the labels of tests
         self.constants: dict[str, Const] = {}  # literal text -> its Const
         self.budgets: dict[str, Tuplix] = {}
 
@@ -170,7 +170,7 @@ class _Parser:
         if kind == "error":
             if char == '"':
                 raise DslError("unterminated string", *self.place(pos))
-            raise DslError(f"unexpected character {char!r}", *self.place(pos))
+            raise DslError(f"unexpected character {quoted(char)}", *self.place(pos))
         return tokens
 
     # positions
@@ -202,7 +202,7 @@ class _Parser:
     def expect_op(self, text: str) -> _Token:
         if not self.at_op(text):
             shown = self.peek()[1] or "end of input"
-            raise self.error(f"expected {text!r}, found {shown!r}")
+            raise self.error(f"expected {quoted(text)}, found {quoted(shown)}")
         return self.advance()
 
     def open_bracket(self) -> None:
@@ -223,16 +223,16 @@ class _Parser:
         kind, text, _ = self.peek()
         if kind != "ident":
             shown = text or "end of input"
-            raise self.error(f"expected {what}, found {shown!r}")
+            raise self.error(f"expected {what}, found {quoted(shown)}")
         if text in KEYWORDS:
-            raise self.error(f"keyword {text!r} cannot be used as {what}")
+            raise self.error(f"keyword {quoted(text)} cannot be used as {what}")
         return self.advance()
 
     def declare(self, tok: _Token, kind: str) -> None:
         name = tok[1]
         seen = self.declared.get(name)
         if seen is not None:
-            raise self.error(f"duplicate identifier {name!r} (already a {seen})", tok)
+            raise self.error(f"duplicate identifier {quoted(name)} (already a {seen})", tok)
         self.declared[name] = kind
 
     # statements
@@ -243,7 +243,7 @@ class _Parser:
             if kind == "eof":
                 break
             if kind != "ident" or text not in ("param", "def", "budget"):
-                raise self.error(f"expected a param, def or budget declaration, found {text!r}")
+                raise self.error(f"expected a param, def or budget declaration, found {quoted(text)}")
             self.advance()
             if text == "param":
                 self.parse_param()
@@ -260,15 +260,19 @@ class _Parser:
             doc = self.advance()[1][1:-1]
         self.declare(name, "param")
         self.params[name[1]] = doc
-        self.values[name[1]] = self.names[name[1]] = Var(name[1])
+        self.values[name[1]] = Var(name[1])
 
     def parse_def(self) -> None:
         name = self.expect_name("a definition name")
         self.expect_op("=")
         body = self.parse_expr()
+        if type(body) is Var or type(body) is Const or id(body) in self.defs:
+            # a param's Var, an interned literal or an earlier def's body: a
+            # copy of its own prints as this def only where this def is named
+            body = copy.copy(body)
         self.declare(name, "def")
         self.values[name[1]] = body
-        self.names[name[1]] = Var(name[1])
+        self.defs[id(body)] = name[1]
 
     def parse_budget(self) -> None:
         name = self.expect_name("a budget name")
@@ -296,7 +300,7 @@ class _Parser:
             return inner
         if kind != "ident":
             shown = text or "end of input"
-            raise self.error(f"expected a budget term, found {shown!r}")
+            raise self.error(f"expected a budget term, found {quoted(shown)}")
         if text == "eps":
             self.advance()
             return EPS
@@ -322,7 +326,7 @@ class _Parser:
             self.close_bracket()
             return Encap(frozenset(channels), body, span=self.span(tok))
         if text in KEYWORDS:
-            raise self.error(f"keyword {text!r} cannot start a budget term")
+            raise self.error(f"keyword {quoted(text)} cannot start a budget term")
         self.advance()
         if self.at_op("("):
             self.open_bracket()
@@ -331,7 +335,7 @@ class _Parser:
             return Entry(text, amount)
         term = self.budgets.get(text)
         if term is None:
-            raise self.error(f"reference to undeclared budget {text!r}", tok)
+            raise self.error(f"reference to undeclared budget {quoted(text)}", tok)
         return term
 
     # conditions
@@ -339,10 +343,9 @@ class _Parser:
     def parse_cond(self) -> tuple[Expr, str]:
         """A test's argument, zero iff every relation holds, and its label.
 
-        The label is the source text of the relations, with defs named
-        rather than inlined.
+        The label is the source text of the relations, printed from the
+        relations as parsed, each def's body by the def's name.
         """
-        self.scope = self.names
         args, texts = [], []
         while True:
             arg, text = self.parse_relation()
@@ -351,7 +354,6 @@ class _Parser:
             if not self.at_op("&&"):
                 break
             self.advance()
-        self.scope = self.values
         arg = args[0] if len(args) == 1 else conjunction_expr(args)
         return arg, " && ".join(texts)
 
@@ -361,14 +363,13 @@ class _Parser:
         kind, op, _ = self.peek()
         if kind == "op" and op in _COMPARISONS_UNSUPPORTED:
             raise self.error(
-                f"comparison {op!r} is not supported; only <= and == exist"
+                f"comparison {quoted(op)} is not supported; only <= and == exist"
             )
         if op != "<=" and op != "==":
-            return substitute_all(left, self.values), pretty(left)
+            return left, pretty(left, self.defs)
         self.advance()
         right = self.parse_expr()
-        text = f"{pretty(left)} {op} {pretty(right)}"
-        left, right = substitute_all(left, self.values), substitute_all(right, self.values)
+        text = f"{pretty(left, self.defs)} {op} {pretty(right, self.defs)}"
         return (leq_expr(left, right) if op == "<=" else sub(left, right)), text
 
     # expressions
@@ -409,13 +410,12 @@ class _Parser:
         """A number, a name, or a bracketed or abs(...) expression.
 
         A param is its Var. A def is its body, the same object at every
-        reference, except in a condition, where it is its Var until the
-        relation has been printed for the label.
+        reference.
         """
         tok = self.tokens[self.pos]
         kind, text, _ = tok
         if kind == "ident":
-            node = self.scope.get(text)
+            node = self.values.get(text)
             if node is not None:
                 self.pos += 1
                 return node
@@ -426,8 +426,8 @@ class _Parser:
                 self.close_bracket()
                 return Abs(inner)
             if text in KEYWORDS:
-                raise self.error(f"keyword {text!r} cannot appear in an expression")
-            raise self.error(f"reference to undeclared identifier {text!r}", tok)
+                raise self.error(f"keyword {quoted(text)} cannot appear in an expression")
+            raise self.error(f"reference to undeclared identifier {quoted(text)}", tok)
         if kind == "int" or kind == "decimal":
             node = self.constants.get(text)
             if node is None:
@@ -443,7 +443,7 @@ class _Parser:
             self.close_bracket()
             return inner
         shown = text or "end of input"
-        raise self.error(f"expected an expression, found {shown!r}")
+        raise self.error(f"expected an expression, found {quoted(shown)}")
 
 
 def parse(text: str) -> BudgetProgram:
@@ -456,4 +456,4 @@ def elaborate(program: BudgetProgram, name: str) -> Tuplix:
     try:
         return program.budgets[name]
     except KeyError:
-        raise ValueError(f"no budget named {name!r}") from None
+        raise ValueError(f"no budget named {quoted(name)}") from None

@@ -420,27 +420,6 @@ def free_vars(*roots: Expr) -> frozenset[str]:
     return frozenset(node.name for node in postorder(roots) if type(node) is Var)
 
 
-def substitute_all(e: Expr, bindings: Mapping[str, Expr]) -> Expr:
-    """Replace every bound variable with its expression, simultaneously."""
-    if not bindings:
-        return e
-    out: dict[int, Expr] = {}  # id(node) -> the node with its variables replaced
-    for node in postorder([e]):
-        kind = type(node)
-        if kind is Var:
-            new = bindings.get(node.name, node)
-        elif kind is Const:
-            new = node
-        elif kind is Add or kind is Mul:
-            left, right = out[id(node.left)], out[id(node.right)]
-            new = node if left is node.left and right is node.right else kind(left, right)
-        else:
-            arg = out[id(node.arg)]
-            new = node if arg is node.arg else kind(arg)
-        out[id(node)] = new
-    return out[id(e)]
-
-
 def fold_constants(
     e: Expr, bindings: Mapping[str, Expr] | None = None, memo: dict[int, Expr] | None = None
 ) -> Expr:
@@ -454,8 +433,8 @@ def fold_constants(
     tells that nothing changed.
 
     Bound variables are replaced on the way, in the same pass: with
-    `bindings` mapping names to folded expressions, the result equals
-    fold_constants(substitute_all(e, bindings)).
+    `bindings` mapping names to folded expressions, the result is what
+    folding gives after each bound variable is replaced by its expression.
 
     `memo` maps the id() of each node folded so far to its result. Calls
     that share the bindings may share it, so that a subterm they have in
@@ -595,7 +574,7 @@ def _level(e: Expr) -> int:
     return _LEVEL[type(e)]
 
 
-def pretty(e: Expr) -> str:
+def pretty(e: Expr, names: Mapping[int, str] = {}) -> str:
     """Render an expression in the budget language's expression syntax.
 
     Reparsing the result of printing a parsed expression reproduces the
@@ -603,10 +582,13 @@ def pretty(e: Expr) -> str:
     as semantically equal text. The text is written out piece by piece,
     so its cost is linear in its length; a node met a second time reuses
     the text it was given the first time, bracketed as its context needs.
+
+    `names` maps the id() of a node to a name to print in its place, never
+    bracketed, as the budget language prints a def's body by the def's name.
     """
     parts: list[str] = []
-    # id(node) -> where its text lies in `parts`, then the text itself once it is met again
-    texts: dict[int, tuple[int, int] | str] = {}
+    # id(node) -> its name, or where its text lies in `parts`, then the text itself once it is met again
+    texts: dict[int, tuple[int, int] | str] = dict(names)
     stack: list = [(e, 0)]  # (node, context), (id(node), start) for the end of a node, or text
     while stack:
         item = stack.pop()
@@ -620,13 +602,16 @@ def pretty(e: Expr) -> str:
         kind = type(node)
         bracket = _level(node) < context
         text = texts.get(id(node))
-        if kind is Const:
+        if text is not None:
+            if type(text) is tuple:
+                text = texts[id(node)] = "".join(parts[text[0] : text[1]])
+            elif id(node) in names:
+                bracket = False
+        elif kind is Const:
             decimal = decimal_repr(node.value)
             text = decimal if decimal is not None else format_rational(node.value)
         elif kind is Var:
             text = node.name
-        elif type(text) is tuple:
-            text = texts[id(node)] = "".join(parts[text[0] : text[1]])
         if text is not None:
             parts.append(f"({text})" if bracket else text)
             continue
@@ -634,11 +619,11 @@ def pretty(e: Expr) -> str:
             parts.append("(")
             stack.append(")")
         stack.append((id(node), len(parts)))
-        if kind is Add and type(node.right) is Neg:
+        if kind is Add and type(node.right) is Neg and id(node.right) not in names:
             pieces = ((node.left, _ADD), " - ", (node.right.arg, _ADD + 1))
         elif kind is Add:
             pieces = ((node.left, _ADD), " + ", (node.right, _ADD + 1))
-        elif kind is Mul and type(node.right) is Inv:
+        elif kind is Mul and type(node.right) is Inv and id(node.right) not in names:
             pieces = ((node.left, _MUL), " / ", (node.right.arg, _MUL + 1))
         elif kind is Mul:
             pieces = ((node.left, _MUL), " * ", (node.right, _MUL + 1))

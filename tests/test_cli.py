@@ -276,6 +276,19 @@ def test_substitute_tests_makes_a_constant_nonzero_test_a_violation(tmp_path, ca
     )
 
 
+def test_substitute_tests_solves_through_a_def_and_its_alias(tmp_path, capsys):
+    # E holds its own copy of D's body, so D + E uses no node twice and stays linear in x;
+    # D + D uses D's body twice, which makes it one atom of the test
+    f = tmp_path / "alias.bgt"
+    f.write_text("param x\ndef D = x + 1\ndef E = D\nbudget B = test(D + E == 4) | a(x)\n"
+                 "budget T = test(D + D == 4) | a(x)\n")
+    argv = ["eval", str(f), "--substitute-tests", "--budget"]
+    assert run([*argv, "B"], capsys) == (0, "status: ok\nresidual tests:\n  x + -1\n", "")
+    assert run([*argv, "T"], capsys) == (
+        0, "status: ok\nresidual tests:\n  x + 1 + (x + 1) + -4\n", ""
+    )
+
+
 def test_eval_partial_bindings_leave_residual(capsys):
     code, out, _ = run(["eval", MSC, "--budget", "Total", "--format", "json"], capsys)
     assert code == 0
@@ -463,6 +476,39 @@ def test_errors_quote_a_long_value_cut_short(tmp_path, capsys):
         line = err.splitlines()[-1]  # a sweep's usage lines come first
         assert "error: " in line and line.endswith("...'")
         assert len(line.encode()) < 200
+
+
+def test_errors_quote_a_long_name_cut_short(tmp_path, capsys):
+    name = "N" * 5000
+    programs = [
+        f"budget B = a(1) | {name}\n",  # undeclared budget
+        f"budget B = a({name})\n",  # undeclared identifier
+        f"param {name}\nparam {name}\n",  # duplicate param
+        f'param x "doc" "{name}"\n',  # a stray string after a param's doc
+        f"budget B = a(1) {name}\n",  # a name after a complete budget
+    ]
+    calls = []
+    for i, text in enumerate(programs):
+        (tmp_path / f"p{i}.bgt").write_text(text)
+        calls.append(["eval", str(tmp_path / f"p{i}.bgt")])
+    calls += [
+        ["eval", MSC, "--budget", name],
+        ["sweep", MSC, "--var", name, "--from", "0", "--to", "1", "--step", "1"],
+    ]
+    for argv in calls:
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "N" * 39 + "...'" in err and len(err.encode()) < 200
+
+
+def test_a_byte_order_mark_starts_a_file(tmp_path, capsys):
+    program, bindings = tmp_path / "bom.bgt", tmp_path / "bom.bindings"
+    program.write_text("\ufeffparam x\nbudget B = a(x)\n", encoding="utf-8")
+    bindings.write_text("\ufeffx = 1\n", encoding="utf-8")
+    assert run(["eval", str(program), "--bindings", str(bindings)], capsys) == (
+        0, "status: ok\nentries:\n  a: 1\n", ""
+    )
 
 
 def test_unknown_budget_lists_choices(capsys):

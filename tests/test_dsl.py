@@ -314,8 +314,8 @@ def test_budget_reference_reuses_the_built_term():
 
 def test_every_reference_to_a_def_is_its_body():
     prog = parse(
-        "param x\ndef D = x + 1\ndef E = D * D\n"
-        "budget B = a(D) | enc{c}(c(D) | c(-E)) | test(D <= 5)\n"
+        "param x\ndef D = x + 1\ndef E = D * D\ndef F = D\n"
+        "budget B = a(D) | enc{c}(c(D) | c(-E)) | test(D == F)\n"
     )
     b = elaborate(prog, "B")
     entry, enc, test = b.left.left, b.left.right, b.right
@@ -324,7 +324,25 @@ def test_every_reference_to_a_def_is_its_body():
     assert enc.body.left.amount is body
     square = enc.body.right.amount.arg  # c(-E) holds Neg(E)
     assert square.left is body and square.right is body
-    assert test.label == "D <= 5"
+    d, f = test.arg.left, test.arg.right.arg  # D == F is D - F
+    assert d is body
+    assert f == body and f is not body  # the alias F holds its own copy of D's body
+    assert test.label == "D == F"
+
+
+@pytest.mark.parametrize(
+    "defs, cond",
+    [
+        ("def D = x", "D + x <= 1"),
+        ("def C = 5", "C == 5"),
+        ("def D = x\ndef E = D\ndef F = (D)", "E <= F"),
+        ("def N = -y", "x + N == 0"),
+        ("def N = -y\ndef R = 1 / y", "x * R == 1 && x - N"),
+    ],
+)
+def test_labels_name_each_def_where_it_is_referenced(defs, cond):
+    prog = parse(f"param x\nparam y\n{defs}\nbudget B = test({cond})\n")
+    assert elaborate(prog, "B").label == cond
 
 
 # --- case study program shape ----------------------------------------------

@@ -29,7 +29,6 @@ from tuplix.expr import (
     random_rational,
     sort_key,
     sub,
-    substitute_all,
 )
 from tuplix.meadow import minv
 
@@ -75,11 +74,11 @@ def test_free_vars():
 
 def test_substitute():
     e = Add(Var("x"), Var("y"))
-    assert substitute_all(e, {"x": const(2)}) == Add(const(2), Var("y"))
-    swapped = substitute_all(e, {"x": Var("y"), "y": Var("x")})
+    assert fold_constants(e, {"x": const(2)}) == Add(const(2), Var("y"))
+    swapped = fold_constants(e, {"x": Var("y"), "y": Var("x")})
     assert swapped == Add(Var("y"), Var("x"))  # simultaneous, not sequential
-    assert free_vars(substitute_all(e, {"x": const(2)})) == free_vars(e) - {"x"}
-    assert substitute_all(e, {"z": const(2)}) is e  # nothing bound, nothing rebuilt
+    assert free_vars(fold_constants(e, {"x": const(2)})) == free_vars(e) - {"x"}
+    assert fold_constants(e, {"z": const(2)}) is e  # nothing bound, nothing rebuilt
 
 
 def test_fold_collapses_constants():
@@ -114,6 +113,18 @@ def test_fold_preserves_value():
         assert evaluate(fold_constants(e), v) == evaluate(e, v)
 
 
+def _substitute(e, bindings):
+    """Each bound variable of `e` replaced by its expression, nothing folded: the reference."""
+    match e:
+        case Var(name):
+            return bindings.get(name, e)
+        case Add(left, right) | Mul(left, right):
+            return type(e)(_substitute(left, bindings), _substitute(right, bindings))
+        case Neg(arg) | Inv(arg) | Abs(arg):
+            return type(e)(_substitute(arg, bindings))
+    return e
+
+
 def test_fold_with_bindings_equals_fold_after_substitution():
     rng = random.Random(17)
     names = ("x", "y", "z")
@@ -126,7 +137,7 @@ def test_fold_with_bindings_equals_fold_after_substitution():
                 bindings[name] = Const(random_rational(rng))  # zero a quarter of the time
             elif roll < 0.7:
                 bindings[name] = fold_constants(random_expr(rng, names, rng.randint(0, 3)))
-        assert fold_constants(e, bindings) == fold_constants(substitute_all(e, bindings))
+        assert fold_constants(e, bindings) == fold_constants(_substitute(e, bindings))
 
 
 def test_compiled_program_agrees_with_evaluate():
@@ -411,7 +422,7 @@ def test_passes_run_deep_chains_and_shared_nodes_once():
     assert fold_constants(folded, {"x": const(n)}) == const(0)
     assert free_vars(chain) == {"x"}
     assert pretty(chain) == "x" + " - 1" * n
-    assert substitute_all(chain, {"x": const(2)}).left.left.right is chain.left.left.right
+    assert fold_constants(folded, {"x": Var("y")}).left.left.right is folded.left.left.right
     assert compare(chain, folded) == 1 and compare(folded, chain) == -1  # Neg after Const
     doubled, again = Var("x"), Var("x")
     for _ in range(200):  # 2^200 paths, 201 distinct nodes
@@ -432,6 +443,16 @@ def test_pretty_spells_sums_and_quotients():
     assert pretty(Const(Fraction(1, 3))) == "1/3"
     assert pretty(Const(Fraction(-2))) == "-2"
     assert pretty(Abs(Var("x"))) == "abs(x)"
+
+
+def test_pretty_prints_a_named_node_by_its_name():
+    total, neg, inv = Add(Var("a"), Var("b")), Neg(Var("b")), Inv(Var("b"))
+    names = {id(total): "T", id(neg): "N", id(inv): "R"}
+    assert pretty(Mul(total, Var("c")), names) == "T * c"  # never bracketed
+    assert pretty(Add(Var("a"), neg), names) == "a + N"  # no a - b sugar over a name
+    assert pretty(Mul(Var("a"), inv), names) == "a * R"  # nor a / b
+    assert pretty(Add(total, sub(total, Var("c")))) == "a + b + (a + b - c)"
+    assert pretty(Add(total, sub(total, Var("c"))), names) == "T + (T - c)"
 
 
 def test_random_expr_is_deterministic():
