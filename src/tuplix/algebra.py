@@ -16,9 +16,11 @@ Two views are provided. `denote_ground` evaluates a fully bound term to
 its ground value: None for the null budget, or a dict from channel to
 amount. It is deliberately the simplest possible recursion so it can act
 as an oracle. `normalize` reduces a partially bound term to a canonical
-form with residual symbolic tests and per-channel amounts; `ground_of`
-and `ground_evaluator` turn that form into a ground value, which must
-equal the oracle's whenever the term is fully bound.
+form with residual symbolic tests and per-channel amounts. `ground_of`
+turns a closed form into a ground value, and `ground_rows` evaluates an
+open one at many valuations at once, over columns of integer numerators
+and denominators; both must equal the oracle's whenever the term is fully
+bound.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from typing import Callable, Iterable, Union
+from itertools import repeat
+from typing import Iterable, Iterator, Mapping, Union
 
 from .expr import (
     Const,
@@ -51,21 +54,80 @@ from .expr import (
     sort_key,
     sub,
 )
-from .meadow import Rational
+from .meadow import Column, Rational
 
 
-@dataclass(frozen=True)
-class Eps:
+class _Term:
+    """Structural equality and hashing for budget terms, without recursion.
+
+    Spans and labels, which tell where a term came from, take no part.
+    """
+
+    def __eq__(self, other):
+        if not isinstance(other, _Term):
+            return NotImplemented
+        met: set[tuple[int, int]] = set()  # pairs already compared or on the stack
+        stack = [(self, other)]
+        while stack:
+            x, y = stack.pop()
+            if x is y or (id(x), id(y)) in met:
+                continue
+            met.add((id(x), id(y)))
+            kind = type(x)
+            if kind is not type(y):
+                return False
+            if kind is Comp:
+                stack += ((x.right, y.right), (x.left, y.left))
+            elif kind is Encap:
+                if x.channels != y.channels:
+                    return False
+                stack.append((x.body, y.body))
+            elif kind is Entry:
+                if x.channel != y.channel or x.amount != y.amount:
+                    return False
+            elif kind is Test and x.arg != y.arg:
+                return False
+        return True
+
+    def __hash__(self):
+        hashes: dict[int, int] = {}  # id(term) -> its hash, which agrees with ==
+        stack = [self]
+        while stack:
+            term = stack[-1]
+            if id(term) in hashes:
+                stack.pop()
+                continue
+            kind = type(term)
+            parts = (term.left, term.right) if kind is Comp else (term.body,) if kind is Encap else ()
+            missing = [part for part in parts if id(part) not in hashes]
+            if missing:
+                stack += missing
+                continue
+            stack.pop()
+            if kind is Entry:
+                fields = term.channel, term.amount
+            elif kind is Test:
+                fields = term.arg
+            else:
+                fields = tuple(hashes[id(part)] for part in parts)
+                if kind is Encap:
+                    fields = term.channels, fields
+            hashes[id(term)] = hash((kind.__name__, fields))
+        return hashes[id(self)]
+
+
+@dataclass(frozen=True, eq=False)
+class Eps(_Term):
     pass
 
 
-@dataclass(frozen=True)
-class Delta:
-    span: str | None = field(default=None, compare=False)
+@dataclass(frozen=True, eq=False)
+class Delta(_Term):
+    span: str | None = None
 
 
-@dataclass(frozen=True)
-class Entry:
+@dataclass(frozen=True, eq=False)
+class Entry(_Term):
     channel: str
     amount: Expr
 
@@ -74,28 +136,28 @@ class Entry:
             raise ValueError(f"invalid channel name: {self.channel!r}")
 
 
-@dataclass(frozen=True)
-class Test:
+@dataclass(frozen=True, eq=False)
+class Test(_Term):
     __test__ = False  # keep pytest from collecting this class
 
     arg: Expr
     # Where the test came from, for violation reports; never part of the
     # term's identity.
-    label: str | None = field(default=None, compare=False)
-    span: str | None = field(default=None, compare=False)
+    label: str | None = None
+    span: str | None = None
 
 
-@dataclass(frozen=True)
-class Comp:
+@dataclass(frozen=True, eq=False)
+class Comp(_Term):
     left: "Tuplix"
     right: "Tuplix"
 
 
-@dataclass(frozen=True)
-class Encap:
+@dataclass(frozen=True, eq=False)
+class Encap(_Term):
     channels: frozenset[str]
     body: "Tuplix"
-    span: str | None = field(default=None, compare=False)
+    span: str | None = None
 
     def __post_init__(self):
         for channel in self.channels:
@@ -295,7 +357,7 @@ def ground_of(c: CanonicalTuplix) -> dict[str, Rational] | None:
 
     A form is closed when it has no residual tests and only constant
     amounts; `c.is_null` tells the two None cases apart. To evaluate an
-    open form at many valuations, use `ground_evaluator`.
+    open form at many valuations, use `ground_rows`.
     """
     if c.is_null or c.tests:
         return None
@@ -307,30 +369,34 @@ def ground_of(c: CanonicalTuplix) -> dict[str, Rational] | None:
     return amounts
 
 
-def ground_evaluator(c: CanonicalTuplix) -> Callable[[Valuation], dict[str, Rational] | None]:
-    """Compile a canonical form once into a function from valuations to ground values.
+def ground_rows(
+    c: CanonicalTuplix, values: Mapping[str, Column], rows: int
+) -> Iterator[tuple[tuple[int, int], ...] | None]:
+    """The ground value of a canonical form at each of `rows` rows of values, row by row.
 
-    The valuation must bind every variable left in the form. Any nonzero
-    residual test makes the result None, the null budget; otherwise the
-    result maps every channel of the form, in sorted order, to its amount.
-    Folding is sound at every valuation and evaluation is total, so
+    `values` maps every variable left in the form to a column of `rows`
+    rationals in lowest terms (see `expr.SlotProgram.columns`). A row is
+    None, the null budget, when some residual test is nonzero there;
+    otherwise it holds the amount of every channel of the form, in sorted
+    order, as a pair of numerator and positive denominator in lowest
+    terms. Folding is sound at every valuation and evaluation is total, so
     normalizing under some bindings and then evaluating under the rest
     gives the ground denotation under all of them. The residuals are
-    compiled once, by `expr.compile_exprs`, so no depth is too great.
+    compiled once, by `expr.compile_exprs`, so no depth is too great, and
+    each instruction runs once for all rows, in this call; only the pairs
+    of each row are made as the rows are read.
     """
     if c.is_null:
-        return lambda valuation: None
+        return repeat(None, rows)
     program = compile_exprs([*c.tests, *(amount for _, amount in c.entries)])
-    channels = [channel for channel, _ in c.entries]
+    columns = program.columns(values, rows)
     tested = len(c.tests)
-
-    def ground(valuation: Valuation) -> dict[str, Rational] | None:
-        values = program(valuation)
-        if any(values[:tested]):
-            return None
-        return dict(zip(channels, values[tested:]))
-
-    return ground
+    amounts = columns[tested:]
+    pairs = zip(*(zip(*column) for column in amounts)) if amounts else repeat((), rows)
+    if not tested:
+        return pairs
+    failed = map(any, zip(*(numerators for numerators, _ in columns[:tested])))
+    return (None if fail else row for fail, row in zip(failed, pairs))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,10 @@ import argparse
 import json
 import re
 import sys
+from itertools import starmap
+from math import lcm
 from pathlib import Path
+from typing import Iterable
 
 from .algebra import (
     CanonicalTuplix,
@@ -28,14 +31,23 @@ from .algebra import (
     Violation,
     apply_test_substitution,
     free_vars_tuplix,
-    ground_evaluator,
     ground_of,
+    ground_rows,
     normalize,
 )
 from .dsl import BudgetProgram, DslError, elaborate, parse
 from .expr import IDENT_PATTERN, pretty
 from .laws import all_laws, render_results, run_suite
-from .meadow import DigitLimitError, Rational, format_rational, parse_rational, quoted
+from .meadow import (
+    Column,
+    DigitLimitError,
+    Rational,
+    format_pair,
+    format_rational,
+    lowest_terms,
+    parse_rational,
+    quoted,
+)
 
 _BINDING_RE = re.compile(rf"({IDENT_PATTERN})\s*=\s*(\S+)\Z")
 
@@ -71,17 +83,11 @@ def render_text(c: CanonicalTuplix, source: str = "") -> str:
     return "\n".join(lines) + "\n"
 
 
-def _entries_json(entries: dict[str, Rational] | None) -> dict[str, str] | None:
-    """An entry map as JSON: exact rational strings, or null for no entries."""
-    if entries is None:
-        return None
-    return {channel: format_rational(amount) for channel, amount in entries.items()}
-
-
 def render_json(c: CanonicalTuplix, source: str = "") -> str:
+    entries = ground_of(c)
     doc = {
         "status": "null" if c.is_null else "ok",
-        "entries": _entries_json(ground_of(c)),
+        "entries": None if entries is None else {ch: format_rational(a) for ch, a in entries.items()},
         "residual_tests": [pretty(t) for t in c.tests],
         "violations": [
             {"span": _span_text(source, v), "test": v.label, "value": format_rational(v.value)}
@@ -200,12 +206,14 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 # A sweep keeps every row, and then its whole output, in memory before it
-# prints (about 1.4 KiB a row as text and 3.2 KiB as JSON for msc budget J),
-# so longer ranges are refused before any row is built.
+# prints (about 1.0 KiB a row as text and 0.8 KiB as JSON for msc budget J,
+# peak RSS over 100,000 rows on CPython 3.11), so longer ranges are refused
+# before any row is built.
 MAX_SWEEP_ROWS = 100_000
 
 
-def _sweep_values(start: Rational, stop: Rational, step: Rational) -> list[Rational]:
+def _sweep_values(start: Rational, stop: Rational, step: Rational) -> Column:
+    """The swept values start, start + step, ... up to stop, as a column in lowest terms."""
     if step <= 0:
         raise CliError("--step must be positive")
     if stop < start:
@@ -216,27 +224,37 @@ def _sweep_values(start: Rational, stop: Rational, step: Rational) -> list[Ratio
             f"the sweep would have {count} rows, more than the limit of {MAX_SWEEP_ROWS}; "
             "use a larger --step or a shorter range"
         )
-    return [start + i * step for i in range(count)]
+    # value i is (a + i * b) / c, over the common denominator c of start and step
+    c = lcm(start.denominator, step.denominator)
+    a = start.numerator * (c // start.denominator)
+    b = step.numerator * (c // step.denominator)
+    return lowest_terms(list(range(a, a + count * b, b)), [c] * count)
 
 
-def _sweep_row_json(value: Rational, entries: dict[str, Rational] | None) -> str:
-    """One row of a JSON sweep, laid out as json.dumps(rows, sort_keys=True, indent=2) would.
+def _sweep_json(
+    values: list[str], channels: list[str], rows: Iterable[tuple[tuple[int, int], ...] | None]
+) -> list[str]:
+    """The rows of a JSON sweep, each laid out as json.dumps(rows, sort_keys=True, indent=2) would.
 
-    Each key and value is encoded on its own, by the C encoder, which an
-    `indent` would bypass for the whole document.
+    The channels are sorted, and each is encoded once, by the C encoder,
+    which an `indent` would bypass for the whole document. The values and
+    amounts are written as they are, since the text of a rational needs
+    no escape.
     """
-    doc = _entries_json(entries)
-    if doc is None:
-        body, status = "null", "null"
-    elif doc:
-        lines = [f"      {json.dumps(channel)}: {json.dumps(doc[channel])}" for channel in sorted(doc)]
-        body, status = "{\n" + ",\n".join(lines) + "\n    }", "ok"
-    else:
-        body, status = "{}", "ok"
-    return (
-        f'  {{\n    "entries": {body},\n    "status": "{status}",\n'
-        f'    "value": {json.dumps(format_rational(value))}\n  }}'
-    )
+    keys = [f'      {json.dumps(channel)}: "' for channel in channels]
+    out = []
+    for value, row in zip(values, rows):
+        if row is None:
+            body, status = "null", "null"
+        elif row:
+            lines = [f'{key}{format_pair(*amount)}"' for key, amount in zip(keys, row)]
+            body, status = "{\n" + ",\n".join(lines) + "\n    }", "ok"
+        else:
+            body, status = "{}", "ok"
+        out.append(
+            f'  {{\n    "entries": {body},\n    "status": "{status}",\n    "value": "{value}"\n  }}'
+        )
+    return out
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -251,23 +269,24 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "sweep requires every other parameter of the budget bound; missing: "
             + ", ".join(needed)
         )
-    values = _sweep_values(args.start, args.stop, args.step)
-    # Normalize and compile once; each row only runs what is left of the swept variable.
-    ground = ground_evaluator(normalize(term, fixed))
-    rows = [(value, ground({args.var: value})) for value in values]  # None: a null row
+    column = _sweep_values(args.start, args.stop, args.step)
+    values = list(map(format_pair, *column))
+    # Normalize and compile once; the program then runs once over all rows.
+    c = normalize(term, fixed)
+    rows = ground_rows(c, {args.var: column}, len(values))  # None: a null row
+    channels = [channel for channel, _ in c.entries]  # sorted
     if args.format == "json":
-        sys.stdout.write("[\n" + ",\n".join(_sweep_row_json(*row) for row in rows) + "\n]\n")
+        # the document is joined once, and written without a copy made by concatenation
+        sys.stdout.writelines(("[\n", ",\n".join(_sweep_json(values, channels, rows)), "\n]\n"))
         return 0
-    # every ok row carries every channel of the compiled form, in sorted order
-    channels = next((list(entries) for _, entries in rows if entries is not None), [])
-    header = [args.var, "status", *channels]
-    table = [header]
-    for value, entries in rows:
-        if entries is None:
-            table.append([format_rational(value), "null", *["NULL"] * len(channels)])
-        else:
-            table.append([format_rational(value), "ok", *map(format_rational, entries.values())])
-    widths = [max(len(row[i]) for row in table) for i in range(len(header))]
+    cells = [None if row is None else [*starmap(format_pair, row)] for row in rows]
+    if cells.count(None) == len(cells):
+        channels = []  # the table has a column for each channel of an ok row
+    nulls = ["NULL"] * len(channels)
+    table = [[args.var, "status", *channels]]
+    for value, row in zip(values, cells):
+        table.append([value, "null", *nulls] if row is None else [value, "ok", *row])
+    widths = [max(map(len, texts)) for texts in zip(*table)]
     lines = ("  ".join(map(str.ljust, row, widths)).rstrip() for row in table)
     sys.stdout.write("\n".join(lines) + "\n")
     return 0

@@ -13,7 +13,10 @@ Two representations serve different ends. `fold_constants` keeps the
 tree as written, only smaller, and `pretty` prints it. `LinearForms`
 writes expressions as a constant plus exact multiples of atoms, as a
 meadow allows; `compile_exprs` builds a straight-line program from
-those, and test substitution solves the tests linear in a variable.
+those, and test substitution solves the tests linear in a variable. The
+program runs each step once over whole columns of integer numerators and
+denominators (`SlotProgram.columns`), so evaluating at many valuations
+makes no `Fraction` per value.
 """
 
 from __future__ import annotations
@@ -23,10 +26,11 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
-from typing import Callable, Container, Iterable, Mapping, Sequence, Union
+from functools import cmp_to_key, partial
+from itertools import repeat
+from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence, Union
 
-from .meadow import ONE, Rational, decimal_repr, format_rational, minv
+from .meadow import ONE, Column, Rational, decimal_repr, format_rational, lowest_terms, minv
 
 # Shared with the budget language: names are colon-separated word segments.
 IDENT_PATTERN = r"[A-Za-z_]\w*(?::[A-Za-z_]\w*)*"
@@ -184,13 +188,64 @@ def postorder(roots: Sequence[Expr], done: Container[int] = ()) -> list[Expr]:
 _OPS = {Add: operator.add, Mul: operator.mul, Neg: operator.neg, Inv: minv, Abs: abs}
 
 
+def _spread(*parts: int | list[int]) -> Iterator[Iterable[int]]:
+    """Each part as an iterable over the rows: a list as it is, an int repeated."""
+    return (repeat(part) if type(part) is int else part for part in parts)
+
+
+def _sum(op: Callable, x, y) -> Column:
+    """x + y or x - y, for op operator.add or operator.sub; at most one side is a scalar pair."""
+    mul = operator.mul
+    (a, b), (c, d) = x, y
+    if type(b) is int and b == 1:  # a*d ± c over d is in lowest terms, as c/d is
+        return list(map(op, map(mul, repeat(a), d), c)), d
+    if type(d) is int and d == 1:
+        return list(map(op, a, map(mul, repeat(c), b))), b
+    a, b, c, d = _spread(a, b, c, d)
+    return lowest_terms(list(map(op, map(mul, a, d), map(mul, c, b))), list(map(mul, b, d)))
+
+
+def _product(x, y) -> Column:
+    """x * y; at most one side is a scalar pair."""
+    a, b, c, d = _spread(*x, *y)
+    return lowest_terms(list(map(operator.mul, a, c)), list(map(operator.mul, b, d)))
+
+
+def _inverse(x: Column) -> Column:
+    """The totalized inverse: b/a becomes sign(a) * b / |a|, and 0/1 stays 0/1."""
+    a, b = x
+    d = list(map(max, map(abs, a), repeat(1)))  # |a|, or 1 where a is 0
+    return list(map(operator.floordiv, map(operator.mul, a, b), d)), d
+
+
+# What each instruction of a `SlotProgram` does to columns: the operator of
+# the instruction maps to a function of the columns of its operands.
+_COLUMN_OPS: dict[Callable, Callable] = {
+    operator.add: partial(_sum, operator.add),
+    operator.sub: partial(_sum, operator.sub),
+    operator.mul: _product,
+    operator.neg: lambda x: (list(map(operator.neg, x[0])), x[1]),
+    abs: lambda x: (list(map(abs, x[0])), x[1]),
+    minv: _inverse,
+}
+
+
 @dataclass(frozen=True)
 class SlotProgram:
-    """A straight-line program that evaluates several expressions at once.
+    """A straight-line program that evaluates several expressions at once, on many rows.
 
     Slots hold, in order, the constants, the values of the variables and
     the result of each instruction. An instruction `(op, a, b)` appends
     `op(slot a, slot b)`, or `op(slot a)` when `b` is -1.
+
+    The program runs on whole columns (`columns`): a variable's slot holds
+    a column of its values, as integer numerators and denominators, and
+    each instruction runs once over all rows, a few passes over lists of
+    ints. The inverse of 0 is 0, so every instruction is total on every
+    row. Constants stay scalar pairs of ints, spread over the rows only
+    where a root is a constant: every instruction has an operand that is
+    not a constant, as `compile_exprs` folds the others. A column is let
+    go after its last use.
     """
 
     constants: tuple[Rational, ...]
@@ -198,18 +253,42 @@ class SlotProgram:
     instructions: tuple[tuple[Callable, int, int], ...]
     outputs: tuple[int, ...]  # the slot of each root
 
-    def __call__(self, valuation: Valuation) -> list[Rational]:
-        """The value of every root under a valuation binding all its variables."""
-        slots = list(self.constants)
+    def columns(self, values: Mapping[str, Column], rows: int) -> list[Column]:
+        """The values of every root at each of `rows` rows, as one column per root.
+
+        `values` maps each variable of the program to a column of `rows`
+        rationals in lowest terms. The roots' columns are in lowest terms
+        too, and may be the very lists of `values` or of each other.
+        """
+        slots: list = [(c.numerator, c.denominator) for c in self.constants]
         for name in self.variables:
             try:
-                slots.append(valuation[name])
+                slots.append(values[name])
             except KeyError:
                 raise UnboundVariableError(name) from None
+        last_use = {}
+        for k, (_, a, b) in enumerate(self.instructions):
+            last_use[a] = last_use[b] = k
+        drops: list[list[int]] = [[] for _ in self.instructions]  # the columns each one uses last
+        kept = set(self.outputs)
+        for slot, k in last_use.items():
+            if slot >= len(self.constants) and slot not in kept:
+                drops[k].append(slot)
         append = slots.append
-        for op, a, b in self.instructions:
-            append(op(slots[a]) if b < 0 else op(slots[a], slots[b]))
-        return [slots[i] for i in self.outputs]
+        for (op, a, b), drop in zip(self.instructions, drops):
+            if b < 0:
+                append(_COLUMN_OPS[op](slots[a]))
+            else:
+                append(_COLUMN_OPS[op](slots[a], slots[b]))
+            for slot in drop:
+                slots[slot] = None
+        roots = [slots[i] for i in self.outputs]
+        return [([n] * rows, [d] * rows) if type(n) is int else (n, d) for n, d in roots]
+
+    def __call__(self, valuation: Valuation) -> list[Rational]:
+        """The value of every root under a valuation binding all its variables, as one row."""
+        values = {name: ([value.numerator], [value.denominator]) for name, value in valuation.items()}
+        return [Fraction(n[0], d[0]) for n, d in self.columns(values, 1)]
 
 
 class _Form:

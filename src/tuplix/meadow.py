@@ -11,6 +11,8 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from math import gcd
+from operator import floordiv
 
 # Canonical representation: stdlib Fraction already stores lowest terms
 # with a positive denominator, so equality is plain structural equality.
@@ -18,6 +20,10 @@ Rational = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+# Many rationals at once, as a column of numerators and a column of positive
+# denominators of the same length: row i is numerators[i] / denominators[i].
+Column = tuple[list[int], list[int]]
 
 _RATIONAL_RE = re.compile(r"([+-]?)(\d+)(?:/(\d+)|\.(\d+))?\Z")
 
@@ -67,14 +73,31 @@ def parse_rational(text: str) -> Rational:
     return -value if sign == "-" else value
 
 
-def format_rational(x: Rational) -> str:
-    """Canonical text form: 'n/d', or just 'n' when the denominator is 1."""
+def lowest_terms(numerators: list[int], denominators: list[int]) -> Column:
+    """A column with each row divided through by its gcd, so in lowest terms: 0/d becomes 0/1.
+
+    The lists are returned as they are when every row already is.
+    """
+    gcds = list(map(gcd, numerators, denominators))
+    if gcds.count(1) == len(gcds):
+        return numerators, denominators
+    return list(map(floordiv, numerators, gcds)), list(map(floordiv, denominators, gcds))
+
+
+def format_pair(numerator: int, denominator: int) -> str:
+    """Canonical text of numerator/denominator, given in lowest terms with denominator > 0.
+
+    That is 'n/d', or just 'n' when the denominator is 1.
+    """
     try:
-        if x.denominator == 1:
-            return str(x.numerator)
-        return f"{x.numerator}/{x.denominator}"
+        return str(numerator) if denominator == 1 else f"{numerator}/{denominator}"
     except ValueError:
         raise DigitLimitError() from None
+
+
+def format_rational(x: Rational) -> str:
+    """Canonical text form: 'n/d', or just 'n' when the denominator is 1."""
+    return format_pair(x.numerator, x.denominator)
 
 
 def decimal_repr(x: Rational) -> str | None:

@@ -8,6 +8,7 @@ from tuplix.algebra import (
     EPS,
     CanonicalTuplix,
     Comp,
+    Delta,
     Encap,
     Entry,
     Test,
@@ -17,8 +18,8 @@ from tuplix.algebra import (
     encap,
     equiv_prob_tuplix,
     free_vars_tuplix,
-    ground_evaluator,
     ground_of,
+    ground_rows,
     normalize,
     _random_term,
 )
@@ -167,6 +168,23 @@ def test_deep_encap_leftovers_reach_the_top():
     assert ground_of(normalize(term)) == {"a": Fraction(20_001)}
 
 
+def test_terms_of_20000_entries_compare_and_hash_without_recursion():
+    # two compositions built apart, under an enc{}, with a shared sub-budget
+    # used twice; spans and labels take no part
+    x = Var("x")
+
+    def build(last, span):
+        entries = [Entry("a", Add(x, Const(Fraction(i)))) for i in range(20_000)]
+        shared = compose(*entries, Test(x, label=span), ent("a", last))
+        return encap({"b"}, Comp(shared, shared), span=span)
+
+    first, second, other = build(1, None), build(1, "f:1:1"), build(2, None)
+    assert first == second and hash(first) == hash(second)
+    assert first != other
+    assert first != encap({"b"}, Comp(first.body.left, EPS)) and first != EPS
+    assert Delta("f:2:3") == DELTA and hash(Delta("f:2:3")) == hash(DELTA)
+
+
 def test_encap_missing_channel_is_identity():
     assert normalize(encap({"z"}, ent("a", 4))) == normalize(ent("a", 4))
 
@@ -202,19 +220,39 @@ def test_normalize_agrees_with_direct_denotation():
         assert ground_of(normalize(t)) == denote_ground(t)
 
 
+def ground_at(c, rows):
+    """Each row of `ground_rows` as the oracle writes it: None, or a channel -> amount dict."""
+    channels = [channel for channel, _ in c.entries]
+    return [None if row is None else dict(zip(channels, (Fraction(*p) for p in row))) for row in rows]
+
+
 def test_ground_of_at_a_valuation_agrees_with_the_oracle():
-    # normalize under x alone, compile the residual form, then run it at k;
-    # a term composed with itself sums each amount node with itself, so its
-    # residual shares subterms
+    # normalize under x alone, compile the residual form, then run it at a
+    # column of k; a term composed with itself sums each amount node with
+    # itself, so its residual shares subterms
     rng = random.Random(29)
     for trial in range(300):
         t = random_tuplix(rng.randint(1, 40), names=("x", "k"), seed=7000 + trial)
         x = random_rational(rng)
         ks = (Fraction(0), random_rational(rng))
+        k_column = [k.numerator for k in ks], [k.denominator for k in ks]
         for term in (t, Comp(t, t)):
-            ground = ground_evaluator(normalize(term, {"x": x}))
-            for k in ks:
-                assert ground({"k": k}) == denote_ground(term, {"x": x, "k": k})
+            c = normalize(term, {"x": x})
+            rows = list(ground_rows(c, {"k": k_column}, 2))
+            assert ground_at(c, rows) == [denote_ground(term, {"x": x, "k": k}) for k in ks]
+            for row in filter(None, rows):  # lowest terms, positive denominators
+                assert all(Fraction(*p).as_integer_ratio() == p for p in row)
+
+
+def test_ground_rows_of_a_form_null_at_every_row():
+    # test(x * x + 1) is nonzero at every x: the form is open, and every row is null
+    x = Var("x")
+    c = normalize(Comp(Test(Add(Mul(x, x), const(1))), Entry("a", x)))
+    assert not c.is_null and c.tests
+    assert list(ground_rows(c, {"x": ([0, -1, 5], [1, 1, 2])}, 3)) == [None, None, None]
+    assert list(ground_rows(normalize(DELTA), {}, 2)) == [None, None]
+    # no tests and no channels: each row is the empty budget
+    assert list(ground_rows(normalize(EPS), {}, 2)) == [(), ()]
 
 
 def test_free_vars_tuplix():

@@ -419,7 +419,12 @@ def squaring_chain(tmp_path):
         depth += 1
     lines = ["param x", "def D0 = x"] + [f"def D{i} = D{i - 1} * D{i - 1}" for i in range(1, depth + 1)]
     f = tmp_path / "big.bgt"
-    f.write_text("\n".join(lines) + f"\nbudget B = a(D{depth})\nbudget T = test(D{depth} == 0)\n")
+    lines += [
+        f"budget B = a(D{depth})",
+        f"budget N = a(D{depth}) | test(x - 1)",  # null wherever x is not 1
+        f"budget T = test(D{depth} == 0)",
+    ]
+    f.write_text("\n".join(lines) + "\n")
     return str(f)
 
 
@@ -444,6 +449,18 @@ def test_numbers_past_the_digit_limit_exit_2(tmp_path, capsys):
     program.write_text(f"param x\nbudget B = a(x + {literal})\n")
     assert run(["eval", str(program)], capsys) == (
         2, "", f"error: literal.bgt:2:18: a number has more than {LIMIT} decimal digits\n"
+    )
+
+
+def test_sweep_writes_the_amounts_of_ok_rows_only(tmp_path, capsys):
+    # at x = 2 the amount is past the digit limit, but test(x - 1) makes that row null
+    f = squaring_chain(tmp_path)
+    argv = ["sweep", f, "--budget", "N", "--var", "x", "--from", "1", "--to", "2", "--step", "1"]
+    assert run(argv, capsys) == (0, "x  status  a\n1  ok      1\n2  null    NULL\n", "")
+    rows = [{"entries": {"a": "1"}, "status": "ok", "value": "1"},
+            {"entries": None, "status": "null", "value": "2"}]
+    assert run([*argv, "--format", "json"], capsys) == (
+        0, json.dumps(rows, sort_keys=True, indent=2) + "\n", ""
     )
 
 

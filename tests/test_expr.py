@@ -140,7 +140,23 @@ def test_fold_with_bindings_equals_fold_after_substitution():
         assert fold_constants(e, bindings) == fold_constants(_substitute(e, bindings))
 
 
+def column(values):
+    """The column of some rationals: their numerators and their denominators."""
+    return [v.numerator for v in values], [v.denominator for v in values]
+
+
+def rows_of(columns):
+    """Each row of the roots' columns, as (numerator, denominator) pairs."""
+    return list(zip(*(zip(*c) for c in columns)))
+
+
+def pairs(values):
+    """Rationals as the (numerator, denominator) pairs of their lowest terms."""
+    return tuple((v.numerator, v.denominator) for v in values)
+
+
 def test_compiled_program_agrees_with_evaluate():
+    # each trial's four valuations run as the four rows of one call
     rng = random.Random(23)
     names = ("x", "y", "z")
     x = Var("x")
@@ -157,11 +173,55 @@ def test_compiled_program_agrees_with_evaluate():
             random_expr(rng, names, rng.randint(0, 8)),
         ]
         program = compile_exprs(roots)
-        for _ in range(3):
-            v = {name: random_rational(rng) for name in names}  # zero a quarter of the time
-            assert program(v) == [evaluate(root, v) for root in roots]
-        zeros = dict.fromkeys(names, Fraction(0))
-        assert program(zeros) == [evaluate(root, zeros) for root in roots]
+        # zero a quarter of the time, and all zero in the last row
+        valuations = [{name: random_rational(rng) for name in names} for _ in range(3)]
+        valuations.append(dict.fromkeys(names, Fraction(0)))
+        values = {name: column([v[name] for v in valuations]) for name in names}
+        rows = rows_of(program.columns(values, 4))
+        assert rows == [pairs([evaluate(root, v) for root in roots]) for v in valuations]
+
+
+def test_columns_agree_with_evaluate_row_by_row():
+    # one column of 40 rows per variable, with zeros, negatives and large values
+    rng = random.Random(41)
+    names = ("x", "y", "z")
+    for _ in range(300):
+        roots = [random_expr(rng, names, rng.randint(0, 12)) for _ in range(4)]
+        valuations = [{name: random_rational(rng) for name in names} for _ in range(36)]
+        valuations += [{name: Fraction(rng.randint(-(2**70), 2**70), 3**41) for name in names}]
+        valuations += [dict.fromkeys(names, Fraction(value)) for value in (0, -1, 1)]
+        program = compile_exprs(roots)
+        values = {name: column([v[name] for v in valuations]) for name in names}
+        rows = rows_of(program.columns(values, len(valuations)))
+        assert rows == [pairs([evaluate(root, v) for root in roots]) for v in valuations]
+        assert rows[0] == pairs(program(valuations[0]))  # the one-row view
+
+
+def test_columns_invert_zero_negatives_and_large_numbers():
+    x, y = Var("x"), Var("y")
+    big = Fraction(-(2**100) - 1, 3**50)
+    xs = [Fraction(0), Fraction(-3, 4), Fraction(5), big]
+    ys = [Fraction(0), Fraction(-2), Fraction(1, 7), Fraction(2**64 + 1)]
+    roots = [Inv(x), Inv(Add(x, y)), Abs(x), Neg(Mul(x, y)), Add(Mul(x, y), Inv(y)), Mul(x, Inv(x))]
+    program = compile_exprs(roots)
+    rows = rows_of(program.columns({"x": column(xs), "y": column(ys)}, 4))
+    valuations = [{"x": a, "y": b} for a, b in zip(xs, ys)]
+    assert rows == [pairs([evaluate(root, v) for root in roots]) for v in valuations]
+    assert rows[0] == ((0, 1),) * 6  # 1/0 = 0, in lowest terms with denominator 1
+    assert rows[1][0] == (-4, 3)  # the sign goes to the numerator
+    assert rows[3][0] == (-(3**50), 2**100 + 1)
+    assert rows[3][3] == pairs([-big * (2**64 + 1)])[0]  # past 2^64, exact
+
+
+def test_columns_of_a_program_without_variables_fill_every_row():
+    program = compile_exprs([Add(const(1), Inv(const(3))), Inv(const(0)), Abs(Var("x"))])
+    assert program.variables == ("x",)
+    constants = compile_exprs([Add(const(1), Inv(const(3))), Inv(const(0))])
+    assert (constants.variables, constants.instructions) == ((), ())
+    assert constants.columns({}, 3) == [([4, 4, 4], [3, 3, 3]), ([0, 0, 0], [1, 1, 1])]
+    assert program.columns({"x": ([-1, 2], [1, 5])}, 2) == [
+        ([4, 4], [3, 3]), ([0, 0], [1, 1]), ([1, 2], [1, 5])
+    ]
 
 
 def test_compiled_program_names_an_unbound_variable():
@@ -169,6 +229,9 @@ def test_compiled_program_names_an_unbound_variable():
     assert program({"x": Fraction(2), "missing": Fraction(1)}) == [Fraction(2), Fraction(1)]
     with pytest.raises(UnboundVariableError) as info:
         program({"x": Fraction(2)})
+    assert info.value.name == "missing"
+    with pytest.raises(UnboundVariableError) as info:
+        program.columns({"x": ([2, 3], [1, 1])}, 2)
     assert info.value.name == "missing"
 
 
@@ -266,6 +329,15 @@ def ring_expr(rng, names, size):
     return kind(ring_expr(rng, names, split), ring_expr(rng, names, size - 1 - split))
 
 
+def run_instructions(program, valuation):
+    """The program's roots under a valuation, one instruction at a time, on any values
+    that the operators take, such as sympy symbols."""
+    slots = [*program.constants, *(valuation[name] for name in program.variables)]
+    for op, a, b in program.instructions:
+        slots.append(op(slots[a]) if b < 0 else op(slots[a], slots[b]))
+    return [slots[i] for i in program.outputs]
+
+
 def test_compiled_linear_forms_expand_to_the_same_polynomial_as_sympy():
     # run on symbols, the program reads its linear forms back as sympy expressions;
     # evaluate on symbols writes out each tree as it stands
@@ -277,7 +349,7 @@ def test_compiled_linear_forms_expand_to_the_same_polynomial_as_sympy():
         roots = [ring_expr(rng, names, rng.randint(0, 10)) for _ in range(3)]
         roots += [Add(roots[0], Neg(roots[1])), Mul(roots[2], roots[2])]
         program = compile_exprs(roots)
-        for form, root in zip(program(symbols), roots):
+        for form, root in zip(run_instructions(program, symbols), roots):
             assert sympy.expand(form - evaluate(root, symbols)) == 0
 
 
