@@ -43,7 +43,6 @@ from .expr import (
     ZERO,
     Valuation,
     compare,
-    compile_exprs,
     evaluate,
     fold_constants,
     free_vars,
@@ -53,15 +52,19 @@ from .expr import (
     random_rational,
     sort_key,
     sub,
+    tree_repr,
 )
 from .meadow import Column, Rational
 
 
 class _Term:
-    """Structural equality and hashing for budget terms, without recursion.
+    """Structural equality, hashing and repr for budget terms, without recursion.
 
-    Spans and labels, which tell where a term came from, take no part.
+    Spans and labels, which tell where a term came from, take no part in
+    equality.
     """
+
+    __repr__ = tree_repr
 
     def __eq__(self, other):
         if not isinstance(other, _Term):
@@ -116,17 +119,17 @@ class _Term:
         return hashes[id(self)]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Eps(_Term):
     pass
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Delta(_Term):
     span: str | None = None
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Entry(_Term):
     channel: str
     amount: Expr
@@ -136,7 +139,7 @@ class Entry(_Term):
             raise ValueError(f"invalid channel name: {self.channel!r}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Test(_Term):
     __test__ = False  # keep pytest from collecting this class
 
@@ -147,13 +150,13 @@ class Test(_Term):
     span: str | None = None
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Comp(_Term):
     left: "Tuplix"
     right: "Tuplix"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Encap(_Term):
     channels: frozenset[str]
     body: "Tuplix"
@@ -375,21 +378,21 @@ def ground_rows(
     """The ground value of a canonical form at each of `rows` rows of values, row by row.
 
     `values` maps every variable left in the form to a column of `rows`
-    rationals in lowest terms (see `expr.SlotProgram.columns`). A row is
+    rationals in lowest terms (see `expr.LinearForms.columns`). A row is
     None, the null budget, when some residual test is nonzero there;
     otherwise it holds the amount of every channel of the form, in sorted
     order, as a pair of numerator and positive denominator in lowest
     terms. Folding is sound at every valuation and evaluation is total, so
     normalizing under some bindings and then evaluating under the rest
     gives the ground denotation under all of them. The residuals are
-    compiled once, by `expr.compile_exprs`, so no depth is too great, and
+    compiled once, into `expr.LinearForms`, so no depth is too great, and
     each instruction runs once for all rows, in this call; only the pairs
     of each row are made as the rows are read.
     """
     if c.is_null:
         return repeat(None, rows)
-    program = compile_exprs([*c.tests, *(amount for _, amount in c.entries)])
-    columns = program.columns(values, rows)
+    linear = LinearForms([*c.tests, *(amount for _, amount in c.entries)])
+    columns = linear.columns(values, rows)
     tested = len(c.tests)
     amounts = columns[tested:]
     pairs = zip(*(zip(*column) for column in amounts)) if amounts else repeat((), rows)
@@ -403,27 +406,11 @@ def ground_rows(
 # Test substitution
 
 
-def _linear_test(test: Expr) -> tuple[tuple[str, Rational] | None, Rational | None]:
-    """A variable the test is linear in with its coefficient, and the test's constant value.
-
-    The variable is the first one written with a coefficient in the test's
-    linear form (see `expr.LinearForms`) and under none of its other atoms.
-    The value is None unless that form has no terms, as for x - x + -1.
-    """
-    linear = LinearForms([test])
-    form = linear.forms[0]
-    under = linear.variables_under(atom for atom in form.terms if atom >= len(linear.variables))
-    for name, atom in linear.variables.items():
-        if atom in form.terms and name not in under:
-            return (name, form.scale * form.terms[atom]), None
-    return None, None if form.terms else form.value()
-
-
 def apply_test_substitution(c: CanonicalTuplix) -> CanonicalTuplix:
     """Solve residual tests that are linear in a variable into the amounts and other tests.
 
     The first test, in canonical order, of the form c0 + c1 * x + c2 *
-    atom2 + ..., with x under none of the other atoms (`_linear_test`),
+    atom2 + ..., with x under none of the other atoms (`LinearForms.pivot`),
     pins x to r = -(c0 + c2 * atom2 + ...) / c1: x becomes r in every entry
     and other test, and the test is kept as x - r, with the same zeros.
     Then the next; x is left in its own test alone, so each variable and
@@ -435,13 +422,13 @@ def apply_test_substitution(c: CanonicalTuplix) -> CanonicalTuplix:
     if c.is_null:
         raise ValueError("cannot substitute tests in the null form")
     tests = dict(enumerate(c.tests))  # the tests not solved yet, by their place in c.tests
-    linear: dict[int, tuple] = {}  # the _linear_test of each of them, until it changes
+    linear: dict[int, tuple] = {}  # the pivot of each of them, until it changes
     solved: list[Expr] = []  # x - r for each solved test
     entries = dict(c.entries)
 
     def solvable(i: int) -> bool:
         if i not in linear:
-            linear[i] = _linear_test(tests[i])
+            linear[i] = LinearForms([tests[i]]).pivot()
         return linear[i][0] is not None
 
     while (i := next(filter(solvable, tests), None)) is not None:

@@ -12,11 +12,11 @@ for any fully bound valuation because the inverse of zero is zero.
 Two representations serve different ends. `fold_constants` keeps the
 tree as written, only smaller, and `pretty` prints it. `LinearForms`
 writes expressions as a constant plus exact multiples of atoms, as a
-meadow allows; `compile_exprs` builds a straight-line program from
-those, and test substitution solves the tests linear in a variable. The
-program runs each step once over whole columns of integer numerators and
-denominators (`SlotProgram.columns`), so evaluating at many valuations
-makes no `Fraction` per value.
+meadow allows, and is also the straight-line program that computes
+them: test substitution solves the tests linear in a variable
+(`LinearForms.pivot`), and `LinearForms.columns` runs each step once
+over whole columns of integer numerators and denominators, so
+evaluating at many valuations makes no `Fraction` per value.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 import operator
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from functools import cmp_to_key, partial
 from itertools import repeat
@@ -49,8 +49,30 @@ class UnboundVariableError(LookupError):
         self.name = name
 
 
+def tree_repr(root) -> str:
+    """The text of a dataclass's generated repr, with every field that holds
+    a dataclass written out in turn, without recursion."""
+    parts: list[str] = []
+    stack = [root]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            parts.append(item)
+            continue
+        pieces = [f"{type(item).__qualname__}("]
+        for i, field in enumerate(fields(item)):
+            value = getattr(item, field.name)
+            pieces.append(f"{', ' if i else ''}{field.name}=")
+            pieces.append(value if is_dataclass(value) else repr(value))
+        pieces.append(")")
+        stack += reversed(pieces)
+    return "".join(parts)
+
+
 class _Node:
-    """Structural equality and hashing for the expression nodes, without recursion."""
+    """Structural equality, hashing and repr for the expression nodes, without recursion."""
+
+    __repr__ = tree_repr
 
     def __eq__(self, other):
         if not isinstance(other, _Node):
@@ -71,12 +93,12 @@ class _Node:
         return hashes[id(self)]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Const(_Node):
     value: Rational
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Var(_Node):
     name: str
 
@@ -85,29 +107,29 @@ class Var(_Node):
             raise ValueError(f"invalid variable name: {self.name!r}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Add(_Node):
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Mul(_Node):
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Neg(_Node):
     arg: "Expr"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Inv(_Node):
     arg: "Expr"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Abs(_Node):
     arg: "Expr"
 
@@ -218,7 +240,7 @@ def _inverse(x: Column) -> Column:
     return list(map(operator.floordiv, map(operator.mul, a, b), d)), d
 
 
-# What each instruction of a `SlotProgram` does to columns: the operator of
+# What each instruction of `LinearForms` does to columns: the operator of
 # the instruction maps to a function of the columns of its operands.
 _COLUMN_OPS: dict[Callable, Callable] = {
     operator.add: partial(_sum, operator.add),
@@ -228,67 +250,6 @@ _COLUMN_OPS: dict[Callable, Callable] = {
     abs: lambda x: (list(map(abs, x[0])), x[1]),
     minv: _inverse,
 }
-
-
-@dataclass(frozen=True)
-class SlotProgram:
-    """A straight-line program that evaluates several expressions at once, on many rows.
-
-    Slots hold, in order, the constants, the values of the variables and
-    the result of each instruction. An instruction `(op, a, b)` appends
-    `op(slot a, slot b)`, or `op(slot a)` when `b` is -1.
-
-    The program runs on whole columns (`columns`): a variable's slot holds
-    a column of its values, as integer numerators and denominators, and
-    each instruction runs once over all rows, a few passes over lists of
-    ints. The inverse of 0 is 0, so every instruction is total on every
-    row. Constants stay scalar pairs of ints, spread over the rows only
-    where a root is a constant: every instruction has an operand that is
-    not a constant, as `compile_exprs` folds the others. A column is let
-    go after its last use.
-    """
-
-    constants: tuple[Rational, ...]
-    variables: tuple[str, ...]
-    instructions: tuple[tuple[Callable, int, int], ...]
-    outputs: tuple[int, ...]  # the slot of each root
-
-    def columns(self, values: Mapping[str, Column], rows: int) -> list[Column]:
-        """The values of every root at each of `rows` rows, as one column per root.
-
-        `values` maps each variable of the program to a column of `rows`
-        rationals in lowest terms. The roots' columns are in lowest terms
-        too, and may be the very lists of `values` or of each other.
-        """
-        slots: list = [(c.numerator, c.denominator) for c in self.constants]
-        for name in self.variables:
-            try:
-                slots.append(values[name])
-            except KeyError:
-                raise UnboundVariableError(name) from None
-        last_use = {}
-        for k, (_, a, b) in enumerate(self.instructions):
-            last_use[a] = last_use[b] = k
-        drops: list[list[int]] = [[] for _ in self.instructions]  # the columns each one uses last
-        kept = set(self.outputs)
-        for slot, k in last_use.items():
-            if slot >= len(self.constants) and slot not in kept:
-                drops[k].append(slot)
-        append = slots.append
-        for (op, a, b), drop in zip(self.instructions, drops):
-            if b < 0:
-                append(_COLUMN_OPS[op](slots[a]))
-            else:
-                append(_COLUMN_OPS[op](slots[a], slots[b]))
-            for slot in drop:
-                slots[slot] = None
-        roots = [slots[i] for i in self.outputs]
-        return [([n] * rows, [d] * rows) if type(n) is int else (n, d) for n, d in roots]
-
-    def __call__(self, valuation: Valuation) -> list[Rational]:
-        """The value of every root under a valuation binding all its variables, as one row."""
-        values = {name: ([value.numerator], [value.denominator]) for name, value in valuation.items()}
-        return [Fraction(n[0], d[0]) for n, d in self.columns(values, 1)]
 
 
 class _Form:
@@ -365,8 +326,15 @@ class LinearForms:
     computed once into a slot and is an atom of each user.
 
     `forms` holds each root's form; `emit` adds the instructions that compute
-    a form. A slot is j for variable j, len(variables) + k for instruction
-    k and -1 - i for constant i, as constants come first but are known last.
+    a form. A reference is j for variable j, len(variables) + k for
+    instruction k and -1 - i for constant i: the slots that `columns` runs
+    on hold the variables, the instructions and the constants in reverse,
+    so constants found last need no renumbering. A form costs about one
+    instruction per term: an addition or a subtraction, and a product by
+    its coefficient unless that is 1 or -1. A form grows only in its one
+    user, and each user of a shared node takes a copy of a form of at most
+    one term, so building the forms takes time near linear in the number
+    of distinct nodes.
     """
 
     def __init__(self, roots: Sequence[Expr]):
@@ -459,39 +427,65 @@ class LinearForms:
             ref = self._instruction(operator.sub, ref, self._times(-c, atom))
         return ref
 
-    def variables_under(self, atoms: Iterable[int]) -> set[str]:
-        """The names of the variables that any of the atoms is computed from."""
-        names, operands = list(self.variables), list(self.instructions)
-        refs = set(atoms)
+    def columns(self, values: Mapping[str, Column], rows: int) -> list[Column]:
+        """The values of every root at each of `rows` rows, as one column per root.
+
+        `values` maps each variable to a column of `rows` rationals in
+        lowest terms, as integer numerators and denominators; every
+        variable of the roots must be bound, as `evaluate` needs, even one
+        whose terms cancel. The roots' forms are emitted first, then each
+        instruction runs once over all rows, a few passes over lists of
+        ints. The inverse of 0 is 0, so every instruction is total on every
+        row. Constants stay scalar pairs of ints, spread over the rows only
+        where a root is a constant: every instruction has an operand that is
+        not a constant, as the forms fold the others. A column is let go
+        after its last use. The roots' columns are in lowest terms too, and
+        may be the very lists of `values` or of each other.
+        """
+        outputs = [self.emit(form) for form in self.forms]
+        instructions = list(self.instructions)
+        slots: list = []
+        for name in self.variables:
+            try:
+                slots.append(values[name])
+            except KeyError:
+                raise UnboundVariableError(name) from None
+        slots += repeat(None, len(instructions))
+        slots += [(c.numerator, c.denominator) for c in reversed(self.constants)]
+        last_use = {}
+        for k, (_, a, b) in enumerate(instructions):
+            last_use[a] = last_use[b] = k
+        drops: list[list[int]] = [[] for _ in instructions]  # the columns each one uses last
+        kept = set(outputs)
+        for ref, k in last_use.items():
+            if ref is not None and ref not in kept:
+                drops[k].append(ref)
+        for k, ((op, a, b), drop) in enumerate(zip(instructions, drops), len(self.variables)):
+            if b is None:
+                slots[k] = _COLUMN_OPS[op](slots[a])
+            else:
+                slots[k] = _COLUMN_OPS[op](slots[a], slots[b])
+            for ref in drop:
+                slots[ref] = None
+        roots = [slots[ref] for ref in outputs]
+        return [([n] * rows, [d] * rows) if type(n) is int else (n, d) for n, d in roots]
+
+    def pivot(self) -> tuple[tuple[str, Rational] | None, Rational | None]:
+        """A variable that the first root is linear in, and the root's constant value.
+
+        The variable, paired with its coefficient, is the first one with a
+        coefficient in the root's form and under none of its other atoms.
+        The value is None unless that form has no terms, as for x - x + -1.
+        """
+        form, operands = self.forms[0], list(self.instructions)
+        under = {atom for atom in form.terms if atom >= len(self.variables)}
         for k in reversed(range(len(operands))):  # each instruction before its operands
-            if len(names) + k in refs:
-                refs.update(operands[k][1:])
-        return {names[ref] for ref in refs if ref is not None and 0 <= ref < len(names)}
-
-
-def compile_exprs(roots: Sequence[Expr]) -> SlotProgram:
-    """Compile expressions into one program that computes their `LinearForms`.
-
-    A form costs about one instruction per term: an addition or a
-    subtraction, and a product by its coefficient unless that is 1 or -1.
-    A form grows only in its one user, and each user of a shared node
-    takes a copy of a form of at most one term, so compiling takes time
-    near linear in the number of distinct nodes.
-    Running the program needs every variable of the roots bound, as
-    `evaluate` does, even one whose terms cancel.
-    """
-    linear = LinearForms(roots)
-    outputs = [linear.emit(form) for form in linear.forms]
-
-    def slot(ref: int) -> int:
-        return len(linear.constants) + ref if ref >= 0 else -1 - ref
-
-    return SlotProgram(
-        tuple(linear.constants),
-        tuple(linear.variables),
-        tuple((op, slot(a), -1 if b is None else slot(b)) for op, a, b in linear.instructions),
-        tuple(map(slot, outputs)),
-    )
+            if len(self.variables) + k in under:
+                under.update(operands[k][1:])
+        for name, atom in self.variables.items():
+            if atom in form.terms and atom not in under:
+                return (name, form.scale * form.terms[atom]), None
+        return None, None if form.terms else form.value()
 
 
 def free_vars(*roots: Expr) -> frozenset[str]:

@@ -428,6 +428,21 @@ def test_canonical_entry_map():
     assert c.entries == (("a", const(1)), ("b", const(2)))
 
 
+def test_repr_of_terms_is_the_dataclass_text_at_any_depth():
+    t = compose(
+        Entry("a", Neg(Var("x"))), Test(Var("y"), "g", "f:1:2"), encap(["a"], EPS, "f:2:3"), DELTA
+    )
+    assert repr(t) == (
+        "Comp(left=Comp(left=Comp(left=Entry(channel='a', amount=Neg(arg=Var(name='x'))), "
+        "right=Test(arg=Var(name='y'), label='g', span='f:1:2')), "
+        "right=Encap(channels=frozenset({'a'}), body=Eps(), span='f:2:3')), right=Delta(span=None))"
+    )
+    long = compose(*[Entry("a", Const(Fraction(i))) for i in range(5_000)])
+    text = repr(long)
+    assert text.startswith("Comp(left=" * 4_999 + "Entry(channel='a', amount=Const(value=Fraction(0, 1)))")
+    assert text.endswith("right=Entry(channel='a', amount=Const(value=Fraction(4999, 1))))")
+
+
 def test_normal_forms_of_long_sums_compare_and_hash_without_recursion():
     # a(x + 1 + ... + 1) with 5,000 terms folds to a chain 5,000 deep
     ones = [" + 1"] * 5_000

@@ -15,7 +15,7 @@ from tuplix import algebra, bundled, cli
 from tuplix.algebra import normalize
 from tuplix.cli import main
 from tuplix.dsl import MAX_NESTING, parse
-from tuplix.expr import Const, compile_exprs, postorder
+from tuplix.expr import Const, LinearForms, postorder
 
 TRANSFER = str(bundled("transfer.bgt"))
 MSC = str(bundled("msc.bgt"))
@@ -713,14 +713,15 @@ def test_sweep_json_is_laid_out_as_json_dumps(tmp_path, capsys):
 
 
 def spy_compiles(monkeypatch):
-    """Record every program that a sweep compiles."""
+    """Record every program that a sweep compiles and runs."""
     programs = []
+    run_columns = LinearForms.columns
 
-    def compile_and_record(roots):
-        programs.append(compile_exprs(roots))
-        return programs[-1]
+    def run_and_record(linear, values, rows):
+        programs.append(linear)
+        return run_columns(linear, values, rows)
 
-    monkeypatch.setattr(algebra, "compile_exprs", compile_and_record)
+    monkeypatch.setattr(LinearForms, "columns", run_and_record)
     return programs
 
 
@@ -733,7 +734,7 @@ def test_sweep_of_an_unmentioned_parameter_repeats_eval(capsys, monkeypatch):
         capsys,
     )
     assert code == 0
-    assert [program.variables for program in programs] == [()]
+    assert [tuple(program.variables) for program in programs] == [()]
     rows = json.loads(out)
     assert [r["value"] for r in rows] == ["0", "1", "2"]
     assert_rows_match_evals(capsys, "J", "A:pmt", dict(S0, k="1/2"), rows)
@@ -760,7 +761,7 @@ def test_sweep_of_a_residual_folded_to_constants(tmp_path, capsys, monkeypatch):
         capsys,
     )
     assert code == 0
-    assert [(p.variables, p.instructions) for p in programs] == [((), ())]
+    assert [(tuple(p.variables), tuple(p.instructions)) for p in programs] == [((), ())]
     assert out == "x   status  a  b\n-1  ok      3  6\n0   ok      3  6\n1   ok      3  6\n"
 
 

@@ -3,6 +3,7 @@ import operator
 import random
 import statistics
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -12,12 +13,12 @@ from tuplix.expr import (
     Add,
     Const,
     Inv,
+    LinearForms,
     Mul,
     Neg,
     UnboundVariableError,
     Var,
     compare,
-    compile_exprs,
     div,
     equiv_prob,
     evaluate,
@@ -155,12 +156,25 @@ def pairs(values):
     return tuple((v.numerator, v.denominator) for v in values)
 
 
+def row(linear, valuation):
+    """The value of every root under a valuation binding all its variables, as one row."""
+    values = {name: column([value]) for name, value in valuation.items()}
+    return [Fraction(n[0], d[0]) for n, d in linear.columns(values, 1)]
+
+
+def instructions(linear):
+    """The instructions that compute every root, the roots' own forms emitted last."""
+    for form in linear.forms:
+        linear.emit(form)
+    return list(linear.instructions)
+
+
 def test_compiled_program_agrees_with_evaluate():
     # each trial's four valuations run as the four rows of one call
     rng = random.Random(23)
     names = ("x", "y", "z")
     x = Var("x")
-    for trial in range(10_000):
+    for trial in range(2_000):
         e = random_expr(rng, names, rng.randint(0, 8))
         copy = random_expr(random.Random(trial), names, 6)  # equal, separately built
         again = random_expr(random.Random(trial), names, 6)
@@ -172,7 +186,7 @@ def test_compiled_program_agrees_with_evaluate():
             Inv(sub(x, x)),  # an inverse of zero at every valuation
             random_expr(rng, names, rng.randint(0, 8)),
         ]
-        program = compile_exprs(roots)
+        program = LinearForms(roots)
         # zero a quarter of the time, and all zero in the last row
         valuations = [{name: random_rational(rng) for name in names} for _ in range(3)]
         valuations.append(dict.fromkeys(names, Fraction(0)))
@@ -190,11 +204,11 @@ def test_columns_agree_with_evaluate_row_by_row():
         valuations = [{name: random_rational(rng) for name in names} for _ in range(36)]
         valuations += [{name: Fraction(rng.randint(-(2**70), 2**70), 3**41) for name in names}]
         valuations += [dict.fromkeys(names, Fraction(value)) for value in (0, -1, 1)]
-        program = compile_exprs(roots)
+        program = LinearForms(roots)
         values = {name: column([v[name] for v in valuations]) for name in names}
         rows = rows_of(program.columns(values, len(valuations)))
         assert rows == [pairs([evaluate(root, v) for root in roots]) for v in valuations]
-        assert rows[0] == pairs(program(valuations[0]))  # the one-row view
+        assert rows[0] == pairs(row(program, valuations[0]))  # the one-row view
 
 
 def test_columns_invert_zero_negatives_and_large_numbers():
@@ -203,7 +217,7 @@ def test_columns_invert_zero_negatives_and_large_numbers():
     xs = [Fraction(0), Fraction(-3, 4), Fraction(5), big]
     ys = [Fraction(0), Fraction(-2), Fraction(1, 7), Fraction(2**64 + 1)]
     roots = [Inv(x), Inv(Add(x, y)), Abs(x), Neg(Mul(x, y)), Add(Mul(x, y), Inv(y)), Mul(x, Inv(x))]
-    program = compile_exprs(roots)
+    program = LinearForms(roots)
     rows = rows_of(program.columns({"x": column(xs), "y": column(ys)}, 4))
     valuations = [{"x": a, "y": b} for a, b in zip(xs, ys)]
     assert rows == [pairs([evaluate(root, v) for root in roots]) for v in valuations]
@@ -214,10 +228,10 @@ def test_columns_invert_zero_negatives_and_large_numbers():
 
 
 def test_columns_of_a_program_without_variables_fill_every_row():
-    program = compile_exprs([Add(const(1), Inv(const(3))), Inv(const(0)), Abs(Var("x"))])
-    assert program.variables == ("x",)
-    constants = compile_exprs([Add(const(1), Inv(const(3))), Inv(const(0))])
-    assert (constants.variables, constants.instructions) == ((), ())
+    program = LinearForms([Add(const(1), Inv(const(3))), Inv(const(0)), Abs(Var("x"))])
+    assert tuple(program.variables) == ("x",)
+    constants = LinearForms([Add(const(1), Inv(const(3))), Inv(const(0))])
+    assert (tuple(constants.variables), instructions(constants)) == ((), [])
     assert constants.columns({}, 3) == [([4, 4, 4], [3, 3, 3]), ([0, 0, 0], [1, 1, 1])]
     assert program.columns({"x": ([-1, 2], [1, 5])}, 2) == [
         ([4, 4], [3, 3]), ([0, 0], [1, 1]), ([1, 2], [1, 5])
@@ -225,10 +239,10 @@ def test_columns_of_a_program_without_variables_fill_every_row():
 
 
 def test_compiled_program_names_an_unbound_variable():
-    program = compile_exprs([Add(Var("x"), Inv(const(0))), Var("missing")])
-    assert program({"x": Fraction(2), "missing": Fraction(1)}) == [Fraction(2), Fraction(1)]
+    program = LinearForms([Add(Var("x"), Inv(const(0))), Var("missing")])
+    assert row(program, {"x": Fraction(2), "missing": Fraction(1)}) == [Fraction(2), Fraction(1)]
     with pytest.raises(UnboundVariableError) as info:
-        program({"x": Fraction(2)})
+        row(program, {"x": Fraction(2)})
     assert info.value.name == "missing"
     with pytest.raises(UnboundVariableError) as info:
         program.columns({"x": ([2, 3], [1, 1])}, 2)
@@ -241,9 +255,29 @@ def test_compiled_program_runs_a_deep_chain():
     chain = Var("x")
     for i in range(n):
         chain = Add(chain, Const(Fraction(i)))
-    program = compile_exprs([chain])
-    assert len(program.instructions) == 1  # the constants collect into one: x + n(n-1)/2
-    assert program({"x": Fraction(1, 2)}) == [Fraction(1, 2) + n * (n - 1) // 2]
+    program = LinearForms([chain])
+    assert len(instructions(program)) == 1  # the constants collect into one: x + n(n-1)/2
+    assert row(program, {"x": Fraction(1, 2)}) == [Fraction(1, 2) + n * (n - 1) // 2]
+
+
+def test_columns_let_each_column_go_after_its_last_use():
+    # Each step's column has 2,000 numerators and denominators of up to 150
+    # bits. Let go after its last use, at most a few are alive at once: the
+    # call peaked at 0.7 MiB, against 18.7 MiB with every column kept.
+    chain = Var("x")
+    for i in range(100):
+        chain = Abs(Add(chain, Const(Fraction(1, i + 2))))
+    program = LinearForms([chain])
+    xs = [Fraction(j - 1000, 7) for j in range(2000)]
+    tracemalloc.start()
+    try:
+        (root,) = program.columns({"x": column(xs)}, 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(program.instructions) == 200  # an addition and an abs per step
+    assert peak < 4 * 2**20
+    assert rows_of([root])[-1] == pairs([evaluate(chain, {"x": xs[-1]})])
 
 
 def test_compiled_program_collects_linear_forms():
@@ -255,12 +289,12 @@ def test_compiled_program_collects_linear_forms():
         Mul(Add(x, const(1)), Add(const(1), x)),  # one product of one form with itself
         Abs(Mul(const(3), Add(x, Neg(const(1))))),
     ]
-    program = compile_exprs(roots)
-    ops = [op for op, _, _ in program.instructions]
+    program = LinearForms(roots)
+    ops = [op for op, _, _ in instructions(program)]
     assert ops == [minv, operator.mul, operator.add, operator.mul, operator.mul, operator.add, abs]
     for value in (Fraction(0), Fraction(1), Fraction(-5, 2)):
         v = {"x": value}
-        assert program(v) == [evaluate(root, v) for root in roots]
+        assert row(program, v) == [evaluate(root, v) for root in roots]
 
 
 def test_running_totals_compile_to_a_linear_program():
@@ -273,10 +307,10 @@ def test_running_totals_compile_to_a_linear_program():
     for name in names[1:]:
         totals.append(Add(Var(name), totals[-1]))
     totals.reverse()
-    program = compile_exprs(totals)
-    assert len(program.instructions) == n - 1
+    program = LinearForms(totals)
+    assert len(instructions(program)) == n - 1
     v = {name: Fraction(i, 3) for i, name in enumerate(names)}
-    assert program(v) == [Fraction(i * (i + 1), 6) for i in reversed(range(n))]
+    assert row(program, v) == [Fraction(i * (i + 1), 6) for i in reversed(range(n))]
 
 
 def sum_of_vars(names):
@@ -304,7 +338,7 @@ def test_compiled_program_agrees_on_scaled_and_cancelling_forms():
         Add(scaled, Mul(scaled, const(Fraction(-1, 3)))),  # used twice, so one atom
         Add(const(5), Neg(Add(sum_of_vars(second), const(2)))),
     ]
-    program = compile_exprs(roots)
+    program = LinearForms(roots)
     names.append("y")
     valuations = [
         dict.fromkeys(names, Fraction(0)),
@@ -312,9 +346,9 @@ def test_compiled_program_agrees_on_scaled_and_cancelling_forms():
         {name: Fraction(-1) ** i * Fraction(i, 7) for i, name in enumerate(names)},
     ]
     for v in valuations:
-        assert program(v) == [evaluate(root, v) for root in roots]
+        assert row(program, v) == [evaluate(root, v) for root in roots]
     v = valuations[1]
-    assert program(v) == [-10, 3 * 78 - 222, 25, -125, 2 * 78, 5 - 222 - 2]
+    assert row(program, v) == [-10, 3 * 78 - 222, 25, -125, 2 * 78, 5 - 222 - 2]
 
 
 def ring_expr(rng, names, size):
@@ -329,13 +363,16 @@ def ring_expr(rng, names, size):
     return kind(ring_expr(rng, names, split), ring_expr(rng, names, size - 1 - split))
 
 
-def run_instructions(program, valuation):
-    """The program's roots under a valuation, one instruction at a time, on any values
+def run_instructions(linear, valuation):
+    """The roots under a valuation, one instruction at a time, on any values
     that the operators take, such as sympy symbols."""
-    slots = [*program.constants, *(valuation[name] for name in program.variables)]
-    for op, a, b in program.instructions:
-        slots.append(op(slots[a]) if b < 0 else op(slots[a], slots[b]))
-    return [slots[i] for i in program.outputs]
+    outputs = [linear.emit(form) for form in linear.forms]
+    slots = [valuation[name] for name in linear.variables]
+    start = len(slots)
+    slots += [None] * len(linear.instructions) + list(reversed(linear.constants))  # constant i at -1 - i
+    for k, (op, a, b) in enumerate(linear.instructions, start):
+        slots[k] = op(slots[a]) if b is None else op(slots[a], slots[b])
+    return [slots[ref] for ref in outputs]
 
 
 def test_compiled_linear_forms_expand_to_the_same_polynomial_as_sympy():
@@ -348,7 +385,7 @@ def test_compiled_linear_forms_expand_to_the_same_polynomial_as_sympy():
     for _ in range(300):
         roots = [ring_expr(rng, names, rng.randint(0, 10)) for _ in range(3)]
         roots += [Add(roots[0], Neg(roots[1])), Mul(roots[2], roots[2])]
-        program = compile_exprs(roots)
+        program = LinearForms(roots)
         for form, root in zip(run_instructions(program, symbols), roots):
             assert sympy.expand(form - evaluate(root, symbols)) == 0
 
@@ -379,16 +416,21 @@ def seconds(run, *args):
         gc.enable()
 
 
+def compile_forms(root):
+    """The forms of a root and every instruction that computes them."""
+    return instructions(LinearForms([root]))
+
+
 def test_compiling_a_sum_of_distinct_atoms_takes_linear_time():
-    n = 20_000
+    n = 5_000
     small, large = sum_of_distinct_abs(n), sum_of_distinct_abs(2 * n)
     half = Fraction(-1, 2)
-    program = compile_exprs([small])
-    assert len(program.instructions) == 3 * n - 2  # per term: x + i, abs and the running sum
-    assert program({"x": half}) == [sum(abs(Fraction(2 * i - 1, 2)) for i in range(n))]
+    program = LinearForms([small])
+    assert len(instructions(program)) == 3 * n - 2  # per term: x + i, abs and the running sum
+    assert row(program, {"x": half}) == [sum(abs(Fraction(2 * i - 1, 2)) for i in range(n))]
     # Against folding the same nodes to a constant, a walk with a Fraction step
     # per node, so that the bounds hold on a slower host too: compiling took
-    # 0.4-0.5 s, 1.5-2.1 times as long as folding, on a 2-vCPU x86 host. Each
+    # 0.07-0.09 s, 1.7-2.0 times as long as folding, on a 2-vCPU x86 host. Each
     # round times the compile and the fold of one tree back to back, so a host
     # that slows down for a while slows both, and the median drops the rounds
     # that a pause hit.
@@ -396,11 +438,26 @@ def test_compiling_a_sum_of_distinct_atoms_takes_linear_time():
     small_ratios, large_ratios = [], []
     for _ in range(5):
         for tree, ratios in ((small, small_ratios), (large, large_ratios)):
-            ratios.append(seconds(compile_exprs, [tree]) / seconds(fold_constants, tree, bindings))
+            ratios.append(seconds(compile_forms, tree) / seconds(fold_constants, tree, bindings))
     ratio, doubled_ratio = statistics.median(small_ratios), statistics.median(large_ratios)
     assert ratio < 4
     # folding is linear, so a linear compile keeps its ratio at twice the terms
     assert doubled_ratio < 1.25 * ratio
+
+
+def test_repr_is_the_dataclass_text_at_any_depth():
+    assert repr(Add(Var("x"), Const(Fraction(1, 2)))) == (
+        "Add(left=Var(name='x'), right=Const(value=Fraction(1, 2)))"
+    )
+    assert repr(Abs(Inv(Mul(Neg(Var("y")), const(3))))) == (
+        "Abs(arg=Inv(arg=Mul(left=Neg(arg=Var(name='y')), right=Const(value=Fraction(3, 1)))))"
+    )
+    deep = Var("x")
+    for _ in range(5_000):  # far past the recursion limit
+        deep = Add(deep, const(1))
+    text = repr(deep)
+    assert text.startswith("Add(left=" * 5_000 + "Var(name='x'), right=Const(")
+    assert text.endswith(", right=Const(value=Fraction(1, 1)))")
 
 
 def test_equiv_prob_detects_indicator_vs_one():
