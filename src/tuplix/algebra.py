@@ -12,6 +12,11 @@ blocks are:
   Encap(H, x)    settle the channels in H internally: each must balance
                  to zero, and then disappears from the budget
 
+Terms are nodes of `expr._Node`, as expressions are, so a sub-budget may
+be shared by object. Their ==, hash and repr are structural, and never
+recurse; spans and labels, which tell where a term came from, take no
+part in equality. `expr.free_vars` names the variables of a term.
+
 Two views are provided. `denote_ground` evaluates a fully bound term to
 its ground value: None for the null budget, or a dict from channel to
 amount. It is deliberately the simplest possible recursion so it can act
@@ -41,6 +46,7 @@ from .expr import (
     Neg,
     Var,
     ZERO,
+    _Node,
     Valuation,
     compare,
     evaluate,
@@ -52,85 +58,26 @@ from .expr import (
     random_rational,
     sort_key,
     sub,
-    tree_repr,
 )
 from .meadow import Column, Rational
 
 
-class _Term:
-    """Structural equality, hashing and repr for budget terms, without recursion.
-
-    Spans and labels, which tell where a term came from, take no part in
-    equality.
-    """
-
-    __repr__ = tree_repr
-
-    def __eq__(self, other):
-        if not isinstance(other, _Term):
-            return NotImplemented
-        met: set[tuple[int, int]] = set()  # pairs already compared or on the stack
-        stack = [(self, other)]
-        while stack:
-            x, y = stack.pop()
-            if x is y or (id(x), id(y)) in met:
-                continue
-            met.add((id(x), id(y)))
-            kind = type(x)
-            if kind is not type(y):
-                return False
-            if kind is Comp:
-                stack += ((x.right, y.right), (x.left, y.left))
-            elif kind is Encap:
-                if x.channels != y.channels:
-                    return False
-                stack.append((x.body, y.body))
-            elif kind is Entry:
-                if x.channel != y.channel or x.amount != y.amount:
-                    return False
-            elif kind is Test and x.arg != y.arg:
-                return False
-        return True
-
-    def __hash__(self):
-        hashes: dict[int, int] = {}  # id(term) -> its hash, which agrees with ==
-        stack = [self]
-        while stack:
-            term = stack[-1]
-            if id(term) in hashes:
-                stack.pop()
-                continue
-            kind = type(term)
-            parts = (term.left, term.right) if kind is Comp else (term.body,) if kind is Encap else ()
-            missing = [part for part in parts if id(part) not in hashes]
-            if missing:
-                stack += missing
-                continue
-            stack.pop()
-            if kind is Entry:
-                fields = term.channel, term.amount
-            elif kind is Test:
-                fields = term.arg
-            else:
-                fields = tuple(hashes[id(part)] for part in parts)
-                if kind is Encap:
-                    fields = term.channels, fields
-            hashes[id(term)] = hash((kind.__name__, fields))
-        return hashes[id(self)]
+@dataclass(frozen=True, eq=False, repr=False)
+class Eps(_Node):
+    def _parts(self):
+        return (), ()
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class Eps(_Term):
-    pass
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Delta(_Term):
+class Delta(_Node):
     span: str | None = None
 
+    def _parts(self):
+        return (), ()
+
 
 @dataclass(frozen=True, eq=False, repr=False)
-class Entry(_Term):
+class Entry(_Node):
     channel: str
     amount: Expr
 
@@ -138,9 +85,12 @@ class Entry(_Term):
         if not is_identifier(self.channel):
             raise ValueError(f"invalid channel name: {self.channel!r}")
 
+    def _parts(self):
+        return self.channel, (self.amount,)
+
 
 @dataclass(frozen=True, eq=False, repr=False)
-class Test(_Term):
+class Test(_Node):
     __test__ = False  # keep pytest from collecting this class
 
     arg: Expr
@@ -149,15 +99,21 @@ class Test(_Term):
     label: str | None = None
     span: str | None = None
 
+    def _parts(self):
+        return (), (self.arg,)
+
 
 @dataclass(frozen=True, eq=False, repr=False)
-class Comp(_Term):
+class Comp(_Node):
     left: "Tuplix"
     right: "Tuplix"
 
+    def _parts(self):
+        return (), (self.left, self.right)
+
 
 @dataclass(frozen=True, eq=False, repr=False)
-class Encap(_Term):
+class Encap(_Node):
     channels: frozenset[str]
     body: "Tuplix"
     span: str | None = None
@@ -166,6 +122,9 @@ class Encap(_Term):
         for channel in self.channels:
             if not is_identifier(channel):
                 raise ValueError(f"invalid channel name: {channel!r}")
+
+    def _parts(self):
+        return tuple(sorted(self.channels)), (self.body,)
 
 
 Tuplix = Union[Eps, Delta, Entry, Test, Comp, Encap]
@@ -183,22 +142,6 @@ def compose(*terms: Tuplix) -> Tuplix:
     if not terms:
         return EPS
     return reduce(Comp, terms)
-
-
-def free_vars_tuplix(t: Tuplix) -> frozenset[str]:
-    amounts: list[Expr] = []  # every entry amount and test argument
-    stack = [t]
-    while stack:
-        match stack.pop():
-            case Entry(_, amount):
-                amounts.append(amount)
-            case Test(arg):
-                amounts.append(arg)
-            case Comp(left, right):
-                stack += (left, right)
-            case Encap(_, body):
-                stack.append(body)
-    return free_vars(*amounts)
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +404,7 @@ def equiv_prob_tuplix(t1: Tuplix, t2: Tuplix, trials: int, seed: int) -> bool:
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = random.Random(seed)
-    names = sorted(free_vars_tuplix(t1) | free_vars_tuplix(t2))
+    names = sorted(free_vars(t1, t2))
     for _ in range(trials):
         valuation = {name: random_rational(rng) for name in names}
         if denote_ground(t1, valuation) != denote_ground(t2, valuation):

@@ -30,13 +30,12 @@ from .algebra import (
     Tuplix,
     Violation,
     apply_test_substitution,
-    free_vars_tuplix,
     ground_of,
     ground_rows,
     normalize,
 )
 from .dsl import BudgetProgram, DslError, elaborate, parse
-from .expr import IDENT_PATTERN, pretty
+from .expr import IDENT_PATTERN, free_vars, pretty
 from .laws import all_laws, render_results, run_suite
 from .meadow import (
     Column,
@@ -263,7 +262,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise CliError(f"--var {quoted(args.var)} is not a parameter of the program")
     # the swept value wins over any --set or --bindings value for the same name
     fixed = {name: value for name, value in bindings.items() if name != args.var}
-    needed = sorted(free_vars_tuplix(term) - set(fixed) - {args.var})
+    needed = sorted(free_vars(term) - set(fixed) - {args.var})
     if needed:
         raise CliError(
             "sweep requires every other parameter of the budget bound; missing: "

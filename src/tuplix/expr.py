@@ -9,6 +9,10 @@ more than the nodes themselves. Subtraction and division are sugar:
 a - b is Add(a, Neg(b)), a / b is Mul(a, Inv(b)). Evaluation is total
 for any fully bound valuation because the inverse of zero is zero.
 
+Budget terms (`algebra`) are nodes of the same kind: `_Node` gives both
+their structural ==, hash and repr, and `postorder`, `compare` and
+`free_vars` take terms as well as expressions.
+
 Two representations serve different ends. `fold_constants` keeps the
 tree as written, only smaller, and `pretty` prints it. `LinearForms`
 writes expressions as a constant plus exact multiples of atoms, as a
@@ -24,10 +28,10 @@ from __future__ import annotations
 import operator
 import random
 import re
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cmp_to_key, partial
-from itertools import repeat
+from itertools import count, repeat
 from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence, Union
 
 from .meadow import ONE, Column, Rational, decimal_repr, format_rational, lowest_terms, minv
@@ -49,30 +53,22 @@ class UnboundVariableError(LookupError):
         self.name = name
 
 
-def tree_repr(root) -> str:
-    """The text of a dataclass's generated repr, with every field that holds
-    a dataclass written out in turn, without recursion."""
-    parts: list[str] = []
-    stack = [root]
-    while stack:
-        item = stack.pop()
-        if type(item) is str:
-            parts.append(item)
-            continue
-        pieces = [f"{type(item).__qualname__}("]
-        for i, field in enumerate(fields(item)):
-            value = getattr(item, field.name)
-            pieces.append(f"{', ' if i else ''}{field.name}=")
-            pieces.append(value if is_dataclass(value) else repr(value))
-        pieces.append(")")
-        stack += reversed(pieces)
-    return "".join(parts)
-
-
 class _Node:
-    """Structural equality, hashing and repr for the expression nodes, without recursion."""
+    """A node of an immutable DAG: an expression here, or a budget term in `algebra`.
 
-    __repr__ = tree_repr
+    Equality and hashing are structural, over `compare` and `postorder`,
+    and repr is the text of the dataclass's generated repr; none of them
+    recurses. Each kind is numbered in the order its
+    class is defined, which is the order `compare` puts kinds in. A term
+    kind's `_parts()` returns the fields its equality compares and its
+    child nodes, in order; spans and labels, which tell where a term came
+    from, are never among them.
+    """
+
+    _numbers = count()
+
+    def __init_subclass__(cls):
+        cls._kind = next(_Node._numbers)
 
     def __eq__(self, other):
         if not isinstance(other, _Node):
@@ -82,15 +78,35 @@ class _Node:
     def __hash__(self):
         hashes: dict[int, int] = {}  # id(node) -> its hash, which agrees with compare
         for node in postorder([self]):
-            kind = _KIND_ORDER[type(node)]
+            kind = node._kind
             if kind < 2:
-                fields = node.value if kind == 0 else node.name
+                key = node.value if kind == 0 else node.name
             elif kind < 4:
-                fields = hashes[id(node.left)], hashes[id(node.right)]
+                key = hashes[id(node.left)], hashes[id(node.right)]
+            elif kind < _TERMS:
+                key = hashes[id(node.arg)]
             else:
-                fields = hashes[id(node.arg)]
-            hashes[id(node)] = hash((kind, fields))
+                own, children = node._parts()
+                key = own, tuple(hashes[id(child)] for child in children)
+            hashes[id(node)] = hash((kind, key))
         return hashes[id(self)]
+
+    def __repr__(self) -> str:
+        parts: list[str] = []
+        stack: list = [self]
+        while stack:
+            item = stack.pop()
+            if type(item) is str:
+                parts.append(item)
+                continue
+            pieces = [f"{type(item).__qualname__}("]
+            for i, field in enumerate(fields(item)):
+                value = getattr(item, field.name)
+                pieces.append(f"{', ' if i else ''}{field.name}=")
+                pieces.append(value if isinstance(value, _Node) else repr(value))
+            pieces.append(")")
+            stack += reversed(pieces)
+        return "".join(parts)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -135,6 +151,7 @@ class Abs(_Node):
 
 
 Expr = Union[Const, Var, Add, Mul, Neg, Inv, Abs]
+_TERMS = Abs._kind + 1  # the kinds from here on are budget terms, each with its `_parts`
 Valuation = Mapping[str, Rational]
 
 ZERO = Const(Fraction(0))
@@ -174,14 +191,15 @@ def evaluate(e: Expr, valuation: Valuation) -> Rational:
 _EMIT = object()  # on the postorder stack: the node below it has all its children listed
 
 
-def postorder(roots: Sequence[Expr], done: Container[int] = ()) -> list[Expr]:
+def postorder(roots: Sequence[_Node], done: Container[int] = ()) -> list[_Node]:
     """Each distinct node object under the roots once, children before parents.
 
-    Nodes whose id() is in `done` are left out, and so is whatever lies
-    only below them: a pass memoized by id() passes its memo, so that no
-    node is visited twice across its calls.
+    The roots may be expressions or budget terms. Nodes whose id() is in
+    `done` are left out, and so is whatever lies only below them: a pass
+    memoized by id() passes its memo, so that no node is visited twice
+    across its calls.
     """
-    order: list[Expr] = []
+    order: list[_Node] = []
     seen: set[int] = set()
     stack: list = list(reversed(roots))
     pop = stack.pop
@@ -201,8 +219,10 @@ def postorder(roots: Sequence[Expr], done: Container[int] = ()) -> list[Expr]:
             stack += (node, _EMIT, node.arg)
         elif kind is Const or kind is Var:
             order.append(node)
+        elif isinstance(node, _Node):
+            stack += (node, _EMIT, *reversed(node._parts()[1]))
         else:
-            raise TypeError(f"not an expression: {node!r}")
+            raise TypeError(f"not a node: {node!r}")
     return order
 
 
@@ -488,8 +508,8 @@ class LinearForms:
         return None, None if form.terms else form.value()
 
 
-def free_vars(*roots: Expr) -> frozenset[str]:
-    """The names of the variables in any of the expressions."""
+def free_vars(*roots: _Node) -> frozenset[str]:
+    """The names of the variables in any of the expressions or budget terms."""
     return frozenset(node.name for node in postorder(roots) if type(node) is Var)
 
 
@@ -595,16 +615,16 @@ def equiv_prob(e1: Expr, e2: Expr, trials: int, seed: int) -> bool:
     return True
 
 
-_KIND_ORDER = {Const: 0, Var: 1, Add: 2, Mul: 3, Neg: 4, Inv: 5, Abs: 6}
+def compare(a: _Node, b: _Node) -> int:
+    """Total structural order on expressions and terms, for canonical forms and ==: -1, 0 or 1.
 
-
-def compare(a: Expr, b: Expr) -> int:
-    """Total structural order on expressions, for canonical forms and ==: -1, 0 or 1.
-
-    Nodes order first by kind (Const, Var, Add, Mul, Neg, Inv, Abs), then
-    constants by numerator and denominator, variables by name and
-    operators by their children, left before right. A pair of nodes
-    found equal is not compared again, so shared subterms cost once.
+    Nodes order first by kind: the expressions Const, Var, Add, Mul, Neg,
+    Inv, Abs, then the terms Eps, Delta, Entry, Test, Comp, Encap. Then
+    constants order by numerator and denominator, variables by name,
+    entries by channel and encapsulations by their sorted channels, and
+    every node by its children, left before right. Spans and labels take
+    no part. A pair of nodes found equal is not compared again, so shared
+    subterms cost once.
     """
     equal: set[tuple[int, int]] = set()
     stack: list[tuple] = [(a, b)]
@@ -615,20 +635,24 @@ def compare(a: Expr, b: Expr) -> int:
             continue
         if x is y or (id(x), id(y)) in equal:
             continue
-        kind, other = _KIND_ORDER[type(x)], _KIND_ORDER[type(y)]
+        kind, other = x._kind, y._kind
         if kind != other:
             return -1 if kind < other else 1
         if kind == 0:
             p, q = x.value.as_integer_ratio(), y.value.as_integer_ratio()
         elif kind == 1:
             p, q = x.name, y.name
-        else:
+        elif kind < _TERMS:
             stack.append((None, (id(x), id(y))))
             if kind < 4:
                 stack += ((x.right, y.right), (x.left, y.left))
             else:
                 stack.append((x.arg, y.arg))
             continue
+        else:
+            (p, xs), (q, ys) = x._parts(), y._parts()
+            stack.append((None, (id(x), id(y))))
+            stack += zip(reversed(xs), reversed(ys))
         if p != q:
             return -1 if p < q else 1
     return 0

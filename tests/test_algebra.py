@@ -17,7 +17,6 @@ from tuplix.algebra import (
     denote_ground,
     encap,
     equiv_prob_tuplix,
-    free_vars_tuplix,
     ground_of,
     ground_rows,
     normalize,
@@ -257,7 +256,7 @@ def test_ground_rows_of_a_form_null_at_every_row():
 
 def test_free_vars_tuplix():
     t = Comp(Entry("a", Var("u")), encap({"a"}, Test(Var("v"))))
-    assert free_vars_tuplix(t) == {"u", "v"}
+    assert free_vars(t) == {"u", "v"}
 
 
 def test_denote_ground_requires_closed_terms():
@@ -277,7 +276,7 @@ def test_substitution_prefers_left_variable():
     c = normalize(Comp(Test(sub(Var("x"), Var("y"))), Entry("a", Add(Var("x"), Var("y")))))
     s = apply_test_substitution(c)
     # x := y, so the amount mentions only y
-    assert free_vars_tuplix(to_term(s)) <= {"y", "x"}
+    assert free_vars(to_term(s)) <= {"y", "x"}
     assert dict(s.entries)["a"] == Add(Var("y"), Var("y"))
 
 
@@ -357,7 +356,7 @@ def test_substitution_solves_a_test_linear_in_a_variable():
         Entry("a", Var("x")),
     )
     s = apply_test_substitution(normalize(t))
-    assert free_vars_tuplix(to_term(s)) == {"x", "y"}
+    assert free_vars(to_term(s)) == {"x", "y"}
     assert free_vars(dict(s.entries)["a"]) == {"y"}
     for y in (Fraction(0), Fraction(1, 3), Fraction(-2)):
         x = 2 - 3 * y * y

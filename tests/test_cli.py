@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from tuplix import algebra, bundled, cli
 from tuplix.algebra import normalize
 from tuplix.cli import main
 from tuplix.dsl import MAX_NESTING, parse
-from tuplix.expr import Const, LinearForms, postorder
+from tuplix.expr import Const, LinearForms, free_vars, postorder
 
 TRANSFER = str(bundled("transfer.bgt"))
 MSC = str(bundled("msc.bgt"))
@@ -873,6 +874,20 @@ def test_sweep_requires_other_params_bound(capsys):
     )
     assert code == 2
     assert "bbpp" in err
+
+
+def test_sweep_checks_the_parameters_of_a_shared_budget_once(tmp_path, capsys):
+    # B60 is B0 composed with itself 2^60 times as a tree, and 61 budgets as parsed
+    lines = ["param x", "param y", "budget B0 = a(x) | a(y)"]
+    lines += [f"budget B{i} = B{i - 1} | B{i - 1}" for i in range(1, 61)]
+    f = tmp_path / "chain.bgt"
+    f.write_text("\n".join(lines) + "\n")
+    assert free_vars(parse(f.read_text()).budgets["B60"]) == {"x", "y"}
+    start = time.perf_counter()
+    result = run(["sweep", str(f), "--var", "x", "--from", "0", "--to", "1", "--step", "1"], capsys)
+    assert time.perf_counter() - start < 0.5
+    missing = "error: sweep requires every other parameter of the budget bound; missing: y\n"
+    assert result == (2, "", missing)
 
 
 def test_sweep_rejects_bad_ranges(capsys):

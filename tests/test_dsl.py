@@ -10,12 +10,11 @@ from tuplix.algebra import (
     Encap,
     Entry,
     denote_ground,
-    free_vars_tuplix,
     ground_of,
     normalize,
 )
 from tuplix.dsl import MAX_NESTING, DslError, elaborate, parse
-from tuplix.expr import Add, Const, Var, evaluate
+from tuplix.expr import Add, Const, Var, evaluate, free_vars
 
 EMPTY = CanonicalTuplix(False, (), (), ())
 
@@ -57,7 +56,7 @@ def test_defs_inline_in_order():
         """
     )
     term = elaborate(prog, "B")
-    assert free_vars_tuplix(term) == {"x"}
+    assert free_vars(term) == {"x"}
     assert evaluate(term.amount, {"x": Fraction(2)}) == Fraction(9)
 
 
@@ -259,7 +258,7 @@ NESTINGS = {
 def test_brackets_nest_up_to_the_limit(kind):
     program = "param x\nbudget B = {}\n"
     term = elaborate(parse(program.format(NESTINGS[kind](MAX_NESTING))), "B")
-    assert free_vars_tuplix(term) == {"x"}
+    assert free_vars(term) == {"x"}
     e = err(program.format(NESTINGS[kind](MAX_NESTING + 1)))
     assert e.message == f"brackets nested more than {MAX_NESTING} deep"
     assert e.line == 2
@@ -303,7 +302,7 @@ def test_parser_labels_and_places_every_violation():
 def test_parsed_terms_mention_only_params():
     prog = parse(PRICED)
     assert prog.params == {"price": "per unit", "count": None}
-    assert free_vars_tuplix(elaborate(prog, "B")) == {"price", "count"}
+    assert free_vars(elaborate(prog, "B")) == {"price", "count"}
 
 
 def test_budget_reference_reuses_the_built_term():
@@ -354,7 +353,7 @@ def test_bundled_case_study_shape():
     total = elaborate(prog, "Total")
     assert isinstance(total, Encap)
     assert total.channels == frozenset({"a", "b", "c"})
-    assert free_vars_tuplix(total) <= prog.params.keys()
+    assert free_vars(total) <= prog.params.keys()
 
     c = normalize(total)
     assert not c.is_null

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from tuplix.algebra import Comp, Entry, Test, encap
 from tuplix.expr import (
     Abs,
     Add,
@@ -528,8 +529,17 @@ def test_postorder_lists_each_node_once_children_first():
     root = Mul(shared, Neg(shared))
     assert postorder([root, shared]) == [x, one, shared, root.right, root]
     assert postorder([root], {id(shared)}) == [root.right, root]
+    # a budget term is a root like any other; its sub-budget is used twice
+    entry, test = Entry("a", shared), Test(x)
+    budget = Comp(entry, test)
+    term = Comp(budget, encap({"a"}, budget))
+    listed = [x, one, shared, root.right, root, entry, test, budget, term.right, term]
+    assert list(map(id, postorder([root, term]))) == list(map(id, listed))
+    assert list(map(id, postorder([term], {id(budget)}))) == [id(term.right), id(term)]
     with pytest.raises(TypeError):
         postorder([Add(x, "y")])
+    with pytest.raises(TypeError):
+        postorder([Comp(entry, "y")])
 
 
 def test_fold_returns_unchanged_nodes_and_shares_its_memo():

@@ -1,4 +1,6 @@
 import ast
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -56,3 +58,22 @@ def test_readme_library_example_gives_the_value_in_its_comment():
     namespace = {}
     exec("\n".join(body), namespace)
     assert repr(eval(expression, namespace)) == comment.strip()
+
+
+STDLIB_ONLY = """
+import contextlib, io, sys
+before = set(sys.modules)
+from tuplix import cli, laws
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["axioms", "--trials", "1"])
+new = {name.partition(".")[0] for name in set(sys.modules) - before}
+print(code, *sorted(new - {"tuplix"} - sys.stdlib_module_names))
+"""
+
+
+def test_the_runtime_imports_the_standard_library_only():
+    # in a fresh interpreter, so that modules the tests loaded do not hide an import
+    proc = subprocess.run(
+        [sys.executable, "-c", STDLIB_ONLY], capture_output=True, text=True, cwd=SRC.parent
+    )
+    assert (proc.stdout, proc.stderr) == ("0\n", "")
