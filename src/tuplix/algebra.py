@@ -13,24 +13,24 @@ blocks are:
                  to zero, and then disappears from the budget
 
 Terms are nodes of `expr._Node`, as expressions are, so a sub-budget may
-be shared by object. Their ==, hash and repr are structural, and never
-recurse; spans and labels, which tell where a term came from, take no
-part in equality. `expr.free_vars` names the variables of a term.
+be shared by object, as a budget referenced twice is. Their ==, hash and
+repr are structural and never recurse, and spans and labels take no part
+in equality; `expr.free_vars` names the variables of a term.
 
 Two views are provided. `denote_ground` evaluates a fully bound term to
 its ground value: None for the null budget, or a dict from channel to
-amount. It is deliberately the simplest possible recursion so it can act
-as an oracle. `normalize` reduces a partially bound term to a canonical
-form with residual symbolic tests and per-channel amounts. `ground_of`
-turns a closed form into a ground value, and `ground_rows` evaluates an
-open one at many valuations at once, over columns of integer numerators
-and denominators; both must equal the oracle's whenever the term is fully
-bound.
+amount; it is deliberately the simplest possible recursion, an oracle
+for small terms. `normalize` reduces a partially bound term, each
+distinct node once, to a canonical form with residual symbolic tests and
+per-channel amounts. `ground_of` turns a closed form into a ground value,
+and `ground_rows` evaluates an open one at many valuations at once; both
+must equal the oracle's whenever the term is fully bound.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
@@ -46,20 +46,24 @@ from .expr import (
     Neg,
     Var,
     ZERO,
+    _Form,
     _Node,
+    _TERMS,
+    _fold_node,
     Valuation,
     compare,
     evaluate,
     fold_constants,
     free_vars,
     is_identifier,
+    postorder,
     pretty,
     random_expr,
     random_rational,
     sort_key,
     sub,
 )
-from .meadow import Column, Rational
+from .meadow import ONE, Column, Rational
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -153,7 +157,8 @@ def denote_ground(t: Tuplix, valuation: Valuation | None = None) -> dict[str, Ra
 
     The result is None for the null budget, or a fresh channel->amount
     dict. An explicit zero entry is kept distinct from no entry at all: a
-    channel carrying amount 0 is still a commitment on that channel.
+    channel carrying amount 0 is still a commitment on that channel. A
+    shared sub-budget is walked once per path, so this is for small terms.
     """
     v = valuation if valuation is not None else {}
     match t:
@@ -202,8 +207,9 @@ class CanonicalTuplix:
     """Normal form: Null, or residual tests plus per-channel amounts.
 
     Tests are folded, pairwise distinct and sorted by a structural key;
-    entry amounts are folded and keyed by channel name. Violations carry
-    diagnostics for a Null result and never take part in equality.
+    entry amounts are folded sums, n * s for a summand node counted n
+    times, keyed by channel. Violations explain a Null result, each
+    distinct one once in source order, and never take part in equality.
     """
 
     is_null: bool
@@ -212,16 +218,14 @@ class CanonicalTuplix:
     violations: tuple[Violation, ...] = field(default=(), compare=False)
 
 
-def _sum_amounts(summands: list[Expr]) -> Expr:
-    """Fold the sum of folded amounts: constants add up at once, the rest chain on."""
-    total = sum(s.value for s in summands if isinstance(s, Const))
-    rest = sorted((s for s in summands if not isinstance(s, Const)), key=sort_key)
-    if not rest:
-        return Const(total)
-    return reduce(Add, rest, Const(total)) if total else reduce(Add, rest)
+def _sum_amounts(form: _Form, folded: Mapping[int, Expr]) -> Expr:
+    """Fold the sum of a form whose terms count amount nodes by id(): n * s for one counted n times."""
+    counted = sorted(((folded[key], n) for key, n in form.terms.items()), key=lambda item: sort_key(item[0]))
+    rest = [s if n == 1 else Mul(Const(n), s) for s, n in counted]
+    return reduce(Add, rest, Const(form.const)) if form.const or not rest else reduce(Add, rest)
 
 
-def _canonical_tests(found: list[Expr]) -> tuple[Expr, ...]:
+def _canonical_tests(found: Iterable[Expr]) -> tuple[Expr, ...]:
     out: list[Expr] = []
     for expr in sorted(found, key=sort_key):
         if not out or compare(out[-1], expr):
@@ -229,73 +233,81 @@ def _canonical_tests(found: list[Expr]) -> tuple[Expr, ...]:
     return tuple(out)
 
 
-@dataclass
-class _Settle:
-    """End of an enc{} scope on the normalization stack."""
-
-    channels: frozenset[str]
-    span: str | None
-    outer: dict[str, list[Expr]]  # the entry map the scope's leftovers join
-    mark: int  # violations recorded before the body
-
-
 def normalize(t: Tuplix, valuation: Valuation | None = None) -> CanonicalTuplix:
     """Reduce a term to canonical form under a (possibly partial) valuation.
 
-    Closed tests are decided on the spot; a failing one makes the whole
-    result Null and is recorded as a violation, in source traversal
-    order. Open tests stay as residual expressions. Encapsulated
-    channels turn their accumulated amount into a balance test, unless
-    the body already recorded a violation.
+    Closed tests are decided on the spot, and a failing one makes the
+    result Null; an enc{} turns its channels' amounts into balance tests
+    unless its body is Null. One `postorder` walk gives each term node a
+    part, None if Null or else a `_Form` per channel, which its last user
+    takes in place and others copy: each node costs once. No construct
+    drops a test, so the open tests are kept for the whole walk.
     """
     bindings = {name: Const(value) for name, value in (valuation or {}).items()}
-    memo: dict[int, Expr] = {}  # one fold per distinct node of the term's amounts
-    tests: list[Expr] = []
-    violations: list[Violation] = []  # nonempty exactly when the result is Null
-    entries: dict[str, list[Expr]] = {}  # summands of the innermost open enc{}
-    stack: list[Tuplix | _Settle] = [t]
-    while stack:
-        node = stack.pop()
-        match node:
-            case Comp(left, right):
-                stack += (right, left)
-            case Entry(channel, amount):
-                entries.setdefault(channel, []).append(fold_constants(amount, bindings, memo))
-            case Test(arg, label, span):
-                folded = fold_constants(arg, bindings, memo)
-                if not isinstance(folded, Const):
-                    tests.append(folded)
-                elif folded.value != 0:
-                    violations.append(Violation(label or pretty(arg), span, folded.value))
-            case Eps():
-                pass
-            case Delta(span):
-                violations.append(Violation("delta", span, Fraction(1)))
-            case Encap(channels, body, span):
-                stack += (_Settle(channels, span, entries, len(violations)), body)
-                entries = {}
-            case _Settle(channels, span, outer, mark):
-                if len(violations) == mark:
-                    for channel in sorted(channels & entries.keys()):
-                        amount = _sum_amounts(entries.pop(channel))
-                        if not isinstance(amount, Const):
-                            tests.append(amount)
-                        elif amount.value != 0:
-                            violations.append(Violation(f"enc{{{channel}}}", span, amount.value))
-                for channel, summands in entries.items():
-                    # extend the longer list, so nesting costs linear time in all
-                    kept = outer.get(channel, [])
-                    if len(kept) < len(summands):
-                        kept, summands = summands, kept
-                    kept.extend(summands)
-                    outer[channel] = kept
-                entries = outer
-            case _:
-                raise TypeError(f"not a budget term: {node!r}")
+    order = postorder([t])
+    if t._kind < _TERMS:
+        raise TypeError(f"not a budget term: {t!r}")
+    uses = Counter(id(child) for node in order if type(node) in (Comp, Encap) for child in node._parts()[1])
+    folded: dict[int, Expr] = {}  # id(expression node) -> its fold
+    parts: dict[int, dict | None] = {}  # id(term node) -> its part, until its last user takes it
+    tests: dict[int, Expr] = {}  # id(folded open test) -> the test
+    violations: dict[Violation, None] = {}  # each distinct one once; nonempty exactly when Null
+
+    def take(key: int) -> dict | None:
+        """The part of the node with this id() for a user to change: a copy unless it is the last user."""
+        uses[key] -= 1
+        if not uses[key]:
+            return parts.pop(key)
+        part = parts[key]
+        return None if part is None else {channel: form.copy() for channel, form in part.items()}
+
+    for node in order:
+        kind = type(node)
+        if node._kind < _TERMS:
+            folded[id(node)] = _fold_node(node, folded, bindings)
+            continue
+        part = {}  # as for Eps, and a test that holds or stays open
+        if kind is Comp:
+            part, other = take(id(node.left)), take(id(node.right))
+            if part is None or other is None:
+                part = None
+            else:
+                if len(part) < len(other):
+                    part, other = other, part
+                for channel, form in other.items():
+                    kept = part.setdefault(channel, form)
+                    if kept is not form:
+                        part[channel] = kept.merge(form)
+        elif kind is Entry:
+            amount = folded[id(node.amount)]
+            terms = {} if type(amount) is Const else {id(node.amount): ONE}  # a constant is no term
+            part[node.channel] = _Form(ZERO.value if terms else amount.value, terms)
+        elif kind is Test:
+            arg = folded[id(node.arg)]
+            if type(arg) is not Const:
+                tests[id(arg)] = arg
+            elif arg.value != 0:
+                violations[Violation(node.label or pretty(node.arg), node.span, arg.value)] = None
+                part = None
+        elif kind is Delta:
+            violations[Violation("delta", node.span, Fraction(1))] = None
+            part = None
+        elif kind is Encap:
+            part = entries = take(id(node.body))
+            if entries is not None:  # a null body settles nothing
+                for channel in sorted(node.channels & entries.keys()):
+                    amount = _sum_amounts(entries.pop(channel), folded)
+                    if type(amount) is not Const:
+                        tests[id(amount)] = amount
+                    elif amount.value != 0:
+                        violations[Violation(f"enc{{{channel}}}", node.span, amount.value)] = None
+                        part = None  # once every channel has settled, so each one is reported
+        parts[id(node)] = part
     if violations:
         return CanonicalTuplix(True, (), (), tuple(violations))
-    amounts = tuple((channel, _sum_amounts(entries[channel])) for channel in sorted(entries))
-    return CanonicalTuplix(False, _canonical_tests(tests), amounts, ())
+    entries = parts[id(t)]
+    amounts = tuple((channel, _sum_amounts(entries[channel], folded)) for channel in sorted(entries))
+    return CanonicalTuplix(False, _canonical_tests(tests.values()), amounts, ())
 
 
 def ground_of(c: CanonicalTuplix) -> dict[str, Rational] | None:

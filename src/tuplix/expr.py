@@ -10,8 +10,9 @@ a - b is Add(a, Neg(b)), a / b is Mul(a, Inv(b)). Evaluation is total
 for any fully bound valuation because the inverse of zero is zero.
 
 Budget terms (`algebra`) are nodes of the same kind: `_Node` gives both
-their structural ==, hash and repr, and `postorder`, `compare` and
-`free_vars` take terms as well as expressions.
+their structural ==, hash and repr, `postorder`, `compare` and
+`free_vars` take terms as well as expressions, and `algebra.normalize`
+folds a term's expressions in its one walk of the term, by `_fold_node`.
 
 Two representations serve different ends. `fold_constants` keeps the
 tree as written, only smaller, and `pretty` prints it. `LinearForms`
@@ -275,9 +276,10 @@ _COLUMN_OPS: dict[Callable, Callable] = {
 class _Form:
     """The linear form scale * (const + the sum of coefficient * atom) of a node.
 
-    `terms` maps each atom, a slot reference of the program being built,
-    to its coefficient, which is never zero. The scale is kept apart so
-    that scaling a form costs one step.
+    `terms` maps each atom, a slot reference of `LinearForms` or the id()
+    of an entry's amount in `algebra.normalize`, to its coefficient, which
+    is never zero. The scale is kept apart so that scaling a form costs
+    one step.
     """
 
     __slots__ = ("scale", "const", "terms")
@@ -301,8 +303,10 @@ class _Form:
         self.scale *= factor
         return self
 
-    def merge(self, other: _Form) -> None:
-        """Add another form into this one."""
+    def merge(self, other: _Form) -> _Form:
+        """The sum of this form and another, made in place in the one with more terms, and returned."""
+        if len(self.terms) < len(other.terms):
+            return other.merge(self)
         ratio = None if other.scale is self.scale else other.scale / self.scale
         terms = self.terms
         for atom, coefficient in other.terms.items():
@@ -319,6 +323,7 @@ class _Form:
                     del terms[atom]
         if other.const:
             self.const += other.const if ratio is None else other.const * ratio
+        return self
 
     def settle(self) -> None:
         """Fold the scale into the constant and the coefficients; the value stays."""
@@ -392,10 +397,7 @@ class LinearForms:
             elif kind is Var:
                 form = atom(self.variables[node.name])
             elif kind is Add:
-                form, b = take(node.left), take(node.right)
-                if len(form.terms) < len(b.terms):
-                    form, b = b, form
-                form.merge(b)
+                form = take(node.left).merge(take(node.right))
             elif kind is Mul:
                 a, b = take(node.left), take(node.right)
                 if not a.terms:
@@ -513,6 +515,34 @@ def free_vars(*roots: _Node) -> frozenset[str]:
     return frozenset(node.name for node in postorder(roots) if type(node) is Var)
 
 
+def _fold_node(node: Expr, folded: Mapping[int, Expr], bindings: Mapping[str, Expr] | None) -> Expr:
+    """`fold_constants` of one node, whose children's results `folded` holds by their id()."""
+    kind = type(node)
+    if kind is Add or kind is Mul:
+        left, right = folded[id(node.left)], folded[id(node.right)]
+        lconst, rconst = type(left) is Const, type(right) is Const
+        unit = 0 if kind is Add else 1
+        if lconst and rconst:
+            return Const(_OPS[kind](left.value, right.value))
+        if kind is Mul and ((lconst and left.value == 0) or (rconst and right.value == 0)):
+            return ZERO
+        if lconst and left.value == unit:
+            return right
+        if rconst and right.value == unit:
+            return left
+        return node if left is node.left and right is node.right else kind(left, right)
+    if kind is Var:
+        return bindings.get(node.name, node) if bindings else node
+    if kind is Const:
+        return node
+    arg = folded[id(node.arg)]
+    if type(arg) is Const:
+        return Const(_OPS[kind](arg.value))
+    if kind is not Abs and type(arg) is kind:  # Neg(Neg(x)), Inv(Inv(x))
+        return arg.arg
+    return node if arg is node.arg else kind(arg)
+
+
 def fold_constants(
     e: Expr, bindings: Mapping[str, Expr] | None = None, memo: dict[int, Expr] | None = None
 ) -> Expr:
@@ -535,34 +565,7 @@ def fold_constants(
     """
     folded = {} if memo is None else memo
     for node in postorder([e], folded):
-        kind = type(node)
-        if kind is Add or kind is Mul:
-            left, right = folded[id(node.left)], folded[id(node.right)]
-            lconst, rconst = type(left) is Const, type(right) is Const
-            unit = 0 if kind is Add else 1
-            if lconst and rconst:
-                out = Const(_OPS[kind](left.value, right.value))
-            elif kind is Mul and ((lconst and left.value == 0) or (rconst and right.value == 0)):
-                out = ZERO
-            elif lconst and left.value == unit:
-                out = right
-            elif rconst and right.value == unit:
-                out = left
-            else:
-                out = node if left is node.left and right is node.right else kind(left, right)
-        elif kind is Var:
-            out = bindings.get(node.name, node) if bindings else node
-        elif kind is Const:
-            out = node
-        else:
-            arg = folded[id(node.arg)]
-            if type(arg) is Const:
-                out = Const(_OPS[kind](arg.value))
-            elif kind is not Abs and type(arg) is kind:  # Neg(Neg(x)), Inv(Inv(x))
-                out = arg.arg
-            else:
-                out = node if arg is node.arg else kind(arg)
-        folded[id(node)] = out
+        folded[id(node)] = _fold_node(node, folded, bindings)
     return folded[id(e)]
 
 

@@ -228,14 +228,16 @@ def ground_at(c, rows):
 def test_ground_of_at_a_valuation_agrees_with_the_oracle():
     # normalize under x alone, compile the residual form, then run it at a
     # column of k; a term composed with itself sums each amount node with
-    # itself, so its residual shares subterms
+    # itself, so its residual shares subterms, and an enc{} over two copies
+    # of that takes a shared part at two levels and settles counted summands
     rng = random.Random(29)
     for trial in range(300):
         t = random_tuplix(rng.randint(1, 40), names=("x", "k"), seed=7000 + trial)
         x = random_rational(rng)
         ks = (Fraction(0), random_rational(rng))
         k_column = [k.numerator for k in ks], [k.denominator for k in ks]
-        for term in (t, Comp(t, t)):
+        tt = Comp(t, t)
+        for term in (t, tt, encap({"a"}, Comp(tt, tt))):
             c = normalize(term, {"x": x})
             rows = list(ground_rows(c, {"k": k_column}, 2))
             assert ground_at(c, rows) == [denote_ground(term, {"x": x, "k": k}) for k in ks]

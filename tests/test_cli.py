@@ -85,6 +85,8 @@ param y
 budget Open = test(x <= y && x == 1) | a(x) | b(1/3)
 budget Null = test(x <= 1) | delta | enc{b}(b(x) | a(1))
 budget Pin = test(x == 2) | test(x <= 1) | a(x)
+budget Twice = Null | Null
+budget Count = enc{b}(b(x) | b(x) | b(-1)) | a(y)
 """
 
 OPEN_TEST = "(abs(y - x) - (y - x)) / (abs(y - x) - (y - x)) + (x + -1) / (x + -1)"
@@ -130,6 +132,21 @@ GOLDEN_REPORTS = [
          violation_json("golden.bgt:4:38", "enc{b}", "2"),
      ]), ""),
     (["check", "--budget", "Null", "--set", "x=2", "--set", "y=0"], 1, "", NULL_VIOLATIONS),
+    # a shared budget reaches each failing test twice, and each violation prints once
+    (["eval", "--budget", "Twice", "--set", "x=2", "--set", "y=0"], 1,
+     "status: null\nviolations:\n" + "".join(f"  {line}\n" for line in NULL_VIOLATIONS.splitlines()),
+     ""),
+    (["eval", "--budget", "Twice", "--set", "x=2", "--set", "y=0", "--format", "json"], 1,
+     report_json("null", [], "null", [
+         violation_json("golden.bgt:4:15", "x <= 1", "2"),
+         violation_json("golden.bgt:4:30", "delta", "1"),
+         violation_json("golden.bgt:4:38", "enc{b}", "2"),
+     ]), ""),
+    (["check", "--budget", "Twice", "--set", "x=2", "--set", "y=0"], 1, "", NULL_VIOLATIONS),
+    # the one node x counted twice in a balance prints as 2 * x
+    (["eval", "--budget", "Count"], 0, "status: ok\nresidual tests:\n  -1 + 2 * x\n", ""),
+    (["eval", "--budget", "Count", "--format", "json"], 0,
+     report_json("null", ["-1 + 2 * x"], "ok", []), ""),
     # a test made by substitution has no place in the source
     (["eval", "--budget", "Pin", "--substitute-tests"], 1,
      "status: null\nviolations:\n  abs(1 - x) - (1 - x)  value 2\n", ""),
@@ -874,6 +891,48 @@ def test_sweep_requires_other_params_bound(capsys):
     )
     assert code == 2
     assert "bbpp" in err
+
+
+def budget_chain(tmp_path, depth):
+    """B0 = a(x) | test(x <= 5), and each B{i} composes B{i - 1} with itself: 2^depth copies of B0."""
+    lines = ["param x", "budget B0 = a(x) | test(x <= 5)"]
+    lines += [f"budget B{i} = B{i - 1} | B{i - 1}" for i in range(1, depth + 1)]
+    f = tmp_path / f"chain{depth}.bgt"
+    f.write_text("\n".join(lines) + "\n")
+    return str(f)
+
+
+def timed(argv, capsys):
+    start = time.perf_counter()
+    result = run(argv, capsys)
+    assert time.perf_counter() - start < 0.5, argv
+    return result
+
+
+def test_a_doubling_budget_chain_normalizes_each_budget_once(tmp_path, capsys):
+    # written out as a tree B60 holds 2^60 copies of B0; each budget is normalized once
+    f = budget_chain(tmp_path, 60)
+    amount = 3 * 2**60
+    assert timed(["eval", f, "--set", "x=3"], capsys) == (
+        0, f"status: ok\nentries:\n  a: {amount}\n", ""
+    )
+    code, out, _ = timed(["eval", f, "--set", "x=3", "--format", "json"], capsys)
+    assert (code, json.loads(out)["entries"]) == (0, {"a": str(amount)})
+    assert timed(["check", f, "--set", "x=3"], capsys) == (0, "", "")
+    assert timed(["eval", f, "--substitute-tests"], capsys)[0] == 0
+    code, out, _ = timed(["sweep", f, "--var", "x", "--from", "0", "--to", "2", "--step", "1"], capsys)
+    assert (code, out.splitlines()[1:]) == (0, [f"{x}  ok      {x * 2**60}" for x in range(3)])
+
+
+def test_a_test_reached_by_many_paths_is_reported_once(tmp_path, capsys):
+    # at depth 14 the test in B0 lies on 16,384 paths through the term, at depth 60 on 2^60
+    for depth in (14, 60):
+        f = budget_chain(tmp_path, depth)
+        line = f"chain{depth}.bgt:2:20  x <= 5  value 4"
+        assert timed(["eval", f, "--set", "x=7"], capsys) == (
+            1, f"status: null\nviolations:\n  {line}\n", ""
+        )
+        assert timed(["check", f, "--set", "x=7"], capsys) == (1, "", f"{line}\n")
 
 
 def test_sweep_checks_the_parameters_of_a_shared_budget_once(tmp_path, capsys):
