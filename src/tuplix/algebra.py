@@ -30,7 +30,6 @@ must equal the oracle's whenever the term is fully bound.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
@@ -244,10 +243,10 @@ def normalize(t: Tuplix, valuation: Valuation | None = None) -> CanonicalTuplix:
     drops a test, so the open tests are kept for the whole walk.
     """
     bindings = {name: Const(value) for name, value in (valuation or {}).items()}
-    order = postorder([t])
+    uses: dict[int, int] = {}  # id(node) -> its users: for a term, its Comp and Encap parents and the root
+    order = postorder([t], uses)
     if t._kind < _TERMS:
         raise TypeError(f"not a budget term: {t!r}")
-    uses = Counter(id(child) for node in order if type(node) in (Comp, Encap) for child in node._parts()[1])
     folded: dict[int, Expr] = {}  # id(expression node) -> its fold
     parts: dict[int, dict | None] = {}  # id(term node) -> its part, until its last user takes it
     tests: dict[int, Expr] = {}  # id(folded open test) -> the test
@@ -391,13 +390,14 @@ def apply_test_substitution(c: CanonicalTuplix) -> CanonicalTuplix:
         at_zero = fold_constants(tests.pop(i), {name: ZERO})
         r = Neg(at_zero) if coefficient == 1 else Mul(Const(-1 / coefficient), at_zero)
         r = fold_constants(at_zero if coefficient == -1 else r)
-        before = [*entries.values(), *tests.values(), *solved]  # keeps the memo's nodes alive
-        binding, memo = {name: r}, {}
-        entries = {ch: fold_constants(amount, binding, memo) for ch, amount in entries.items()}
-        solved = [fold_constants(t, binding, memo) for t in solved]
+        binding, folded = {name: r}, {}  # one walk, so a node the roots share is folded once
+        for node in postorder([*entries.values(), *tests.values(), *solved]):
+            folded[id(node)] = _fold_node(node, folded, binding)
+        entries = {ch: folded[id(amount)] for ch, amount in entries.items()}
+        solved = [folded[id(t)] for t in solved]
         solved.append(fold_constants(sub(Var(name), r)))
         for j, test in tests.items():
-            if (new := fold_constants(test, binding, memo)) is not test:
+            if (new := folded[id(test)]) is not test:
                 tests[j] = new
                 linear.pop(j, None)
     violations = [Violation(pretty(c.tests[i]), None, value) for i in tests if (value := linear[i][1])]

@@ -33,7 +33,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cmp_to_key, partial
 from itertools import count, repeat
-from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .meadow import ONE, Column, Rational, decimal_repr, format_rational, lowest_terms, minv
 
@@ -192,16 +192,15 @@ def evaluate(e: Expr, valuation: Valuation) -> Rational:
 _EMIT = object()  # on the postorder stack: the node below it has all its children listed
 
 
-def postorder(roots: Sequence[_Node], done: Container[int] = ()) -> list[_Node]:
+def postorder(roots: Sequence[_Node], uses: dict[int, int] | None = None) -> list[_Node]:
     """Each distinct node object under the roots once, children before parents.
 
-    The roots may be expressions or budget terms. Nodes whose id() is in
-    `done` are left out, and so is whatever lies only below them: a pass
-    memoized by id() passes its memo, so that no node is visited twice
-    across its calls.
+    The roots may be expressions or budget terms. A `uses` dict, given
+    empty, is filled in with the number of places that reach each node, by
+    id(): one per parent edge, and one per time the node is among the roots.
     """
     order: list[_Node] = []
-    seen: set[int] = set()
+    seen: dict[int, int] = {} if uses is None else uses
     stack: list = list(reversed(roots))
     pop = stack.pop
     while stack:
@@ -210,9 +209,10 @@ def postorder(roots: Sequence[_Node], done: Container[int] = ()) -> list[_Node]:
             order.append(pop())
             continue
         key = id(node)
-        if key in seen or key in done:
+        if key in seen:
+            seen[key] += 1
             continue
-        seen.add(key)
+        seen[key] = 1
         kind = type(node)
         if kind is Add or kind is Mul:
             stack += (node, _EMIT, node.right, node.left)
@@ -237,13 +237,11 @@ def _spread(*parts: int | list[int]) -> Iterator[Iterable[int]]:
 
 
 def _sum(op: Callable, x, y) -> Column:
-    """x + y or x - y, for op operator.add or operator.sub; at most one side is a scalar pair."""
+    """x + y or x - y, for op operator.add or operator.sub; only the left side may be a scalar pair."""
     mul = operator.mul
     (a, b), (c, d) = x, y
     if type(b) is int and b == 1:  # a*d ± c over d is in lowest terms, as c/d is
         return list(map(op, map(mul, repeat(a), d), c)), d
-    if type(d) is int and d == 1:
-        return list(map(op, a, map(mul, repeat(c), b))), b
     a, b, c, d = _spread(a, b, c, d)
     return lowest_terms(list(map(op, map(mul, a, d), map(mul, c, b))), list(map(mul, b, d)))
 
@@ -363,7 +361,8 @@ class LinearForms:
     """
 
     def __init__(self, roots: Sequence[Expr]):
-        order = postorder(roots)
+        uses: dict[int, int] = {}  # id(node) -> the parents and root places that take its form
+        order = postorder(roots, uses)
         names = dict.fromkeys(node.name for node in order if type(node) is Var)
         self.variables = {name: j for j, name in enumerate(names)}
         self.constants: dict[Rational, int] = {}
@@ -373,16 +372,6 @@ class LinearForms:
         def atom(ref: int) -> _Form:
             return _Form(ZERO.value, {ref: ONE})
 
-        uses = dict.fromkeys(map(id, order), 0)  # the parents and root places that take each form
-        for node in order:
-            kind = type(node)
-            if kind is Add or kind is Mul:
-                uses[id(node.left)] += 1
-                uses[id(node.right)] += 1
-            elif kind is Neg or kind is Inv or kind is Abs:
-                uses[id(node.arg)] += 1
-        for root in roots:
-            uses[id(root)] += 1
         forms: dict[int, _Form] = {}  # id(node) -> its form
 
         def take(node: Expr) -> _Form:
@@ -543,9 +532,7 @@ def _fold_node(node: Expr, folded: Mapping[int, Expr], bindings: Mapping[str, Ex
     return node if arg is node.arg else kind(arg)
 
 
-def fold_constants(
-    e: Expr, bindings: Mapping[str, Expr] | None = None, memo: dict[int, Expr] | None = None
-) -> Expr:
+def fold_constants(e: Expr, bindings: Mapping[str, Expr] | None = None) -> Expr:
     """Bottom-up simplification that is sound for every valuation.
 
     Constant subtrees collapse (with totalized inversion); the only
@@ -558,13 +545,11 @@ def fold_constants(
     Bound variables are replaced on the way, in the same pass: with
     `bindings` mapping names to folded expressions, the result is what
     folding gives after each bound variable is replaced by its expression.
-
-    `memo` maps the id() of each node folded so far to its result. Calls
-    that share the bindings may share it, so that a subterm they have in
-    common is folded once; it holds only while those nodes stay alive.
+    Each distinct node is folded once; to fold many roots with their
+    shared nodes folded once, walk their `postorder` with `_fold_node`.
     """
-    folded = {} if memo is None else memo
-    for node in postorder([e], folded):
+    folded: dict[int, Expr] = {}
+    for node in postorder([e]):
         folded[id(node)] = _fold_node(node, folded, bindings)
     return folded[id(e)]
 

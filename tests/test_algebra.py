@@ -27,11 +27,13 @@ from tuplix.expr import (
     Abs,
     Add,
     Const,
+    Inv,
     Mul,
     Neg,
     Var,
     evaluate,
     free_vars,
+    postorder,
     pretty,
     random_rational,
     sub,
@@ -169,12 +171,13 @@ def test_deep_encap_leftovers_reach_the_top():
 
 def test_terms_of_20000_entries_compare_and_hash_without_recursion():
     # two compositions built apart, under an enc{}, with a shared sub-budget
-    # used twice; spans and labels take no part
+    # used twice and every expression kind; spans and labels take no part
     x = Var("x")
 
     def build(last, span):
         entries = [Entry("a", Add(x, Const(Fraction(i)))) for i in range(20_000)]
-        shared = compose(*entries, Test(x, label=span), ent("a", last))
+        test = Test(Abs(Mul(x, Inv(Neg(Var("y"))))), label=span)
+        shared = compose(*entries, test, ent("a", last))
         return encap({"b"}, Comp(shared, shared), span=span)
 
     first, second, other = build(1, None), build(1, "f:1:1"), build(2, None)
@@ -349,6 +352,15 @@ def test_substitution_keeps_a_solved_test_as_x_minus_r():
     s = apply_test_substitution(c)
     assert [pretty(e) for e in s.tests] == ["x - 3 * abs(y)", "z + -5"]
     assert pretty(dict(s.entries)["a"]) == "3 * abs(y) + 5"
+
+
+def test_substitution_folds_a_def_shared_by_entries_and_a_test_once():
+    program = "param x\nparam y\ndef D = abs(y) + x\nbudget B = test(x == 2) | a(D) | b(D) | test(D <= 5)\n"
+    s = apply_test_substitution(normalize(elaborate(parse(program), "B")))
+    amounts = dict(s.entries)
+    assert pretty(amounts["a"]) == "abs(y) + 2"
+    assert amounts["a"] is amounts["b"]
+    assert any(node is amounts["a"] for node in postorder([s.tests[-1]]))
 
 
 def test_substitution_solves_a_test_linear_in_a_variable():

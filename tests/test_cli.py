@@ -560,9 +560,22 @@ def test_parse_error_exits_2(tmp_path, capsys):
     assert "broken.bgt" in err
 
 
-def test_usage_error_exits_2(capsys):
+def test_usage_error_exits_2(capsys, tmp_path):
     assert run([], capsys)[0] == 2
     assert run(["sweep", MSC, "--var", "k"], capsys)[0] == 2  # missing range
+    only_params = tmp_path / "params.bgt"
+    only_params.write_text("param x\n")
+    for argv, message in [
+        (["axioms", "--trials", "0"], "error: --trials must be >= 1\n"),
+        (["eval", str(only_params)], "error: the program declares no budgets\n"),
+        (["eval", str(tmp_path / "missing.bgt")], None),  # the system's own message
+    ]:
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        if message is None:
+            assert err.startswith("error: ") and err.count("\n") == 1
+        else:
+            assert err == message
 
 
 # --- sweeps ------------------------------------------------------------------

@@ -214,6 +214,9 @@ def test_a_last_line_comment_without_newline_is_skipped(closing):
         ("param x\n\tbudget B = a(x) @\n", "2:18: unexpected character '@'"),
         ('param x\nparam y "doc', "2:9: unterminated string"),
         ("# one\n# two\n  # three\nbudget B = ?\n", "4:12: unexpected character '?'"),
+        ("budget B = a(1", "1:15: expected ')', found 'end of input'"),
+        ("budget B = )", "1:12: expected a budget term, found ')'"),
+        ("budget B = abs", "1:12: keyword 'abs' cannot start a budget term"),
     ],
 )
 def test_lexical_errors_count_lines_and_columns_past_whitespace(text, where):
