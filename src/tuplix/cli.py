@@ -17,6 +17,7 @@ denominator is 1), never as floats.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -118,15 +119,14 @@ def parse_bindings_text(text: str, origin: str) -> dict[str, Rational]:
 
 
 def _parse_set_flag(item: str) -> tuple[str, Rational]:
-    shown = quoted(item)
     m = _BINDING_RE.match(item.strip())
     if m is None:
-        raise CliError(f"--set expects VAR=RATIONAL, found {shown}")
+        raise CliError(f"--set expects VAR=RATIONAL, found {quoted(item)}")
     name, value = m.groups()
     try:
         return name, parse_rational(value)
     except ValueError as exc:
-        raise CliError(f"--set {shown}: {exc}") from None
+        raise CliError(f"--set {quoted(item)}: {exc}") from None
 
 
 def _read_text(path: Path) -> str:
@@ -316,13 +316,18 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
         "--set",
         action="append",
         metavar="VAR=RAT",
-        default=[],
         help="bind one parameter (repeatable; overrides --bindings)",
     )
     sub.add_argument("--bindings", metavar="FILE", help="file of NAME = RATIONAL lines")
 
 
+@functools.cache
 def build_arg_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built on the first call and shared by all later ones.
+
+    Each parse_args call fills a fresh Namespace, so one call's flags never
+    reach the next; no option has a mutable default that a call could share.
+    """
     parser = argparse.ArgumentParser(
         prog="tuplix",
         description="Evaluate budget programs over exact rationals.",

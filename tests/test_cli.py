@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -1005,3 +1006,57 @@ def test_axioms_single_trial(capsys):
     code, out, _ = run(["axioms", "--trials", "1", "--seed", "3"], capsys)
     assert code == 0
     assert "1/1" in out
+
+
+# --- many calls in one process -----------------------------------------------
+
+
+def test_a_set_flag_does_not_outlive_its_call(tmp_path, capsys):
+    f = tmp_path / "x.bgt"
+    f.write_text("param x\nbudget B = a(x)\n")
+    bound = run(["eval", str(f), "--set", "x=1", "--format", "json"], capsys)
+    assert json.loads(bound[1])["entries"] == {"a": "1"}
+    unbound = run(["eval", str(f), "--format", "json"], capsys)
+    assert json.loads(unbound[1])["entries"] is None  # x is left unbound
+    assert run(["check", str(f)], capsys) == (
+        2, "", "error: check requires every parameter bound; missing: x\n"
+    )
+
+
+def test_calls_in_one_process_are_independent(capsys):
+    scenario = consistent_scenario(random.Random(5))
+    broken = {**scenario, "B:ssot": scenario["B:ssot"] + 1}
+    calls = [
+        ["check", MSC, "--budget", "Total", *sets(scenario)],
+        ["check", MSC, "--budget", "Total", *sets(broken)],
+        ["eval", TRANSFER, "--format", "json"],
+        ["eval", MSC, "--budget", "Total", "--bindings", str(bundled("scenario.bindings")),
+         "--substitute-tests"],
+        [*README_SWEEP, "--format", "json"],
+        ["sweep", MSC, "--var", "k"],  # no range: a usage error
+        ["--help"],
+        ["eval", TRANSFER, "--budget", "Zed"],
+    ]
+    forward = [run(argv, capsys) for argv in calls]
+    backward = [run(argv, capsys) for argv in reversed(calls)][::-1]
+    assert forward == backward
+    assert [code for code, _, _ in forward] == [0, 1, 0, 0, 0, 2, 0, 2]
+    assert len(calls[0]) == 4 + 2 * 55
+    assert forward[5][2].startswith("usage: tuplix sweep ")
+    assert forward[6][1].startswith("usage: tuplix ")
+
+
+def test_the_argument_parser_is_built_once_per_process(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for _ in range(10):
+        assert run(["eval", TRANSFER], capsys)[0] == 0
+        assert run(["sweep", MSC, "--var", "k"], capsys)[0] == 2
+    # at most the first call builds them: the top-level parser and one per command
+    assert len(built) <= 5, built
