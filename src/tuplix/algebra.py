@@ -48,6 +48,7 @@ from .expr import (
     _Form,
     _Node,
     _TERMS,
+    _as_expr,
     _fold_node,
     Valuation,
     compare,
@@ -62,7 +63,7 @@ from .expr import (
     sort_key,
     sub,
 )
-from .meadow import ONE, Column, Rational
+from .meadow import ONE, Column, Pair, Rational
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -241,13 +242,16 @@ def normalize(t: Tuplix, valuation: Valuation | None = None) -> CanonicalTuplix:
     part, None if Null or else a `_Form` per channel, which its last user
     takes in place and others copy: each node costs once. No construct
     drops a test, so the open tests are kept for the whole walk.
+    Expressions fold in the same walk, by `_fold_node`: a closed one is an
+    integer pair, read as such for an entry's amount, a test's value and a
+    violation's value, and becomes a `Const` only under an open parent.
     """
     bindings = {name: Const(value) for name, value in (valuation or {}).items()}
     uses: dict[int, int] = {}  # id(node) -> its users: for a term, its Comp and Encap parents and the root
     order = postorder([t], uses)
     if t._kind < _TERMS:
         raise TypeError(f"not a budget term: {t!r}")
-    folded: dict[int, Expr] = {}  # id(expression node) -> its fold
+    folded: dict[int, Expr | Pair] = {}  # id(expression node) -> its fold, a pair if closed
     parts: dict[int, dict | None] = {}  # id(term node) -> its part, until its last user takes it
     tests: dict[int, Expr] = {}  # id(folded open test) -> the test
     violations: dict[Violation, None] = {}  # each distinct one once; nonempty exactly when Null
@@ -279,14 +283,16 @@ def normalize(t: Tuplix, valuation: Valuation | None = None) -> CanonicalTuplix:
                         part[channel] = kept.merge(form)
         elif kind is Entry:
             amount = folded[id(node.amount)]
-            terms = {} if type(amount) is Const else {id(node.amount): ONE}  # a constant is no term
-            part[node.channel] = _Form(ZERO.value if terms else amount.value, terms)
+            if type(amount) is tuple:  # a constant is no term
+                part[node.channel] = _Form(Fraction(*amount), {})
+            else:
+                part[node.channel] = _Form(ZERO.value, {id(node.amount): ONE})
         elif kind is Test:
             arg = folded[id(node.arg)]
-            if type(arg) is not Const:
+            if type(arg) is not tuple:
                 tests[id(arg)] = arg
-            elif arg.value != 0:
-                violations[Violation(node.label or pretty(node.arg), node.span, arg.value)] = None
+            elif arg[0]:
+                violations[Violation(node.label or pretty(node.arg), node.span, Fraction(*arg))] = None
                 part = None
         elif kind is Delta:
             violations[Violation("delta", node.span, Fraction(1))] = None
@@ -393,11 +399,11 @@ def apply_test_substitution(c: CanonicalTuplix) -> CanonicalTuplix:
         binding, folded = {name: r}, {}  # one walk, so a node the roots share is folded once
         for node in postorder([*entries.values(), *tests.values(), *solved]):
             folded[id(node)] = _fold_node(node, folded, binding)
-        entries = {ch: folded[id(amount)] for ch, amount in entries.items()}
-        solved = [folded[id(t)] for t in solved]
+        entries = {ch: _as_expr(amount, folded[id(amount)], binding) for ch, amount in entries.items()}
+        solved = [_as_expr(t, folded[id(t)], binding) for t in solved]
         solved.append(fold_constants(sub(Var(name), r)))
         for j, test in tests.items():
-            if (new := folded[id(test)]) is not test:
+            if (new := _as_expr(test, folded[id(test)], binding)) is not test:
                 tests[j] = new
                 linear.pop(j, None)
     violations = [Violation(pretty(c.tests[i]), None, value) for i in tests if (value := linear[i][1])]

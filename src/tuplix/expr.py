@@ -15,13 +15,17 @@ their structural ==, hash and repr, `postorder`, `compare` and
 folds a term's expressions in its one walk of the term, by `_fold_node`.
 
 Two representations serve different ends. `fold_constants` keeps the
-tree as written, only smaller, and `pretty` prints it. `LinearForms`
-writes expressions as a constant plus exact multiples of atoms, as a
-meadow allows, and is also the straight-line program that computes
-them: test substitution solves the tests linear in a variable
-(`LinearForms.pivot`), and `LinearForms.columns` runs each step once
-over whole columns of integer numerators and denominators, so
-evaluating at many valuations makes no `Fraction` per value.
+tree as written, only smaller, and `pretty` prints it. Inside a fold a
+closed value is an integer pair (numerator, denominator > 0) in lowest
+terms, reduced as `Fraction` reduces, and it becomes a `Const` only where
+it meets an open parent or is a root; `evaluate`, the naive oracle,
+stays on `Fraction`. `LinearForms` writes expressions as a constant plus
+exact multiples of atoms, as a meadow allows, and is also the
+straight-line program that computes them: test substitution solves the
+tests linear in a variable (`LinearForms.pivot`), and
+`LinearForms.columns` runs each step once over whole columns of integer
+numerators and denominators, so evaluating at many valuations makes no
+`Fraction` per value.
 """
 
 from __future__ import annotations
@@ -35,7 +39,18 @@ from functools import cmp_to_key, partial
 from itertools import count, repeat
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
-from .meadow import ONE, Column, Rational, decimal_repr, format_rational, lowest_terms, minv
+from .meadow import (
+    ONE,
+    Column,
+    Pair,
+    Rational,
+    add_pairs,
+    decimal_repr,
+    format_rational,
+    lowest_terms,
+    minv,
+    mul_pairs,
+)
 
 # Shared with the budget language: names are colon-separated word segments.
 IDENT_PATTERN = r"[A-Za-z_]\w*(?::[A-Za-z_]\w*)*"
@@ -227,8 +242,9 @@ def postorder(roots: Sequence[_Node], uses: dict[int, int] | None = None) -> lis
     return order
 
 
-# fold_constants applies one of these to the folded children of an operator node.
-_OPS = {Add: operator.add, Mul: operator.mul, Neg: operator.neg, Inv: minv, Abs: abs}
+# The operator of an inverse or absolute value: `LinearForms` folds a constant
+# form by it, or makes it an instruction.
+_OPS = {Inv: minv, Abs: abs}
 
 
 def _spread(*parts: int | list[int]) -> Iterator[Iterable[int]]:
@@ -504,29 +520,61 @@ def free_vars(*roots: _Node) -> frozenset[str]:
     return frozenset(node.name for node in postorder(roots) if type(node) is Var)
 
 
-def _fold_node(node: Expr, folded: Mapping[int, Expr], bindings: Mapping[str, Expr] | None) -> Expr:
-    """`fold_constants` of one node, whose children's results `folded` holds by their id()."""
+def _as_expr(node: Expr, fold: Expr | Pair, bindings: Mapping[str, Expr] | None) -> Expr:
+    """The expression of a node's fold: a pair becomes the node's own Const, its binding's, or a new one."""
+    if type(fold) is not tuple:
+        return fold
+    kind = type(node)
+    if kind is Const:
+        return node
+    if kind is Var:
+        return bindings[node.name]
+    return Const(Fraction(*fold))
+
+
+def _fold_node(
+    node: Expr, folded: Mapping[int, Expr | Pair], bindings: Mapping[str, Expr] | None
+) -> Expr | Pair:
+    """`fold_constants` of one node, whose children's folds `folded` holds by their id().
+
+    A closed fold is not a `Const` but its value as an integer pair
+    (numerator, denominator > 0) in lowest terms, so folding a closed
+    subterm makes neither a `Fraction` nor a node; an open fold is an
+    expression. `_as_expr` turns a pair into a `Const` where an open parent
+    or a caller reads it. The identities fire on pairs: x + 0, x * 1 and
+    x * 0 by the numerator, as 0 is 0/1 and 1 is 1/1.
+    """
     kind = type(node)
     if kind is Add or kind is Mul:
         left, right = folded[id(node.left)], folded[id(node.right)]
-        lconst, rconst = type(left) is Const, type(right) is Const
-        unit = 0 if kind is Add else 1
-        if lconst and rconst:
-            return Const(_OPS[kind](left.value, right.value))
-        if kind is Mul and ((lconst and left.value == 0) or (rconst and right.value == 0)):
-            return ZERO
-        if lconst and left.value == unit:
-            return right
-        if rconst and right.value == unit:
-            return left
+        if type(left) is tuple:
+            if type(right) is tuple:
+                return add_pairs(left, right) if kind is Add else mul_pairs(left, right)
+            if not left[0]:  # 0 + x is x, 0 * x is 0
+                return right if kind is Add else left
+            if kind is Mul and left[0] == left[1]:
+                return right
+            left = _as_expr(node.left, left, bindings)
+        elif type(right) is tuple:
+            if not right[0]:  # 0 + x is x, 0 * x is 0
+                return left if kind is Add else right
+            if kind is Mul and right[0] == right[1]:
+                return left
+            right = _as_expr(node.right, right, bindings)
         return node if left is node.left and right is node.right else kind(left, right)
     if kind is Var:
-        return bindings.get(node.name, node) if bindings else node
+        bound = bindings.get(node.name, node) if bindings else node
+        return bound.value.as_integer_ratio() if type(bound) is Const else bound
     if kind is Const:
-        return node
+        return node.value.as_integer_ratio()
     arg = folded[id(node.arg)]
-    if type(arg) is Const:
-        return Const(_OPS[kind](arg.value))
+    if type(arg) is tuple:
+        n, d = arg
+        if kind is Neg:
+            return -n, d
+        if kind is Abs:
+            return abs(n), d
+        return (d, n) if n > 0 else (-d, -n) if n else arg  # the inverse of 0 is 0
     if kind is not Abs and type(arg) is kind:  # Neg(Neg(x)), Inv(Inv(x))
         return arg.arg
     return node if arg is node.arg else kind(arg)
@@ -547,11 +595,13 @@ def fold_constants(e: Expr, bindings: Mapping[str, Expr] | None = None) -> Expr:
     folding gives after each bound variable is replaced by its expression.
     Each distinct node is folded once; to fold many roots with their
     shared nodes folded once, walk their `postorder` with `_fold_node`.
+    Inside the walk a closed value is an integer pair, and it becomes a
+    `Const` only under an open parent or at the root.
     """
-    folded: dict[int, Expr] = {}
+    folded: dict[int, Expr | Pair] = {}
     for node in postorder([e]):
         folded[id(node)] = _fold_node(node, folded, bindings)
-    return folded[id(e)]
+    return _as_expr(e, folded[id(e)], bindings)
 
 
 def random_rational(rng: random.Random) -> Rational:

@@ -21,6 +21,10 @@ Rational = Fraction
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
+# One rational as an integer pair (numerator, denominator), in lowest terms
+# with a positive denominator, the invariant `Fraction` keeps.
+Pair = tuple[int, int]
+
 # Many rationals at once, as a column of numerators and a column of positive
 # denominators of the same length: row i is numerators[i] / denominators[i].
 Column = tuple[list[int], list[int]]
@@ -71,6 +75,32 @@ def parse_rational(text: str) -> Rational:
     except ValueError:
         raise DigitLimitError() from None
     return -value if sign == "-" else value
+
+
+def add_pairs(x: Pair, y: Pair) -> Pair:
+    """x + y, reduced as `Fraction` adds: a sum over coprime denominators needs no gcd."""
+    (a, b), (c, d) = x, y
+    g = gcd(b, d)
+    if g == 1:
+        return a * d + b * c, b * d
+    s = b // g
+    t = a * (d // g) + c * s
+    g = gcd(t, g)  # the only common factor the sum over s * d can have
+    if g == 1:
+        return t, s * d
+    return t // g, s * (d // g)
+
+
+def mul_pairs(x: Pair, y: Pair) -> Pair:
+    """x * y, reduced as `Fraction` multiplies: by the gcds across, so no product is reduced."""
+    (a, b), (c, d) = x, y
+    g = gcd(a, d)
+    if g > 1:
+        a, d = a // g, d // g
+    g = gcd(c, b)
+    if g > 1:
+        c, b = c // g, b // g
+    return a * c, b * d
 
 
 def lowest_terms(numerators: list[int], denominators: list[int]) -> Column:

@@ -22,6 +22,8 @@ from tuplix.algebra import (
     normalize,
     _random_term,
 )
+from tuplix import bundled
+from tuplix.cli import parse_bindings_text
 from tuplix.dsl import elaborate, parse
 from tuplix.expr import (
     Abs,
@@ -120,6 +122,26 @@ def test_open_tests_stay_residual():
 def test_valuation_closes_amounts():
     c = normalize(Entry("a", Add(Var("u"), Var("v"))), {"u": Fraction(1), "v": Fraction(2)})
     assert ground_of(c) == {"a": Fraction(3)}
+
+
+def test_a_bound_budget_folds_without_a_const_per_subterm(monkeypatch):
+    # the paper's department budget with every parameter bound: its closed
+    # subterms fold as integer pairs, and a Const is made for each bound
+    # parameter and for the result, never for each of the 275 expression nodes
+    total = elaborate(parse(bundled("msc.bgt").read_text()), "Total")
+    valuation = parse_bindings_text(bundled("scenario.bindings").read_text(), "scenario.bindings")
+    valuation["k"] = Fraction(424, 1495)
+    made = []
+    init = Const.__init__
+
+    def counted(self, value):
+        made.append(value)
+        init(self, value)
+
+    monkeypatch.setattr(Const, "__init__", counted)
+    c = normalize(total, valuation)
+    assert ground_of(c) == {"e": Fraction(25116, 5), "in": Fraction(-7176)}
+    assert len(made) <= 60
 
 
 def test_violations_collect_across_composition():

@@ -5,6 +5,7 @@ import statistics
 import time
 import tracemalloc
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -19,6 +20,7 @@ from tuplix.expr import (
     Neg,
     UnboundVariableError,
     Var,
+    _fold_node,
     compare,
     div,
     equiv_prob,
@@ -98,6 +100,61 @@ def test_fold_identities():
     assert fold_constants(Mul(const(0), x)) == const(0)
     assert fold_constants(Neg(Neg(x))) == x
     assert fold_constants(Inv(Inv(x))) == x
+
+
+def folds_in_lowest_terms(e, bindings=None):
+    """Fold e node by node, as fold_constants does, and check that every closed fold is in lowest terms."""
+    folded = {}
+    for node in postorder([e]):
+        fold = folded[id(node)] = _fold_node(node, folded, bindings)
+        if type(fold) is tuple:
+            n, d = fold
+            assert d > 0 and gcd(n, d) == 1, (node, fold)
+
+
+def test_fold_reduces_every_closed_value_as_fraction_does():
+    # zeros and ones that only arithmetic makes still trigger their identities
+    x, c = Var("x"), lambda n, d=1: Const(Fraction(n, d))
+    square = c(1, 3)
+    for _ in range(10):
+        square = Mul(square, square)
+    table = [
+        (Mul(x, Add(c(1, 3), c(2, 3))), x),
+        (Add(x, sub(c(1, 6), c(1, 6))), x),
+        (Mul(Mul(c(2, 3), c(3, 2)), x), x),
+        (Mul(x, sub(c(1, 2), c(1, 2))), c(0)),
+        (div(c(1), c(-3, 4)), c(-4, 3)),
+        (Abs(c(-5, 7)), c(5, 7)),
+        (div(c(1), c(0)), c(0)),
+        (square, Const(Fraction(1, 3) ** 1024)),
+    ]
+    for e, expected in table:
+        folds_in_lowest_terms(e)
+        assert fold_constants(e) == expected, pretty(e)
+
+
+def test_fold_agrees_with_evaluate_on_zeros_and_long_numbers():
+    rng = random.Random(29)
+    names = ("x", "y", "z")
+
+    def value():
+        roll = rng.random()
+        if roll < 0.3:
+            return Fraction(0)
+        if roll < 0.6:  # numerators and denominators of 60 to 80 digits
+            sign = rng.choice((-1, 1))
+            return Fraction(sign * rng.randrange(10**60, 10**80), rng.randrange(10**60, 10**80))
+        return random_rational(rng)
+
+    for _ in range(2_000):
+        e = random_expr(rng, names, rng.randint(0, 8))
+        v = {name: value() for name in names}
+        consts = {name: Const(r) for name, r in v.items()}
+        folds_in_lowest_terms(e, consts)
+        assert fold_constants(e, consts) == Const(evaluate(e, v))
+        part = {name: consts[name] for name in names if rng.random() < 0.5}
+        rest = {name: r for name, r in v.items() if name not in part}
+        assert evaluate(fold_constants(e, part), rest) == evaluate(e, v)
 
 
 def test_fold_keeps_open_indicators():
@@ -422,6 +479,21 @@ def compile_forms(root):
     return instructions(LinearForms([root]))
 
 
+def fraction_walk(root, x):
+    """The value of a sum of absolute values over the variable x, by one Fraction step per node."""
+    values = {}
+    for node in postorder([root]):
+        kind = type(node)
+        if kind is Add:
+            value = values[id(node.left)] + values[id(node.right)]
+        elif kind is Abs:
+            value = abs(values[id(node.arg)])
+        else:
+            value = x if kind is Var else node.value
+        values[id(node)] = value
+    return values[id(root)]
+
+
 def test_compiling_a_sum_of_distinct_atoms_takes_linear_time():
     n = 5_000
     small, large = sum_of_distinct_abs(n), sum_of_distinct_abs(2 * n)
@@ -429,20 +501,19 @@ def test_compiling_a_sum_of_distinct_atoms_takes_linear_time():
     program = LinearForms([small])
     assert len(instructions(program)) == 3 * n - 2  # per term: x + i, abs and the running sum
     assert row(program, {"x": half}) == [sum(abs(Fraction(2 * i - 1, 2)) for i in range(n))]
-    # Against folding the same nodes to a constant, a walk with a Fraction step
-    # per node, so that the bounds hold on a slower host too: compiling took
-    # 0.07-0.09 s, 1.7-2.0 times as long as folding, on a 2-vCPU x86 host. Each
-    # round times the compile and the fold of one tree back to back, so a host
-    # that slows down for a while slows both, and the median drops the rounds
-    # that a pause hit.
-    bindings = {"x": const(half)}
+    # Against evaluating the same nodes, a walk with a Fraction step per node,
+    # so that the bounds hold on a slower host too: compiling took 0.07-0.09 s,
+    # 2.2-2.4 times as long as the walk, on a 2-vCPU x86 host. Each round
+    # times the compile and the walk of one tree back to back, so a host that
+    # slows down for a while slows both, and the median drops the rounds that
+    # a pause hit.
     small_ratios, large_ratios = [], []
     for _ in range(5):
         for tree, ratios in ((small, small_ratios), (large, large_ratios)):
-            ratios.append(seconds(compile_forms, tree) / seconds(fold_constants, tree, bindings))
+            ratios.append(seconds(compile_forms, tree) / seconds(fraction_walk, tree, half))
     ratio, doubled_ratio = statistics.median(small_ratios), statistics.median(large_ratios)
     assert ratio < 4
-    # folding is linear, so a linear compile keeps its ratio at twice the terms
+    # the walk is linear, so a linear compile keeps its ratio at twice the terms
     assert doubled_ratio < 1.25 * ratio
 
 
@@ -547,6 +618,8 @@ def test_postorder_lists_each_node_once_children_first():
 
 def test_fold_returns_unchanged_nodes():
     e = fold_constants(Add(Mul(Var("x"), Inv(Var("y"))), Neg(Abs(Var("z")))))
+    assert fold_constants(e) is e
+    e = Add(Var("x"), Const(2))  # a literal constant child keeps its node
     assert fold_constants(e) is e
 
 
