@@ -8,12 +8,10 @@ format (``.bgt``) plus a CLI around the same operations.
 
 The package root holds the term and expression constructors, the pipeline
 (``parse``, ``elaborate``, ``normalize``, ``ground_of``,
-``apply_test_substitution``) with its oracle ``denote_ground``, the
-randomized equivalence checks and the result types; every other name is
-imported from its own module.
+``apply_test_substitution``) with its oracle ``denote_ground``, and the
+result types; every other name is imported from its own module.
 """
 
-from importlib import resources
 from pathlib import Path
 
 from .algebra import (
@@ -31,23 +29,21 @@ from .algebra import (
     compose,
     denote_ground,
     encap,
-    equiv_prob_tuplix,
     ground_of,
     normalize,
 )
 from .dsl import BudgetProgram, DslError, elaborate, parse
-from .expr import Abs, Add, Const, Inv, Mul, Neg, Var, equiv_prob
+from .expr import Abs, Add, Const, Inv, Mul, Neg, Var
 
 __version__ = "0.1.0"
 
 
 def bundled(name: str) -> Path:
     """Path of a file shipped with the package, e.g. ``msc.bgt`` or ``scenario.bindings``."""
-    candidate = resources.files(__package__) / "data" / name
-    with resources.as_file(candidate) as path:
-        if not path.is_file():
-            raise FileNotFoundError(f"no bundled file named {name!r}")
-        return path
+    path = Path(__file__).parent / "data" / name
+    if not path.is_file():
+        raise FileNotFoundError(f"no bundled file named {name!r}")
+    return path
 
 
 __all__ = [
@@ -76,8 +72,6 @@ __all__ = [
     "denote_ground",
     "elaborate",
     "encap",
-    "equiv_prob",
-    "equiv_prob_tuplix",
     "ground_of",
     "normalize",
     "parse",

@@ -44,7 +44,6 @@ from .expr import (
     Mul,
     Neg,
     Var,
-    ZERO,
     _Form,
     _Node,
     _TERMS,
@@ -54,16 +53,14 @@ from .expr import (
     compare,
     evaluate,
     fold_constants,
-    free_vars,
     is_identifier,
     postorder,
     pretty,
     random_expr,
-    random_rational,
     sort_key,
     sub,
 )
-from .meadow import ONE, Column, Pair, Rational
+from .meadow import ONE, ZERO, Column, Pair, Rational
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -242,11 +239,12 @@ def normalize(t: Tuplix, valuation: Valuation | None = None) -> CanonicalTuplix:
     part, None if Null or else a `_Form` per channel, which its last user
     takes in place and others copy: each node costs once. No construct
     drops a test, so the open tests are kept for the whole walk.
-    Expressions fold in the same walk, by `_fold_node`: a closed one is an
-    integer pair, read as such for an entry's amount, a test's value and a
-    violation's value, and becomes a `Const` only under an open parent.
+    Expressions fold in the same walk, by `_fold_node`: each bound value
+    enters it as an integer pair, a closed expression folds to one, read as
+    such for an entry's amount, a test's value and a violation's value, and
+    it becomes a `Const` only under an open parent.
     """
-    bindings = {name: Const(value) for name, value in (valuation or {}).items()}
+    bindings = {name: value.as_integer_ratio() for name, value in (valuation or {}).items()}
     uses: dict[int, int] = {}  # id(node) -> its users: for a term, its Comp and Encap parents and the root
     order = postorder([t], uses)
     if t._kind < _TERMS:
@@ -286,7 +284,7 @@ def normalize(t: Tuplix, valuation: Valuation | None = None) -> CanonicalTuplix:
             if type(amount) is tuple:  # a constant is no term
                 part[node.channel] = _Form(Fraction(*amount), {})
             else:
-                part[node.channel] = _Form(ZERO.value, {id(node.amount): ONE})
+                part[node.channel] = _Form(ZERO, {id(node.amount): ONE})
         elif kind is Test:
             arg = folded[id(node.arg)]
             if type(arg) is not tuple:
@@ -393,17 +391,17 @@ def apply_test_substitution(c: CanonicalTuplix) -> CanonicalTuplix:
 
     while (i := next(filter(solvable, tests), None)) is not None:
         (name, coefficient), _ = linear.pop(i)
-        at_zero = fold_constants(tests.pop(i), {name: ZERO})
-        r = Neg(at_zero) if coefficient == 1 else Mul(Const(-1 / coefficient), at_zero)
-        r = fold_constants(at_zero if coefficient == -1 else r)
+        r = at_zero = fold_constants(tests.pop(i), {name: (0, 1)})
+        if coefficient != -1:
+            r = fold_constants(Neg(at_zero) if coefficient == 1 else Mul(Const(-1 / coefficient), at_zero))
         binding, folded = {name: r}, {}  # one walk, so a node the roots share is folded once
         for node in postorder([*entries.values(), *tests.values(), *solved]):
             folded[id(node)] = _fold_node(node, folded, binding)
-        entries = {ch: _as_expr(amount, folded[id(amount)], binding) for ch, amount in entries.items()}
-        solved = [_as_expr(t, folded[id(t)], binding) for t in solved]
+        entries = {ch: _as_expr(amount, folded[id(amount)]) for ch, amount in entries.items()}
+        solved = [_as_expr(t, folded[id(t)]) for t in solved]
         solved.append(fold_constants(sub(Var(name), r)))
         for j, test in tests.items():
-            if (new := _as_expr(test, folded[id(test)], binding)) is not test:
+            if (new := _as_expr(test, folded[id(test)])) is not test:
                 tests[j] = new
                 linear.pop(j, None)
     violations = [Violation(pretty(c.tests[i]), None, value) for i in tests if (value := linear[i][1])]
@@ -414,20 +412,7 @@ def apply_test_substitution(c: CanonicalTuplix) -> CanonicalTuplix:
 
 
 # ---------------------------------------------------------------------------
-# Equivalence checks and random terms
-
-
-def equiv_prob_tuplix(t1: Tuplix, t2: Tuplix, trials: int, seed: int) -> bool:
-    """Equal ground denotations on `trials` seeded random valuations."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = random.Random(seed)
-    names = sorted(free_vars(t1, t2))
-    for _ in range(trials):
-        valuation = {name: random_rational(rng) for name in names}
-        if denote_ground(t1, valuation) != denote_ground(t2, valuation):
-            return False
-    return True
+# Random terms
 
 
 def _random_term(

@@ -41,6 +41,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .meadow import (
     ONE,
+    ZERO,
     Column,
     Pair,
     Rational,
@@ -169,8 +170,6 @@ class Abs(_Node):
 Expr = Union[Const, Var, Add, Mul, Neg, Inv, Abs]
 _TERMS = Abs._kind + 1  # the kinds from here on are budget terms, each with its `_parts`
 Valuation = Mapping[str, Rational]
-
-ZERO = Const(Fraction(0))
 
 
 def sub(a: Expr, b: Expr) -> Expr:
@@ -313,7 +312,7 @@ class _Form:
     def scaled(self, factor: Rational) -> _Form:
         """This form times a constant, changed in place."""
         if factor == 0:
-            return _Form(ZERO.value, {})
+            return _Form(ZERO, {})
         self.scale *= factor
         return self
 
@@ -386,7 +385,7 @@ class LinearForms:
         instruction, emit = self._instruction, self.emit
 
         def atom(ref: int) -> _Form:
-            return _Form(ZERO.value, {ref: ONE})
+            return _Form(ZERO, {ref: ONE})
 
         forms: dict[int, _Form] = {}  # id(node) -> its form
 
@@ -520,20 +519,15 @@ def free_vars(*roots: _Node) -> frozenset[str]:
     return frozenset(node.name for node in postorder(roots) if type(node) is Var)
 
 
-def _as_expr(node: Expr, fold: Expr | Pair, bindings: Mapping[str, Expr] | None) -> Expr:
-    """The expression of a node's fold: a pair becomes the node's own Const, its binding's, or a new one."""
+def _as_expr(node: Expr, fold: Expr | Pair) -> Expr:
+    """The expression of a node's fold: a pair becomes the node's own Const or a new one."""
     if type(fold) is not tuple:
         return fold
-    kind = type(node)
-    if kind is Const:
-        return node
-    if kind is Var:
-        return bindings[node.name]
-    return Const(Fraction(*fold))
+    return node if type(node) is Const else Const(Fraction(*fold))
 
 
 def _fold_node(
-    node: Expr, folded: Mapping[int, Expr | Pair], bindings: Mapping[str, Expr] | None
+    node: Expr, folded: Mapping[int, Expr | Pair], bindings: Mapping[str, Expr | Pair] | None
 ) -> Expr | Pair:
     """`fold_constants` of one node, whose children's folds `folded` holds by their id().
 
@@ -541,8 +535,10 @@ def _fold_node(
     (numerator, denominator > 0) in lowest terms, so folding a closed
     subterm makes neither a `Fraction` nor a node; an open fold is an
     expression. `_as_expr` turns a pair into a `Const` where an open parent
-    or a caller reads it. The identities fire on pairs: x + 0, x * 1 and
-    x * 0 by the numerator, as 0 is 0/1 and 1 is 1/1.
+    or a caller reads it. A variable folds to its binding: a closed one may
+    be bound to a pair, which is its fold as it is, or to a `Const`. The
+    identities fire on pairs: x + 0, x * 1 and x * 0 by the numerator, as 0
+    is 0/1 and 1 is 1/1.
     """
     kind = type(node)
     if kind is Add or kind is Mul:
@@ -554,13 +550,13 @@ def _fold_node(
                 return right if kind is Add else left
             if kind is Mul and left[0] == left[1]:
                 return right
-            left = _as_expr(node.left, left, bindings)
+            left = _as_expr(node.left, left)
         elif type(right) is tuple:
             if not right[0]:  # 0 + x is x, 0 * x is 0
                 return left if kind is Add else right
             if kind is Mul and right[0] == right[1]:
                 return left
-            right = _as_expr(node.right, right, bindings)
+            right = _as_expr(node.right, right)
         return node if left is node.left and right is node.right else kind(left, right)
     if kind is Var:
         bound = bindings.get(node.name, node) if bindings else node
@@ -580,7 +576,7 @@ def _fold_node(
     return node if arg is node.arg else kind(arg)
 
 
-def fold_constants(e: Expr, bindings: Mapping[str, Expr] | None = None) -> Expr:
+def fold_constants(e: Expr, bindings: Mapping[str, Expr | Pair] | None = None) -> Expr:
     """Bottom-up simplification that is sound for every valuation.
 
     Constant subtrees collapse (with totalized inversion); the only
@@ -591,8 +587,10 @@ def fold_constants(e: Expr, bindings: Mapping[str, Expr] | None = None) -> Expr:
     tells that nothing changed.
 
     Bound variables are replaced on the way, in the same pass: with
-    `bindings` mapping names to folded expressions, the result is what
-    folding gives after each bound variable is replaced by its expression.
+    `bindings` mapping names to folded expressions, or to integer pairs
+    (numerator, denominator > 0) in lowest terms for closed values, the
+    result is what folding gives after each bound variable is replaced by
+    its expression or its value.
     Each distinct node is folded once; to fold many roots with their
     shared nodes folded once, walk their `postorder` with `_fold_node`.
     Inside the walk a closed value is an integer pair, and it becomes a
@@ -601,11 +599,11 @@ def fold_constants(e: Expr, bindings: Mapping[str, Expr] | None = None) -> Expr:
     folded: dict[int, Expr | Pair] = {}
     for node in postorder([e]):
         folded[id(node)] = _fold_node(node, folded, bindings)
-    return _as_expr(e, folded[id(e)], bindings)
+    return _as_expr(e, folded[id(e)])
 
 
 def random_rational(rng: random.Random) -> Rational:
-    """Small random rational for probabilistic equivalence checks.
+    """Small random rational for the randomized law checks.
 
     Zero comes up with probability >= 1/4 so that the zero-sensitive
     corners of total division get exercised; otherwise numerators lie in
@@ -634,23 +632,6 @@ def random_expr(rng: random.Random, names: tuple[str, ...], size: int) -> Expr:
     if pick == 3:
         return Inv(random_expr(rng, names, size - 1))
     return Abs(random_expr(rng, names, size - 1))
-
-
-def equiv_prob(e1: Expr, e2: Expr, trials: int, seed: int) -> bool:
-    """Probabilistic equivalence: equal values on `trials` random valuations.
-
-    Deterministic for a given seed. A False answer is definitive (a
-    counterexample was found); True only says no difference was sampled.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = random.Random(seed)
-    names = sorted(free_vars(e1, e2))
-    for _ in range(trials):
-        valuation = {name: random_rational(rng) for name in names}
-        if evaluate(e1, valuation) != evaluate(e2, valuation):
-            return False
-    return True
 
 
 def compare(a: _Node, b: _Node) -> int:

@@ -28,7 +28,7 @@ from tuplix.algebra import (
 from tuplix.cli import main
 from tuplix.constraints import conjunction_expr
 from tuplix.dsl import elaborate, parse
-from tuplix.expr import Const, equiv_prob
+from tuplix.expr import Const, evaluate, free_vars, random_rational
 from tuplix.laws import (
     constraint_laws,
     meadow_laws,
@@ -49,6 +49,17 @@ def report(n, ok, elapsed, bound, detail):
 
 def ent(channel, n):
     return Entry(channel, Const(Fraction(n)))
+
+
+def agree_on_samples(e1, e2, trials, seed):
+    """Equal values at `trials` seeded random valuations; True only says no difference was drawn."""
+    rng = random.Random(seed)
+    names = sorted(free_vars(e1, e2))
+    for _ in range(trials):
+        valuation = {name: random_rational(rng) for name in names}
+        if evaluate(e1, valuation) != evaluate(e2, valuation):
+            return False
+    return True
 
 
 def test_acceptance_1_transfer_example():
@@ -79,11 +90,11 @@ def test_acceptance_3_symbolic_synchronization():
     forms = expr_formulas()
     entries = dict(c.entries)
     channels_ok = not c.is_null and sorted(entries) == ["e", "in"]
-    in_ok = channels_ok and equiv_prob(entries["in"], forms["in"], trials, seed=301)
-    e_ok = channels_ok and equiv_prob(entries["e"], forms["e"], trials, seed=302)
+    in_ok = channels_ok and agree_on_samples(entries["in"], forms["in"], trials, seed=301)
+    e_ok = channels_ok and agree_on_samples(entries["e"], forms["e"], trials, seed=302)
     engine_conj = conjunction_expr(list(c.tests))
     oracle_conj = conjunction_expr(forms["phis"] + [forms["psis"][x] for x in PROGRAMS])
-    tests_ok = equiv_prob(engine_conj, oracle_conj, trials, seed=303)
+    tests_ok = agree_on_samples(engine_conj, oracle_conj, trials, seed=303)
     ok = channels_ok and in_ok and e_ok and tests_ok
     report(
         3,

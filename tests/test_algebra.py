@@ -16,7 +16,6 @@ from tuplix.algebra import (
     compose,
     denote_ground,
     encap,
-    equiv_prob_tuplix,
     ground_of,
     ground_rows,
     normalize,
@@ -91,8 +90,8 @@ def test_zero_entry_is_not_empty():
 
 
 def test_entries_accumulate():
-    c = normalize(Comp(ent("a", 5), Comp(ent("a", 7), ent("b", 1))))
-    assert ground_of(c) == {"a": Fraction(12), "b": Fraction(1)}
+    t = Comp(ent("a", 5), Comp(ent("a", 7), ent("b", 1)))
+    assert ground_of(normalize(t)) == denote_ground(t) == {"a": Fraction(12), "b": Fraction(1)}
 
 
 def test_delta_absorbs_and_is_reported():
@@ -125,9 +124,10 @@ def test_valuation_closes_amounts():
 
 
 def test_a_bound_budget_folds_without_a_const_per_subterm(monkeypatch):
-    # the paper's department budget with every parameter bound: its closed
-    # subterms fold as integer pairs, and a Const is made for each bound
-    # parameter and for the result, never for each of the 275 expression nodes
+    # the paper's department budget with every parameter bound: the bound
+    # values enter the fold as integer pairs and its closed subterms fold as
+    # pairs, so a Const is made only for each of the 3 enc{} balances and the
+    # 2 entries, never for each of the 55 parameters or 275 expression nodes
     total = elaborate(parse(bundled("msc.bgt").read_text()), "Total")
     valuation = parse_bindings_text(bundled("scenario.bindings").read_text(), "scenario.bindings")
     valuation["k"] = Fraction(424, 1495)
@@ -141,7 +141,7 @@ def test_a_bound_budget_folds_without_a_const_per_subterm(monkeypatch):
     monkeypatch.setattr(Const, "__init__", counted)
     c = normalize(total, valuation)
     assert ground_of(c) == {"e": Fraction(25116, 5), "in": Fraction(-7176)}
-    assert len(made) <= 60
+    assert len(made) == 5
 
 
 def test_violations_collect_across_composition():
@@ -418,19 +418,6 @@ def test_substitution_agrees_with_the_oracle_on_random_terms():
                 if test.left.name not in free_vars(test.right):
                     full[test.left.name] = -evaluate(test.right, full)
         assert denote_ground(to_term(s), full) == denote_ground(t, full)
-
-
-def test_equivalence_helpers():
-    one_way = Comp(ent("a", 1), ent("a", 2))
-    other = ent("a", 3)
-    assert denote_ground(one_way) == denote_ground(other)
-    assert equiv_prob_tuplix(
-        Comp(Test(Var("u")), Entry("a", Var("v"))),
-        Comp(Entry("a", Var("v")), Test(Var("u"))),
-        trials=100,
-        seed=3,
-    )
-    assert not equiv_prob_tuplix(Entry("a", Var("u")), EPS, trials=100, seed=3)
 
 
 def test_random_tuplix_is_deterministic_and_varied():

@@ -308,6 +308,21 @@ def test_substitute_tests_solves_through_a_def_and_its_alias(tmp_path, capsys):
     )
 
 
+def test_substitute_tests_solves_for_a_pivot_coefficient_of_1_minus_1_and_2(tmp_path, capsys):
+    # x's coefficient is 1 in One, -1 in MinusOne and 2 in Two; with y bound, x is solved into a(x)
+    text = ("param x\nparam y\nbudget One = test(x == y + 3) | a(x)\n"
+            "budget MinusOne = test(3 - x == y) | a(x)\nbudget Two = test(2 * x == y + 3) | a(x)\n")
+    f = tmp_path / "pivots.bgt"
+    f.write_text(text)
+    cases = {"One": ("x - (y + 3)", 4), "MinusOne": ("x - (3 - y)", 2), "Two": ("x - -0.5 * -(y + 3)", 2)}
+    for budget, (solved, x) in cases.items():
+        argv = ["eval", str(f), "--budget", budget, "--substitute-tests"]
+        assert run(argv, capsys) == (0, f"status: ok\nresidual tests:\n  {solved}\n", ""), budget
+        assert run([*argv, "--set", "y=1"], capsys) == (0, f"status: ok\nresidual tests:\n  x + -{x}\n", "")
+        c = algebra.apply_test_substitution(normalize(parse(text).budgets[budget], {"y": Fraction(1)}))
+        assert c.entries == (("a", Const(Fraction(x))),), budget
+
+
 def test_eval_partial_bindings_leave_residual(capsys):
     code, out, _ = run(["eval", MSC, "--budget", "Total", "--format", "json"], capsys)
     assert code == 0

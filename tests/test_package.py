@@ -4,6 +4,8 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import tuplix
 
 SRC = Path(tuplix.__file__).parent
@@ -48,6 +50,13 @@ def unused_definitions():
 def test_every_definition_is_used_by_the_package_or_exported():
     # helpers that only tests call belong in the tests
     assert unused_definitions() == []
+
+
+def test_bundled_returns_a_shipped_file_and_refuses_an_unknown_name():
+    assert tuplix.bundled("msc.bgt") == SRC / "data" / "msc.bgt"
+    assert tuplix.bundled("msc.bgt").is_file()
+    with pytest.raises(FileNotFoundError, match="no bundled file named 'nope.bgt'"):
+        tuplix.bundled("nope.bgt")
 
 
 def test_readme_library_example_gives_the_value_in_its_comment():
