@@ -47,8 +47,10 @@ from .expr import (
     _Form,
     _Node,
     _TERMS,
+    _arg,
     _as_expr,
     _fold_node,
+    _right_left,
     Valuation,
     compare,
     evaluate,
@@ -60,34 +62,31 @@ from .expr import (
     sort_key,
     sub,
 )
-from .meadow import ONE, ZERO, Column, Pair, Rational
+from .meadow import Column, Pair, Rational
 
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Eps(_Node):
-    def _parts(self):
-        return (), ()
+    pass  # no fields, no children
 
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Delta(_Node):
     span: str | None = None
 
-    def _parts(self):
-        return (), ()
-
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Entry(_Node):
     channel: str
     amount: Expr
+    _children = staticmethod(lambda node: (node.amount,))
 
     def __post_init__(self):
         if not is_identifier(self.channel):
             raise ValueError(f"invalid channel name: {self.channel!r}")
 
-    def _parts(self):
-        return self.channel, (self.amount,)
+    def _own(self):
+        return self.channel
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -99,18 +98,14 @@ class Test(_Node):
     # term's identity.
     label: str | None = None
     span: str | None = None
-
-    def _parts(self):
-        return (), (self.arg,)
+    _children = staticmethod(_arg)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Comp(_Node):
     left: "Tuplix"
     right: "Tuplix"
-
-    def _parts(self):
-        return (), (self.left, self.right)
+    _children = staticmethod(_right_left)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -118,14 +113,15 @@ class Encap(_Node):
     channels: frozenset[str]
     body: "Tuplix"
     span: str | None = None
+    _children = staticmethod(lambda node: (node.body,))
 
     def __post_init__(self):
         for channel in self.channels:
             if not is_identifier(channel):
                 raise ValueError(f"invalid channel name: {channel!r}")
 
-    def _parts(self):
-        return tuple(sorted(self.channels)), (self.body,)
+    def _own(self):
+        return tuple(sorted(self.channels))
 
 
 Tuplix = Union[Eps, Delta, Entry, Test, Comp, Encap]
@@ -216,10 +212,14 @@ class CanonicalTuplix:
 
 
 def _sum_amounts(form: _Form, folded: Mapping[int, Expr]) -> Expr:
-    """Fold the sum of a form whose terms count amount nodes by id(): n * s for one counted n times."""
-    counted = sorted(((folded[key], n) for key, n in form.terms.items()), key=lambda item: sort_key(item[0]))
-    rest = [s if n == 1 else Mul(Const(n), s) for s, n in counted]
-    return reduce(Add, rest, Const(form.const)) if form.const or not rest else reduce(Add, rest)
+    """Fold the sum of a form whose terms count amount nodes by id(): n * s for one counted n times.
+
+    The form is never scaled, so each coefficient is a count, the pair (n, 1).
+    """
+    counted = sorted(((folded[key], n) for key, (n, _) in form.terms.items()), key=lambda sn: sort_key(sn[0]))
+    rest = [s if n == 1 else Mul(Const(Fraction(n)), s) for s, n in counted]
+    const = form.const
+    return reduce(Add, rest, Const(Fraction(*const))) if const[0] or not rest else reduce(Add, rest)
 
 
 def _canonical_tests(found: Iterable[Expr]) -> tuple[Expr, ...]:
@@ -282,9 +282,9 @@ def normalize(t: Tuplix, valuation: Valuation | None = None) -> CanonicalTuplix:
         elif kind is Entry:
             amount = folded[id(node.amount)]
             if type(amount) is tuple:  # a constant is no term
-                part[node.channel] = _Form(Fraction(*amount), {})
+                part[node.channel] = _Form(amount, {})
             else:
-                part[node.channel] = _Form(ZERO, {id(node.amount): ONE})
+                part[node.channel] = _Form((0, 1), {id(node.amount): (1, 1)})
         elif kind is Test:
             arg = folded[id(node.arg)]
             if type(arg) is not tuple:

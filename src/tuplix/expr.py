@@ -20,12 +20,13 @@ closed value is an integer pair (numerator, denominator > 0) in lowest
 terms, reduced as `Fraction` reduces, and it becomes a `Const` only where
 it meets an open parent or is a root; `evaluate`, the naive oracle,
 stays on `Fraction`. `LinearForms` writes expressions as a constant plus
-exact multiples of atoms, as a meadow allows, and is also the
-straight-line program that computes them: test substitution solves the
-tests linear in a variable (`LinearForms.pivot`), and
-`LinearForms.columns` runs each step once over whole columns of integer
-numerators and denominators, so evaluating at many valuations makes no
-`Fraction` per value.
+exact multiples of atoms, as a meadow allows, with every coefficient an
+integer pair too, and is also the straight-line program that computes
+them: test substitution solves the tests linear in a variable
+(`LinearForms.pivot`), and `LinearForms.columns` runs each step once over
+whole columns of integer numerators and denominators, so neither building
+the forms nor evaluating them at many valuations makes a `Fraction` per
+node or per value.
 """
 
 from __future__ import annotations
@@ -40,8 +41,6 @@ from itertools import count, repeat
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .meadow import (
-    ONE,
-    ZERO,
     Column,
     Pair,
     Rational,
@@ -50,6 +49,7 @@ from .meadow import (
     format_rational,
     lowest_terms,
     minv,
+    minv_pair,
     mul_pairs,
 )
 
@@ -75,17 +75,24 @@ class _Node:
 
     Equality and hashing are structural, over `compare` and `postorder`,
     and repr is the text of the dataclass's generated repr; none of them
-    recurses. Each kind is numbered in the order its
-    class is defined, which is the order `compare` puts kinds in. A term
-    kind's `_parts()` returns the fields its equality compares and its
-    child nodes, in order; spans and labels, which tell where a term came
-    from, are never among them.
+    recurses. Each kind is numbered in the order its class is defined,
+    which is the order `compare` puts kinds in. A kind's `_children` is
+    None, or a function that gives a node's child nodes last first, the
+    order a stack takes them in, and `_own()` gives what its equality
+    compares besides its children: a constant's numerator and
+    denominator, a variable's name, an entry's channel or an
+    encapsulation's sorted channels. Spans and labels, which tell where a
+    term came from, are never among them.
     """
 
     _numbers = count()
+    _children: Callable[[_Node], tuple[_Node, ...]] | None = None
 
     def __init_subclass__(cls):
         cls._kind = next(_Node._numbers)
+
+    def _own(self):
+        return ()
 
     def __eq__(self, other):
         if not isinstance(other, _Node):
@@ -95,17 +102,9 @@ class _Node:
     def __hash__(self):
         hashes: dict[int, int] = {}  # id(node) -> its hash, which agrees with compare
         for node in postorder([self]):
-            kind = node._kind
-            if kind < 2:
-                key = node.value if kind == 0 else node.name
-            elif kind < 4:
-                key = hashes[id(node.left)], hashes[id(node.right)]
-            elif kind < _TERMS:
-                key = hashes[id(node.arg)]
-            else:
-                own, children = node._parts()
-                key = own, tuple(hashes[id(child)] for child in children)
-            hashes[id(node)] = hash((kind, key))
+            children = node._children
+            key = node._own(), () if children is None else tuple(hashes[id(c)] for c in children(node))
+            hashes[id(node)] = hash((node._kind, key))
         return hashes[id(self)]
 
     def __repr__(self) -> str:
@@ -126,9 +125,20 @@ class _Node:
         return "".join(parts)
 
 
+def _right_left(node: _Node) -> tuple[_Node, _Node]:
+    return node.right, node.left
+
+
+def _arg(node: _Node) -> tuple[_Node]:
+    return (node.arg,)
+
+
 @dataclass(frozen=True, eq=False, repr=False)
 class Const(_Node):
     value: Rational
+
+    def _own(self):
+        return self.value.as_integer_ratio()
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -139,36 +149,44 @@ class Var(_Node):
         if not is_identifier(self.name):
             raise ValueError(f"invalid variable name: {self.name!r}")
 
+    def _own(self):
+        return self.name
+
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Add(_Node):
     left: "Expr"
     right: "Expr"
+    _children = staticmethod(_right_left)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Mul(_Node):
     left: "Expr"
     right: "Expr"
+    _children = staticmethod(_right_left)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Neg(_Node):
     arg: "Expr"
+    _children = staticmethod(_arg)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Inv(_Node):
     arg: "Expr"
+    _children = staticmethod(_arg)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Abs(_Node):
     arg: "Expr"
+    _children = staticmethod(_arg)
 
 
 Expr = Union[Const, Var, Add, Mul, Neg, Inv, Abs]
-_TERMS = Abs._kind + 1  # the kinds from here on are budget terms, each with its `_parts`
+_TERMS = Abs._kind + 1  # the kinds from here on are budget terms
 Valuation = Mapping[str, Rational]
 
 
@@ -216,7 +234,7 @@ def postorder(roots: Sequence[_Node], uses: dict[int, int] | None = None) -> lis
     order: list[_Node] = []
     seen: dict[int, int] = {} if uses is None else uses
     stack: list = list(reversed(roots))
-    pop = stack.pop
+    pop, push = stack.pop, stack.append
     while stack:
         node = pop()
         if node is _EMIT:
@@ -227,22 +245,20 @@ def postorder(roots: Sequence[_Node], uses: dict[int, int] | None = None) -> lis
             seen[key] += 1
             continue
         seen[key] = 1
-        kind = type(node)
-        if kind is Add or kind is Mul:
-            stack += (node, _EMIT, node.right, node.left)
-        elif kind is Neg or kind is Inv or kind is Abs:
-            stack += (node, _EMIT, node.arg)
-        elif kind is Const or kind is Var:
+        try:
+            children = node._children
+        except AttributeError:
+            raise TypeError(f"not a node: {node!r}") from None
+        if children is None:
             order.append(node)
-        elif isinstance(node, _Node):
-            stack += (node, _EMIT, *reversed(node._parts()[1]))
         else:
-            raise TypeError(f"not a node: {node!r}")
+            push(node)
+            push(_EMIT)
+            stack += children(node)
     return order
 
 
-# The operator of an inverse or absolute value: `LinearForms` folds a constant
-# form by it, or makes it an instruction.
+# The operator of an instruction of `LinearForms` for an inverse or an absolute value.
 _OPS = {Inv: minv, Abs: abs}
 
 
@@ -291,60 +307,64 @@ class _Form:
 
     `terms` maps each atom, a slot reference of `LinearForms` or the id()
     of an entry's amount in `algebra.normalize`, to its coefficient, which
-    is never zero. The scale is kept apart so that scaling a form costs
-    one step.
+    is never zero. The scale, the constant and the coefficients are
+    integer pairs (numerator, denominator > 0) in lowest terms, added and
+    multiplied by `meadow.add_pairs` and `mul_pairs`, so a form makes no
+    `Fraction`. The scale is kept apart so that scaling a form costs one
+    step; it is never zero.
     """
 
     __slots__ = ("scale", "const", "terms")
 
-    def __init__(self, const: Rational, terms: dict[int, Rational]):
-        self.scale, self.const, self.terms = ONE, const, terms
+    def __init__(self, const: Pair, terms: dict[int, Pair]):
+        self.scale, self.const, self.terms = (1, 1), const, terms
 
-    def value(self) -> Rational:
+    def value(self) -> Pair:
         """The value of a form without terms."""
-        return self.scale * self.const
+        return mul_pairs(self.scale, self.const)
 
     def copy(self) -> _Form:
         form = _Form(self.const, dict(self.terms))
         form.scale = self.scale
         return form
 
-    def scaled(self, factor: Rational) -> _Form:
+    def scaled(self, factor: Pair) -> _Form:
         """This form times a constant, changed in place."""
-        if factor == 0:
-            return _Form(ZERO, {})
-        self.scale *= factor
+        if not factor[0]:
+            return _Form((0, 1), {})
+        self.scale = mul_pairs(self.scale, factor)
         return self
 
     def merge(self, other: _Form) -> _Form:
         """The sum of this form and another, made in place in the one with more terms, and returned."""
         if len(self.terms) < len(other.terms):
             return other.merge(self)
-        ratio = None if other.scale is self.scale else other.scale / self.scale
+        ratio = None if other.scale == self.scale else mul_pairs(other.scale, minv_pair(self.scale))
         terms = self.terms
         for atom, coefficient in other.terms.items():
             if ratio is not None:
-                coefficient *= ratio
+                coefficient = mul_pairs(coefficient, ratio)
             old = terms.get(atom)
             if old is None:
                 terms[atom] = coefficient
             else:
-                total = old + coefficient
-                if total:
+                total = add_pairs(old, coefficient)
+                if total[0]:
                     terms[atom] = total
                 else:
                     del terms[atom]
-        if other.const:
-            self.const += other.const if ratio is None else other.const * ratio
+        if other.const[0]:
+            const = other.const if ratio is None else mul_pairs(other.const, ratio)
+            self.const = add_pairs(self.const, const)
         return self
 
     def settle(self) -> None:
         """Fold the scale into the constant and the coefficients; the value stays."""
         scale = self.scale
-        if scale is not ONE:
-            self.const *= scale
-            self.terms = {atom: c * scale for atom, c in self.terms.items()}
-            self.scale = ONE
+        if scale != (1, 1):
+            self.const = mul_pairs(self.const, scale)
+            self.terms = {atom: mul_pairs(c, scale) for atom, c in self.terms.items()}
+            self.scale = (1, 1)
 
 
 class LinearForms:
@@ -380,12 +400,12 @@ class LinearForms:
         order = postorder(roots, uses)
         names = dict.fromkeys(node.name for node in order if type(node) is Var)
         self.variables = {name: j for j, name in enumerate(names)}
-        self.constants: dict[Rational, int] = {}
+        self.constants: dict[Pair, int] = {}
         self.instructions: dict[tuple[Callable, int, int | None], int] = {}
         instruction, emit = self._instruction, self.emit
 
         def atom(ref: int) -> _Form:
-            return _Form(ZERO, {ref: ONE})
+            return _Form((0, 1), {ref: (1, 1)})
 
         forms: dict[int, _Form] = {}  # id(node) -> its form
 
@@ -397,7 +417,7 @@ class LinearForms:
         for node in order:
             kind = type(node)
             if kind is Const:
-                form = _Form(node.value, {})
+                form = _Form(node.value.as_integer_ratio(), {})
             elif kind is Var:
                 form = atom(self.variables[node.name])
             elif kind is Add:
@@ -411,27 +431,30 @@ class LinearForms:
                 else:
                     form = atom(instruction(operator.mul, *sorted((emit(a), emit(b)))))
             elif kind is Neg:
-                form = take(node.arg).scaled(-ONE)
+                form = take(node.arg).scaled((-1, 1))
             else:
                 a = take(node.arg)
-                op = _OPS[kind]
-                form = _Form(op(a.value()), {}) if not a.terms else atom(instruction(op, emit(a)))
+                if a.terms:
+                    form = atom(instruction(_OPS[kind], emit(a)))
+                else:
+                    n, d = value = a.value()
+                    form = _Form(minv_pair(value) if kind is Inv else (abs(n), d), {})
             if uses[id(node)] > 1 and form.terms:
                 form = atom(emit(form))
             forms[id(node)] = form
         self.forms = [take(root) for root in roots]
 
-    def _constant(self, value: Rational) -> int:
+    def _constant(self, value: Pair) -> int:
         return self.constants.setdefault(value, -1 - len(self.constants))
 
     def _instruction(self, op: Callable, a: int, b: int | None = None) -> int:
         ref = len(self.variables) + len(self.instructions)
         return self.instructions.setdefault((op, a, b), ref)
 
-    def _times(self, coefficient: Rational, atom: int) -> int:
-        if coefficient == 1:
+    def _times(self, coefficient: Pair, atom: int) -> int:
+        if coefficient == (1, 1):
             return atom
-        if coefficient == -1:
+        if coefficient == (-1, 1):
             return self._instruction(operator.neg, atom)
         return self._instruction(operator.mul, self._constant(coefficient), atom)
 
@@ -443,14 +466,14 @@ class LinearForms:
         """
         form.settle()
         terms, c0 = sorted(form.terms.items()), form.const
-        added = [self._constant(c0)] if c0 or not terms else []
-        added += [self._times(c, atom) for atom, c in terms if c > 0]
-        subtracted = [(c, atom) for atom, c in terms if c < 0]
+        added = [self._constant(c0)] if c0[0] or not terms else []
+        added += [self._times(c, atom) for atom, c in terms if c[0] > 0]
+        subtracted = [(c, atom) for atom, c in terms if c[0] < 0]
         ref = added[0] if added else self._times(*subtracted.pop(0))
         for other in added[1:]:
             ref = self._instruction(operator.add, ref, other)
-        for c, atom in subtracted:
-            ref = self._instruction(operator.sub, ref, self._times(-c, atom))
+        for (n, d), atom in subtracted:
+            ref = self._instruction(operator.sub, ref, self._times((-n, d), atom))
         return ref
 
     def columns(self, values: Mapping[str, Column], rows: int) -> list[Column]:
@@ -477,7 +500,7 @@ class LinearForms:
             except KeyError:
                 raise UnboundVariableError(name) from None
         slots += repeat(None, len(instructions))
-        slots += [(c.numerator, c.denominator) for c in reversed(self.constants)]
+        slots += reversed(self.constants)
         last_use = {}
         for k, (_, a, b) in enumerate(instructions):
             last_use[a] = last_use[b] = k
@@ -510,8 +533,8 @@ class LinearForms:
                 under.update(operands[k][1:])
         for name, atom in self.variables.items():
             if atom in form.terms and atom not in under:
-                return (name, form.scale * form.terms[atom]), None
-        return None, None if form.terms else form.value()
+                return (name, Fraction(*mul_pairs(form.scale, form.terms[atom]))), None
+        return None, None if form.terms else Fraction(*form.value())
 
 
 def free_vars(*roots: _Node) -> frozenset[str]:
@@ -570,7 +593,7 @@ def _fold_node(
             return -n, d
         if kind is Abs:
             return abs(n), d
-        return (d, n) if n > 0 else (-d, -n) if n else arg  # the inverse of 0 is 0
+        return minv_pair(arg)
     if kind is not Abs and type(arg) is kind:  # Neg(Neg(x)), Inv(Inv(x))
         return arg.arg
     return node if arg is node.arg else kind(arg)
@@ -657,27 +680,41 @@ def compare(a: _Node, b: _Node) -> int:
         kind, other = x._kind, y._kind
         if kind != other:
             return -1 if kind < other else 1
-        if kind == 0:
-            p, q = x.value.as_integer_ratio(), y.value.as_integer_ratio()
-        elif kind == 1:
-            p, q = x.name, y.name
-        elif kind < _TERMS:
+        p, q = x._own(), y._own()
+        children = x._children
+        if children is not None:
             stack.append((None, (id(x), id(y))))
-            if kind < 4:
-                stack += ((x.right, y.right), (x.left, y.left))
-            else:
-                stack.append((x.arg, y.arg))
-            continue
-        else:
-            (p, xs), (q, ys) = x._parts(), y._parts()
-            stack.append((None, (id(x), id(y))))
-            stack += zip(reversed(xs), reversed(ys))
+            stack += zip(children(x), children(y))
         if p != q:
             return -1 if p < q else 1
     return 0
 
 
-sort_key = cmp_to_key(compare)
+_by_compare = cmp_to_key(compare)
+_KEY_TOKENS = 16  # the preorder tokens that `sort_key` lists
+
+
+def sort_key(node: _Node) -> tuple[tuple, object]:
+    """A sort key that orders expressions and terms exactly as `compare` does.
+
+    `compare` is lexicographic on the preorder of the nodes' tokens, each a
+    node's kind and its `_own()`, and no preorder is a proper prefix of
+    another. So the key's first part, the first 16 tokens, decides the
+    order of any two nodes whose preorders differ there, and sorting
+    compares those tuples in C; nodes whose first 16 tokens agree fall back
+    to `compare`, by `cmp_to_key`. The walk stops after 16 tokens, so a
+    shared subterm costs no more than that.
+    """
+    tokens: list = []
+    stack = [node]
+    while stack and len(tokens) < 2 * _KEY_TOKENS:
+        x = stack.pop()
+        tokens += (x._kind, x._own())
+        children = x._children
+        if children is not None:
+            stack += children(x)
+    return tuple(tokens), _by_compare(node)
+
 
 # Pretty-printing precedence levels.
 _ADD, _MUL, _UNARY, _ATOM = 10, 20, 30, 40

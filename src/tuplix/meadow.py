@@ -103,6 +103,12 @@ def mul_pairs(x: Pair, y: Pair) -> Pair:
     return a * c, b * d
 
 
+def minv_pair(x: Pair) -> Pair:
+    """The totalized inverse of a pair: b/a becomes sign(a) * b / |a|, and 0/1 stays 0/1."""
+    n, d = x
+    return (d, n) if n > 0 else (-d, -n) if n else x
+
+
 def lowest_terms(numerators: list[int], denominators: list[int]) -> Column:
     """A column with each row divided through by its gcd, so in lowest terms: 0/d becomes 0/1.
 

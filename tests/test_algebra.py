@@ -144,6 +144,60 @@ def test_a_bound_budget_folds_without_a_const_per_subterm(monkeypatch):
     assert len(made) == 5
 
 
+def count_fractions(monkeypatch):
+    """The arguments of every Fraction made from here on, one list entry each."""
+    made = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    return made
+
+
+def test_a_bound_flat_composition_normalizes_without_a_fraction_per_entry(monkeypatch):
+    # each amount x + i folds to a pair and the entries' forms add pairs, so
+    # the one Fraction made is the value of the sum, at any length
+    x = Fraction(1, 3)
+    counts = []
+    for n in (500, 1000):
+        flat = compose(*(Entry("a", Add(Var("x"), const(i))) for i in range(n)))
+        valuation = {"x": x}
+        with monkeypatch.context() as patch:
+            made = count_fractions(patch)
+            c = normalize(flat, valuation)
+        assert ground_of(c) == {"a": n * x + n * (n - 1) // 2}
+        counts.append(len(made))
+    assert counts == [1, 1]
+
+
+# the bindings of the README's sweep example: every parameter of J but k
+README_SWEEP = {
+    "cpec": 1, "cpdg": 10, "escf": Fraction(1, 5), "bbpp": 8,
+    "A:nec": 30, "B:nec": 20, "C:nec": 10, "A:ndg": 4, "B:ndg": 1, "C:ndg": 1,
+}
+
+
+def test_compiling_the_residual_of_j_makes_no_fraction(monkeypatch):
+    # the forms keep their constants and coefficients as integer pairs, and
+    # the columns run on integers, so compiling and running the residual
+    # makes no Fraction at all
+    j = elaborate(parse(bundled("msc.bgt").read_text()), "J")
+    c = normalize(j, {name: Fraction(value) for name, value in README_SWEEP.items()})
+    assert len(postorder([*c.tests, *(amount for _, amount in c.entries)])) > 50
+    made = count_fractions(monkeypatch)
+    rows = list(ground_rows(c, {"k": ([0, 1, 1], [1, 4, 1])}, 3))  # k = 0, 1/4, 1
+    assert made == []
+    assert [c.entries[i][0] for i in range(5)] == ["a", "b", "c", "e", "in"]
+    assert rows == [
+        ((52, 1), (24, 1), (20, 1), (24, 1), (-120, 1)),
+        ((51, 1), (25, 1), (20, 1), (24, 1), (-120, 1)),
+        ((48, 1), (28, 1), (20, 1), (24, 1), (-120, 1)),
+    ]
+
+
 def test_violations_collect_across_composition():
     t = Comp(Test(const(1), label="first"), Comp(ent("a", 1), Test(const(2), label="second")))
     c = normalize(t)

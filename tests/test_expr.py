@@ -5,11 +5,12 @@ import statistics
 import time
 import tracemalloc
 from fractions import Fraction
+from functools import reduce
 from math import gcd
 
 import pytest
 
-from tuplix.algebra import Comp, Entry, Test, encap
+from tuplix.algebra import EPS, Comp, Delta, Entry, Test, _canonical_tests, encap
 from tuplix.expr import (
     Abs,
     Add,
@@ -427,7 +428,8 @@ def run_instructions(linear, valuation):
     outputs = [linear.emit(form) for form in linear.forms]
     slots = [valuation[name] for name in linear.variables]
     start = len(slots)
-    slots += [None] * len(linear.instructions) + list(reversed(linear.constants))  # constant i at -1 - i
+    slots += [None] * len(linear.instructions)
+    slots += [Fraction(*c) for c in reversed(linear.constants)]  # constant i, a pair, at -1 - i
     for k, (op, a, b) in enumerate(linear.instructions, start):
         slots[k] = op(slots[a]) if b is None else op(slots[a], slots[b])
     return [slots[ref] for ref in outputs]
@@ -592,6 +594,52 @@ def test_sort_key_orders_exactly_as_the_recursive_key():
         for a, b in zip(exprs, exprs[1:]):
             ka, kb = reference_sort_key(a), reference_sort_key(b)
             assert compare(a, b) == (ka > kb) - (ka < kb)
+    # sort_key lists only the first 16 preorder tokens, so these agree there and
+    # are ordered by the compare that it falls back to
+    x = Var("x")
+
+    def spine(n, last):
+        """x + x + ... + last, summed left to right, with n additions."""
+        return reduce(Add, [x] * n + [last])
+
+    ties = [spine(n, last) for n in (15, 16, 20, 30) for last in (Var("u"), Var("v"), x)]
+    ties += [spine(20, Var("u")), spine(30, Var("v"))]  # equal, separately built
+    # constants that differ only in the denominator, within the 16 tokens and past them
+    ties += [spine(n, Const(Fraction(1, d))) for n in (3, 20) for d in (2, 3, 7)]
+    ties += [Neg(spine(20, Const(Fraction(2, 3)))), Neg(spine(20, Const(Fraction(2, 5))))]
+    for trial in range(20):
+        random.Random(trial).shuffle(ties)
+        assert [id(e) for e in sorted(ties, key=sort_key)] == [
+            id(e) for e in sorted(ties, key=reference_sort_key)
+        ]
+    for a in ties:
+        for b in ties:
+            ka, kb = reference_sort_key(a), reference_sort_key(b)
+            assert compare(a, b) == (ka > kb) - (ka < kb)
+            assert (sort_key(a) < sort_key(b), sort_key(a) == sort_key(b)) == (ka < kb, ka == kb)
+    # a shared doubling chain of depth 60 is 2^60 tokens long as a tree, too
+    # long for the recursive key; its key stops after 16 of them
+    chains = []
+    for leaf in (x, Var("y"), x):
+        d = leaf
+        for _ in range(60):
+            d = Add(d, d)
+        chains.append(d)
+    assert len(sort_key(chains[0])[0]) == 2 * 16
+    assert [id(e) for e in sorted([chains[1], chains[0], chains[2]], key=sort_key)] == [
+        id(chains[0]), id(chains[2]), id(chains[1])
+    ]
+    assert sort_key(chains[0]) == sort_key(chains[2]) and sort_key(chains[0]) < sort_key(chains[1])
+    pairs = ((0, 2), (0, 1), (1, 2))
+    assert [compare(chains[i], chains[j]) for i, j in pairs] == [0, -1, 1]
+
+
+def test_canonical_tests_keep_one_of_two_equal_tests():
+    # equal past the first 16 tokens of their keys, but built apart
+    first, second = (reduce(Add, [Var("x")] * 20 + [Var("u")]) for _ in range(2))
+    other = reduce(Add, [Var("x")] * 20 + [Var("v")])
+    kept = _canonical_tests([other, first, second])
+    assert list(map(id, kept)) == [id(first), id(other)]
 
 
 def test_postorder_lists_each_node_once_children_first():
@@ -610,6 +658,17 @@ def test_postorder_lists_each_node_once_children_first():
     uses = {}
     postorder([term], uses)
     assert uses[id(budget)] == 2
+    # a root of every term kind, mixed with expressions: the leaves Eps and
+    # Delta, and Entry, Test, Comp and Encap through their children
+    delta = Delta()
+    roots = [EPS, x, delta, entry, shared, test, Comp(EPS, delta), term, EPS]
+    uses = {}
+    order = postorder(roots, uses)
+    assert len(order) == len(set(map(id, order)))
+    assert list(map(id, order)) == list(map(id, [
+        EPS, x, delta, one, shared, entry, test, roots[6], budget, term.right, term
+    ]))
+    assert [uses[id(node)] for node in order] == [3, 3, 2, 1, 2, 2, 2, 1, 2, 1, 1]
     with pytest.raises(TypeError):
         postorder([Add(x, "y")])
     with pytest.raises(TypeError):
