@@ -52,7 +52,6 @@ from .expr import (
     _fold_node,
     _right_left,
     Valuation,
-    compare,
     evaluate,
     fold_constants,
     is_identifier,
@@ -223,11 +222,9 @@ def _sum_amounts(form: _Form, folded: Mapping[int, Expr]) -> Expr:
 
 
 def _canonical_tests(found: Iterable[Expr]) -> tuple[Expr, ...]:
-    out: list[Expr] = []
-    for expr in sorted(found, key=sort_key):
-        if not out or compare(out[-1], expr):
-            out.append(expr)
-    return tuple(out)
+    """The tests sorted by `sort_key`, each dropped whose key equals the one before; `compare` only breaks ties."""
+    keyed = sorted(((sort_key(test), test) for test in found), key=lambda pair: pair[0])
+    return tuple(test for i, (key, test) in enumerate(keyed) if not i or key != keyed[i - 1][0])
 
 
 def normalize(t: Tuplix, valuation: Valuation | None = None) -> CanonicalTuplix:
@@ -241,8 +238,9 @@ def normalize(t: Tuplix, valuation: Valuation | None = None) -> CanonicalTuplix:
     drops a test, so the open tests are kept for the whole walk.
     Expressions fold in the same walk, by `_fold_node`: each bound value
     enters it as an integer pair, a closed expression folds to one, read as
-    such for an entry's amount, a test's value and a violation's value, and
-    it becomes a `Const` only under an open parent.
+    such for an entry's amount and a test's value, and it becomes a `Const`
+    only under an open parent. A closed balance is read as a pair too, its
+    form's constant; `_sum_amounts` sums only open balances and entries.
     """
     bindings = {name: value.as_integer_ratio() for name, value in (valuation or {}).items()}
     uses: dict[int, int] = {}  # id(node) -> its users: for a term, its Comp and Encap parents and the root
@@ -299,11 +297,11 @@ def normalize(t: Tuplix, valuation: Valuation | None = None) -> CanonicalTuplix:
             part = entries = take(id(node.body))
             if entries is not None:  # a null body settles nothing
                 for channel in sorted(node.channels & entries.keys()):
-                    amount = _sum_amounts(entries.pop(channel), folded)
-                    if type(amount) is not Const:
+                    if (form := entries.pop(channel)).terms:
+                        amount = _sum_amounts(form, folded)
                         tests[id(amount)] = amount
-                    elif amount.value != 0:
-                        violations[Violation(f"enc{{{channel}}}", node.span, amount.value)] = None
+                    elif form.const[0]:
+                        violations[Violation(f"enc{{{channel}}}", node.span, Fraction(*form.const))] = None
                         part = None  # once every channel has settled, so each one is reported
         parts[id(node)] = part
     if violations:
@@ -375,7 +373,8 @@ def apply_test_substitution(c: CanonicalTuplix) -> CanonicalTuplix:
     test is solved at most once. Tests that are identically 0 are dropped,
     and a test that is a nonzero constant, closed or not, fails at every
     valuation and makes the form Null. The result denotes the same budget
-    at every total valuation.
+    at every total valuation. The pivot gives integer pairs, and only the
+    `Const` of -1 / c1 and a violation's value make a `Fraction`.
     """
     if c.is_null:
         raise ValueError("cannot substitute tests in the null form")
@@ -390,10 +389,10 @@ def apply_test_substitution(c: CanonicalTuplix) -> CanonicalTuplix:
         return linear[i][0] is not None
 
     while (i := next(filter(solvable, tests), None)) is not None:
-        (name, coefficient), _ = linear.pop(i)
+        (name, (n, d)), _ = linear.pop(i)
         r = at_zero = fold_constants(tests.pop(i), {name: (0, 1)})
-        if coefficient != -1:
-            r = fold_constants(Neg(at_zero) if coefficient == 1 else Mul(Const(-1 / coefficient), at_zero))
+        if (n, d) != (-1, 1):
+            r = fold_constants(Neg(at_zero) if (n, d) == (1, 1) else Mul(Const(Fraction(-d, n)), at_zero))
         binding, folded = {name: r}, {}  # one walk, so a node the roots share is folded once
         for node in postorder([*entries.values(), *tests.values(), *solved]):
             folded[id(node)] = _fold_node(node, folded, binding)
@@ -404,7 +403,7 @@ def apply_test_substitution(c: CanonicalTuplix) -> CanonicalTuplix:
             if (new := _as_expr(test, folded[id(test)])) is not test:
                 tests[j] = new
                 linear.pop(j, None)
-    violations = [Violation(pretty(c.tests[i]), None, value) for i in tests if (value := linear[i][1])]
+    violations = [Violation(pretty(c.tests[i]), None, Fraction(*v)) for i in tests if (v := linear[i][1]) and v[0]]
     if violations:
         return CanonicalTuplix(True, (), (), tuple(violations))
     kept = [test for i, test in tests.items() if linear[i][1] is None]  # each test that is not constant

@@ -23,10 +23,9 @@ stays on `Fraction`. `LinearForms` writes expressions as a constant plus
 exact multiples of atoms, as a meadow allows, with every coefficient an
 integer pair too, and is also the straight-line program that computes
 them: test substitution solves the tests linear in a variable
-(`LinearForms.pivot`), and `LinearForms.columns` runs each step once over
-whole columns of integer numerators and denominators, so neither building
-the forms nor evaluating them at many valuations makes a `Fraction` per
-node or per value.
+(`LinearForms.pivot`, which gives its coefficient and constant as pairs),
+and `LinearForms.columns` runs each step once over whole columns of
+integer numerators and denominators, so `LinearForms` makes no `Fraction`.
 """
 
 from __future__ import annotations
@@ -519,12 +518,13 @@ class LinearForms:
         roots = [slots[ref] for ref in outputs]
         return [([n] * rows, [d] * rows) if type(n) is int else (n, d) for n, d in roots]
 
-    def pivot(self) -> tuple[tuple[str, Rational] | None, Rational | None]:
+    def pivot(self) -> tuple[tuple[str, Pair] | None, Pair | None]:
         """A variable that the first root is linear in, and the root's constant value.
 
         The variable, paired with its coefficient, is the first one with a
         coefficient in the root's form and under none of its other atoms.
         The value is None unless that form has no terms, as for x - x + -1.
+        The coefficient and the value are integer pairs, as in the forms.
         """
         form, operands = self.forms[0], list(self.instructions)
         under = {atom for atom in form.terms if atom >= len(self.variables)}
@@ -533,8 +533,8 @@ class LinearForms:
                 under.update(operands[k][1:])
         for name, atom in self.variables.items():
             if atom in form.terms and atom not in under:
-                return (name, Fraction(*mul_pairs(form.scale, form.terms[atom]))), None
-        return None, None if form.terms else Fraction(*form.value())
+                return (name, mul_pairs(form.scale, form.terms[atom])), None
+        return None, None if form.terms else form.value()
 
 
 def free_vars(*roots: _Node) -> frozenset[str]:

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,7 @@ from tuplix.algebra import (
     normalize,
     _random_term,
 )
-from tuplix import bundled
+from tuplix import algebra, bundled
 from tuplix.cli import parse_bindings_text
 from tuplix.dsl import elaborate, parse
 from tuplix.expr import (
@@ -29,9 +30,12 @@ from tuplix.expr import (
     Add,
     Const,
     Inv,
+    LinearForms,
     Mul,
     Neg,
+    UnboundVariableError,
     Var,
+    compare,
     evaluate,
     free_vars,
     postorder,
@@ -125,9 +129,10 @@ def test_valuation_closes_amounts():
 
 def test_a_bound_budget_folds_without_a_const_per_subterm(monkeypatch):
     # the paper's department budget with every parameter bound: the bound
-    # values enter the fold as integer pairs and its closed subterms fold as
-    # pairs, so a Const is made only for each of the 3 enc{} balances and the
-    # 2 entries, never for each of the 55 parameters or 275 expression nodes
+    # values enter the fold as integer pairs, its closed subterms fold as
+    # pairs and its 3 enc{} balances settle as pairs, so a Const is made only
+    # for each of the 2 entries reported, never for a balance or for each of
+    # the 55 parameters or 275 expression nodes
     total = elaborate(parse(bundled("msc.bgt").read_text()), "Total")
     valuation = parse_bindings_text(bundled("scenario.bindings").read_text(), "scenario.bindings")
     valuation["k"] = Fraction(424, 1495)
@@ -141,7 +146,7 @@ def test_a_bound_budget_folds_without_a_const_per_subterm(monkeypatch):
     monkeypatch.setattr(Const, "__init__", counted)
     c = normalize(total, valuation)
     assert ground_of(c) == {"e": Fraction(25116, 5), "in": Fraction(-7176)}
-    assert len(made) == 5
+    assert made == [Fraction(25116, 5), Fraction(-7176)]
 
 
 def count_fractions(monkeypatch):
@@ -171,6 +176,45 @@ def test_a_bound_flat_composition_normalizes_without_a_fraction_per_entry(monkey
         assert ground_of(c) == {"a": n * x + n * (n - 1) // 2}
         counts.append(len(made))
     assert counts == [1, 1]
+
+
+def calls_of(function, run):
+    """What run() returns, and how many times it called the Python function."""
+    code, calls = function.__code__, 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call" and frame.f_code is code
+
+    sys.setprofile(profile)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(None)
+    return result, calls
+
+
+def test_distinct_open_tests_are_ordered_and_deduplicated_by_their_keys_alone():
+    # 400 tests u_i <= v_i, whose sort keys differ within their first 16
+    # tokens, so the keys' compare tie-breaker never runs
+    n = 400
+    text = "".join(f"param u{i}\nparam v{i}\n" for i in range(n))
+    text += "budget T = " + " | ".join(f"test(u{i} <= v{i})" for i in reversed(range(n))) + "\n"
+    term = elaborate(parse(text), "T")
+    c, calls = calls_of(compare, lambda: normalize(term))
+    assert len(c.tests) == n and calls == 0
+    assert [pretty(t) for t in c.tests[:2]] == ["abs(v0 - u0) - (v0 - u0)", "abs(v1 - u1) - (v1 - u1)"]
+    assert not hasattr(algebra, "compare")  # sort_key is the one order key of the normal form
+
+
+def test_pivot_gives_its_coefficient_and_value_as_pairs_without_a_fraction(monkeypatch):
+    x, y = Var("x"), Var("y")
+    linear = LinearForms([Neg(Add(Mul(const(2), x), Mul(y, Inv(const(3)))))])  # -(2x + y/3)
+    constant = LinearForms([Add(sub(x, x), const(Fraction(-1, 2)))])
+    made = count_fractions(monkeypatch)
+    assert linear.pivot() == (("x", (-2, 1)), None)
+    assert constant.pivot() == (None, (-1, 2))
+    assert made == []
 
 
 # the bindings of the README's sweep example: every parameter of J but k
@@ -341,8 +385,19 @@ def test_free_vars_tuplix():
 
 
 def test_denote_ground_requires_closed_terms():
-    with pytest.raises(Exception):
+    with pytest.raises(UnboundVariableError, match="unbound variable: u") as raised:
         denote_ground(Entry("a", Var("u")))
+    assert raised.value.name == "u"
+
+
+def test_expressions_and_budget_terms_are_not_taken_for_each_other():
+    with pytest.raises(TypeError, match="not a budget term"):
+        normalize(Var("x"))
+    with pytest.raises(TypeError, match="not a budget term"):
+        denote_ground(Var("x"))
+    with pytest.raises(TypeError, match="not an expression"):
+        evaluate(EPS, {})
+    assert (Var("x") == "x") is False  # a node is equal to no other kind of object
 
 
 def test_substitution_solves_entry_amounts():

@@ -9,6 +9,7 @@ times, above a floor that keeps noise in short runs from failing it.
 import gc
 import re
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -34,9 +35,63 @@ def check_open_tests(n, code, out):
     assert sorted(int(match[1]) for match in residual) == list(range(n))
 
 
+def flat_composition(n):
+    """a(x + 0) | a(x + 1) | ... | a(x + n - 1), one composition of n entries."""
+    return "param x\nbudget F = " + "\n  | ".join(f"a(x + {i})" for i in range(n)) + "\n"
+
+
+def check_flat_composition(n, code, out):
+    """At x = 1/3 the entries add up to n/3 + n(n - 1)/2."""
+    assert code == 0
+    assert out == f"status: ok\nentries:\n  a: {Fraction(n, 3) + n * (n - 1) // 2}\n"
+
+
+def budget_chain(n):
+    """B0 = test(x <= 5) | a(x), and each B_i composes B_i-1 with itself: 2^n copies of B0 by sharing."""
+    budgets = [f"budget B{i} = B{i - 1} | B{i - 1}\n" for i in range(1, n + 1)]
+    return "param x\nbudget B0 = test(x <= 5) | a(x)\n" + "".join(budgets)
+
+
+def check_budget_chain(n, code, out):
+    """At x = 6 the one test fails, and its violation is printed once."""
+    assert code == 1
+    assert out == f"status: null\nviolations:\n  {n}.bgt:2:13  x <= 5  value 2\n"
+
+
+def nested_encapsulations(n):
+    """enc{c_i}(c_i(x + i) | ... | c_i(-x - i)) n deep around out(x): each balance settles to 0."""
+    body = "out(x)"
+    for i in reversed(range(n)):
+        body = f"enc{{c{i}}}(c{i}(x + {i}) | {body} | c{i}(-x - {i}))"
+    return f"param x\nbudget N = {body}\n"
+
+
+def check_nested_encapsulations(n, code, out):
+    """Only out(x) is left, at x = 1/3."""
+    assert code == 0
+    assert out == "status: ok\nentries:\n  out: 1/3\n"
+
+
+def def_chain(n):
+    """d0 = x, and each d_i is d_i-1 + d_i-1: the body of d_n is 2^n copies of x by sharing."""
+    defs = [f"def d{i} = d{i - 1} + d{i - 1}\n" for i in range(1, n + 1)]
+    return "param x\ndef d0 = x\n" + "".join(defs) + f"budget D = a(d{n})\n"
+
+
+def check_def_chain(n, code, out):
+    """At x = 1/3 the amount is 2^n / 3, written out in full."""
+    assert code == 0
+    assert out == f"status: ok\nentries:\n  a: {Fraction(2**n, 3)}\n"
+
+
 # family -> (text of size n, the command before the file, the check, n)
 FAMILIES = {
     "many open tests": (open_tests, ["eval"], check_open_tests, 1000),
+    "flat composition": (flat_composition, ["eval", "--set", "x=1/3"], check_flat_composition, 2000),
+    "doubling budget chain": (budget_chain, ["eval", "--set", "x=6"], check_budget_chain, 200),
+    # 2n brackets deep at most, below dsl.MAX_NESTING
+    "nested enc": (nested_encapsulations, ["eval", "--set", "x=1/3"], check_nested_encapsulations, 100),
+    "doubling def chain": (def_chain, ["eval", "--set", "x=1/3"], check_def_chain, 500),
 }
 
 

@@ -1,8 +1,5 @@
-import gc
 import operator
 import random
-import statistics
-import time
 import tracemalloc
 from fractions import Fraction
 from functools import reduce
@@ -21,6 +18,7 @@ from tuplix.expr import (
     Neg,
     UnboundVariableError,
     Var,
+    _Form,
     _fold_node,
     compare,
     div,
@@ -459,63 +457,46 @@ def sum_of_distinct_abs(n):
     return total
 
 
-def seconds(run, *args):
-    """The time of one call, with the cyclic garbage collector paused.
+def merge_work(monkeypatch, root):
+    """The term entries that `_Form.merge` writes while the forms of a root are compiled.
 
-    A full collection walks every live object, the expression included,
-    whatever the call does, and it comes at thresholds that make the
-    time of one compile jump by a third.
+    A merge in place writes the terms of the other form into the dict of
+    the one it keeps; a merge that returns a new dict writes all of its
+    terms. A merge that hands itself over to the larger form is counted in
+    both calls, which at most doubles the count.
     """
-    gc.collect()
-    gc.disable()
-    try:
-        start = time.perf_counter()
-        run(*args)
-        return time.perf_counter() - start
-    finally:
-        gc.enable()
+    written = 0
+    merge = _Form.merge
+
+    def counted(self, other):
+        nonlocal written
+        kept = {id(self.terms): len(other.terms), id(other.terms): len(self.terms)}
+        form = merge(self, other)
+        written += kept.get(id(form.terms), len(form.terms))
+        return form
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_Form, "merge", counted)
+        LinearForms([root])
+    return written
 
 
-def compile_forms(root):
-    """The forms of a root and every instruction that computes them."""
-    return instructions(LinearForms([root]))
-
-
-def fraction_walk(root, x):
-    """The value of a sum of absolute values over the variable x, by one Fraction step per node."""
-    values = {}
-    for node in postorder([root]):
-        kind = type(node)
-        if kind is Add:
-            value = values[id(node.left)] + values[id(node.right)]
-        elif kind is Abs:
-            value = abs(values[id(node.arg)])
-        else:
-            value = x if kind is Var else node.value
-        values[id(node)] = value
-    return values[id(root)]
-
-
-def test_compiling_a_sum_of_distinct_atoms_takes_linear_time():
+def test_compiling_a_sum_of_distinct_atoms_takes_linear_time(monkeypatch):
     n = 5_000
     small, large = sum_of_distinct_abs(n), sum_of_distinct_abs(2 * n)
     half = Fraction(-1, 2)
     program = LinearForms([small])
     assert len(instructions(program)) == 3 * n - 2  # per term: x + i, abs and the running sum
     assert row(program, {"x": half}) == [sum(abs(Fraction(2 * i - 1, 2)) for i in range(n))]
-    # Against evaluating the same nodes, a walk with a Fraction step per node,
-    # so that the bounds hold on a slower host too: compiling took 0.07-0.09 s,
-    # 2.2-2.4 times as long as the walk, on a 2-vCPU x86 host. Each round
-    # times the compile and the walk of one tree back to back, so a host that
-    # slows down for a while slows both, and the median drops the rounds that
-    # a pause hit.
-    small_ratios, large_ratios = [], []
-    for _ in range(5):
-        for tree, ratios in ((small, small_ratios), (large, large_ratios)):
-            ratios.append(seconds(compile_forms, tree) / seconds(fraction_walk, tree, half))
-    ratio, doubled_ratio = statistics.median(small_ratios), statistics.median(large_ratios)
+    # The running sum is the only form that grows, and each merge adds one
+    # term to it in place: one entry written per term, where a merge that
+    # copied the sum's terms would write n^2 / 2. Counted rather than timed,
+    # since the time of one compile varied twofold from run to run on a
+    # shared 2-vCPU host.
+    ratio = merge_work(monkeypatch, small) / n
+    doubled_ratio = merge_work(monkeypatch, large) / (2 * n)
     assert ratio < 4
-    # the walk is linear, so a linear compile keeps its ratio at twice the terms
+    # a linear compile keeps its work per term at twice the terms
     assert doubled_ratio < 1.25 * ratio
 
 
