@@ -24,12 +24,12 @@ for small terms. `normalize` reduces a partially bound term, each
 distinct node once, to a canonical form with residual symbolic tests and
 per-channel amounts. `ground_of` turns a closed form into a ground value,
 and `ground_rows` evaluates an open one at many valuations at once; both
-must equal the oracle's whenever the term is fully bound.
+must equal the oracle's whenever the term is fully bound; the law suite
+(`laws`) checks that on the random terms it draws.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
@@ -57,7 +57,6 @@ from .expr import (
     is_identifier,
     postorder,
     pretty,
-    random_expr,
     sort_key,
     sub,
 )
@@ -408,32 +407,3 @@ def apply_test_substitution(c: CanonicalTuplix) -> CanonicalTuplix:
         return CanonicalTuplix(True, (), (), tuple(violations))
     kept = [test for i, test in tests.items() if linear[i][1] is None]  # each test that is not constant
     return CanonicalTuplix(False, _canonical_tests(solved + kept), tuple(entries.items()), ())
-
-
-# ---------------------------------------------------------------------------
-# Random terms
-
-
-def _random_term(
-    rng: random.Random, size: int, channels: tuple[str, ...], names: tuple[str, ...]
-) -> Tuplix:
-    """A random term of about `size` >= 1 nodes over `channels` and the variables `names`."""
-    if size >= 2:
-        roll = rng.random()
-        if roll < 0.45:
-            split = rng.randint(1, size - 1)
-            return Comp(
-                _random_term(rng, split, channels, names),
-                _random_term(rng, size - split, channels, names),
-            )
-        if roll < 0.65:
-            subset = rng.sample(channels, k=rng.randint(0, len(channels))) if channels else []
-            return Encap(frozenset(subset), _random_term(rng, size - 1, channels, names))
-    roll = rng.random()
-    if channels and roll < 0.45:
-        return Entry(rng.choice(channels), random_expr(rng, names, rng.randint(0, 2)))
-    if roll < 0.75:
-        return Test(random_expr(rng, names, rng.randint(0, 2)))
-    if roll < 0.92:
-        return EPS
-    return DELTA

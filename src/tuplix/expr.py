@@ -26,12 +26,12 @@ them: test substitution solves the tests linear in a variable
 (`LinearForms.pivot`, which gives its coefficient and constant as pairs),
 and `LinearForms.columns` runs each step once over whole columns of
 integer numerators and denominators, so `LinearForms` makes no `Fraction`.
+The law suite (`laws`) draws random expressions.
 """
 
 from __future__ import annotations
 
 import operator
-import random
 import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -623,38 +623,6 @@ def fold_constants(e: Expr, bindings: Mapping[str, Expr | Pair] | None = None) -
     for node in postorder([e]):
         folded[id(node)] = _fold_node(node, folded, bindings)
     return _as_expr(e, folded[id(e)])
-
-
-def random_rational(rng: random.Random) -> Rational:
-    """Small random rational for the randomized law checks.
-
-    Zero comes up with probability >= 1/4 so that the zero-sensitive
-    corners of total division get exercised; otherwise numerators lie in
-    [-8, 8] and denominators in [1, 8].
-    """
-    if rng.random() < 0.25:
-        return Fraction(0)
-    return Fraction(rng.randint(-8, 8), rng.randint(1, 8))
-
-
-def random_expr(rng: random.Random, names: tuple[str, ...], size: int) -> Expr:
-    """Random expression with at most `size` operator nodes over `names`."""
-    if size <= 0:
-        if names and rng.random() < 0.6:
-            return Var(rng.choice(names))
-        return Const(random_rational(rng))
-    pick = rng.randrange(5)
-    if pick == 0:
-        split = rng.randint(0, size - 1)
-        return Add(random_expr(rng, names, split), random_expr(rng, names, size - 1 - split))
-    if pick == 1:
-        split = rng.randint(0, size - 1)
-        return Mul(random_expr(rng, names, split), random_expr(rng, names, size - 1 - split))
-    if pick == 2:
-        return Neg(random_expr(rng, names, size - 1))
-    if pick == 3:
-        return Inv(random_expr(rng, names, size - 1))
-    return Abs(random_expr(rng, names, size - 1))
 
 
 def compare(a: _Node, b: _Node) -> int:

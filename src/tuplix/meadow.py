@@ -4,6 +4,9 @@ Division never fails here: the inverse of zero is zero. That single
 convention makes every operation total, so terms built on top of these
 numbers can always be evaluated. The quotient x/x then acts as a zero
 test: it is 0 when x is 0 and 1 otherwise.
+
+A rational is a `Fraction` at the edges and an integer pair in lowest
+terms inside every fold; the law suite checks the meadow laws on pairs.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from operator import floordiv
 Rational = Fraction
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 # One rational as an integer pair (numerator, denominator), in lowest terms
 # with a positive denominator, the invariant `Fraction` keeps.
@@ -49,11 +51,6 @@ def minv(x: Rational) -> Rational:
     if x == 0:
         return ZERO
     return 1 / x
-
-
-def indicator(x: Rational) -> Rational:
-    """x/x under total division: 0 if x is 0, else 1."""
-    return ZERO if x == 0 else ONE
 
 
 def parse_rational(text: str) -> Rational:

@@ -28,11 +28,12 @@ from tuplix.algebra import (
 from tuplix.cli import main
 from tuplix.constraints import conjunction_expr
 from tuplix.dsl import elaborate, parse
-from tuplix.expr import Const, evaluate, free_vars, random_rational
+from tuplix.expr import Const, evaluate, free_vars
 from tuplix.laws import (
     constraint_laws,
     meadow_laws,
     oracle_laws,
+    random_rational,
     run_suite,
     tuplix_laws,
 )

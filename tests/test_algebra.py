@@ -20,7 +20,6 @@ from tuplix.algebra import (
     ground_of,
     ground_rows,
     normalize,
-    _random_term,
 )
 from tuplix import algebra, bundled
 from tuplix.cli import parse_bindings_text
@@ -40,9 +39,9 @@ from tuplix.expr import (
     free_vars,
     postorder,
     pretty,
-    random_rational,
     sub,
 )
+from tuplix.laws import random_rational, random_term
 
 EMPTY = CanonicalTuplix(False, (), (), ())
 
@@ -66,7 +65,7 @@ def random_tuplix(size, channels=("a", "b", "c"), names=(), seed=0):
     """A random term of roughly `size` nodes, the same for the same seed."""
     if size < 1:
         raise ValueError("size must be >= 1")
-    return _random_term(random.Random(seed), size, tuple(channels), tuple(names))
+    return random_term(random.Random(seed), size, tuple(channels), tuple(names))
 
 
 def test_transfer_example():
@@ -515,7 +514,7 @@ def test_substitution_agrees_with_the_oracle_on_random_terms():
     rng = random.Random(11)
     names = ("u", "v", "w")
     for _ in range(10_000):
-        t = _random_term(rng, rng.randint(1, 8), ("a", "b"), names)
+        t = random_term(rng, rng.randint(1, 8), ("a", "b"), names)
         partial = {name: random_rational(rng) for name in names if rng.random() < 0.3}
         c = normalize(t, partial)
         if c.is_null:

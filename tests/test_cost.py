@@ -1,18 +1,22 @@
 """The cost contract: a budget's cost grows with its size as written.
 
-Each family maps a size n to the text of a budget, with the command to run
-on it and a check of what the command prints. For n and 2n the command
-must pass its check, and its best-of-3 time may grow at most GROWTH
-times, above a floor that keeps noise in short runs from failing it.
+Each family maps a size n to the text of a budget. Each run names a
+family, a command to run on it and a check of what the command prints.
+For n and 2n the command must pass its check on every run, and its
+best-of-3 time may grow at most GROWTH times, above a floor that keeps
+noise in short runs from failing it. A size is not run again once one of
+its runs was short enough that more runs cannot change that verdict.
 """
 
 import gc
+import json
 import re
 import time
 from fractions import Fraction
 
 import pytest
 
+from tuplix import algebra, expr
 from tuplix.cli import main
 
 GROWTH = 3
@@ -26,13 +30,26 @@ def open_tests(n):
     return f"{params}budget T = {tests}\n  | a(1)\n"
 
 
-def check_open_tests(n, code, out):
-    """Each test is left as one residual line, and nothing else is printed."""
+def residual_open_tests(n, residual):
+    """Each test is left as it is: nothing to solve, one residual test per pair u_i, v_i."""
+    matches = [re.fullmatch(r"abs\(v(\d+) - u\1\) - \(v\1 - u\1\)", text) for text in residual]
+    assert sorted(int(match[1]) for match in matches) == list(range(n))
+
+
+def check_open_tests(n, code, out, err):
+    """The residual tests are all that is printed."""
     lines = out.splitlines()
-    assert code == 0
+    assert (code, err) == (0, "")
     assert lines[:2] == ["status: ok", "residual tests:"] and len(lines) == 2 + n
-    residual = [re.fullmatch(r"  abs\(v(\d+) - u\1\) - \(v\1 - u\1\)", line) for line in lines[2 : 2 + n]]
-    assert sorted(int(match[1]) for match in residual) == list(range(n))
+    residual_open_tests(n, [line.removeprefix("  ") for line in lines[2:]])
+
+
+def check_open_tests_json(n, code, out, err):
+    """The same as JSON, without entries."""
+    doc = json.loads(out)
+    assert (code, err) == (0, "")
+    assert doc == {"entries": None, "residual_tests": doc["residual_tests"], "status": "ok", "violations": []}
+    residual_open_tests(n, doc["residual_tests"])
 
 
 def flat_composition(n):
@@ -40,10 +57,12 @@ def flat_composition(n):
     return "param x\nbudget F = " + "\n  | ".join(f"a(x + {i})" for i in range(n)) + "\n"
 
 
-def check_flat_composition(n, code, out):
-    """At x = 1/3 the entries add up to n/3 + n(n - 1)/2."""
-    assert code == 0
-    assert out == f"status: ok\nentries:\n  a: {Fraction(n, 3) + n * (n - 1) // 2}\n"
+# The value of a family at x: its entries, or None and its violations as (span, label, value).
+
+
+def flat_value(n, x):
+    """The entries add up to n x + n(n - 1)/2."""
+    return {"a": n * x + n * (n - 1) // 2}, []
 
 
 def budget_chain(n):
@@ -52,10 +71,11 @@ def budget_chain(n):
     return "param x\nbudget B0 = test(x <= 5) | a(x)\n" + "".join(budgets)
 
 
-def check_budget_chain(n, code, out):
-    """At x = 6 the one test fails, and its violation is printed once."""
-    assert code == 1
-    assert out == f"status: null\nviolations:\n  {n}.bgt:2:13  x <= 5  value 2\n"
+def chain_value(n, x):
+    """2^n copies of a(x), or past x = 5 the one violation of the shared test, once."""
+    if x > 5:
+        return None, [(f"{n}.bgt:2:13", "x <= 5", 2 * (x - 5))]
+    return {"a": 2**n * x}, []
 
 
 def nested_encapsulations(n):
@@ -66,10 +86,9 @@ def nested_encapsulations(n):
     return f"param x\nbudget N = {body}\n"
 
 
-def check_nested_encapsulations(n, code, out):
-    """Only out(x) is left, at x = 1/3."""
-    assert code == 0
-    assert out == "status: ok\nentries:\n  out: 1/3\n"
+def nested_value(n, x):
+    """Only out(x) is left."""
+    return {"out": x}, []
 
 
 def def_chain(n):
@@ -78,43 +97,170 @@ def def_chain(n):
     return "param x\ndef d0 = x\n" + "".join(defs) + f"budget D = a(d{n})\n"
 
 
-def check_def_chain(n, code, out):
-    """At x = 1/3 the amount is 2^n / 3, written out in full."""
-    assert code == 0
-    assert out == f"status: ok\nentries:\n  a: {Fraction(2**n, 3)}\n"
+def def_chain_value(n, x):
+    """The amount is 2^n x, written out in full."""
+    return {"a": 2**n * x}, []
 
 
-# family -> (text of size n, the command before the file, the check, n)
+def violation_line(span, label, value):
+    return f"{span}  {label}  value {value}"
+
+
+def eval_text(value, x):
+    """`eval` at x: the entries, or the violations and exit 1."""
+
+    def check(n, code, out, err):
+        entries, violations = value(n, x)
+        if entries is None:
+            lines = ["status: null", "violations:", *(f"  {violation_line(*v)}" for v in violations)]
+        else:
+            lines = ["status: ok", "entries:", *(f"  {ch}: {amount}" for ch, amount in entries.items())]
+        assert (code, out, err) == (0 if violations == [] else 1, "\n".join(lines) + "\n", "")
+
+    return check
+
+
+def eval_json(value, x):
+    """`eval --format json` at x: the same report as a JSON document."""
+
+    def check(n, code, out, err):
+        entries, violations = value(n, x)
+        assert (code, err) == (0 if violations == [] else 1, "")
+        assert json.loads(out) == {
+            "entries": entries and {ch: str(amount) for ch, amount in entries.items()},
+            "residual_tests": [],
+            "status": "null" if entries is None else "ok",
+            "violations": [{"span": span, "test": label, "value": str(v)} for span, label, v in violations],
+        }
+
+    return check
+
+
+def check_at(value, x):
+    """`check` at x: exit 0 and nothing printed, or exit 1 and a line per violation on stderr."""
+
+    def check(n, code, out, err):
+        _, violations = value(n, x)
+        lines = "".join(violation_line(*v) + "\n" for v in violations)
+        assert (code, out, err) == (0 if violations == [] else 1, "", lines)
+
+    return check
+
+
+def sweep_rows(value):
+    """`sweep` of x over 4, 5 and 6: a row per value, each ok with its amounts or null."""
+
+    def check(n, code, out, err):
+        rows = {x: value(n, x)[0] for x in (4, 5, 6)}
+        channels = next(entries for entries in rows.values() if entries)
+        table = [["x", "status", *channels]]
+        for x, entries in rows.items():
+            cells = ["null", *["NULL"] * len(channels)] if entries is None else ["ok", *map(str, entries.values())]
+            table.append([str(x), *cells])
+        assert (code, err) == (0, "")
+        assert [line.split() for line in out.splitlines()] == table
+
+    return check
+
+
+SWEEP = ["sweep", "--var", "x", "--from", "4", "--to", "6", "--step", "1"]
+
+
+def bound_runs(family, value, x):
+    """The runs of a family whose one parameter is x: eval as text and JSON, and check, at x, and a sweep."""
+    bind, x = ["--set", x], Fraction(x.removeprefix("x="))
+    return [
+        (family, ["eval", *bind], eval_text(value, x)),
+        (family, ["eval", "--format", "json", *bind], eval_json(value, x)),
+        (family, ["check", *bind], check_at(value, x)),
+        (family, SWEEP, sweep_rows(value)),
+    ]
+
+
+# family -> (text of size n, n)
 FAMILIES = {
-    "many open tests": (open_tests, ["eval"], check_open_tests, 1000),
-    "flat composition": (flat_composition, ["eval", "--set", "x=1/3"], check_flat_composition, 2000),
-    "doubling budget chain": (budget_chain, ["eval", "--set", "x=6"], check_budget_chain, 200),
+    "many open tests": (open_tests, 1000),
+    "flat composition": (flat_composition, 2000),
+    "doubling budget chain": (budget_chain, 200),
     # 2n brackets deep at most, below dsl.MAX_NESTING
-    "nested enc": (nested_encapsulations, ["eval", "--set", "x=1/3"], check_nested_encapsulations, 100),
-    "doubling def chain": (def_chain, ["eval", "--set", "x=1/3"], check_def_chain, 500),
+    "nested enc": (nested_encapsulations, 100),
+    "doubling def chain": (def_chain, 500),
 }
 
+# (family, the command before the file, the check of its exit code, stdout and stderr)
+RUNS = [
+    ("many open tests", ["eval"], check_open_tests),
+    ("many open tests", ["eval", "--format", "json"], check_open_tests_json),
+    ("many open tests", ["eval", "--substitute-tests"], check_open_tests),
+    *bound_runs("flat composition", flat_value, "x=1/3"),
+    *bound_runs("doubling budget chain", chain_value, "x=6"),
+    *bound_runs("nested enc", nested_value, "x=1/3"),
+    *bound_runs("doubling def chain", def_chain_value, "x=1/3"),
+]
 
-def best_of_3(argv, capsys):
-    """The least time of three runs of the command, with the output of the last."""
-    times = []
+
+def run_ids(runs):
+    """A family's first run, its plain eval, is named by the family; each later run adds its command."""
+    seen, ids = set(), []
+    for family, command, _ in runs:
+        ids.append(f"{family}: {' '.join(command[:3])}" if family in seen else family)
+        seen.add(family)
+    return ids
+
+
+@pytest.mark.parametrize("family, command, check", RUNS, ids=run_ids(RUNS))
+def test_cost_grows_with_the_budget_as_written(family, command, check, tmp_path, capsys):
+    text, n = FAMILIES[family]
+    sizes = (n, 2 * n)
+    for size in sizes:
+        (tmp_path / f"{size}.bgt").write_text(text(size))
+    # At n the floor stands in for any time below it, and at 2n any time below GROWTH floors
+    # passes, so a size stops once it has run that fast. The sizes take turns, so that a slow
+    # spell of the host slows both.
+    times = ([], [])
     for _ in range(3):
-        gc.collect()
-        start = time.perf_counter()
-        code = main(argv)
-        times.append(time.perf_counter() - start)
+        for size, enough, spent in zip(sizes, (FLOOR_S, GROWTH * FLOOR_S), times):
+            if spent and min(spent) <= enough:
+                continue
+            gc.collect()
+            start = time.perf_counter()
+            code = main([*command, str(tmp_path / f"{size}.bgt")])
+            spent.append(time.perf_counter() - start)
+            check(size, code, *capsys.readouterr())
+    assert min(times[1]) <= GROWTH * max(min(times[0]), FLOOR_S), times
+
+
+def equalities(n):
+    """n equalities u_i == v_i over 2n parameters, each solvable for u_i and none sharing a parameter."""
+    params = "".join(f"param u{i}\nparam v{i}\n" for i in range(n))
+    tests = "\n  | ".join(f"test(u{i} == v{i})" for i in range(n))
+    return f"{params}budget E = {tests}\n  | a(1)\n"
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 9: apply_test_substitution folds every entry and test again for each test it solves",
+)
+def test_substituting_independent_tests_folds_each_node_a_bounded_number_of_times(tmp_path, monkeypatch, capsys):
+    # a count of fold steps, not a clock, so the breach shows the same on every run
+    steps = []
+
+    def counted(fold_node):
+        def step(*args):
+            steps.append(None)
+            return fold_node(*args)
+
+        return step
+
+    for module in (expr, algebra):
+        monkeypatch.setattr(module, "_fold_node", counted(module._fold_node))
+    counts = []
+    for n in (100, 200):
+        f = tmp_path / f"{n}.bgt"
+        f.write_text(equalities(n))
+        steps.clear()
+        code = main(["eval", "--substitute-tests", str(f)])
         out = capsys.readouterr().out
-    return min(times), code, out
-
-
-@pytest.mark.parametrize("family", FAMILIES)
-def test_cost_grows_with_the_budget_as_written(family, tmp_path, capsys):
-    text, command, check, n = FAMILIES[family]
-    times = []
-    for size in (n, 2 * n):
-        f = tmp_path / f"{size}.bgt"
-        f.write_text(text(size))
-        seconds, code, out = best_of_3([*command, str(f)], capsys)
-        check(size, code, out)
-        times.append(seconds)
-    assert times[1] <= GROWTH * max(times[0], FLOOR_S), times
+        assert code == 0 and sorted(out.splitlines()[2:]) == sorted(f"  u{i} - v{i}" for i in range(n))
+        counts.append(len(steps))
+    assert counts[1] <= 2.5 * counts[0], counts

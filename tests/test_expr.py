@@ -27,11 +27,10 @@ from tuplix.expr import (
     free_vars,
     postorder,
     pretty,
-    random_expr,
-    random_rational,
     sort_key,
     sub,
 )
+from tuplix.laws import random_expr, random_rational
 from tuplix.meadow import minv
 
 

@@ -7,10 +7,9 @@ from tuplix.algebra import Comp, denote_ground
 def test_registry_is_complete():
     names = [law.name for law in L.all_laws()]
     assert len(names) == len(set(names))
-    assert len(L.tuplix_laws()) == 17
-    assert len(L.oracle_laws()) == 2
-    groups = {law.group for law in L.all_laws()}
-    assert groups == {"tuplix", "oracle", "meadow", "constraints", "expr"}
+    families = [L.tuplix_laws(), L.oracle_laws(), L.meadow_laws(), L.constraint_laws(), L.expr_laws()]
+    assert [len(laws) for laws in families] == [17, 2, 13, 4, 3]
+    assert [law.name for laws in families for law in laws] == names
 
 
 def test_suite_is_deterministic():
@@ -36,7 +35,7 @@ def test_suite_catches_a_false_law():
             t, L._valuation(rng)
         )
 
-    results = L.run_suite([*L.all_laws(), L.Law("bogus-doubling", "tuplix", bogus)], 60, 0)
+    results = L.run_suite([*L.all_laws(), L.Law("bogus-doubling", bogus)], 60, 0)
     by_name = {r.name: r for r in results}
     assert not by_name["bogus-doubling"].passed
     assert by_name["bogus-doubling"].failures > 0
@@ -59,6 +58,18 @@ def test_suite_catches_a_broken_engine(monkeypatch):
     ]
 
 
+def test_suite_catches_pair_arithmetic_that_skips_its_reduction(monkeypatch):
+    # equal values must be equal pairs: a sum left unreduced breaks the meadow laws
+    def unreduced(x, y):
+        (a, b), (c, d) = x, y
+        return a * d + b * c, b * d
+
+    assert all(r.passed for r in L.run_suite(L.meadow_laws(), trials=200, seed=0))
+    monkeypatch.setattr(L, "add_pairs", unreduced)
+    results = L.run_suite(L.meadow_laws(), trials=200, seed=0)
+    assert [r.name for r in results if not r.passed] == ["mul-distributes", "add-inverse"]
+
+
 def test_render_results_reports_totals():
     results = L.run_suite(L.meadow_laws(), trials=7, seed=1)
     text = L.render_results(results)
@@ -68,7 +79,7 @@ def test_render_results_reports_totals():
 
 
 def test_render_results_names_failures():
-    always_false = L.Law("always-false", "tuplix", lambda rng: False)
+    always_false = L.Law("always-false", lambda rng: False)
     text = L.render_results(L.run_suite([always_false], trials=3, seed=0))
     assert "always-false" in text
     assert "FAIL" in text
@@ -82,7 +93,7 @@ def test_law_generators_cover_zero():
 
 
 def test_run_law_counts_failures():
-    flaky = L.Law("flaky", "expr", lambda rng: rng.random() < 0.5)
+    flaky = L.Law("flaky", lambda rng: rng.random() < 0.5)
     result = L.run_law(flaky, trials=100, seed=8)
     assert result.failures > 0
     assert result.trials == 100

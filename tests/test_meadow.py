@@ -1,17 +1,20 @@
 import random
 import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from tuplix.meadow import (
-    ONE,
     ZERO,
     DigitLimitError,
+    add_pairs,
     decimal_repr,
     format_rational,
-    indicator,
+    lowest_terms,
     minv,
+    minv_pair,
+    mul_pairs,
     parse_rational,
 )
 
@@ -35,14 +38,42 @@ def test_minv_totalizes_zero():
     assert minv(Fraction(-4)) == Fraction(-1, 4)
 
 
-def test_indicator_is_zero_or_one():
-    assert indicator(ZERO) == ZERO
-    assert indicator(Fraction(5, 9)) == ONE
-    assert indicator(Fraction(-1, 1000)) == ONE
-    rng = random.Random(7)
-    for _ in range(200):
-        x = Fraction(rng.randint(-40, 40), rng.randint(1, 12))
-        assert indicator(x) == (ZERO if x == 0 else ONE)
+def random_fraction(rng):
+    """Zero, a small value or a value of about 300 digits, each sign, the pair in lowest terms."""
+    if rng.random() < 0.2:
+        return Fraction(0)
+    digits = rng.choice((1, 3, 300))
+    return Fraction(rng.randint(-(10**digits), 10**digits), rng.randint(1, 10**digits))
+
+
+def in_lowest_terms(pair):
+    n, d = pair
+    return d > 0 and gcd(n, d) == 1
+
+
+def test_pair_arithmetic_agrees_with_fraction_in_lowest_terms():
+    rng = random.Random(11)
+    for _ in range(2_000):
+        x, y = random_fraction(rng), random_fraction(rng)
+        p, q = x.as_integer_ratio(), y.as_integer_ratio()
+        for got, want in [(add_pairs(p, q), x + y), (mul_pairs(p, q), x * y), (minv_pair(p), minv(x))]:
+            assert in_lowest_terms(got) and got == want.as_integer_ratio(), (x, y, got)
+    assert minv_pair((0, 1)) == (0, 1)
+    assert add_pairs((1, 6), (-1, 6)) == (0, 1)  # a sum of zero over a shared denominator
+
+
+def test_lowest_terms_divides_each_row_by_its_gcd():
+    rng = random.Random(12)
+    numerators, denominators = [0, 6, -10**300 * 4], [5, 4, 10**300 * 6]
+    for _ in range(500):
+        x, k = random_fraction(rng), rng.choice((1, 2, 3, 10**300))
+        numerators.append(x.numerator * k)
+        denominators.append(x.denominator * k)
+    column = lowest_terms(numerators, denominators)
+    assert all(map(in_lowest_terms, zip(*column)))
+    assert list(map(Fraction, *column)) == list(map(Fraction, numerators, denominators))
+    reduced = ([1, -2], [3, 1])
+    assert lowest_terms(*reduced) == reduced  # returned as they are when already in lowest terms
 
 
 def test_parse_rational_accepts_fractions_and_decimals():

@@ -52,6 +52,23 @@ def test_every_definition_is_used_by_the_package_or_exported():
     assert unused_definitions() == []
 
 
+def imported_names(tree):
+    """The modules a syntax tree imports, and the names it imports from them, as (module, name)."""
+    pairs = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            pairs += [(alias.name, None) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            pairs += [(node.module, alias.name) for alias in node.names]
+    return pairs
+
+
+def test_the_law_suite_alone_draws_random_values_and_imports_no_private_name():
+    imports = {path.stem: imported_names(ast.parse(path.read_text())) for path in SRC.glob("*.py")}
+    assert [stem for stem, pairs in imports.items() if any(m == "random" for m, _ in pairs)] == ["laws"]
+    assert [name for _, name in imports["laws"] if name and name.startswith("_")] == []
+
+
 def test_bundled_returns_a_shipped_file_and_refuses_an_unknown_name():
     assert tuplix.bundled("msc.bgt") == SRC / "data" / "msc.bgt"
     assert tuplix.bundled("msc.bgt").is_file()
