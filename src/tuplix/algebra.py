@@ -63,17 +63,17 @@ from .expr import (
 from .meadow import Column, Pair, Rational
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Eps(_Node):
     pass  # no fields, no children
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Delta(_Node):
     span: str | None = None
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Entry(_Node):
     channel: str
     amount: Expr
@@ -87,7 +87,7 @@ class Entry(_Node):
         return self.channel
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Test(_Node):
     __test__ = False  # keep pytest from collecting this class
 
@@ -99,14 +99,14 @@ class Test(_Node):
     _children = staticmethod(_arg)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Comp(_Node):
     left: "Tuplix"
     right: "Tuplix"
     _children = staticmethod(_right_left)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Encap(_Node):
     channels: frozenset[str]
     body: "Tuplix"

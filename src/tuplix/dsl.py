@@ -34,9 +34,11 @@ every relation holds, a budget reference returns the term already
 built, and each test, delta and enc{} keeps its source position
 "line:col" for violation reports. A test also keeps its source text,
 printed from its argument with each def's body written as the def's
-name. A token carries only its offset into the text; its line and
-column are worked out, over an index of the text's newlines built on
-first use, only for those positions and for errors.
+name. The lexer is one `findall` of the token pattern, and a token is
+its index into the list of token texts. Its offset into the text is
+summed from the lengths of the texts before it, and its line and column
+are worked out over an index of the text's newlines; both are computed
+only for those positions and for errors.
 """
 
 from __future__ import annotations
@@ -101,32 +103,30 @@ class BudgetProgram:
 # --- lexer -------------------------------------------------------------------
 
 
-# A token is a plain tuple (kind, text, offset): kind is one of ident, int,
-# decimal, string, op and eof, and offset is where its text starts in the
-# program. Whitespace and comments make no tokens, and a token's line:col
-# is worked out from its offset only where one is reported (`_Parser.place`).
-_Token = tuple[str, str, int]
-
-# One match skips the whitespace before a comment or token, then matches
-# it; the number of the group that matched gives its kind (`_KINDS`). The
-# last two groups match the end of the text and any other character, so a
-# match is found at every place past the last one, and none backtracks
-# into the whitespace or scans ahead for a later match.
+# One match skips the blanks and comments before a token, then matches the
+# token: an operator (the one-character ones first, as the commonest
+# tokens; none of them starts a longer one), a name, a number, a string,
+# or the empty token at the end of the text. `findall` gives one
+# (skipped, token, rest) triple per token, and a token's kind is told by
+# its first character. `rest` is empty unless the text holds a character
+# that starts no token: the last alternative then takes the text from
+# there to its end, so no match is made past the first such character,
+# and it is in the last triple but one (the last is the empty match at the
+# end). Every place matches something, so no match gives back characters
+# of a comment or backtracks into blanks, and none searches ahead.
 _TOKEN_RE = re.compile(
-    r"""[ \t\r\n]*
-      (?: (\#[^\n]*)
-        | (IDENT)
-        | (\d+\.\d+)
-        | (\d+)
-        | ("[^"\n]*")
-        | (<=|==|&&|>=|!=|[(){},|=+\-*/<>&])
-        | (\Z)
-        | (.)
+    r"""([ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*)
+      (?: ( [(){},|+\-*/]
+          | IDENT
+          | \d+(?:\.\d+)?
+          | "[^"\n]*"
+          | [<=>!]= | && | [=<>&]
+          | \Z
+          )
+        | ((?s:.+))
       )""".replace("IDENT", IDENT_PATTERN),
     re.VERBOSE,
 )
-_KINDS = (None, "comment", "ident", "decimal", "int", "string", "op", "eof", "error")
-_COMMENT, _EOF = _KINDS.index("comment"), _KINDS.index("eof")
 
 
 # --- parser ------------------------------------------------------------------
@@ -141,12 +141,28 @@ _COMPARISONS_UNSUPPORTED = {"<", ">", ">=", "!="}
 MAX_NESTING = 256
 
 
+def _is_name(token: str) -> bool:
+    # Of the tokens the pattern matches, only a name starts with a character
+    # that can start an identifier, a letter or "_"; a digit cannot.
+    return token[:1].isidentifier()
+
+
 class _Parser:
+    """A parser over the text's tokens, each token its index into `tokens`."""
+
     def __init__(self, text: str):
         self.text = text
         self.newlines: list[int] | None = None  # offsets of the text's newlines, listed on first use
-        self.tokens = self.tokenize()
-        self.pos = 0
+        matches = _TOKEN_RE.findall(text)
+        rest = matches[-2][2] if len(matches) > 1 else ""
+        if rest:
+            message = "unterminated string" if rest[0] == '"' else f"unexpected character {quoted(rest[0])}"
+            raise DslError(message, *self.place(len(text) - len(rest)))
+        self.matches = matches
+        self.tokens = [token for _, token, _ in matches]  # the last one is "", the end
+        self.skipped: list[str] | None = None  # the text skipped before each token, listed on first use
+        self.cursor = 0, 0  # a token's index and the offset where the text skipped before it starts
+        self.pos = 0  # the index of the current token
         self.depth = 0  # brackets open at the current token
         self.declared: dict[str, str] = {}  # name -> "param" | "def" | "budget"
         self.params: dict[str, str | None] = {}
@@ -155,25 +171,22 @@ class _Parser:
         self.constants: dict[str, Const] = {}  # literal text -> its Const
         self.budgets: dict[str, Tuplix] = {}
 
-    def tokenize(self) -> list[_Token]:
-        """The tokens of the text, in one pass of the token pattern, ending with an eof token."""
-        text = self.text
-        tokens: list[_Token] = []
-        append = tokens.append
-        for m in _TOKEN_RE.finditer(text):
-            kind = m.lastindex
-            if kind != _COMMENT:
-                append((_KINDS[kind], m.group(kind), m.start(kind)))
-                if kind >= _EOF:
-                    break
-        kind, char, pos = tokens[-1]
-        if kind == "error":
-            if char == '"':
-                raise DslError("unterminated string", *self.place(pos))
-            raise DslError(f"unexpected character {quoted(char)}", *self.place(pos))
-        return tokens
-
     # positions
+
+    def offset(self, index: int) -> int:
+        """Where the text of token `index` starts.
+
+        The lengths are summed on from the token last asked for, or from
+        the first token for one before it, which only an error asks for.
+        """
+        if self.skipped is None:
+            self.skipped = [skipped for skipped, _, _ in self.matches]
+        start, offset = self.cursor
+        if index < start:
+            start, offset = 0, 0
+        offset += sum(map(len, self.skipped[start:index])) + sum(map(len, self.tokens[start:index]))
+        self.cursor = index, offset
+        return offset + len(self.skipped[index])
 
     def place(self, offset: int) -> tuple[int, int]:
         """The line and column, both from 1, of an offset into the text."""
@@ -182,69 +195,60 @@ class _Parser:
         line = bisect_left(self.newlines, offset)  # the newlines before the offset
         return line + 1, offset - (self.newlines[line - 1] if line else -1)
 
-    def span(self, tok: _Token) -> str:
-        line, col = self.place(tok[2])
+    def span(self, index: int) -> str:
+        line, col = self.place(self.offset(index))
         return f"{line}:{col}"
 
     # token helpers
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def error(self, message: str, index: int | None = None) -> DslError:
+        return DslError(message, *self.place(self.offset(self.pos if index is None else index)))
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
+    def found(self) -> str:
+        return quoted(self.tokens[self.pos] or "end of input")
+
+    def expect_op(self, text: str) -> None:
+        if self.tokens[self.pos] != text:
+            raise self.error(f"expected {quoted(text)}, found {self.found()}")
         self.pos += 1
-        return tok
-
-    def error(self, message: str, tok: _Token | None = None) -> DslError:
-        return DslError(message, *self.place((tok or self.peek())[2]))
-
-    def expect_op(self, text: str) -> _Token:
-        if not self.at_op(text):
-            shown = self.peek()[1] or "end of input"
-            raise self.error(f"expected {quoted(text)}, found {quoted(shown)}")
-        return self.advance()
 
     def open_bracket(self) -> None:
-        tok = self.expect_op("(")
+        self.expect_op("(")
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise self.error(f"brackets nested more than {MAX_NESTING} deep", tok)
+            raise self.error(f"brackets nested more than {MAX_NESTING} deep", self.pos - 1)
 
     def close_bracket(self) -> None:
         self.expect_op(")")
         self.depth -= 1
 
-    def at_op(self, text: str) -> bool:
-        # no token of another kind has an operator's text
-        return self.tokens[self.pos][1] == text
-
-    def expect_name(self, what: str) -> _Token:
-        kind, text, _ = self.peek()
-        if kind != "ident":
-            shown = text or "end of input"
-            raise self.error(f"expected {what}, found {quoted(shown)}")
+    def expect_name(self, what: str) -> str:
+        text = self.tokens[self.pos]
+        if not _is_name(text):
+            raise self.error(f"expected {what}, found {self.found()}")
         if text in KEYWORDS:
             raise self.error(f"keyword {quoted(text)} cannot be used as {what}")
-        return self.advance()
+        self.pos += 1
+        return text
 
-    def declare(self, tok: _Token, kind: str) -> None:
-        name = tok[1]
+    def declare(self, index: int, kind: str) -> None:
+        name = self.tokens[index]
         seen = self.declared.get(name)
         if seen is not None:
-            raise self.error(f"duplicate identifier {quoted(name)} (already a {seen})", tok)
+            raise self.error(f"duplicate identifier {quoted(name)} (already a {seen})", index)
         self.declared[name] = kind
 
     # statements
 
     def parse_program(self) -> BudgetProgram:
+        tokens = self.tokens
         while True:
-            kind, text, _ = self.peek()
-            if kind == "eof":
+            text = tokens[self.pos]
+            if not text:
                 break
-            if kind != "ident" or text not in ("param", "def", "budget"):
+            if text not in ("param", "def", "budget"):
                 raise self.error(f"expected a param, def or budget declaration, found {quoted(text)}")
-            self.advance()
+            self.pos += 1
             if text == "param":
                 self.parse_param()
             elif text == "def":
@@ -254,15 +258,18 @@ class _Parser:
         return BudgetProgram(self.params, self.budgets)
 
     def parse_param(self) -> None:
+        at = self.pos
         name = self.expect_name("a parameter name")
         doc = None
-        if self.peek()[0] == "string":
-            doc = self.advance()[1][1:-1]
-        self.declare(name, "param")
-        self.params[name[1]] = doc
-        self.values[name[1]] = Var(name[1])
+        if self.tokens[self.pos][:1] == '"':
+            doc = self.tokens[self.pos][1:-1]
+            self.pos += 1
+        self.declare(at, "param")
+        self.params[name] = doc
+        self.values[name] = Var(name)
 
     def parse_def(self) -> None:
+        at = self.pos
         name = self.expect_name("a definition name")
         self.expect_op("=")
         body = self.parse_expr()
@@ -270,72 +277,74 @@ class _Parser:
             # a param's Var, an interned literal or an earlier def's body: a
             # copy of its own prints as this def only where this def is named
             body = copy.copy(body)
-        self.declare(name, "def")
-        self.values[name[1]] = body
-        self.defs[id(body)] = name[1]
+        self.declare(at, "def")
+        self.values[name] = body
+        self.defs[id(body)] = name
 
     def parse_budget(self) -> None:
+        at = self.pos
         name = self.expect_name("a budget name")
         self.expect_op("=")
         body = self.parse_tuplix()
-        self.declare(name, "budget")
-        self.budgets[name[1]] = body
+        self.declare(at, "budget")
+        self.budgets[name] = body
 
     # budget terms
 
     def parse_tuplix(self) -> Tuplix:
         term = self.parse_tuplix_primary()
-        while self.at_op("|"):
-            self.advance()
+        while self.tokens[self.pos] == "|":
+            self.pos += 1
             term = Comp(term, self.parse_tuplix_primary())
         return term
 
     def parse_tuplix_primary(self) -> Tuplix:
-        tok = self.peek()
-        kind, text, _ = tok
+        at = self.pos
+        text = self.tokens[at]
         if text == "(":
             self.open_bracket()
             inner = self.parse_tuplix()
             self.close_bracket()
             return inner
-        if kind != "ident":
-            shown = text or "end of input"
-            raise self.error(f"expected a budget term, found {quoted(shown)}")
+        if not _is_name(text):
+            raise self.error(f"expected a budget term, found {self.found()}")
         if text == "eps":
-            self.advance()
+            self.pos += 1
             return EPS
         if text == "delta":
-            self.advance()
-            return Delta(span=self.span(tok))
+            self.pos += 1
+            return Delta(span=self.span(at))
         if text == "test":
-            self.advance()
+            span = self.span(at)
+            self.pos += 1
             self.open_bracket()
             arg, label = self.parse_cond()
             self.close_bracket()
-            return Test(arg, label=label, span=self.span(tok))
+            return Test(arg, label=label, span=span)
         if text == "enc":
-            self.advance()
+            span = self.span(at)
+            self.pos += 1
             self.expect_op("{")
-            channels = [self.expect_name("a channel name")[1]]
-            while self.at_op(","):
-                self.advance()
-                channels.append(self.expect_name("a channel name")[1])
+            channels = [self.expect_name("a channel name")]
+            while self.tokens[self.pos] == ",":
+                self.pos += 1
+                channels.append(self.expect_name("a channel name"))
             self.expect_op("}")
             self.open_bracket()
             body = self.parse_tuplix()
             self.close_bracket()
-            return Encap(frozenset(channels), body, span=self.span(tok))
+            return Encap(frozenset(channels), body, span=span)
         if text in KEYWORDS:
             raise self.error(f"keyword {quoted(text)} cannot start a budget term")
-        self.advance()
-        if self.at_op("("):
+        self.pos += 1
+        if self.tokens[self.pos] == "(":
             self.open_bracket()
             amount = self.parse_expr()
             self.close_bracket()
             return Entry(text, amount)
         term = self.budgets.get(text)
         if term is None:
-            raise self.error(f"reference to undeclared budget {quoted(text)}", tok)
+            raise self.error(f"reference to undeclared budget {quoted(text)}", at)
         return term
 
     # conditions
@@ -351,23 +360,23 @@ class _Parser:
             arg, text = self.parse_relation()
             args.append(arg)
             texts.append(text)
-            if not self.at_op("&&"):
+            if self.tokens[self.pos] != "&&":
                 break
-            self.advance()
+            self.pos += 1
         arg = args[0] if len(args) == 1 else conjunction_expr(args)
         return arg, " && ".join(texts)
 
     def parse_relation(self) -> tuple[Expr, str]:
         """A relation's argument, with defs inlined, and its source text, with defs named."""
         left = self.parse_expr()
-        kind, op, _ = self.peek()
-        if kind == "op" and op in _COMPARISONS_UNSUPPORTED:
+        op = self.tokens[self.pos]
+        if op in _COMPARISONS_UNSUPPORTED:
             raise self.error(
                 f"comparison {quoted(op)} is not supported; only <= and == exist"
             )
         if op != "<=" and op != "==":
             return left, pretty(left, self.defs)
-        self.advance()
+        self.pos += 1
         right = self.parse_expr()
         text = f"{pretty(left, self.defs)} {op} {pretty(right, self.defs)}"
         return (leq_expr(left, right) if op == "<=" else sub(left, right)), text
@@ -378,7 +387,7 @@ class _Parser:
         tokens = self.tokens
         node = self.parse_term()
         while True:
-            op = tokens[self.pos][1]
+            op = tokens[self.pos]
             if op == "+":
                 self.pos += 1
                 node = Add(node, self.parse_term())
@@ -394,14 +403,14 @@ class _Parser:
         node, op = None, "*"
         while True:
             minuses = 0
-            while tokens[self.pos][1] == "-":
+            while tokens[self.pos] == "-":
                 self.pos += 1
                 minuses += 1
             factor = self.parse_primary()
             for _ in range(minuses):
                 factor = Neg(factor)
             node = factor if node is None else Mul(node, factor if op == "*" else Inv(factor))
-            op = tokens[self.pos][1]
+            op = tokens[self.pos]
             if op != "*" and op != "/":
                 return node
             self.pos += 1
@@ -410,40 +419,38 @@ class _Parser:
         """A number, a name, or a bracketed or abs(...) expression.
 
         A param is its Var. A def is its body, the same object at every
-        reference.
+        reference. A literal is one Const for each of its texts.
         """
-        tok = self.tokens[self.pos]
-        kind, text, _ = tok
-        if kind == "ident":
-            node = self.values.get(text)
-            if node is not None:
-                self.pos += 1
-                return node
-            if text == "abs":
-                self.pos += 1
-                self.open_bracket()
-                inner = self.parse_expr()
-                self.close_bracket()
-                return Abs(inner)
-            if text in KEYWORDS:
-                raise self.error(f"keyword {quoted(text)} cannot appear in an expression")
-            raise self.error(f"reference to undeclared identifier {quoted(text)}", tok)
-        if kind == "int" or kind == "decimal":
+        text = self.tokens[self.pos]
+        node = self.values.get(text)
+        if node is None:
             node = self.constants.get(text)
-            if node is None:
-                try:
-                    node = self.constants[text] = Const(parse_rational(text))
-                except DigitLimitError as exc:
-                    raise self.error(str(exc), tok) from None
+        if node is not None:
             self.pos += 1
             return node
+        if text[:1].isdecimal():  # the digits the token pattern's \d matches
+            try:
+                node = self.constants[text] = Const(parse_rational(text))
+            except DigitLimitError as exc:
+                raise self.error(str(exc)) from None
+            self.pos += 1
+            return node
+        if text == "abs":
+            self.pos += 1
+            self.open_bracket()
+            inner = self.parse_expr()
+            self.close_bracket()
+            return Abs(inner)
         if text == "(":
             self.open_bracket()
             inner = self.parse_expr()
             self.close_bracket()
             return inner
-        shown = text or "end of input"
-        raise self.error(f"expected an expression, found {quoted(shown)}")
+        if text in KEYWORDS:
+            raise self.error(f"keyword {quoted(text)} cannot appear in an expression")
+        if _is_name(text):
+            raise self.error(f"reference to undeclared identifier {quoted(text)}")
+        raise self.error(f"expected an expression, found {self.found()}")
 
 
 def parse(text: str) -> BudgetProgram:

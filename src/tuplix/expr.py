@@ -82,13 +82,18 @@ class _Node:
     denominator, a variable's name, an entry's channel or an
     encapsulation's sorted channels. Spans and labels, which tell where a
     term came from, are never among them.
+
+    Every kind is a frozen dataclass with slots: a node has no `__dict__`,
+    and its fields cannot be set once it is built.
     """
 
+    __slots__ = ()
     _numbers = count()
     _children: Callable[[_Node], tuple[_Node, ...]] | None = None
 
     def __init_subclass__(cls):
-        cls._kind = next(_Node._numbers)
+        if "_kind" not in cls.__dict__:  # not the slotted copy `dataclass` makes of a kind
+            cls._kind = next(_Node._numbers)
 
     def _own(self):
         return ()
@@ -132,7 +137,7 @@ def _arg(node: _Node) -> tuple[_Node]:
     return (node.arg,)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Const(_Node):
     value: Rational
 
@@ -140,7 +145,7 @@ class Const(_Node):
         return self.value.as_integer_ratio()
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Var(_Node):
     name: str
 
@@ -152,33 +157,33 @@ class Var(_Node):
         return self.name
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Add(_Node):
     left: "Expr"
     right: "Expr"
     _children = staticmethod(_right_left)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Mul(_Node):
     left: "Expr"
     right: "Expr"
     _children = staticmethod(_right_left)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Neg(_Node):
     arg: "Expr"
     _children = staticmethod(_arg)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Inv(_Node):
     arg: "Expr"
     _children = staticmethod(_arg)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Abs(_Node):
     arg: "Expr"
     _children = staticmethod(_arg)

@@ -66,7 +66,8 @@ def parse_rational(text: str) -> Rational:
     if den is not None and not den.strip("0"):
         raise ValueError("zero denominator in rational constant")
     try:
-        value = Fraction(int(intpart), int(den or "1"))
+        # Fraction(n) takes an int as it is, with no gcd
+        value = Fraction(int(intpart)) if den is None else Fraction(int(intpart), int(den))
         if decimals is not None:
             value += Fraction(int(decimals), 10 ** len(decimals))
     except ValueError:

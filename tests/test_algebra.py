@@ -1,5 +1,7 @@
+import copy
 import random
 import sys
+from dataclasses import FrozenInstanceError, fields
 from fractions import Fraction
 
 import pytest
@@ -21,7 +23,7 @@ from tuplix.algebra import (
     ground_rows,
     normalize,
 )
-from tuplix import algebra, bundled
+from tuplix import algebra, bundled, expr
 from tuplix.cli import parse_bindings_text
 from tuplix.dsl import elaborate, parse
 from tuplix.expr import (
@@ -584,3 +586,22 @@ def test_normal_forms_of_long_sums_compare_and_hash_without_recursion():
     assert same == again and same.entries[0][1] is not again.entries[0][1]
     assert hash(same) == hash(again)
     assert same != changed
+
+
+def test_every_kind_of_node_is_slotted_and_frozen():
+    kinds = {cls for module in (expr, algebra) for cls in vars(module).values()
+             if isinstance(cls, type) and issubclass(cls, expr._Node) and cls is not expr._Node}
+    # numbered once each, in the order of definition, by the class `dataclass` made with slots
+    assert sorted(cls._kind for cls in kinds) == list(range(13))
+    value_of = {"value": Fraction(1, 3), "name": "x", "channel": "a", "channels": frozenset({"a"}),
+                "label": "x <= 1", "span": "1:1"}  # any other field holds a node
+    for cls in kinds:
+        node = cls(*(value_of.get(f.name, Var("x")) for f in fields(cls)))
+        assert not hasattr(node, "__dict__"), cls
+        for f in fields(cls):
+            with pytest.raises(FrozenInstanceError):
+                setattr(node, f.name, getattr(node, f.name))
+        # the parser gives a def that is another def's body a copy of its own
+        twin = copy.copy(node)
+        assert twin == node and twin is not node, cls
+        assert all(getattr(twin, f.name) is getattr(node, f.name) for f in fields(cls)), cls

@@ -1,6 +1,7 @@
 """The cost contract: a budget's cost grows with its size as written.
 
-Each family maps a size n to the text of a budget. Each run names a
+Each family maps a size n to the text of a budget, and a family in
+BINDINGS also to the text of a bindings file. Each run names a
 family, a command to run on it and a check of what the command prints.
 For n and 2n the command must pass its check on every run, and its
 best-of-3 time may grow at most GROWTH times, above a floor that keeps
@@ -102,6 +103,36 @@ def def_chain_value(n, x):
     return {"a": 2**n * x}, []
 
 
+def many_params(n):
+    """n params, each bound through --bindings, and their sum on one channel."""
+    params = "".join(f"param p{i}\n" for i in range(n))
+    return params + "budget P = a(" + " + ".join(f"p{i}" for i in range(n)) + ")\n"
+
+
+def many_params_bindings(n):
+    """p_i = i/7."""
+    return "".join(f"p{i} = {i}/7\n" for i in range(n))
+
+
+def many_params_value(n, x):
+    """The amount is n(n - 1)/14."""
+    return {"a": Fraction(n * (n - 1), 14)}, []
+
+
+def literal_digits(n):
+    return ("918273645" * (n // 9 + 1))[:n]
+
+
+def long_literal(n):
+    """One integer literal of n digits; at 2n still within the interpreter's digit limit of 4,300."""
+    return f"budget L = a({literal_digits(n)})\n"
+
+
+def long_literal_value(n, x):
+    """The literal itself."""
+    return {"a": int(literal_digits(n))}, []
+
+
 def violation_line(span, label, value):
     return f"{span}  {label}  value {value}"
 
@@ -185,7 +216,12 @@ FAMILIES = {
     # 2n brackets deep at most, below dsl.MAX_NESTING
     "nested enc": (nested_encapsulations, 100),
     "doubling def chain": (def_chain, 500),
+    "many params": (many_params, 2000),
+    "long literal": (long_literal, 2000),
 }
+
+# family -> the text of its bindings file at size n, passed with --bindings to every run of the family
+BINDINGS = {"many params": many_params_bindings}
 
 # (family, the command before the file, the check of its exit code, stdout and stderr)
 RUNS = [
@@ -196,6 +232,10 @@ RUNS = [
     *bound_runs("doubling budget chain", chain_value, "x=6"),
     *bound_runs("nested enc", nested_value, "x=1/3"),
     *bound_runs("doubling def chain", def_chain_value, "x=1/3"),
+    ("many params", ["eval"], eval_text(many_params_value, None)),
+    ("many params", ["check"], check_at(many_params_value, None)),
+    ("long literal", ["eval"], eval_text(long_literal_value, None)),
+    ("long literal", ["check"], check_at(long_literal_value, None)),
 ]
 
 
@@ -212,8 +252,13 @@ def run_ids(runs):
 def test_cost_grows_with_the_budget_as_written(family, command, check, tmp_path, capsys):
     text, n = FAMILIES[family]
     sizes = (n, 2 * n)
+    arguments = {}
     for size in sizes:
         (tmp_path / f"{size}.bgt").write_text(text(size))
+        arguments[size] = [str(tmp_path / f"{size}.bgt")]
+        if family in BINDINGS:
+            (tmp_path / f"{size}.bindings").write_text(BINDINGS[family](size))
+            arguments[size] += ["--bindings", str(tmp_path / f"{size}.bindings")]
     # At n the floor stands in for any time below it, and at 2n any time below GROWTH floors
     # passes, so a size stops once it has run that fast. The sizes take turns, so that a slow
     # spell of the host slows both.
@@ -224,7 +269,7 @@ def test_cost_grows_with_the_budget_as_written(family, command, check, tmp_path,
                 continue
             gc.collect()
             start = time.perf_counter()
-            code = main([*command, str(tmp_path / f"{size}.bgt")])
+            code = main([*command, *arguments[size]])
             spent.append(time.perf_counter() - start)
             check(size, code, *capsys.readouterr())
     assert min(times[1]) <= GROWTH * max(min(times[0]), FLOOR_S), times

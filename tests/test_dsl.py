@@ -1,3 +1,5 @@
+import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -13,8 +15,9 @@ from tuplix.algebra import (
     ground_of,
     normalize,
 )
-from tuplix.dsl import MAX_NESTING, DslError, elaborate, parse
-from tuplix.expr import Add, Const, Var, evaluate, free_vars
+from tuplix.dsl import MAX_NESTING, DslError, _is_name, _Parser, elaborate, parse
+from tuplix.expr import IDENT_PATTERN, Add, Const, Var, evaluate, free_vars
+from tuplix.meadow import quoted
 
 EMPTY = CanonicalTuplix(False, (), (), ())
 
@@ -100,6 +103,14 @@ def test_bare_expression_condition():
 def test_decimal_and_fraction_literals():
     prog = parse("budget B = a(0.25 + 1/4)\n")
     assert ground_of(normalize(elaborate(prog, "B"))) == {"a": Fraction(1, 2)}
+
+
+def test_unicode_decimal_digits_are_digits_only_as_the_token_pattern_reads_them():
+    # the pattern's \d matches every Unicode decimal digit, and \w takes one into a name
+    prog = parse("budget B = a(\u0663 + 1)\n")  # ARABIC-INDIC DIGIT THREE
+    assert ground_of(normalize(elaborate(prog, "B"))) == {"a": Fraction(4)}
+    assert str(err("budget B = b(x\u0663)\n")) == "1:14: reference to undeclared identifier 'x\u0663'"
+    assert str(err("budget B = a(\u00b2)\n")) == "1:14: unexpected character '\u00b2'"  # SUPERSCRIPT TWO
 
 
 def test_colon_identifiers():
@@ -228,14 +239,136 @@ def test_a_lexical_error_past_a_long_run_of_blanks_is_found_in_linear_time():
     # through them, and then a search for the next match starts again at
     # each blank: 20,000 blanks took about 17 s that way on a 2-vCPU x86
     # host, and take under 1 ms when every place matches something.
+    # Nor may a comment give characters back: a token read from inside one
+    # would be an error of its own, here the ")" of the first comment line.
     blanks = " " * 20_000
+    comments = "# a(1) | b)\n" * 20_000
     for text, where in [
         (f"budget B = a(1){blanks}$", "1:20016: unexpected character '$'"),
         (f'param x "{blanks}', "1:9: unterminated string"),
+        (f"budget B = a(1)\n{comments}$", "20002:1: unexpected character '$'"),
     ]:
         start = time.perf_counter()
         assert str(err(text)) == where
         assert time.perf_counter() - start < 1
+
+
+# The tokenizer of the parser before its lexer was one `findall`: a match
+# object and a (kind, text, offset) tuple for each token, stopping at the
+# end or at the first character that starts no token. It is the reference
+# for the lexer.
+ORACLE_RE = re.compile(
+    r"""[ \t\r\n]*
+      (?: (\#[^\n]*)
+        | (IDENT)
+        | (\d+\.\d+)
+        | (\d+)
+        | ("[^"\n]*")
+        | (<=|==|&&|>=|!=|[(){},|=+\-*/<>&])
+        | (\Z)
+        | (.)
+      )""".replace("IDENT", IDENT_PATTERN),
+    re.VERBOSE,
+)
+ORACLE_KINDS = (None, "comment", "name", "number", "number", "string", "op", "end", "error")
+
+
+def oracle_tokens(text):
+    """The (kind, text, offset) of every token up to the end token, or the str of the lexical DslError."""
+    tokens = []
+    for m in ORACLE_RE.finditer(text):
+        kind = ORACLE_KINDS[m.lastindex]
+        if kind != "comment":
+            tokens.append((kind, m.group(m.lastindex), m.start(m.lastindex)))
+            if kind in ("end", "error"):
+                break
+    kind, char, offset = tokens[-1]
+    if kind == "error":
+        line, col = text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+        message = "unterminated string" if char == '"' else f"unexpected character {quoted(char)}"
+        return f"{line}:{col}: {message}"
+    return tokens
+
+
+def kind_of(token):
+    """A token's kind, told by its first character as the parser tells it."""
+    if not token:
+        return "end"
+    if _is_name(token):
+        return "name"
+    if token[0].isdecimal():
+        return "number"
+    return "string" if token[0] == '"' else "op"
+
+
+def lexed(text, rng):
+    """What the lexer makes of a text, in the oracle's terms.
+
+    The offsets are asked for in order, then a few again out of order,
+    which counts them again from the start.
+    """
+    try:
+        parser = _Parser(text)
+    except DslError as exc:
+        return str(exc)
+    tokens = parser.tokens[: parser.tokens.index("") + 1]
+    offsets = [parser.offset(i) for i in range(len(tokens))]
+    for i in rng.sample(range(len(tokens)), min(3, len(tokens))):
+        assert parser.offset(i) == offsets[i]
+    return [(kind_of(token), token, offset) for token, offset in zip(tokens, offsets)]
+
+
+# Pieces that a mutation inserts: comments, blanks, line ends, and the
+# characters that start no token or start one only before another.
+PIECES = ["# c)\n", "#", "\t", "\r\n", "\n", " ", "$", '"', '"x"', "!", "!=", "<", "<=", "\u0663", "\u00b2", "1.5", "x"]
+
+
+def mutated(text, rng):
+    """A text with one to four pieces inserted, spans deleted or spans copied elsewhere."""
+    for _ in range(rng.randint(1, 4)):
+        at = rng.randrange(len(text) + 1)
+        edit = rng.randrange(3)
+        if edit == 0:
+            text = text[:at] + rng.choice(PIECES) + text[at:]
+        elif edit == 1:
+            text = text[:at] + text[at + rng.randint(1, 20):]
+        else:
+            start = rng.randrange(len(text) + 1)
+            text = text[:at] + text[start : start + rng.randint(1, 40)] + text[at:]
+    return text
+
+
+def lexer_inputs():
+    """The case study, a program of each `scale` family and of each family of tests/test_cost.py."""
+    from test_cost import FAMILIES
+
+    yield bundled("msc.bgt").read_text()
+    yield "param x\nbudget F = " + "\n  | ".join(f"a(x + {c})" for c in (5, 0, 999)) + "\n"
+    yield "param x\ndef D0 = x + 7\n" + "".join(f"def D{i} = D{i - 1} * D{i - 1}\n" for i in (1, 2, 3)) + "budget B = a(D3)\n"
+    for family, (text, _) in FAMILIES.items():
+        yield text(12)
+
+
+def test_the_lexer_gives_the_tokens_offsets_and_errors_of_the_reference():
+    rng = random.Random(25)
+    bases = list(lexer_inputs())
+    for text in bases:
+        tokens = oracle_tokens(text)
+        assert isinstance(tokens, list) and lexed(text, rng) == tokens
+    lexed_whole, errors = 0, set()
+    for _ in range(2_500):
+        base = rng.choice(bases)
+        start = rng.randrange(len(base))
+        text = mutated(base[start : start + rng.randint(1, 400)], rng)
+        expected = oracle_tokens(text)
+        assert lexed(text, rng) == expected, text
+        if isinstance(expected, str):
+            errors.add(expected.split(": ", 1)[1])
+        else:
+            lexed_whole += 1
+    # many mutations lex to the end, and others meet each kind of error
+    assert lexed_whole > 1_000
+    assert {"unterminated string", *(f"unexpected character {c!r}" for c in "$!\u00b2")} <= errors
 
 
 def test_a_test_span_is_counted_past_comments_and_a_tab():
