@@ -23,18 +23,19 @@ amount; it is deliberately the simplest possible recursion, an oracle
 for small terms. `normalize` reduces a partially bound term, each
 distinct node once, to a canonical form with residual symbolic tests and
 per-channel amounts. `ground_of` turns a closed form into a ground value,
-and `ground_rows` evaluates an open one at many valuations at once; both
+and `ground_columns` evaluates an open one at many valuations at once, as
+a column of which rows are ok and a column of amounts per channel; both
 must equal the oracle's whenever the term is fully bound; the law suite
 (`laws`) checks that on the random terms it draws.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from itertools import repeat
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Mapping, Union
 
 from .expr import (
     Const,
@@ -315,7 +316,7 @@ def ground_of(c: CanonicalTuplix) -> dict[str, Rational] | None:
 
     A form is closed when it has no residual tests and only constant
     amounts; `c.is_null` tells the two None cases apart. To evaluate an
-    open form at many valuations, use `ground_rows`.
+    open form at many valuations, use `ground_columns`.
     """
     if c.is_null or c.tests:
         return None
@@ -327,34 +328,32 @@ def ground_of(c: CanonicalTuplix) -> dict[str, Rational] | None:
     return amounts
 
 
-def ground_rows(
+def ground_columns(
     c: CanonicalTuplix, values: Mapping[str, Column], rows: int
-) -> Iterator[tuple[tuple[int, int], ...] | None]:
-    """The ground value of a canonical form at each of `rows` rows of values, row by row.
+) -> tuple[list[bool], list[tuple[list[int], list[int]]]]:
+    """The ground value of a canonical form at each of `rows` rows of values, column by column.
 
     `values` maps every variable left in the form to a column of `rows`
-    rationals in lowest terms (see `expr.LinearForms.columns`). A row is
-    None, the null budget, when some residual test is nonzero there;
-    otherwise it holds the amount of every channel of the form, in sorted
-    order, as a pair of numerator and positive denominator in lowest
-    terms. Folding is sound at every valuation and evaluation is total, so
-    normalizing under some bindings and then evaluating under the rest
-    gives the ground denotation under all of them. The residuals are
-    compiled once, into `expr.LinearForms`, so no depth is too great, and
-    each instruction runs once for all rows, in this call; only the pairs
-    of each row are made as the rows are read.
+    rationals (see `expr.LinearForms.columns`). The result tells which rows
+    are ok, True where every residual test is 0 and False where the row is
+    the null budget, and gives the amount column of every channel of the
+    form, in sorted order, as numerators and positive denominators in
+    lowest terms; at a null row an amount means nothing. Folding is sound
+    at every valuation and evaluation is total, so normalizing under some
+    bindings and then evaluating under the rest gives the ground
+    denotation under all of them. The residuals are compiled once, into
+    `expr.LinearForms`, so no depth is too great, and each instruction runs
+    once for all rows.
     """
     if c.is_null:
-        return repeat(None, rows)
+        return [False] * rows, []
     linear = LinearForms([*c.tests, *(amount for _, amount in c.entries)])
     columns = linear.columns(values, rows)
     tested = len(c.tests)
-    amounts = columns[tested:]
-    pairs = zip(*(zip(*column) for column in amounts)) if amounts else repeat((), rows)
     if not tested:
-        return pairs
+        return [True] * rows, columns
     failed = map(any, zip(*(numerators for numerators, _ in columns[:tested])))
-    return (None if fail else row for fail, row in zip(failed, pairs))
+    return list(map(operator.not_, failed)), columns[tested:]
 
 
 # ---------------------------------------------------------------------------

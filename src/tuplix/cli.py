@@ -19,9 +19,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import operator
 import re
 import sys
-from itertools import starmap
+from itertools import compress, repeat, starmap
 from math import lcm
 from pathlib import Path
 from typing import Iterable
@@ -31,8 +32,8 @@ from .algebra import (
     Tuplix,
     Violation,
     apply_test_substitution,
+    ground_columns,
     ground_of,
-    ground_rows,
     normalize,
 )
 from .dsl import BudgetProgram, DslError, elaborate, parse
@@ -42,7 +43,7 @@ from .meadow import (
     Column,
     DigitLimitError,
     Rational,
-    format_pair,
+    format_column,
     format_rational,
     lowest_terms,
     parse_rational,
@@ -204,15 +205,15 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 1
 
 
-# A sweep keeps every row, and then its whole output, in memory before it
-# prints (about 1.0 KiB a row as text and 0.8 KiB as JSON for msc budget J,
-# peak RSS over 100,000 rows on CPython 3.11), so longer ranges are refused
-# before any row is built.
+# A sweep keeps every column, and then its whole output, in memory before it
+# prints (about 0.9 KiB a row as text and 0.7 KiB as JSON for msc budget J,
+# peak RSS over 100,000 rows on CPython 3.11, less the interpreter's 21 MiB),
+# so longer ranges are refused before any row is built.
 MAX_SWEEP_ROWS = 100_000
 
 
 def _sweep_values(start: Rational, stop: Rational, step: Rational) -> Column:
-    """The swept values start, start + step, ... up to stop, as a column in lowest terms."""
+    """The swept values start, start + step, ... up to stop, as numerators over one denominator."""
     if step <= 0:
         raise CliError("--step must be positive")
     if stop < start:
@@ -223,37 +224,19 @@ def _sweep_values(start: Rational, stop: Rational, step: Rational) -> Column:
             f"the sweep would have {count} rows, more than the limit of {MAX_SWEEP_ROWS}; "
             "use a larger --step or a shorter range"
         )
-    # value i is (a + i * b) / c, over the common denominator c of start and step
+    if count == 1:  # over its own denominator: with a step of 1/2, the value 1 is 1, not 2/2
+        return [start.numerator], start.denominator
+    # value i is (a + i * b) / c, over the common denominator c of start and step; from two
+    # values on, no factor of c divides every numerator
     c = lcm(start.denominator, step.denominator)
     a = start.numerator * (c // start.denominator)
     b = step.numerator * (c // step.denominator)
-    return lowest_terms(list(range(a, a + count * b, b)), [c] * count)
+    return list(range(a, a + count * b, b)), c
 
 
-def _sweep_json(
-    values: list[str], channels: list[str], rows: Iterable[tuple[tuple[int, int], ...] | None]
-) -> list[str]:
-    """The rows of a JSON sweep, each laid out as json.dumps(rows, sort_keys=True, indent=2) would.
-
-    The channels are sorted, and each is encoded once, by the C encoder,
-    which an `indent` would bypass for the whole document. The values and
-    amounts are written as they are, since the text of a rational needs
-    no escape.
-    """
-    keys = [f'      {json.dumps(channel)}: "' for channel in channels]
-    out = []
-    for value, row in zip(values, rows):
-        if row is None:
-            body, status = "null", "null"
-        elif row:
-            lines = [f'{key}{format_pair(*amount)}"' for key, amount in zip(keys, row)]
-            body, status = "{\n" + ",\n".join(lines) + "\n    }", "ok"
-        else:
-            body, status = "{}", "ok"
-        out.append(
-            f'  {{\n    "entries": {body},\n    "status": "{status}",\n    "value": "{value}"\n  }}'
-        )
-    return out
+def _at_ok_rows(ok: list[bool], ok_cells: Iterable[str], null_cells: Iterable[str]) -> list[str]:
+    """One cell a row: the next of `ok_cells` at an ok row, and the next of `null_cells` at a null one."""
+    return list(map(next, map((iter(null_cells), iter(ok_cells)).__getitem__, ok)))
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -269,25 +252,37 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             + ", ".join(needed)
         )
     column = _sweep_values(args.start, args.stop, args.step)
-    values = list(map(format_pair, *column))
+    values = format_column(*lowest_terms(*column))
     # Normalize and compile once; the program then runs once over all rows.
     c = normalize(term, fixed)
-    rows = ground_rows(c, {args.var: column}, len(values))  # None: a null row
-    channels = [channel for channel, _ in c.entries]  # sorted
+    ok, amounts = ground_columns(c, {args.var: column}, len(values))
+    channels = [channel for channel, _ in c.entries] if any(ok) else []  # sorted; none if no row is ok
+    # an amount is formatted only at the ok rows, and its column of ints is let go once it is
+    amounts = [format_column([*compress(n, ok)], [*compress(d, ok)]) for n, d in amounts]
     if args.format == "json":
+        # each row laid out as json.dumps(rows, sort_keys=True, indent=2) would, with each
+        # channel's key encoded once; the text of a rational needs no escape
+        keys = [f'      {json.dumps(channel)}: "{{{i}}}"' for i, channel in enumerate(channels, 1)]
+        entries = "{{\n" + ",\n".join(keys) + "\n    }}" if keys else "{{}}"
+        ok_row = '  {{\n    "entries": ' + entries + ',\n    "status": "ok",\n    "value": "{0}"\n  }}'
+        null_row = '  {{\n    "entries": null,\n    "status": "null",\n    "value": "{0}"\n  }}'
+        rows = _at_ok_rows(
+            ok,
+            starmap(ok_row.format, zip(compress(values, ok), *amounts)),
+            map(null_row.format, compress(values, map(operator.not_, ok))),
+        )
+        del amounts  # every amount is in its row now: let its column go before the join
         # the document is joined once, and written without a copy made by concatenation
-        sys.stdout.writelines(("[\n", ",\n".join(_sweep_json(values, channels, rows)), "\n]\n"))
+        sys.stdout.writelines(("[\n", ",\n".join(rows), "\n]\n"))
         return 0
-    cells = [None if row is None else [*starmap(format_pair, row)] for row in rows]
-    if cells.count(None) == len(cells):
-        channels = []  # the table has a column for each channel of an ok row
-    nulls = ["NULL"] * len(channels)
-    table = [[args.var, "status", *channels]]
-    for value, row in zip(values, cells):
-        table.append([value, "null", *nulls] if row is None else [value, "ok", *row])
-    widths = [max(map(len, texts)) for texts in zip(*table)]
-    lines = ("  ".join(map(str.ljust, row, widths)).rstrip() for row in table)
-    sys.stdout.write("\n".join(lines) + "\n")
+    table = [
+        [args.var, *values],
+        ["status", *_at_ok_rows(ok, repeat("ok"), repeat("null"))],
+        *([channel, *_at_ok_rows(ok, texts, repeat("NULL"))] for channel, texts in zip(channels, amounts)),
+    ]
+    # each column padded to its width but the last, so that no line ends in blanks
+    padded = [list(map(str.ljust, cells, repeat(max(map(len, cells))))) for cells in table[:-1]]
+    sys.stdout.writelines(("\n".join(map("  ".join, zip(*padded, table[-1]))), "\n"))
     return 0
 
 

@@ -25,7 +25,9 @@ integer pair too, and is also the straight-line program that computes
 them: test substitution solves the tests linear in a variable
 (`LinearForms.pivot`, which gives its coefficient and constant as pairs),
 and `LinearForms.columns` runs each step once over whole columns of
-integer numerators and denominators, so `LinearForms` makes no `Fraction`.
+integer numerators, each column over one shared denominator until an
+inverse gives it one per row, and reduces each root's column once, so
+`LinearForms` makes no `Fraction`.
 The law suite (`laws`) draws random expressions.
 """
 
@@ -37,7 +39,8 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cmp_to_key, partial
 from itertools import count, repeat
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
+from math import gcd
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .meadow import (
     Column,
@@ -266,32 +269,66 @@ def postorder(roots: Sequence[_Node], uses: dict[int, int] | None = None) -> lis
 _OPS = {Inv: minv, Abs: abs}
 
 
-def _spread(*parts: int | list[int]) -> Iterator[Iterable[int]]:
-    """Each part as an iterable over the rows: a list as it is, an int repeated."""
-    return (repeat(part) if type(part) is int else part for part in parts)
+def _rows(part: int | list[int]) -> Iterable[int]:
+    """Numerators or denominators as an iterable over the rows: a list as it is, an int repeated."""
+    return repeat(part) if type(part) is int else part
+
+
+def _scaled(numerators: int | list[int], factor: int) -> Iterable[int]:
+    """Each numerator times an int factor, over the rows."""
+    if factor == 1:
+        return _rows(numerators)
+    if type(numerators) is int:
+        return repeat(numerators * factor)
+    return map(operator.mul, numerators, repeat(factor))
 
 
 def _sum(op: Callable, x, y) -> Column:
-    """x + y or x - y, for op operator.add or operator.sub; only the left side may be a scalar pair."""
+    """x + y or x - y, for op operator.add or operator.sub; only the left side may be a scalar pair.
+
+    Over two shared denominators the sum is over their lcm, by one scalar
+    gcd and none per row. With a denominator per row on either side, each
+    row is reduced, as the denominators would otherwise multiply up.
+    """
     mul = operator.mul
     (a, b), (c, d) = x, y
+    if type(b) is int and type(d) is int:
+        g = gcd(b, d)
+        return list(map(op, _scaled(a, d // g), _scaled(c, b // g))), b // g * d
     if type(b) is int and b == 1:  # a*d ± c over d is in lowest terms, as c/d is
-        return list(map(op, map(mul, repeat(a), d), c)), d
-    a, b, c, d = _spread(a, b, c, d)
+        return list(map(op, map(mul, _rows(a), d), c)), d
+    a, b, c, d = map(_rows, (a, b, c, d))
     return lowest_terms(list(map(op, map(mul, a, d), map(mul, c, b))), list(map(mul, b, d)))
 
 
 def _product(x, y) -> Column:
-    """x * y; at most one side is a scalar pair."""
-    a, b, c, d = _spread(*x, *y)
+    """x * y; only the left side may be a scalar pair.
+
+    Over two shared denominators the product is over theirs, with a
+    scalar's numerator first divided by its gcd with the column's
+    denominator. With a denominator per row on either side, each row is
+    reduced.
+    """
+    (a, b), (c, d) = x, y
+    if type(b) is int and type(d) is int:
+        if type(a) is int:
+            g = gcd(a, d)
+            return list(_scaled(c, a // g)), b * (d // g)
+        return list(map(operator.mul, a, c)), b * d
+    a, b, c, d = map(_rows, (a, b, c, d))
     return lowest_terms(list(map(operator.mul, a, c)), list(map(operator.mul, b, d)))
 
 
 def _inverse(x: Column) -> Column:
-    """The totalized inverse: b/a becomes sign(a) * b / |a|, and 0/1 stays 0/1."""
+    """The totalized inverse: b/a becomes sign(a) * b / |a|, and 0/1 stays 0/1.
+
+    Each row gets its own denominator, and is reduced once if the column
+    shared one, which need not be in lowest terms with each row.
+    """
     a, b = x
     d = list(map(max, map(abs, a), repeat(1)))  # |a|, or 1 where a is 0
-    return list(map(operator.floordiv, map(operator.mul, a, b), d)), d
+    n = list(map(operator.floordiv, map(operator.mul, a, _rows(b)), d))
+    return lowest_terms(n, d) if type(b) is int else (n, d)
 
 
 # What each instruction of `LinearForms` does to columns: the operator of
@@ -480,20 +517,26 @@ class LinearForms:
             ref = self._instruction(operator.sub, ref, self._times((-n, d), atom))
         return ref
 
-    def columns(self, values: Mapping[str, Column], rows: int) -> list[Column]:
+    def columns(self, values: Mapping[str, Column], rows: int) -> list[tuple[list[int], list[int]]]:
         """The values of every root at each of `rows` rows, as one column per root.
 
-        `values` maps each variable to a column of `rows` rationals in
-        lowest terms, as integer numerators and denominators; every
-        variable of the roots must be bound, as `evaluate` needs, even one
-        whose terms cancel. The roots' forms are emitted first, then each
-        instruction runs once over all rows, a few passes over lists of
-        ints. The inverse of 0 is 0, so every instruction is total on every
-        row. Constants stay scalar pairs of ints, spread over the rows only
-        where a root is a constant: every instruction has an operand that is
-        not a constant, as the forms fold the others. A column is let go
-        after its last use. The roots' columns are in lowest terms too, and
-        may be the very lists of `values` or of each other.
+        `values` maps each variable to a column of `rows` rationals, as
+        integer numerators over one shared int denominator, in any terms,
+        or over a list of one denominator per row, in lowest terms (see
+        `meadow.Column`); every variable of the roots must be bound, as
+        `evaluate` needs, even one whose terms cancel. The roots' forms are
+        emitted first, then each instruction runs once over all rows, a few
+        passes over lists of ints. The inverse of 0 is 0, so every
+        instruction is total on every row. Constants stay scalar pairs of
+        ints, spread over the rows only where a root is a constant: every
+        instruction has an operand that is not a constant, as the forms
+        fold the others. A column keeps one shared denominator through
+        sums, products, negations and absolute values of such columns, and
+        only an inverse gives it one per row: no row is reduced on the way,
+        and each root's column once, at the end. A column is let go after
+        its last use. Each root's column has a denominator per row and is
+        in lowest terms; it may be the very lists of `values` or of another
+        root.
         """
         outputs = [self.emit(form) for form in self.forms]
         instructions = list(self.instructions)
@@ -521,7 +564,7 @@ class LinearForms:
             for ref in drop:
                 slots[ref] = None
         roots = [slots[ref] for ref in outputs]
-        return [([n] * rows, [d] * rows) if type(n) is int else (n, d) for n, d in roots]
+        return [([n] * rows, [d] * rows) if type(n) is int else lowest_terms(n, d) for n, d in roots]
 
     def pivot(self) -> tuple[tuple[str, Pair] | None, Pair | None]:
         """A variable that the first root is linear in, and the root's constant value.

@@ -27,9 +27,12 @@ ZERO = Fraction(0)
 # with a positive denominator, the invariant `Fraction` keeps.
 Pair = tuple[int, int]
 
-# Many rationals at once, as a column of numerators and a column of positive
-# denominators of the same length: row i is numerators[i] / denominators[i].
-Column = tuple[list[int], list[int]]
+# Many rationals at once, as a list of numerators and their positive
+# denominators: one int that every row shares, or a list of one per row.
+# Row i is numerators[i] over the shared int, or over denominators[i]. A
+# column with a denominator per row is in lowest terms; one with a shared
+# denominator need not be.
+Column = tuple[list[int], int | list[int]]
 
 _RATIONAL_RE = re.compile(r"([+-]?)(\d+)(?:/(\d+)|\.(\d+))?\Z")
 
@@ -107,11 +110,15 @@ def minv_pair(x: Pair) -> Pair:
     return (d, n) if n > 0 else (-d, -n) if n else x
 
 
-def lowest_terms(numerators: list[int], denominators: list[int]) -> Column:
+def lowest_terms(numerators: list[int], denominators: int | list[int]) -> tuple[list[int], list[int]]:
     """A column with each row divided through by its gcd, so in lowest terms: 0/d becomes 0/1.
 
-    The lists are returned as they are when every row already is.
+    The result has a denominator per row; a shared one is spread over the
+    rows. The lists are returned as they are when every row already is in
+    lowest terms.
     """
+    if type(denominators) is int:
+        denominators = [denominators] * len(numerators)
     gcds = list(map(gcd, numerators, denominators))
     if gcds.count(1) == len(gcds):
         return numerators, denominators
@@ -125,6 +132,16 @@ def format_pair(numerator: int, denominator: int) -> str:
     """
     try:
         return str(numerator) if denominator == 1 else f"{numerator}/{denominator}"
+    except ValueError:
+        raise DigitLimitError() from None
+
+
+def format_column(numerators: list[int], denominators: list[int]) -> list[str]:
+    """The canonical text of each row of a column in lowest terms, as `format_pair` gives it."""
+    try:
+        if denominators.count(1) == len(denominators):
+            return list(map(str, numerators))
+        return [str(n) if d == 1 else f"{n}/{d}" for n, d in zip(numerators, denominators)]
     except ValueError:
         raise DigitLimitError() from None
 

@@ -3,6 +3,7 @@ import random
 import sys
 from dataclasses import FrozenInstanceError, fields
 from fractions import Fraction
+from itertools import repeat
 
 import pytest
 
@@ -19,8 +20,8 @@ from tuplix.algebra import (
     compose,
     denote_ground,
     encap,
+    ground_columns,
     ground_of,
-    ground_rows,
     normalize,
 )
 from tuplix import algebra, bundled, expr
@@ -233,14 +234,19 @@ def test_compiling_the_residual_of_j_makes_no_fraction(monkeypatch):
     c = normalize(j, {name: Fraction(value) for name, value in README_SWEEP.items()})
     assert len(postorder([*c.tests, *(amount for _, amount in c.entries)])) > 50
     made = count_fractions(monkeypatch)
-    rows = list(ground_rows(c, {"k": ([0, 1, 1], [1, 4, 1])}, 3))  # k = 0, 1/4, 1
+    ok, amounts = ground_columns(c, {"k": ([0, 1, 4], 4)}, 3)  # k = 0, 1/4, 1 over one denominator
     assert made == []
     assert [c.entries[i][0] for i in range(5)] == ["a", "b", "c", "e", "in"]
-    assert rows == [
-        ((52, 1), (24, 1), (20, 1), (24, 1), (-120, 1)),
-        ((51, 1), (25, 1), (20, 1), (24, 1), (-120, 1)),
-        ((48, 1), (28, 1), (20, 1), (24, 1), (-120, 1)),
+    assert ok == [True] * 3
+    assert [list(zip(*column)) for column in amounts] == [
+        [(52, 1), (51, 1), (48, 1)],
+        [(24, 1), (25, 1), (28, 1)],
+        [(20, 1)] * 3,
+        [(24, 1)] * 3,
+        [(-120, 1)] * 3,
     ]
+    # a denominator per row, in lowest terms, gives the same columns
+    assert ground_columns(c, {"k": ([0, 1, 1], [1, 4, 1])}, 3) == (ok, amounts)
 
 
 def test_violations_collect_across_composition():
@@ -343,10 +349,11 @@ def test_normalize_agrees_with_direct_denotation():
         assert ground_of(normalize(t)) == denote_ground(t)
 
 
-def ground_at(c, rows):
-    """Each row of `ground_rows` as the oracle writes it: None, or a channel -> amount dict."""
+def ground_at(c, ok, amounts):
+    """The rows of `ground_columns` as the oracle writes them: None, or a channel -> amount dict."""
     channels = [channel for channel, _ in c.entries]
-    return [None if row is None else dict(zip(channels, (Fraction(*p) for p in row))) for row in rows]
+    rows = zip(*(map(Fraction, *column) for column in amounts)) if amounts else repeat(())
+    return [dict(zip(channels, row)) if fine else None for fine, row in zip(ok, rows)]
 
 
 def test_ground_of_at_a_valuation_agrees_with_the_oracle():
@@ -359,25 +366,33 @@ def test_ground_of_at_a_valuation_agrees_with_the_oracle():
         t = random_tuplix(rng.randint(1, 40), names=("x", "k"), seed=7000 + trial)
         x = random_rational(rng)
         ks = (Fraction(0), random_rational(rng))
-        k_column = [k.numerator for k in ks], [k.denominator for k in ks]
+        # k in lowest terms row by row, and as numerators over one denominator not in lowest terms
+        shared = 6 * ks[1].denominator
+        k_columns = (
+            ([k.numerator for k in ks], [k.denominator for k in ks]),
+            ([int(k * shared) for k in ks], shared),
+        )
         tt = Comp(t, t)
         for term in (t, tt, encap({"a"}, Comp(tt, tt))):
             c = normalize(term, {"x": x})
-            rows = list(ground_rows(c, {"k": k_column}, 2))
-            assert ground_at(c, rows) == [denote_ground(term, {"x": x, "k": k}) for k in ks]
-            for row in filter(None, rows):  # lowest terms, positive denominators
-                assert all(Fraction(*p).as_integer_ratio() == p for p in row)
+            for k_column in k_columns:
+                ok, amounts = ground_columns(c, {"k": k_column}, 2)
+                assert ground_at(c, ok, amounts) == [denote_ground(term, {"x": x, "k": k}) for k in ks]
+                assert len(amounts) == len(c.entries)
+                for column in amounts:  # lowest terms, positive denominators, at every row
+                    assert all(Fraction(*p).as_integer_ratio() == p for p in zip(*column))
 
 
-def test_ground_rows_of_a_form_null_at_every_row():
+def test_ground_columns_of_a_form_null_at_every_row():
     # test(x * x + 1) is nonzero at every x: the form is open, and every row is null
     x = Var("x")
     c = normalize(Comp(Test(Add(Mul(x, x), const(1))), Entry("a", x)))
     assert not c.is_null and c.tests
-    assert list(ground_rows(c, {"x": ([0, -1, 5], [1, 1, 2])}, 3)) == [None, None, None]
-    assert list(ground_rows(normalize(DELTA), {}, 2)) == [None, None]
+    assert ground_columns(c, {"x": ([0, -1, 5], [1, 1, 2])}, 3)[0] == [False, False, False]
+    assert ground_columns(c, {"x": ([0, -2, 5], 2)}, 3)[0] == [False, False, False]
+    assert ground_columns(normalize(DELTA), {}, 2) == ([False, False], [])
     # no tests and no channels: each row is the empty budget
-    assert list(ground_rows(normalize(EPS), {}, 2)) == [(), ()]
+    assert ground_columns(normalize(EPS), {}, 2) == ([True, True], [])
 
 
 def test_free_vars_tuplix():

@@ -913,6 +913,31 @@ def test_sweep_single_point(capsys):
     }
 
 
+def test_sweep_values_are_numerators_over_one_denominator():
+    assert cli._sweep_values(Fraction(0), Fraction(1), Fraction(1, 4)) == ([0, 1, 2, 3, 4], 4)
+    assert cli._sweep_values(Fraction(-3, 2), Fraction(1), Fraction(5, 6)) == ([-9, -4, 1, 6], 6)
+    # a single value is over its own denominator: 1, not 2/2, whose powers would grow in vain
+    assert cli._sweep_values(Fraction(1), Fraction(1), Fraction(1, 2)) == ([1], 1)
+
+
+def test_sweep_takes_a_negative_fraction_after_an_equals_sign(capsys):
+    # argparse reads "-3/2" after a space as an option, not a value, since it is neither a
+    # negative int nor a negative decimal; after "=" it is the value
+    bindings = sets({n: v for n, v in S0.items() if n != "k"})
+    argv = ["sweep", MSC, "--budget", "J", "--var", "k", "--step", "1/2", *bindings]
+    code, out, err = run([*argv, "--from=-3/2", "--to=-1/2"], capsys)
+    assert (code, err) == (0, "")
+    assert out == (
+        "k     status  a     b     c     e     in\n"
+        "-3/2  null    NULL  NULL  NULL  NULL  NULL\n"
+        "-1    ok      56    20    20    24    -120\n"
+        "-1/2  ok      54    22    20    24    -120\n"
+    )
+    code, out, err = run([*argv, "--from", "-3/2", "--to=-1/2"], capsys)
+    assert (code, out) == (2, "")
+    assert err.endswith("tuplix sweep: error: argument --from: expected one argument\n")
+
+
 def test_sweep_requires_other_params_bound(capsys):
     code, _, err = run(
         ["sweep", MSC, "--budget", "J", "--var", "k", "--from", "0", "--to", "1", "--step", "1/2"],

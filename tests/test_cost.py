@@ -1,7 +1,8 @@
 """The cost contract: a budget's cost grows with its size as written.
 
-Each family maps a size n to the text of a budget, and a family in
-BINDINGS also to the text of a bindings file. Each run names a
+Each family maps a size n to the text of a budget, a family in
+BINDINGS also to the text of a bindings file, and a family in FLAGS
+also to flags after the file, such as a sweep of n rows. Each run names a
 family, a command to run on it and a check of what the command prints.
 For n and 2n the command must pass its check on every run, and its
 best-of-3 time may grow at most GROWTH times, above a floor that keeps
@@ -17,7 +18,7 @@ from fractions import Fraction
 
 import pytest
 
-from tuplix import algebra, expr
+from tuplix import algebra, bundled, expr
 from tuplix.cli import main
 
 GROWTH = 3
@@ -119,6 +120,49 @@ def many_params_value(n, x):
     return {"a": Fraction(n * (n - 1), 14)}, []
 
 
+def inverse_chain(n):
+    """d0 = x, and each d_i is 1 / (d_i-1 + 1): n inverses, each of the sum before it."""
+    defs = [f"def d{i} = 1 / (d{i - 1} + 1)\n" for i in range(1, n + 1)]
+    return "param x\ndef d0 = x\n" + "".join(defs) + f"budget V = a(d{n})\n"
+
+
+def inverse_chain_value(n, x):
+    """The continued fraction 1 / (1 + 1 / (1 + ... 1 / (1 + x))), n deep."""
+    d = Fraction(x)
+    for _ in range(n):
+        d = 1 / (d + 1)
+    return {"a": d}, []
+
+
+# the bindings of the README's sweep of k over budget J: every parameter of J but k
+README_SETS = [
+    "--set", "cpec=1", "--set", "cpdg=10", "--set", "escf=1/5", "--set", "bbpp=8",
+    "--set", "A:nec=30", "--set", "B:nec=20", "--set", "C:nec=10",
+    "--set", "A:ndg=4", "--set", "B:ndg=1", "--set", "C:ndg=1",
+]
+
+
+def msc(n):
+    """The shipped msc.bgt, the same at every size."""
+    return bundled("msc.bgt").read_text()
+
+
+def readme_sweep_flags(n):
+    """The README's sweep of k over J, from 0 to 1 in n rows."""
+    return ["--budget", "J", "--var", "k", "--from", "0", "--to", "1", "--step", f"1/{n - 1}", *README_SETS]
+
+
+def check_readme_sweep(n, code, out, err):
+    """Row i is k = i / (n - 1), ok, with a = 52 - 4k and b = 24 + 4k, each column padded to its width."""
+    table = [["k", "status", "a", "b", "c", "e", "in"]]
+    for i in range(n):
+        k = Fraction(i, n - 1)
+        table.append([str(k), "ok", str(52 - 4 * k), str(24 + 4 * k), "20", "24", "-120"])
+    widths = [max(map(len, column)) for column in zip(*table)]
+    lines = ("  ".join(map(str.ljust, row, widths)).rstrip() for row in table)
+    assert (code, out, err) == (0, "\n".join(lines) + "\n", "")
+
+
 def literal_digits(n):
     return ("918273645" * (n // 9 + 1))[:n]
 
@@ -218,10 +262,16 @@ FAMILIES = {
     "doubling def chain": (def_chain, 500),
     "many params": (many_params, 2000),
     "long literal": (long_literal, 2000),
+    "chain of inverses": (inverse_chain, 500),
+    # n rows
+    "sweep points": (msc, 2000),
 }
 
 # family -> the text of its bindings file at size n, passed with --bindings to every run of the family
 BINDINGS = {"many params": many_params_bindings}
+
+# family -> the flags of every run of the family at size n, after the file
+FLAGS = {"sweep points": readme_sweep_flags}
 
 # (family, the command before the file, the check of its exit code, stdout and stderr)
 RUNS = [
@@ -236,6 +286,8 @@ RUNS = [
     ("many params", ["check"], check_at(many_params_value, None)),
     ("long literal", ["eval"], eval_text(long_literal_value, None)),
     ("long literal", ["check"], check_at(long_literal_value, None)),
+    *bound_runs("chain of inverses", inverse_chain_value, "x=1/3"),
+    ("sweep points", ["sweep"], check_readme_sweep),
 ]
 
 
@@ -259,6 +311,7 @@ def test_cost_grows_with_the_budget_as_written(family, command, check, tmp_path,
         if family in BINDINGS:
             (tmp_path / f"{size}.bindings").write_text(BINDINGS[family](size))
             arguments[size] += ["--bindings", str(tmp_path / f"{size}.bindings")]
+        arguments[size] += FLAGS[family](size) if family in FLAGS else []
     # At n the floor stands in for any time below it, and at 2n any time below GROWTH floors
     # passes, so a size stops once it has run that fast. The sizes take turns, so that a slow
     # spell of the host slows both.

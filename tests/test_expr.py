@@ -3,7 +3,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 from functools import reduce
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -202,6 +202,17 @@ def column(values):
     return [v.numerator for v in values], [v.denominator for v in values]
 
 
+def shared_column(values, factor=1):
+    """The column of some rationals as numerators over one denominator: the lcm of theirs times `factor`."""
+    denominator = lcm(*(v.denominator for v in values)) * factor
+    return [v.numerator * (denominator // v.denominator) for v in values], denominator
+
+
+def in_lowest_terms(columns):
+    """Whether every root's column has a positive denominator per row, and every row is in lowest terms."""
+    return all(type(d) is list and min(d) > 0 and set(map(gcd, n, d)) == {1} for n, d in columns)
+
+
 def rows_of(columns):
     """Each row of the roots' columns, as (numerator, denominator) pairs."""
     return list(zip(*(zip(*c) for c in columns)))
@@ -265,6 +276,13 @@ def test_columns_agree_with_evaluate_row_by_row():
         rows = rows_of(program.columns(values, len(valuations)))
         assert rows == [pairs([evaluate(root, v) for root in roots]) for v in valuations]
         assert rows[0] == pairs(row(program, valuations[0]))  # the one-row view
+        # each variable over one denominator, in lowest terms as a whole or not, and with x over a
+        # denominator per row
+        for factor in (1, 6):
+            shared = {name: shared_column([v[name] for v in valuations], factor) for name in names}
+            for given in (shared, dict(shared, x=values["x"])):
+                columns = program.columns(given, len(valuations))
+                assert rows_of(columns) == rows and in_lowest_terms(columns)
 
 
 def test_columns_invert_zero_negatives_and_large_numbers():
@@ -273,14 +291,25 @@ def test_columns_invert_zero_negatives_and_large_numbers():
     xs = [Fraction(0), Fraction(-3, 4), Fraction(5), big]
     ys = [Fraction(0), Fraction(-2), Fraction(1, 7), Fraction(2**64 + 1)]
     roots = [Inv(x), Inv(Add(x, y)), Abs(x), Neg(Mul(x, y)), Add(Mul(x, y), Inv(y)), Mul(x, Inv(x))]
+    # a constant times a column, and a constant added to one, over one denominator or one a row
+    roots += [Add(Mul(const(Fraction(-6, 5)), x), const(Fraction(1, 6))), Mul(const(Fraction(4)), Inv(y))]
     program = LinearForms(roots)
     rows = rows_of(program.columns({"x": column(xs), "y": column(ys)}, 4))
     valuations = [{"x": a, "y": b} for a, b in zip(xs, ys)]
     assert rows == [pairs([evaluate(root, v) for root in roots]) for v in valuations]
-    assert rows[0] == ((0, 1),) * 6  # 1/0 = 0, in lowest terms with denominator 1
+    assert rows[0][:6] == ((0, 1),) * 6  # 1/0 = 0, in lowest terms with denominator 1
     assert rows[1][0] == (-4, 3)  # the sign goes to the numerator
     assert rows[3][0] == (-(3**50), 2**100 + 1)
     assert rows[3][3] == pairs([-big * (2**64 + 1)])[0]  # past 2^64, exact
+    # the same rows with each variable over one denominator, numerators past 2^70, in lowest terms
+    # as a whole or 10^30 times that, and with y over a denominator per row
+    for factor in (1, 10**30):
+        shared = {"x": shared_column(xs, factor), "y": shared_column(ys, factor)}
+        assert max(map(abs, shared["x"][0])) > 2**70
+        columns = program.columns(shared, 4)
+        assert rows_of(columns) == rows and in_lowest_terms(columns)
+        columns = program.columns(dict(shared, y=column(ys)), 4)
+        assert rows_of(columns) == rows and in_lowest_terms(columns)
 
 
 def test_columns_of_a_program_without_variables_fill_every_row():

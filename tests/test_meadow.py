@@ -10,6 +10,7 @@ from tuplix.meadow import (
     DigitLimitError,
     add_pairs,
     decimal_repr,
+    format_column,
     format_rational,
     lowest_terms,
     minv,
@@ -74,6 +75,23 @@ def test_lowest_terms_divides_each_row_by_its_gcd():
     assert list(map(Fraction, *column)) == list(map(Fraction, numerators, denominators))
     reduced = ([1, -2], [3, 1])
     assert lowest_terms(*reduced) == reduced  # returned as they are when already in lowest terms
+    # one denominator that every row shares is spread over the rows
+    shared = 10**300 * 6
+    numerators = [0, -shared, 4, -(10**300) * 4, *(rng.randint(-(10**301), 10**301) for _ in range(200))]
+    column = lowest_terms(numerators, shared)
+    assert all(map(in_lowest_terms, zip(*column)))
+    assert list(map(Fraction, *column)) == [Fraction(n, shared) for n in numerators]
+    assert lowest_terms([1, -2], 3) == ([1, -2], [3, 3])
+
+
+def test_format_column_writes_each_row_as_format_rational():
+    rng = random.Random(14)
+    values = [random_fraction(rng) for _ in range(300)]
+    column = [v.numerator for v in values], [v.denominator for v in values]
+    assert format_column(*column) == list(map(format_rational, values))
+    integers = [Fraction(n) for n in (0, -7, 10**300)]
+    assert format_column([0, -7, 10**300], [1, 1, 1]) == list(map(format_rational, integers))
+    assert format_column([], []) == []
 
 
 def test_parse_rational_accepts_fractions_and_decimals():
@@ -123,6 +141,9 @@ def test_numbers_past_the_digit_limit_raise_a_plain_error():
     for x in (past, Fraction(1, 10**limit * 3), Fraction(10**limit * 3, 7)):
         with pytest.raises(DigitLimitError, match=message):
             format_rational(x)
+        # in a column, whether every row is an integer or not
+        with pytest.raises(DigitLimitError, match=message):
+            format_column([x.numerator, 1], [x.denominator, 1])
     for x in (past, Fraction(10**limit + 1, 2), Fraction(1, 2**(4 * limit))):
         with pytest.raises(DigitLimitError, match=message):
             decimal_repr(x)
