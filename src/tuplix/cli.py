@@ -22,7 +22,7 @@ import json
 import operator
 import re
 import sys
-from itertools import compress, repeat, starmap
+from itertools import compress, repeat
 from math import lcm
 from pathlib import Path
 from typing import Iterable
@@ -206,7 +206,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 # A sweep keeps every column, and then its whole output, in memory before it
-# prints (about 0.9 KiB a row as text and 0.7 KiB as JSON for msc budget J,
+# prints (about 0.8 KiB a row as text and as JSON for msc budget J,
 # peak RSS over 100,000 rows on CPython 3.11, less the interpreter's 21 MiB),
 # so longer ranges are refused before any row is built.
 MAX_SWEEP_ROWS = 100_000
@@ -224,19 +224,17 @@ def _sweep_values(start: Rational, stop: Rational, step: Rational) -> Column:
             f"the sweep would have {count} rows, more than the limit of {MAX_SWEEP_ROWS}; "
             "use a larger --step or a shorter range"
         )
-    if count == 1:  # over its own denominator: with a step of 1/2, the value 1 is 1, not 2/2
-        return [start.numerator], start.denominator
-    # value i is (a + i * b) / c, over the common denominator c of start and step; from two
-    # values on, no factor of c divides every numerator
+    # value i is (a + i * b) / c, over the common denominator c of start and step
     c = lcm(start.denominator, step.denominator)
     a = start.numerator * (c // start.denominator)
     b = step.numerator * (c // step.denominator)
     return list(range(a, a + count * b, b)), c
 
 
-def _at_ok_rows(ok: list[bool], ok_cells: Iterable[str], null_cells: Iterable[str]) -> list[str]:
-    """One cell a row: the next of `ok_cells` at an ok row, and the next of `null_cells` at a null one."""
-    return list(map(next, map((iter(null_cells), iter(ok_cells)).__getitem__, ok)))
+def _at_ok_rows(ok: list[bool], ok_cells: Iterable[str], null_cell: str) -> list[str]:
+    """One cell a row: the next of `ok_cells` at an ok row, and `null_cell` at a null one."""
+    ok_cells = iter(ok_cells)
+    return [next(ok_cells) if fine else null_cell for fine in ok]
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -262,23 +260,28 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.format == "json":
         # each row laid out as json.dumps(rows, sort_keys=True, indent=2) would, with each
         # channel's key encoded once; the text of a rational needs no escape
-        keys = [f'      {json.dumps(channel)}: "{{{i}}}"' for i, channel in enumerate(channels, 1)]
-        entries = "{{\n" + ",\n".join(keys) + "\n    }}" if keys else "{{}}"
-        ok_row = '  {{\n    "entries": ' + entries + ',\n    "status": "ok",\n    "value": "{0}"\n  }}'
-        null_row = '  {{\n    "entries": null,\n    "status": "null",\n    "value": "{0}"\n  }}'
-        rows = _at_ok_rows(
-            ok,
-            starmap(ok_row.format, zip(compress(values, ok), *amounts)),
-            map(null_row.format, compress(values, map(operator.not_, ok))),
-        )
-        del amounts  # every amount is in its row now: let its column go before the join
+        keys = [f'      {json.dumps(channel)}: "' for channel in channels]
+        if keys:  # the entries of each ok row, in row order
+            entries = iter(
+                ["{\n" + '",\n'.join(map(operator.add, keys, row)) + '"\n    }' for row in zip(*amounts)]
+            )
+        else:
+            entries = repeat("{}")
+        del amounts  # every amount is in its row's entries now: let its column go
+        rows = [
+            f'  {{\n    "entries": {next(entries)},\n    "status": "ok",\n    "value": "{value}"\n  }}'
+            if fine
+            else f'  {{\n    "entries": null,\n    "status": "null",\n    "value": "{value}"\n  }}'
+            for fine, value in zip(ok, values)
+        ]
+        del entries  # and every entries text is in its row
         # the document is joined once, and written without a copy made by concatenation
         sys.stdout.writelines(("[\n", ",\n".join(rows), "\n]\n"))
         return 0
     table = [
         [args.var, *values],
-        ["status", *_at_ok_rows(ok, repeat("ok"), repeat("null"))],
-        *([channel, *_at_ok_rows(ok, texts, repeat("NULL"))] for channel, texts in zip(channels, amounts)),
+        ["status", *["ok" if fine else "null" for fine in ok]],
+        *([channel, *_at_ok_rows(ok, texts, "NULL")] for channel, texts in zip(channels, amounts)),
     ]
     # each column padded to its width but the last, so that no line ends in blanks
     padded = [list(map(str.ljust, cells, repeat(max(map(len, cells))))) for cells in table[:-1]]

@@ -26,8 +26,9 @@ them: test substitution solves the tests linear in a variable
 (`LinearForms.pivot`, which gives its coefficient and constant as pairs),
 and `LinearForms.columns` runs each step once over whole columns of
 integer numerators, each column over one shared denominator until an
-inverse gives it one per row, and reduces each root's column once, so
-`LinearForms` makes no `Fraction`.
+inverse gives it one per row (a shared one divided by the gcd of the
+whole column after each sum and product), and reduces each root's column
+once, so `LinearForms` makes no `Fraction`.
 The law suite (`laws`) draws random expressions.
 """
 
@@ -283,18 +284,33 @@ def _scaled(numerators: int | list[int], factor: int) -> Iterable[int]:
     return map(operator.mul, numerators, repeat(factor))
 
 
+def _common(numerators: list[int], d: int) -> Column:
+    """Numerators over one denominator d, divided by the gcd of d and every numerator.
+
+    That gcd is one pass in C, and leaves d the lcm of the denominators of
+    the rows in lowest terms, so a column whose rows cancel to small values
+    keeps no factor that none of its rows needs through any chain of sums
+    and products.
+    """
+    g = gcd(d, *numerators)
+    if g == 1:
+        return numerators, d
+    return list(map(operator.floordiv, numerators, repeat(g))), d // g
+
+
 def _sum(op: Callable, x, y) -> Column:
     """x + y or x - y, for op operator.add or operator.sub; only the left side may be a scalar pair.
 
     Over two shared denominators the sum is over their lcm, by one scalar
-    gcd and none per row. With a denominator per row on either side, each
-    row is reduced, as the denominators would otherwise multiply up.
+    gcd and none per row, and then divided by its `_common` factor. With a
+    denominator per row on either side, each row is reduced, as the
+    denominators would otherwise multiply up.
     """
     mul = operator.mul
     (a, b), (c, d) = x, y
     if type(b) is int and type(d) is int:
         g = gcd(b, d)
-        return list(map(op, _scaled(a, d // g), _scaled(c, b // g))), b // g * d
+        return _common(list(map(op, _scaled(a, d // g), _scaled(c, b // g))), b // g * d)
     if type(b) is int and b == 1:  # a*d ± c over d is in lowest terms, as c/d is
         return list(map(op, map(mul, _rows(a), d), c)), d
     a, b, c, d = map(_rows, (a, b, c, d))
@@ -304,17 +320,13 @@ def _sum(op: Callable, x, y) -> Column:
 def _product(x, y) -> Column:
     """x * y; only the left side may be a scalar pair.
 
-    Over two shared denominators the product is over theirs, with a
-    scalar's numerator first divided by its gcd with the column's
-    denominator. With a denominator per row on either side, each row is
-    reduced.
+    Over two shared denominators the product is over theirs, divided by
+    its `_common` factor. With a denominator per row on either side, each
+    row is reduced.
     """
     (a, b), (c, d) = x, y
     if type(b) is int and type(d) is int:
-        if type(a) is int:
-            g = gcd(a, d)
-            return list(_scaled(c, a // g)), b * (d // g)
-        return list(map(operator.mul, a, c)), b * d
+        return _common(list(map(operator.mul, _rows(a), c)), b * d)
     a, b, c, d = map(_rows, (a, b, c, d))
     return lowest_terms(list(map(operator.mul, a, c)), list(map(operator.mul, b, d)))
 
@@ -532,11 +544,13 @@ class LinearForms:
         instruction has an operand that is not a constant, as the forms
         fold the others. A column keeps one shared denominator through
         sums, products, negations and absolute values of such columns, and
-        only an inverse gives it one per row: no row is reduced on the way,
-        and each root's column once, at the end. A column is let go after
-        its last use. Each root's column has a denominator per row and is
-        in lowest terms; it may be the very lists of `values` or of another
-        root.
+        only an inverse gives it one per row. No row is reduced on the way:
+        after each sum and product a shared column is divided by the gcd
+        of its denominator and all its numerators, one scalar pass, and
+        each root's column is reduced once, at the end. A column is let go
+        after its last use. Each root's column has a denominator per row
+        and is in lowest terms; it may be the very lists of `values` or of
+        another root.
         """
         outputs = [self.emit(form) for form in self.forms]
         instructions = list(self.instructions)

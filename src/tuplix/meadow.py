@@ -31,7 +31,8 @@ Pair = tuple[int, int]
 # denominators: one int that every row shares, or a list of one per row.
 # Row i is numerators[i] over the shared int, or over denominators[i]. A
 # column with a denominator per row is in lowest terms; one with a shared
-# denominator need not be.
+# denominator need not be, though `expr` divides each one it computes by the
+# gcd of its denominator and all its numerators.
 Column = tuple[list[int], int | list[int]]
 
 _RATIONAL_RE = re.compile(r"([+-]?)(\d+)(?:/(\d+)|\.(\d+))?\Z")

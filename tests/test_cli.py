@@ -913,11 +913,21 @@ def test_sweep_single_point(capsys):
     }
 
 
+def test_sweep_json_of_a_budget_of_tests_alone(tmp_path, capsys):
+    f = tmp_path / "tests.bgt"
+    f.write_text("param k\nbudget B = test(k <= 1)\n")
+    argv = ["sweep", str(f), "--var", "k", "--from", "0", "--to", "2", "--step", "1", "--format", "json"]
+    code, out, err = run(argv, capsys)
+    rows = [{"entries": {}, "status": "ok", "value": "0"}, {"entries": {}, "status": "ok", "value": "1"}]
+    rows.append({"entries": None, "status": "null", "value": "2"})
+    assert (code, out, err) == (0, json.dumps(rows, sort_keys=True, indent=2) + "\n", "")
+
+
 def test_sweep_values_are_numerators_over_one_denominator():
     assert cli._sweep_values(Fraction(0), Fraction(1), Fraction(1, 4)) == ([0, 1, 2, 3, 4], 4)
     assert cli._sweep_values(Fraction(-3, 2), Fraction(1), Fraction(5, 6)) == ([-9, -4, 1, 6], 6)
-    # a single value is over its own denominator: 1, not 2/2, whose powers would grow in vain
-    assert cli._sweep_values(Fraction(1), Fraction(1), Fraction(1, 2)) == ([1], 1)
+    # a single value too, in any terms: the kernel divides each step's column by its gcd
+    assert cli._sweep_values(Fraction(1), Fraction(1), Fraction(1, 2)) == ([2], 2)
 
 
 def test_sweep_takes_a_negative_fraction_after_an_equals_sign(capsys):

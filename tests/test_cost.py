@@ -134,6 +134,20 @@ def inverse_chain_value(n, x):
     return {"a": d}, []
 
 
+def cancelled_squares(n):
+    """z = (x - 1)(x - 1) + 3/4, which is 1 at x = 1/2 and at x = 3/2, squared n times over."""
+    defs = [f"def d{i} = d{i - 1} * d{i - 1}\n" for i in range(1, n + 1)]
+    return "param x\ndef d0 = (x - 1) * (x - 1) + 3/4\n" + "".join(defs) + f"budget Q = a(d{n})\n"
+
+
+CANCELLED_SWEEP = ["sweep", "--var", "x", "--from", "1/2", "--to", "3/2", "--step", "1"]
+
+
+def check_cancelled_squares(n, code, out, err):
+    """Both rows are ok, with amount 1."""
+    assert (code, out, err) == (0, "x    status  a\n1/2  ok      1\n3/2  ok      1\n", "")
+
+
 # the bindings of the README's sweep of k over budget J: every parameter of J but k
 README_SETS = [
     "--set", "cpec=1", "--set", "cpdg=10", "--set", "escf=1/5", "--set", "bbpp=8",
@@ -263,8 +277,12 @@ FAMILIES = {
     "many params": (many_params, 2000),
     "long literal": (long_literal, 2000),
     "chain of inverses": (inverse_chain, 500),
+    # a sweep that carried each column over the product of its denominators would square
+    # 4/4 up to numbers of 2^(2n + 1) bits: small sizes, so that such a slip costs seconds
+    # at 2n, not all the memory of the host
+    "cancelled squares": (cancelled_squares, 12),
     # n rows
-    "sweep points": (msc, 2000),
+    "sweep points": (msc, 500),
 }
 
 # family -> the text of its bindings file at size n, passed with --bindings to every run of the family
@@ -286,7 +304,11 @@ RUNS = [
     ("many params", ["check"], check_at(many_params_value, None)),
     ("long literal", ["eval"], eval_text(long_literal_value, None)),
     ("long literal", ["check"], check_at(long_literal_value, None)),
-    *bound_runs("chain of inverses", inverse_chain_value, "x=1/3"),
+    # as text only: JSON takes no other path through the inverses
+    ("chain of inverses", ["eval", "--set", "x=1/3"], eval_text(inverse_chain_value, Fraction(1, 3))),
+    ("chain of inverses", ["check", "--set", "x=1/3"], check_at(inverse_chain_value, Fraction(1, 3))),
+    ("chain of inverses", SWEEP, sweep_rows(inverse_chain_value)),
+    ("cancelled squares", CANCELLED_SWEEP, check_cancelled_squares),
     ("sweep points", ["sweep"], check_readme_sweep),
 ]
 

@@ -8,6 +8,7 @@ from math import gcd, lcm
 import pytest
 
 from tuplix.algebra import EPS, Comp, Delta, Entry, Test, _canonical_tests, encap
+from tuplix import expr
 from tuplix.expr import (
     Abs,
     Add,
@@ -310,6 +311,36 @@ def test_columns_invert_zero_negatives_and_large_numbers():
         assert rows_of(columns) == rows and in_lowest_terms(columns)
         columns = program.columns(dict(shared, y=column(ys)), 4)
         assert rows_of(columns) == rows and in_lowest_terms(columns)
+
+
+def test_shared_columns_are_divided_by_their_gcd_at_each_step(monkeypatch):
+    assert expr._sum(operator.add, ([1, 3], 4), ([3, 1], 4)) == ([1, 1], 1)
+    assert expr._product(([2, 6], 4), ([2, 6], 4)) == ([1, 9], 4)
+    assert expr._product((3, 2), ([2, 4], 3)) == ([1, 2], 1)  # 3/2 times 2/3 and 4/3
+    assert expr._sum(operator.sub, ([0, 0], 5), ([2, 2], 6)) == ([-1, -1], 3)
+    # z = (x - 1)(x - 1) + 3/4 is 1 at x = 1/2 and at x = 3/2, though over 4 as it is summed;
+    # squared 20 times it is 1 at every step, where the product of the denominators would be 4^(2^20)
+    x = Var("x")
+    d = Add(Mul(sub(x, const(1)), sub(x, const(1))), const(Fraction(3, 4)))
+    for _ in range(20):
+        d = Mul(d, d)
+    program = LinearForms([d])
+    sizes = []
+
+    def spy(step):
+        def run(*columns):
+            numerators, denominator = result = step(*columns)
+            sizes.append(max(denominator.bit_length(), *(n.bit_length() for n in numerators)))
+            return result
+
+        return run
+
+    for op in (operator.add, operator.sub, operator.mul):
+        monkeypatch.setitem(expr._COLUMN_OPS, op, spy(expr._COLUMN_OPS[op]))
+    for given in (([1, 3], 2), ([1], 2)):
+        rows = len(given[0])
+        assert program.columns({"x": given}, rows) == [([1] * rows, [1] * rows)]
+    assert len(sizes) > 40 and max(sizes) <= 3
 
 
 def test_columns_of_a_program_without_variables_fill_every_row():
