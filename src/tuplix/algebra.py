@@ -52,6 +52,7 @@ from .expr import (
     _as_expr,
     _fold_node,
     _right_left,
+    _setters,
     Valuation,
     evaluate,
     fold_constants,
@@ -64,63 +65,82 @@ from .expr import (
 from .meadow import Column, Pair, Rational
 
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Eps(_Node):
-    pass  # no fields, no children
+    __slots__ = ()  # no fields, no children
 
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Delta(_Node):
-    span: str | None = None
+    __slots__ = __match_args__ = ("span",)
+
+    def __init__(self, span: str | None = None):
+        _delta_span(self, span)
 
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
+(_delta_span,) = _setters(Delta)
+
+
 class Entry(_Node):
-    channel: str
-    amount: Expr
+    __slots__ = __match_args__ = ("channel", "amount")
     _children = staticmethod(lambda node: (node.amount,))
 
-    def __post_init__(self):
-        if not is_identifier(self.channel):
-            raise ValueError(f"invalid channel name: {self.channel!r}")
+    def __init__(self, channel: str, amount: Expr):
+        if not is_identifier(channel):
+            raise ValueError(f"invalid channel name: {channel!r}")
+        _entry_channel(self, channel)
+        _entry_amount(self, amount)
 
     def _own(self):
         return self.channel
 
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
-class Test(_Node):
-    __test__ = False  # keep pytest from collecting this class
+_entry_channel, _entry_amount = _setters(Entry)
 
-    arg: Expr
-    # Where the test came from, for violation reports; never part of the
-    # term's identity.
-    label: str | None = None
-    span: str | None = None
+
+class Test(_Node):
+    # label and span tell where the test came from, for violation reports;
+    # they are never part of the term's identity
+    __slots__ = __match_args__ = ("arg", "label", "span")
+    __test__ = False  # keep pytest from collecting this class
     _children = staticmethod(_arg)
 
+    def __init__(self, arg: Expr, label: str | None = None, span: str | None = None):
+        _test_arg(self, arg)
+        _test_label(self, label)
+        _test_span(self, span)
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
+
+_test_arg, _test_label, _test_span = _setters(Test)
+
+
 class Comp(_Node):
-    left: "Tuplix"
-    right: "Tuplix"
+    __slots__ = __match_args__ = ("left", "right")
     _children = staticmethod(_right_left)
 
+    def __init__(self, left: Tuplix, right: Tuplix):
+        _comp_left(self, left)
+        _comp_right(self, right)
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
+
+_comp_left, _comp_right = _setters(Comp)
+
+
 class Encap(_Node):
-    channels: frozenset[str]
-    body: "Tuplix"
-    span: str | None = None
+    __slots__ = __match_args__ = ("channels", "body", "span")
     _children = staticmethod(lambda node: (node.body,))
 
-    def __post_init__(self):
-        for channel in self.channels:
+    def __init__(self, channels: frozenset[str], body: Tuplix, span: str | None = None):
+        for channel in channels:
             if not is_identifier(channel):
                 raise ValueError(f"invalid channel name: {channel!r}")
+        _encap_channels(self, channels)
+        _encap_body(self, body)
+        _encap_span(self, span)
 
     def _own(self):
         return tuple(sorted(self.channels))
+
+
+_encap_channels, _encap_body, _encap_span = _setters(Encap)
 
 
 Tuplix = Union[Eps, Delta, Entry, Test, Comp, Encap]

@@ -38,7 +38,6 @@ from .algebra import (
 )
 from .dsl import BudgetProgram, DslError, elaborate, parse
 from .expr import IDENT_PATTERN, free_vars, pretty
-from .laws import all_laws, render_results, run_suite
 from .meadow import (
     Column,
     DigitLimitError,
@@ -290,6 +289,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_axioms(args: argparse.Namespace) -> int:
+    from .laws import all_laws, render_results, run_suite  # with `random`, for this command alone
+
     if args.trials < 1:
         raise CliError("--trials must be >= 1")
     results = run_suite(all_laws(), args.trials, args.seed)

@@ -13,6 +13,11 @@ Budget terms (`algebra`) are nodes of the same kind: `_Node` gives both
 their structural ==, hash and repr, `postorder`, `compare` and
 `free_vars` take terms as well as expressions, and `algebra.normalize`
 folds a term's expressions in its one walk of the term, by `_fold_node`.
+A node costs what its fields do: its kind's constructor writes each slot
+once, through the slot's descriptor, and a name is checked against the
+identifier pattern only when it is not an ASCII identifier. `pretty`
+prints a leaf, a name or a constant, at once, with no stack and no copy
+of the names it is given.
 
 Two representations serve different ends. `fold_constants` keeps the
 tree as written, only smaller, and `pretty` prints it. Inside a fold a
@@ -36,7 +41,6 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cmp_to_key, partial
 from itertools import count, repeat
@@ -62,7 +66,12 @@ IDENTIFIER_RE = re.compile(IDENT_PATTERN + r"\Z")
 
 
 def is_identifier(name: str) -> bool:
-    return IDENTIFIER_RE.match(name) is not None
+    """Whether a name matches IDENT_PATTERN.
+
+    An ASCII identifier matches it, so the pattern runs only on the other
+    names, such as those with a colon or a non-ASCII letter.
+    """
+    return (name.isascii() and name.isidentifier()) or IDENTIFIER_RE.match(name) is not None
 
 
 class UnboundVariableError(LookupError):
@@ -77,8 +86,8 @@ class _Node:
     """A node of an immutable DAG: an expression here, or a budget term in `algebra`.
 
     Equality and hashing are structural, over `compare` and `postorder`,
-    and repr is the text of the dataclass's generated repr; none of them
-    recurses. Each kind is numbered in the order its class is defined,
+    and repr is the text a dataclass's generated repr would give; none of
+    them recurses. Each kind is numbered in the order its class is defined,
     which is the order `compare` puts kinds in. A kind's `_children` is
     None, or a function that gives a node's child nodes last first, the
     order a stack takes them in, and `_own()` gives what its equality
@@ -87,20 +96,34 @@ class _Node:
     encapsulation's sorted channels. Spans and labels, which tell where a
     term came from, are never among them.
 
-    Every kind is a frozen dataclass with slots: a node has no `__dict__`,
-    and its fields cannot be set once it is built.
+    A kind lists its fields, in order, as both its `__slots__` and its
+    `__match_args__`, so a node has no `__dict__` and class patterns match
+    its fields by position. Its constructor writes each slot once, through
+    the slot's descriptor (`_setters`), and `__setattr__` and `__delattr__`
+    refuse with AttributeError, so no field changes once a node is built.
+    `copy.copy`, `copy.deepcopy` and pickle rebuild a node from its fields
+    through its kind's constructor (`__reduce__`).
     """
 
     __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
     _numbers = count()
     _children: Callable[[_Node], tuple[_Node, ...]] | None = None
 
     def __init_subclass__(cls):
-        if "_kind" not in cls.__dict__:  # not the slotted copy `dataclass` makes of a kind
-            cls._kind = next(_Node._numbers)
+        cls._kind = next(_Node._numbers)
 
     def _own(self):
         return ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(map(self.__getattribute__, self.__match_args__))
 
     def __eq__(self, other):
         if not isinstance(other, _Node):
@@ -124,13 +147,18 @@ class _Node:
                 parts.append(item)
                 continue
             pieces = [f"{type(item).__qualname__}("]
-            for i, field in enumerate(fields(item)):
-                value = getattr(item, field.name)
-                pieces.append(f"{', ' if i else ''}{field.name}=")
+            for i, name in enumerate(item.__match_args__):
+                value = getattr(item, name)
+                pieces.append(f"{', ' if i else ''}{name}=")
                 pieces.append(value if isinstance(value, _Node) else repr(value))
             pieces.append(")")
             stack += reversed(pieces)
         return "".join(parts)
+
+
+def _setters(kind: type[_Node]) -> tuple[Callable[[_Node, object], None], ...]:
+    """The `__set__` of each slot descriptor of a kind, in field order: its constructor's cheapest write."""
+    return tuple(getattr(kind, name).__set__ for name in kind.__match_args__)
 
 
 def _right_left(node: _Node) -> tuple[_Node, _Node]:
@@ -141,56 +169,89 @@ def _arg(node: _Node) -> tuple[_Node]:
     return (node.arg,)
 
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Const(_Node):
-    value: Rational
+    __slots__ = __match_args__ = ("value",)
+
+    def __init__(self, value: Rational):
+        _const_value(self, value)
 
     def _own(self):
         return self.value.as_integer_ratio()
 
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
-class Var(_Node):
-    name: str
+(_const_value,) = _setters(Const)
 
-    def __post_init__(self):
-        if not is_identifier(self.name):
-            raise ValueError(f"invalid variable name: {self.name!r}")
+
+class Var(_Node):
+    __slots__ = __match_args__ = ("name",)
+
+    def __init__(self, name: str):
+        if not is_identifier(name):
+            raise ValueError(f"invalid variable name: {name!r}")
+        _var_name(self, name)
 
     def _own(self):
         return self.name
 
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
+(_var_name,) = _setters(Var)
+
+
 class Add(_Node):
-    left: "Expr"
-    right: "Expr"
+    __slots__ = __match_args__ = ("left", "right")
     _children = staticmethod(_right_left)
 
+    def __init__(self, left: Expr, right: Expr):
+        _add_left(self, left)
+        _add_right(self, right)
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
+
+_add_left, _add_right = _setters(Add)
+
+
 class Mul(_Node):
-    left: "Expr"
-    right: "Expr"
+    __slots__ = __match_args__ = ("left", "right")
     _children = staticmethod(_right_left)
 
+    def __init__(self, left: Expr, right: Expr):
+        _mul_left(self, left)
+        _mul_right(self, right)
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
+
+_mul_left, _mul_right = _setters(Mul)
+
+
 class Neg(_Node):
-    arg: "Expr"
+    __slots__ = __match_args__ = ("arg",)
     _children = staticmethod(_arg)
 
+    def __init__(self, arg: Expr):
+        _neg_arg(self, arg)
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
+
+(_neg_arg,) = _setters(Neg)
+
+
 class Inv(_Node):
-    arg: "Expr"
+    __slots__ = __match_args__ = ("arg",)
     _children = staticmethod(_arg)
 
+    def __init__(self, arg: Expr):
+        _inv_arg(self, arg)
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
+
+(_inv_arg,) = _setters(Inv)
+
+
 class Abs(_Node):
-    arg: "Expr"
+    __slots__ = __match_args__ = ("arg",)
     _children = staticmethod(_arg)
+
+    def __init__(self, arg: Expr):
+        _abs_arg(self, arg)
+
+
+(_abs_arg,) = _setters(Abs)
 
 
 Expr = Union[Const, Var, Add, Mul, Neg, Inv, Abs]
@@ -757,6 +818,11 @@ def _level(e: Expr) -> int:
     return _LEVEL[type(e)]
 
 
+def _const_text(value: Rational) -> str:
+    decimal = decimal_repr(value)
+    return decimal if decimal is not None else format_rational(value)
+
+
 def pretty(e: Expr, names: Mapping[int, str] = {}) -> str:
     """Render an expression in the budget language's expression syntax.
 
@@ -768,7 +834,14 @@ def pretty(e: Expr, names: Mapping[int, str] = {}) -> str:
 
     `names` maps the id() of a node to a name to print in its place, never
     bracketed, as the budget language prints a def's body by the def's name.
+    A leaf is its name, or its own text, at once: nothing brackets a root.
     """
+    kind = type(e)
+    if kind is Var or kind is Const:
+        name = names.get(id(e))
+        if name is not None:
+            return name
+        return e.name if kind is Var else _const_text(e.value)
     parts: list[str] = []
     # id(node) -> its name, or where its text lies in `parts`, then the text itself once it is met again
     texts: dict[int, tuple[int, int] | str] = dict(names)
@@ -791,8 +864,7 @@ def pretty(e: Expr, names: Mapping[int, str] = {}) -> str:
             elif id(node) in names:
                 bracket = False
         elif kind is Const:
-            decimal = decimal_repr(node.value)
-            text = decimal if decimal is not None else format_rational(node.value)
+            text = _const_text(node.value)
         elif kind is Var:
             text = node.name
         if text is not None:

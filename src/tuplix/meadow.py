@@ -62,7 +62,21 @@ def parse_rational(text: str) -> Rational:
 
     The denominator must be nonzero: '1/0' is rejected here (written
     literals are author input, unlike computed divisions which totalize).
+    An integer, decimal digits after at most one sign, as every literal of
+    a program is, goes straight to `int`, which reads the same digits as
+    the pattern's \\d; any other text is matched by the pattern.
     """
+    digits = text[1:] if text[:1] == "-" or text[:1] == "+" else text
+    if digits.isdecimal():
+        try:
+            return Fraction(int(text))  # Fraction(n) takes an int as it is, with no gcd
+        except ValueError:
+            raise DigitLimitError() from None
+    return _parse_by_pattern(text)
+
+
+def _parse_by_pattern(text: str) -> Rational:
+    """`parse_rational` by the pattern alone, which reads every form of rational it takes."""
     m = _RATIONAL_RE.match(text.strip())
     if m is None:
         raise ValueError(f"not a rational constant: {quoted(text)}")

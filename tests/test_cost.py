@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import pytest
 
-from tuplix import algebra, bundled, expr
+from tuplix import algebra, bundled, dsl, expr
 from tuplix.cli import main
 
 GROWTH = 3
@@ -102,6 +102,33 @@ def def_chain(n):
 def def_chain_value(n, x):
     """The amount is 2^n x, written out in full."""
     return {"a": 2**n * x}, []
+
+
+def nested_brackets(n):
+    """a((((x + 1) + 1) ... + 1)): n brackets deep, the entry's own among them."""
+    amount = "x"
+    for _ in range(n - 1):
+        amount = f"({amount} + 1)"
+    return f"param x\nbudget K = a({amount})\n"
+
+
+def nested_brackets_value(n, x):
+    """The amount is x + n - 1."""
+    return {"a": x + n - 1}, []
+
+
+def abs_chain(n):
+    """d0 = x, and each d_i is abs(d_i-1) - d_i-1, which uses d_i-1 twice: 2^n paths by sharing."""
+    defs = [f"def d{i} = abs(d{i - 1}) - d{i - 1}\n" for i in range(1, n + 1)]
+    return "param x\ndef d0 = x\n" + "".join(defs) + f"budget A = a(d{n})\n"
+
+
+def abs_chain_value(n, x):
+    """Each step takes d to abs(d) - d: -2d for d < 0, else 0."""
+    d = Fraction(x)
+    for _ in range(n):
+        d = abs(d) - d
+    return {"a": d}, []
 
 
 def many_params(n):
@@ -255,15 +282,19 @@ def sweep_rows(value):
 SWEEP = ["sweep", "--var", "x", "--from", "4", "--to", "6", "--step", "1"]
 
 
-def bound_runs(family, value, x):
-    """The runs of a family whose one parameter is x: eval as text and JSON, and check, at x, and a sweep."""
+def evaluated_runs(family, value, x):
+    """The runs of a family whose one parameter is x: eval as text and JSON, and check, at x."""
     bind, x = ["--set", x], Fraction(x.removeprefix("x="))
     return [
         (family, ["eval", *bind], eval_text(value, x)),
         (family, ["eval", "--format", "json", *bind], eval_json(value, x)),
         (family, ["check", *bind], check_at(value, x)),
-        (family, SWEEP, sweep_rows(value)),
     ]
+
+
+def bound_runs(family, value, x):
+    """The evaluated runs of a family at x, and a sweep."""
+    return [*evaluated_runs(family, value, x), (family, SWEEP, sweep_rows(value))]
 
 
 # family -> (text of size n, n)
@@ -274,6 +305,9 @@ FAMILIES = {
     # 2n brackets deep at most, below dsl.MAX_NESTING
     "nested enc": (nested_encapsulations, 100),
     "doubling def chain": (def_chain, 500),
+    # 2n brackets deep, exactly the limit
+    "nested brackets": (nested_brackets, dsl.MAX_NESTING // 2),
+    "abs chain": (abs_chain, 500),
     "many params": (many_params, 2000),
     "long literal": (long_literal, 2000),
     "chain of inverses": (inverse_chain, 500),
@@ -300,6 +334,8 @@ RUNS = [
     *bound_runs("doubling budget chain", chain_value, "x=6"),
     *bound_runs("nested enc", nested_value, "x=1/3"),
     *bound_runs("doubling def chain", def_chain_value, "x=1/3"),
+    *evaluated_runs("nested brackets", nested_brackets_value, "x=1/3"),
+    *evaluated_runs("abs chain", abs_chain_value, "x=-1/3"),
     ("many params", ["eval"], eval_text(many_params_value, None)),
     ("many params", ["check"], check_at(many_params_value, None)),
     ("long literal", ["eval"], eval_text(long_literal_value, None)),

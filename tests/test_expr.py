@@ -1,5 +1,6 @@
 import operator
 import random
+import string
 import tracemalloc
 from fractions import Fraction
 from functools import reduce
@@ -10,6 +11,7 @@ import pytest
 from tuplix.algebra import EPS, Comp, Delta, Entry, Test, _canonical_tests, encap
 from tuplix import expr
 from tuplix.expr import (
+    IDENTIFIER_RE,
     Abs,
     Add,
     Const,
@@ -26,6 +28,7 @@ from tuplix.expr import (
     evaluate,
     fold_constants,
     free_vars,
+    is_identifier,
     postorder,
     pretty,
     sort_key,
@@ -66,6 +69,20 @@ def test_var_rejects_bad_identifiers():
             Var(bad)
     # colon-separated segments are fine
     assert Var("A:C1:sslt").name == "A:C1:sslt"
+
+
+def test_is_identifier_agrees_with_the_pattern_on_every_name():
+    # ASCII names skip the pattern; any name that they take and the pattern refuses fails here,
+    # such as one that starts with a non-ASCII letter, or ends in a newline, which \Z refuses
+    rng = random.Random(27)
+    alphabet = string.ascii_letters + string.digits + "_:é²٣ \t-"
+    names = ["", "\n", "x\n", "A:y\n", "é", "xé", "x²", "x٣", "_", "a:b", "a::b"]
+    names += ["".join(rng.choices(alphabet, k=rng.randint(1, 6))) for _ in range(200_000)]
+    names += [name + "\n" for name in names[:20_000]]
+    matched = [IDENTIFIER_RE.match(name) is not None for name in names]
+    assert list(map(is_identifier, names)) == matched
+    fast = sum(name.isascii() and name.isidentifier() for name in names)
+    assert 0 < fast < sum(matched)  # the pattern still decides some of the names it matches
 
 
 def test_free_vars():
@@ -762,6 +779,18 @@ def test_pretty_prints_a_named_node_by_its_name():
     assert pretty(Mul(Var("a"), inv), names) == "a * R"  # nor a / b
     assert pretty(Add(total, sub(total, Var("c")))) == "a + b + (a + b - c)"
     assert pretty(Add(total, sub(total, Var("c"))), names) == "T + (T - c)"
+
+
+def test_pretty_prints_a_leaf_as_the_stack_prints_it():
+    # a leaf returns at once; inside abs(...), whose argument is never bracketed, the stack prints it
+    x, named_var, named_const = Var("x"), Var("x"), Const(Fraction(7))
+    names = {id(named_var): "d", id(named_const): "seven"}
+    values = (Fraction(-3), Fraction(-5, 2), Fraction(1, 3), Fraction(-1, 3), Fraction(7, 8), Fraction(0))
+    leaves = [x, named_var, named_const, *map(Const, values)]
+    texts = [pretty(leaf, names) for leaf in leaves]
+    assert texts == ["x", "d", "seven", "-3", "-2.5", "1/3", "-1/3", "0.875", "0"]
+    assert texts == [pretty(Abs(leaf), names)[4:-1] for leaf in leaves]
+    assert [pretty(leaf) for leaf in leaves[:3]] == ["x", "x", "7"]
 
 
 def test_random_expr_is_deterministic():

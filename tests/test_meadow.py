@@ -17,6 +17,7 @@ from tuplix.meadow import (
     minv_pair,
     mul_pairs,
     parse_rational,
+    _parse_by_pattern,
 )
 
 
@@ -103,6 +104,32 @@ def test_parse_rational_accepts_fractions_and_decimals():
     assert parse_rational("0.25") == Fraction(1, 4)
     assert parse_rational("-1.5") == Fraction(-3, 2)
     assert parse_rational("0.0") == ZERO
+
+
+def outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_parse_rational_reads_an_integer_as_the_pattern_does():
+    # integers skip the pattern; any text that they take and the pattern reads otherwise fails here
+    limit = sys.get_int_max_str_digits()
+    texts = ["", "+", "-", "--1", "+-1", "-+1", " 1", "1 ", "1\n", "1_000", "²", "1²", "٣", "+٣", "-٣٣",
+             "00", "-007", "+0", "-0", "0x1", "1e3", "1.5", "-1/2", "+1/2", "١٢/٣", "1" * (limit + 1),
+             "-" + "1" * (limit + 1), "+" + "9" * limit, "-" + "0" * (limit + 1), "1/" + "3" * (limit + 1)]
+    rng = random.Random(13)
+    for _ in range(20_000):
+        digits = "".join(rng.choices("0123456789٣١²_ ", k=rng.randint(0, 5)))
+        texts.append(rng.choice(["", "", "+", "-", "--", "+-", " "]) + digits + rng.choice(["", "", "\n", "/7", ".5"]))
+    assert sum((text[1:] if text[:1] in ("+", "-") else text).isdecimal() for text in texts) > 1_000
+    for text in texts:
+        assert outcome(parse_rational, text) == outcome(_parse_by_pattern, text), text[:20]
+    assert outcome(parse_rational, "-007") == Fraction(-7) and outcome(parse_rational, "+٣") == Fraction(3)
+    for text in ("1" * (limit + 1), "-" + "1" * (limit + 1)):
+        with pytest.raises(DigitLimitError):
+            parse_rational(text)
 
 
 def test_parse_rational_rejects_garbage():

@@ -103,3 +103,23 @@ def test_the_runtime_imports_the_standard_library_only():
         [sys.executable, "-c", STDLIB_ONLY], capture_output=True, text=True, cwd=SRC.parent
     )
     assert (proc.stdout, proc.stderr) == ("0\n", "")
+
+
+DEFERRED_LAWS = """
+import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+import tuplix.cli
+deferred = {"tuplix.laws", "random"}
+print(sorted(deferred & set(sys.modules)))
+with contextlib.redirect_stdout(io.StringIO()):
+    code = tuplix.cli.main(["axioms", "--trials", "1"])
+print(code, sorted(deferred & set(sys.modules)))
+"""
+
+
+def test_only_the_axioms_command_imports_the_law_suite_and_random():
+    # eval, check and sweep never run the laws; -S keeps site from importing modules of its own
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", DEFERRED_LAWS, str(SRC.parent)], capture_output=True, text=True
+    )
+    assert (proc.stdout, proc.stderr) == ("[]\n0 ['random', 'tuplix.laws']\n", "")
