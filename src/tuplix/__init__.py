@@ -12,8 +12,6 @@ The package root holds the term and expression constructors, the pipeline
 result types; every other name is imported from its own module.
 """
 
-from pathlib import Path
-
 from .algebra import (
     DELTA,
     EPS,
@@ -38,9 +36,11 @@ from .expr import Abs, Add, Const, Inv, Mul, Neg, Var
 __version__ = "0.1.0"
 
 
-def bundled(name: str) -> Path:
+def bundled(name: str) -> "pathlib.Path":
     """Path of a file shipped with the package, e.g. ``msc.bgt`` or ``scenario.bindings``."""
-    path = Path(__file__).parent / "data" / name
+    import pathlib  # here, so that a command that reads no bundled file never imports it
+
+    path = pathlib.Path(__file__).parent / "data" / name
     if not path.is_file():
         raise FileNotFoundError(f"no bundled file named {name!r}")
     return path

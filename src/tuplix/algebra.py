@@ -32,10 +32,10 @@ must equal the oracle's whenever the term is fully bound; the law suite
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import reduce
-from typing import Iterable, Mapping, Union
 
 from .expr import (
     Const,
@@ -143,7 +143,7 @@ class Encap(_Node):
 _encap_channels, _encap_body, _encap_span = _setters(Encap)
 
 
-Tuplix = Union[Eps, Delta, Entry, Test, Comp, Encap]
+Tuplix = Eps | Delta | Entry | Test | Comp | Encap
 
 EPS = Eps()
 DELTA = Delta()
@@ -205,17 +205,13 @@ def denote_ground(t: Tuplix, valuation: Valuation | None = None) -> dict[str, Ra
 # Canonical form
 
 
-@dataclass(frozen=True)
-class Violation:
-    """A test that evaluated to a nonzero value during normalization."""
+class Violation(namedtuple("Violation", "label span value")):
+    """A test that evaluated to a nonzero value during normalization: its label, span or None, and value."""
 
-    label: str
-    span: str | None
-    value: Rational
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CanonicalTuplix:
+class CanonicalTuplix(namedtuple("CanonicalTuplix", "is_null tests entries violations", defaults=((),))):
     """Normal form: Null, or residual tests plus per-channel amounts.
 
     Tests are folded, pairwise distinct and sorted by a structural key;
@@ -224,10 +220,15 @@ class CanonicalTuplix:
     distinct one once in source order, and never take part in equality.
     """
 
-    is_null: bool
-    tests: tuple[Expr, ...]
-    entries: tuple[tuple[str, Expr], ...]
-    violations: tuple[Violation, ...] = field(default=(), compare=False)
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return self[:3] == other[:3] if type(other) is CanonicalTuplix else NotImplemented
+
+    __ne__ = object.__ne__  # the inverse of __eq__, not tuple's != over all four fields
+
+    def __hash__(self):
+        return hash(self[:3])
 
 
 def _sum_amounts(form: _Form, folded: Mapping[int, Expr]) -> Expr:

@@ -20,12 +20,12 @@ import argparse
 import functools
 import json
 import operator
+import os
 import re
 import sys
+from collections.abc import Iterable
 from itertools import compress, repeat
 from math import lcm
-from pathlib import Path
-from typing import Iterable
 
 from .algebra import (
     CanonicalTuplix,
@@ -129,26 +129,26 @@ def _parse_set_flag(item: str) -> tuple[str, Rational]:
         raise CliError(f"--set {quoted(item)}: {exc}") from None
 
 
-def _read_text(path: Path) -> str:
+def _read_text(path: str) -> str:
     """A file's text, decoded as UTF-8 after any byte-order mark.
 
     A file that cannot be read or decoded is a CliError.
     """
     try:
-        return path.read_text(encoding="utf-8-sig")
+        with open(path, encoding="utf-8-sig") as file:
+            return file.read()
     except OSError as exc:
         raise CliError(str(exc)) from None
     except UnicodeDecodeError as exc:
         line = exc.object.count(b"\n", 0, exc.start) + 1
-        raise CliError(f"{path.name}:{line}: not valid UTF-8 ({exc.reason})") from None
+        raise CliError(f"{os.path.basename(path)}:{line}: not valid UTF-8 ({exc.reason})") from None
 
 
 def collect_bindings(args: argparse.Namespace, program: BudgetProgram) -> dict[str, Rational]:
     """File bindings first, then --set pairs in order; the last value wins."""
     bindings: dict[str, Rational] = {}
     if args.bindings:
-        path = Path(args.bindings)
-        bindings.update(parse_bindings_text(_read_text(path), path.name))
+        bindings.update(parse_bindings_text(_read_text(args.bindings), os.path.basename(args.bindings)))
     for item in args.set or []:
         name, value = _parse_set_flag(item)
         bindings[name] = value
@@ -164,19 +164,19 @@ def _load(args: argparse.Namespace) -> tuple[str, BudgetProgram, Tuplix, dict[st
     Fails, in this order, on a file that cannot be read, a parse error, an
     unknown budget name and bad bindings.
     """
-    path = Path(args.file)
-    text = _read_text(path)
+    text = _read_text(args.file)
+    source = os.path.basename(args.file)
     try:
         program = parse(text)
     except DslError as exc:
-        raise CliError(f"{path.name}:{exc}") from None
+        raise CliError(f"{source}:{exc}") from None
     names = list(program.budgets)
     if not names:
         raise CliError("the program declares no budgets")
     budget = names[-1] if args.budget is None else args.budget
     if budget not in program.budgets:
         raise CliError(f"no budget named {quoted(budget)}; available: " + ", ".join(names))
-    return path.name, program, elaborate(program, budget), collect_bindings(args, program)
+    return source, program, elaborate(program, budget), collect_bindings(args, program)
 
 
 # --- subcommands -------------------------------------------------------------

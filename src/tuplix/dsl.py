@@ -43,10 +43,9 @@ only for those positions and for errors.
 
 from __future__ import annotations
 
-import copy
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .algebra import (
     EPS,
@@ -86,8 +85,7 @@ class DslError(Exception):
         self.col = col
 
 
-@dataclass(frozen=True)
-class BudgetProgram:
+class BudgetProgram(namedtuple("BudgetProgram", "params budgets")):
     """A parsed program, in declaration order.
 
     `params` maps each parameter to its documentation string, or None;
@@ -96,8 +94,7 @@ class BudgetProgram:
     depends on.
     """
 
-    params: dict[str, str | None]
-    budgets: dict[str, Tuplix]
+    __slots__ = ()
 
 
 # --- lexer -------------------------------------------------------------------
@@ -274,9 +271,10 @@ class _Parser:
         self.expect_op("=")
         body = self.parse_expr()
         if type(body) is Var or type(body) is Const or id(body) in self.defs:
-            # a param's Var, an interned literal or an earlier def's body: a
-            # copy of its own prints as this def only where this def is named
-            body = copy.copy(body)
+            # a param's Var, an interned literal or an earlier def's body: a copy
+            # of its own, rebuilt from its fields, prints as this def where named
+            kind, fields = body.__reduce__()
+            body = kind(*fields)
         self.declare(at, "def")
         self.values[name] = body
         self.defs[id(body)] = name

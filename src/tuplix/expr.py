@@ -41,11 +41,11 @@ from __future__ import annotations
 
 import operator
 import re
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import cmp_to_key, partial
 from itertools import count, repeat
 from math import gcd
-from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .meadow import (
     Column,
@@ -101,8 +101,8 @@ class _Node:
     its fields by position. Its constructor writes each slot once, through
     the slot's descriptor (`_setters`), and `__setattr__` and `__delattr__`
     refuse with AttributeError, so no field changes once a node is built.
-    `copy.copy`, `copy.deepcopy` and pickle rebuild a node from its fields
-    through its kind's constructor (`__reduce__`).
+    Pickle, `copy` and the parser's copy of a def's body rebuild a node from
+    its fields through its kind's constructor (`__reduce__`).
     """
 
     __slots__ = ()
@@ -254,7 +254,7 @@ class Abs(_Node):
 (_abs_arg,) = _setters(Abs)
 
 
-Expr = Union[Const, Var, Add, Mul, Neg, Inv, Abs]
+Expr = Const | Var | Add | Mul | Neg | Inv | Abs
 _TERMS = Abs._kind + 1  # the kinds from here on are budget terms
 Valuation = Mapping[str, Rational]
 

@@ -14,9 +14,9 @@ computes with (`meadow.add_pairs`, `mul_pairs`, `minv_pair`).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable, Iterable
 from fractions import Fraction
-from typing import Callable, Iterable
 
 from .algebra import (
     DELTA,
@@ -54,17 +54,14 @@ _CHANNELS = ("a", "b", "c")
 _NAMES = ("u", "v", "w")
 
 
-@dataclass(frozen=True)
-class Law:
-    name: str
-    check: Callable[[random.Random], bool]
+class Law(namedtuple("Law", "name check")):
+    """A named law; `check(rng)` runs one random trial of it and tells whether it held."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class LawResult:
-    name: str
-    trials: int
-    failures: int
+class LawResult(namedtuple("LawResult", "name trials failures")):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

@@ -441,6 +441,31 @@ def test_bindings_file_that_is_not_utf8_exits_2(tmp_path, capsys):
     )
 
 
+def test_source_names_are_bare_file_names_whatever_the_path_is_like(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    for name in ("msc.bgt", "scenario.bindings"):
+        (tmp_path / "sub" / name).write_text(bundled(name).read_text(encoding="utf-8"), encoding="utf-8")
+    (tmp_path / "sub" / "bad.bgt").write_bytes(b"param x\nbudget B = a(x) # caf\xe9\n")
+    (tmp_path / "sub" / "bad.bindings").write_bytes(b"bbpp = 8\n\xff\n")
+    program, bindings = ["./sub//msc.bgt", "--budget", "Total"], ["--bindings", "sub/./scenario.bindings"]
+    code, out, _ = run(["eval", *program, "--format", "json", *bindings, "--set", "k=3"], capsys)
+    spans = [v["span"] for v in json.loads(out)["violations"]]
+    assert code == 1 and spans and all(re.fullmatch(r"msc\.bgt:\d+:\d+", s) for s in spans)
+    code, out, err = run(["check", *program, *bindings, "--set", "k=3"], capsys)
+    assert (code, out) == (1, "") and re.fullmatch(r"(msc\.bgt:\d+:\d+  .*  value \S+\n)+", err)
+    assert run(["eval", "./sub//bad.bgt", "--set", "x=1"], capsys) == (
+        2, "", "error: bad.bgt:2: not valid UTF-8 (invalid continuation byte)\n"
+    )
+    assert run(["eval", *program, "--bindings", "./sub//bad.bindings"], capsys) == (
+        2, "", "error: bad.bindings:2: not valid UTF-8 (invalid start byte)\n"
+    )
+    # a path that cannot be read is named as it was typed
+    assert run(["eval", "./x.bgt"], capsys) == (
+        2, "", "error: [Errno 2] No such file or directory: './x.bgt'\n"
+    )
+
+
 # the interpreter converts ints of at most LIMIT digits to and from text
 LIMIT = sys.get_int_max_str_digits()
 PAST_THE_LIMIT = (2, "", f"error: a number has more than {LIMIT} decimal digits\n")

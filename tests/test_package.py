@@ -2,11 +2,14 @@ import ast
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import tuplix
+from tuplix import CanonicalTuplix
+from tuplix.laws import Law, LawResult
 
 SRC = Path(tuplix.__file__).parent
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -86,6 +89,29 @@ def test_readme_library_example_gives_the_value_in_its_comment():
     assert repr(eval(expression, namespace)) == comment.strip()
 
 
+def test_records_compare_hash_print_and_refuse_assignment_as_before():
+    program = tuplix.parse("param x\nbudget B = test(x) | a(x)\n")
+    null = tuplix.normalize(program.budgets["B"], {"x": Fraction(1)})
+    violation = null.violations[0]
+    quiet = CanonicalTuplix(True, (), ())  # the same result, without its explanation
+    assert null == quiet and not (null != quiet) and hash(null) == hash(quiet)
+    assert null != CanonicalTuplix(False, (), ()) and not (null == CanonicalTuplix(False, (), ()))
+    law, result = Law("n", len), LawResult("n", 3, 1)
+    assert (result.passed, LawResult("n", 3, 0).passed) == (False, True)
+    for record, field in [(program, "params"), (null, "tests"), (violation, "label"), (law, "name"),
+                          (result, "failures")]:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    assert [repr(program), repr(null), repr(law), repr(result)] == [
+        "BudgetProgram(params={'x': None}, budgets={'B': Comp(left=Test(arg=Var(name='x'), label='x', "
+        "span='2:12'), right=Entry(channel='a', amount=Var(name='x')))})",
+        "CanonicalTuplix(is_null=True, tests=(), entries=(), violations=(Violation(label='x', "
+        "span='2:12', value=Fraction(1, 1)),))",
+        "Law(name='n', check=<built-in function len>)",
+        "LawResult(name='n', trials=3, failures=1)",
+    ]
+
+
 STDLIB_ONLY = """
 import contextlib, io, sys
 before = set(sys.modules)
@@ -106,20 +132,33 @@ def test_the_runtime_imports_the_standard_library_only():
 
 
 DEFERRED_LAWS = """
-import contextlib, io, sys
+import contextlib, io, os, sys
 sys.path.insert(0, sys.argv[1])
+msc, scenario = (os.path.join(sys.argv[2], name) for name in ("msc.bgt", "scenario.bindings"))
 import tuplix.cli
-deferred = {"tuplix.laws", "random"}
+deferred = {"dataclasses", "pathlib", "typing", "copy", "inspect", "random", "tuplix.laws"}
 print(sorted(deferred & set(sys.modules)))
-with contextlib.redirect_stdout(io.StringIO()):
-    code = tuplix.cli.main(["axioms", "--trials", "1"])
-print(code, sorted(deferred & set(sys.modules)))
+readme_sweep = "--var k --from 0 --to 1 --step 1/4 --set cpec=1 --set cpdg=10 --set escf=1/5 --set bbpp=8"
+for argv in (
+    ["eval", msc, "--budget", "Total", "--bindings", scenario],
+    ["check", msc, "--budget", "Total", "--bindings", scenario, "--set", "k=424/1495"],
+    ["sweep", msc, "--budget", "J", "--bindings", scenario, *readme_sweep.split()],
+    ["axioms", "--trials", "1"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = tuplix.cli.main(argv)
+    print(argv[0], code, sorted(deferred & set(sys.modules)))
 """
 
 
 def test_only_the_axioms_command_imports_the_law_suite_and_random():
-    # eval, check and sweep never run the laws; -S keeps site from importing modules of its own
+    # a cold eval, check or sweep loads only what it runs: never the laws, nor the modules that
+    # records, paths and type aliases once needed; -S keeps site from importing modules of its own
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", DEFERRED_LAWS, str(SRC.parent)], capture_output=True, text=True
+        [sys.executable, "-S", "-c", DEFERRED_LAWS, str(SRC.parent), str(SRC / "data")],
+        capture_output=True,
+        text=True,
     )
-    assert (proc.stdout, proc.stderr) == ("[]\n0 ['random', 'tuplix.laws']\n", "")
+    assert (proc.stdout, proc.stderr) == (
+        "[]\neval 0 []\ncheck 0 []\nsweep 0 []\naxioms 0 ['random', 'tuplix.laws']\n", ""
+    )
