@@ -7,8 +7,13 @@ seeded with "<seed>:<law name>". The same registry backs the `axioms`
 CLI subcommand and the acceptance tests.
 
 The random model is here too: `random_rational`, `random_expr` and
-`random_term`. The number laws run on the integer pairs that every fold
-computes with (`meadow.add_pairs`, `mul_pairs`, `minv_pair`).
+`random_term`. Each of its choices is one `rng.random()` that indexes a
+table built once, whose entries repeat in proportion to their
+probabilities, so the distributions are those of the `randint`, `choice`
+and `sample` draws the model once made. Leaves are shared nodes, one
+`Const` per value and one `Var` per name. The number laws run on the
+integer pairs that every fold computes with (`meadow.add_pairs`,
+`mul_pairs`, `minv_pair`), drawn from a table of pairs.
 """
 
 from __future__ import annotations
@@ -17,6 +22,9 @@ import random
 from collections import namedtuple
 from collections.abc import Callable, Iterable
 from fractions import Fraction
+from functools import cache
+from itertools import combinations
+from math import gcd, lcm
 
 from .algebra import (
     DELTA,
@@ -99,6 +107,49 @@ def render_results(results: list[LawResult]) -> str:
 
 # --- generators ----------------------------------------------------------------
 
+# Each choice of the random model is one `rng.random()` that indexes a table:
+# `table[int(rng.random() * len(table))]`. A table built here repeats each entry
+# in proportion to its probability; a uniform integer is an index into a range.
+# For a length below 2**53 the product stays below the length, so the last entry
+# is drawn and no index is past the end.
+
+# zero a quarter of the time, else n/d with n in [-8, 8] and d in [1, 8]
+_RATIONALS: tuple[Rational, ...] = (Fraction(0),) * 136 + tuple(
+    r for r in (Fraction(n, d) for n in range(-8, 9) for d in range(1, 9)) for _ in range(3)
+)
+_PAIRS = tuple(r.as_integer_ratio() for r in _RATIONALS)
+# one shared node per value, keyed by its pair, which hashes faster than a Fraction
+_CONSTS: tuple[Const, ...] = tuple(map({p: Const(r) for p, r in zip(_PAIRS, _RATIONALS)}.__getitem__, _PAIRS))
+_OPERATORS = (Add, Mul, Neg, Inv, Abs)  # the first two take two operands
+
+
+@cache
+def _leaf_table(names: tuple[str, ...]) -> tuple[Const | Var, ...]:
+    """Leaves over `names`: a variable with probability 0.6, the same for each name, else a constant.
+
+    The constants are drawn as `random_rational` draws them. Each value has
+    one shared `Const` and each name one shared `Var`, as the parser interns them.
+    """
+    if not names:
+        return _CONSTS
+    variables = len(_CONSTS) * 3 // 2  # entries, against one entry per constant
+    copies = len(names) // gcd(len(names), variables)
+    shared = {name: Var(name) for name in names}
+    per_name = variables * copies // len(names)
+    return _CONSTS * copies + tuple(shared[name] for name in names for _ in range(per_name))
+
+
+@cache
+def _subset_table(channels: tuple[str, ...]) -> tuple[frozenset[str], ...]:
+    """Subsets of `channels`: each size from none to all equally likely, then each subset of that size."""
+    by_size = [[frozenset(c) for c in combinations(channels, k)] for k in range(len(channels) + 1)]
+    width = lcm(*map(len, by_size))
+    return tuple(subset for group in by_size for subset in group for _ in range(width // len(group)))
+
+
+_LEAVES = _leaf_table(_NAMES)
+_SUBSETS = _subset_table(_CHANNELS)
+
 
 def random_rational(rng: random.Random) -> Rational:
     """Small random rational for the randomized law checks.
@@ -107,70 +158,75 @@ def random_rational(rng: random.Random) -> Rational:
     corners of total division get exercised; otherwise numerators lie in
     [-8, 8] and denominators in [1, 8].
     """
-    if rng.random() < 0.25:
-        return Fraction(0)
-    return Fraction(rng.randint(-8, 8), rng.randint(1, 8))
+    return _RATIONALS[int(rng.random() * len(_RATIONALS))]
 
 
 def random_expr(rng: random.Random, names: tuple[str, ...], size: int) -> Expr:
     """Random expression with at most `size` operator nodes over `names`."""
+    return _expr_of(rng.random, _leaf_table(names), size)
+
+
+def _expr_of(draw: Callable[[], float], leaves: tuple[Const | Var, ...], size: int) -> Expr:
     if size <= 0:
-        if names and rng.random() < 0.6:
-            return Var(rng.choice(names))
-        return Const(random_rational(rng))
-    pick = rng.randrange(5)
-    if pick == 0:
-        split = rng.randint(0, size - 1)
-        return Add(random_expr(rng, names, split), random_expr(rng, names, size - 1 - split))
-    if pick == 1:
-        split = rng.randint(0, size - 1)
-        return Mul(random_expr(rng, names, split), random_expr(rng, names, size - 1 - split))
-    if pick == 2:
-        return Neg(random_expr(rng, names, size - 1))
-    if pick == 3:
-        return Inv(random_expr(rng, names, size - 1))
-    return Abs(random_expr(rng, names, size - 1))
+        return leaves[int(draw() * len(leaves))]
+    pick = int(draw() * len(_OPERATORS))
+    if pick < 2:
+        split = int(draw() * size)
+        left = _expr_of(draw, leaves, split)
+        return _OPERATORS[pick](left, _expr_of(draw, leaves, size - 1 - split))
+    return _OPERATORS[pick](_expr_of(draw, leaves, size - 1))
 
 
 def random_term(
     rng: random.Random, size: int, channels: tuple[str, ...], names: tuple[str, ...]
 ) -> Tuplix:
     """A random term of about `size` >= 1 nodes over `channels` and the variables `names`."""
+    return _term_of(rng.random, size, channels, _subset_table(channels), _leaf_table(names))
+
+
+def _term_of(
+    draw: Callable[[], float],
+    size: int,
+    channels: tuple[str, ...],
+    subsets: tuple[frozenset[str], ...],
+    leaves: tuple[Const | Var, ...],
+) -> Tuplix:
     if size >= 2:
-        roll = rng.random()
+        roll = draw()
         if roll < 0.45:
-            split = rng.randint(1, size - 1)
-            return Comp(
-                random_term(rng, split, channels, names),
-                random_term(rng, size - split, channels, names),
-            )
+            split = 1 + int(draw() * (size - 1))
+            left = _term_of(draw, split, channels, subsets, leaves)
+            return Comp(left, _term_of(draw, size - split, channels, subsets, leaves))
         if roll < 0.65:
-            subset = rng.sample(channels, k=rng.randint(0, len(channels))) if channels else []
-            return Encap(frozenset(subset), random_term(rng, size - 1, channels, names))
-    roll = rng.random()
+            subset = subsets[int(draw() * len(subsets))]
+            return Encap(subset, _term_of(draw, size - 1, channels, subsets, leaves))
+    roll = draw()
     if channels and roll < 0.45:
-        return Entry(rng.choice(channels), random_expr(rng, names, rng.randint(0, 2)))
+        channel = channels[int(draw() * len(channels))]
+        return Entry(channel, _expr_of(draw, leaves, int(draw() * 3)))
     if roll < 0.75:
-        return Test(random_expr(rng, names, rng.randint(0, 2)))
+        return Test(_expr_of(draw, leaves, int(draw() * 3)))
     if roll < 0.92:
         return EPS
     return DELTA
 
 
 def _term(rng: random.Random, max_size: int = 5) -> Tuplix:
-    return random_term(rng, rng.randint(1, max_size), _CHANNELS, _NAMES)
+    draw = rng.random
+    return _term_of(draw, 1 + int(draw() * max_size), _CHANNELS, _SUBSETS, _LEAVES)
 
 
 def _expr(rng: random.Random) -> Expr:
-    return random_expr(rng, _NAMES, rng.randint(0, 3))
+    draw = rng.random
+    return _expr_of(draw, _LEAVES, int(draw() * 4))
 
 
 def _channels(rng: random.Random) -> frozenset[str]:
-    return frozenset(rng.sample(_CHANNELS, k=rng.randint(0, len(_CHANNELS))))
+    return _SUBSETS[int(rng.random() * len(_SUBSETS))]
 
 
 def _valuation(rng: random.Random) -> dict[str, Fraction]:
-    return {name: random_rational(rng) for name in _NAMES}
+    return dict(zip(_NAMES, _nums(rng, len(_NAMES))))
 
 
 def _same(rng: random.Random, t1: Tuplix, t2: Tuplix) -> bool:
@@ -324,7 +380,8 @@ def oracle_laws() -> list[Law]:
 
 
 def _nums(rng, n):
-    return [random_rational(rng) for _ in range(n)]
+    draw = rng.random
+    return [_RATIONALS[int(draw() * len(_RATIONALS))] for _ in range(n)]
 
 
 def meadow_laws() -> list[Law]:
@@ -350,8 +407,14 @@ def meadow_laws() -> list[Law]:
 
 
 def _on_pairs(law: Callable[..., bool]) -> Callable[[random.Random], bool]:
-    """A check that draws one random pair for each argument of `law`."""
-    return lambda rng: law(*(r.as_integer_ratio() for r in _nums(rng, law.__code__.co_argcount)))
+    """A check that draws one random pair for each argument of `law`, as `random_rational` draws a value."""
+    arguments = range(law.__code__.co_argcount)
+
+    def check(rng: random.Random) -> bool:
+        draw = rng.random
+        return law(*[_PAIRS[int(draw() * len(_PAIRS))] for _ in arguments])
+
+    return check
 
 
 # --- constraint encodings -------------------------------------------------------------

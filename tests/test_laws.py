@@ -1,7 +1,13 @@
 import random
+from collections import Counter
+from fractions import Fraction
+from itertools import chain, combinations, repeat
+
+import pytest
 
 from tuplix import laws as L
-from tuplix.algebra import Comp, denote_ground
+from tuplix.algebra import DELTA, Comp, Encap, Entry, Test, denote_ground
+from tuplix.expr import Abs, Add, Const, Var
 
 
 def test_registry_is_complete():
@@ -21,10 +27,17 @@ def test_suite_is_deterministic():
 
 def test_each_law_gets_its_own_stream():
     # same seed, different law names: the generators must not be in lockstep
-    [a] = L.run_suite([L.tuplix_laws()[0]], trials=10, seed=4)
-    [b] = L.run_suite([L.tuplix_laws()[1]], trials=10, seed=4)
-    assert (a.name, b.name) == ("comp-commutes", "comp-associates")
-    assert a.failures == b.failures == 0
+    def recording(law, draws):
+        return L.Law(law.name, lambda rng: draws.append(rng.random()) or law.check(rng))
+
+    commutes, associates = L.tuplix_laws()[:2]
+    first, second, again = [], [], []
+    laws = [recording(commutes, first), recording(associates, second), recording(commutes, again)]
+    results = L.run_suite(laws, trials=10, seed=4)
+    assert [r.name for r in results] == ["comp-commutes", "comp-associates", "comp-commutes"]
+    assert all(r.passed for r in results)
+    assert len(first) == 10 and first == again
+    assert set(first).isdisjoint(second)
 
 
 def test_suite_catches_a_false_law():
@@ -98,3 +111,79 @@ def test_run_law_counts_failures():
     assert result.failures > 0
     assert result.trials == 100
     assert not result.passed
+
+
+def test_rational_table_is_a_quarter_zeros_and_three_copies_of_each_fraction():
+    # the multiset `random_rational` drew from before the tables: zero below 0.25, else randint n and d
+    fractions = Counter(Fraction(n, d) for n in range(-8, 9) for d in range(1, 9) for _ in range(3))
+    assert len(L._RATIONALS) == 544
+    assert Counter(L._RATIONALS) == fractions + Counter({Fraction(0): 136})
+    assert L._PAIRS == tuple(r.as_integer_ratio() for r in L._RATIONALS)
+
+
+@pytest.mark.parametrize("channels", [(), ("a",), ("a", "b", "c"), ("a", "b", "c", "d", "e")])
+def test_subset_table_gives_each_size_the_same_share_and_each_subset_of_a_size_the_same(channels):
+    table = L._subset_table(channels)
+    counts = Counter(table)
+    sizes = range(len(channels) + 1)
+    by_size = [[frozenset(c) for c in combinations(channels, k)] for k in sizes]
+    assert set(counts) == {subset for group in by_size for subset in group}
+    for group in by_size:
+        assert {Fraction(counts[s], len(table)) for s in group} == {Fraction(1, len(sizes) * len(group))}
+    assert L._SUBSETS is L._subset_table(L._CHANNELS)
+
+
+@pytest.mark.parametrize("names", [(), ("x",), ("u", "v"), ("u", "v", "w"), ("a", "b", "c", "d", "e")])
+def test_leaf_table_draws_a_variable_six_times_in_ten_else_a_constant_as_random_rational(names):
+    table = L._leaf_table(names)
+    variables = Counter(leaf.name for leaf in table if type(leaf) is Var)
+    constants = Counter(leaf.value for leaf in table if type(leaf) is Const)
+    assert sum(variables.values()) + sum(constants.values()) == len(table)
+    assert set(variables) == set(names)
+    assert {Fraction(c, len(table)) for c in variables.values()} <= {Fraction(3, 5 * max(len(names), 1))}
+    share = Fraction(2, 5) if names else 1
+    rationals = Counter(L._RATIONALS)
+    assert {v: Fraction(c, len(table)) for v, c in constants.items()} == {
+        v: share * Fraction(c, len(L._RATIONALS)) for v, c in rationals.items()
+    }
+    # one shared node for each name and for each value
+    assert len({id(leaf) for leaf in table}) == len(variables) + len(constants)
+
+
+class _Draws:
+    """A stand-in generator whose `random()` returns the given values, then `then` forever."""
+
+    def __init__(self, *values, then):
+        self.random = chain(values, repeat(then)).__next__
+
+
+def test_the_ends_of_random_draw_the_first_and_last_entry_of_each_table():
+    first, last = 0.0, 1 - 2**-53  # the least and greatest value `random()` returns
+    zero, one = Fraction(0), Fraction(1)
+    pairs = []
+    check = L._on_pairs(lambda x, y: pairs.append((x, y)) is None)
+    ends = [(first, zero, frozenset(), Const(zero)), (last, one, frozenset("abc"), Var("w"))]
+    for end, value, channels, leaf in ends:
+        draws = _Draws(then=end)
+        assert L.random_rational(draws) == value
+        assert L._nums(draws, 3) == [value] * 3
+        assert L._valuation(draws) == dict.fromkeys(L._NAMES, value)
+        assert L._channels(draws) == channels
+        assert check(draws) and pairs.pop() == (value.as_integer_ratio(),) * 2
+        assert L.random_expr(draws, L._NAMES, 0) == leaf
+        assert L.random_expr(draws, (), 0) == Const(value)
+    assert L._expr(_Draws(then=first)) == Const(zero)
+    assert L._expr(_Draws(then=last)) == Abs(Abs(Abs(Var("w"))))
+    c0 = Const(zero)
+    assert L.random_expr(_Draws(then=first), ("u",), 3) == Add(c0, Add(c0, Add(c0, c0)))
+    assert L._term(_Draws(then=first)) == Entry("a", c0)
+    assert L._term(_Draws(then=last)) == DELTA
+    assert L.random_term(_Draws(then=first), 3, ("a", "b"), ()) == Comp(
+        Entry("a", c0), Comp(Entry("a", c0), Entry("a", c0))
+    )
+    assert L.random_term(_Draws(then=first), 1, (), ()) == Test(c0)
+    # an entry on the last channel, with the largest amount; an encapsulation of every channel
+    entry = L.random_term(_Draws(first, then=last), 1, ("a", "b", "c"), ("u", "v"))
+    assert entry == Entry("c", Abs(Abs(Var("v"))))
+    assert L.random_term(_Draws(0.6, then=last), 2, ("a", "b", "c"), ()) == Encap(frozenset("abc"), DELTA)
+    assert L.random_term(_Draws(0.6, first, then=last), 2, ("a",), ()) == Encap(frozenset(), DELTA)
