@@ -34,11 +34,12 @@ every relation holds, a budget reference returns the term already
 built, and each test, delta and enc{} keeps its source position
 "line:col" for violation reports. A test also keeps its source text,
 printed from its argument with each def's body written as the def's
-name. The lexer is one `findall` of the token pattern, and a token is
-its index into the list of token texts. Its offset into the text is
-summed from the lengths of the texts before it, and its line and column
-are worked out over an index of the text's newlines; both are computed
-only for those positions and for errors.
+name. One symbol table maps each name and literal to its node. The
+lexer is one `findall` of the token pattern, and a token is its index
+into the list of token texts. Its offset into the text is summed from
+the lengths of the texts before it, and its line and column are worked
+out over an index of the text's newlines; both are computed only for
+those positions and for errors.
 """
 
 from __future__ import annotations
@@ -161,11 +162,10 @@ class _Parser:
         self.cursor = 0, 0  # a token's index and the offset where the text skipped before it starts
         self.pos = 0  # the index of the current token
         self.depth = 0  # brackets open at the current token
-        self.declared: dict[str, str] = {}  # name -> "param" | "def" | "budget"
-        self.params: dict[str, str | None] = {}
-        self.values: dict[str, Expr] = {}  # param -> its Var, def -> its body, the node at every reference
+        # the symbol table: a name or literal -> its node at every use, a param's Var, def's body or Const
+        self.values: dict[str, Expr] = {}
+        self.params: dict[str, str | None] = {}  # param -> its doc, for BudgetProgram
         self.defs: dict[int, str] = {}  # id(body) -> its def's name, for the labels of tests
-        self.constants: dict[str, Const] = {}  # literal text -> its Const
         self.budgets: dict[str, Tuplix] = {}
 
     # positions
@@ -228,12 +228,11 @@ class _Parser:
         self.pos += 1
         return text
 
-    def declare(self, index: int, kind: str) -> None:
+    def declare(self, index: int) -> None:
         name = self.tokens[index]
-        seen = self.declared.get(name)
-        if seen is not None:
+        if name in self.values or name in self.budgets:
+            seen = "param" if name in self.params else "def" if name in self.values else "budget"
             raise self.error(f"duplicate identifier {quoted(name)} (already a {seen})", index)
-        self.declared[name] = kind
 
     # statements
 
@@ -261,7 +260,7 @@ class _Parser:
         if self.tokens[self.pos][:1] == '"':
             doc = self.tokens[self.pos][1:-1]
             self.pos += 1
-        self.declare(at, "param")
+        self.declare(at)
         self.params[name] = doc
         self.values[name] = Var(name)
 
@@ -275,7 +274,7 @@ class _Parser:
             # of its own, rebuilt from its fields, prints as this def where named
             kind, fields = body.__reduce__()
             body = kind(*fields)
-        self.declare(at, "def")
+        self.declare(at)
         self.values[name] = body
         self.defs[id(body)] = name
 
@@ -284,7 +283,7 @@ class _Parser:
         name = self.expect_name("a budget name")
         self.expect_op("=")
         body = self.parse_tuplix()
-        self.declare(at, "budget")
+        self.declare(at)
         self.budgets[name] = body
 
     # budget terms
@@ -417,18 +416,18 @@ class _Parser:
         """A number, a name, or a bracketed or abs(...) expression.
 
         A param is its Var. A def is its body, the same object at every
-        reference. A literal is one Const for each of its texts.
+        reference. A literal is one Const for each of its texts. Each is one
+        lookup in `values`, where a name (from a letter or "_") never meets
+        a literal (from a digit).
         """
         text = self.tokens[self.pos]
         node = self.values.get(text)
-        if node is None:
-            node = self.constants.get(text)
         if node is not None:
             self.pos += 1
             return node
         if text[:1].isdecimal():  # the digits the token pattern's \d matches
             try:
-                node = self.constants[text] = Const(parse_rational(text))
+                node = self.values[text] = Const(parse_rational(text))
             except DigitLimitError as exc:
                 raise self.error(str(exc)) from None
             self.pos += 1

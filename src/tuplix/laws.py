@@ -7,13 +7,14 @@ seeded with "<seed>:<law name>". The same registry backs the `axioms`
 CLI subcommand and the acceptance tests.
 
 The random model is here too: `random_rational`, `random_expr` and
-`random_term`. Each of its choices is one `rng.random()` that indexes a
-table built once, whose entries repeat in proportion to their
-probabilities, so the distributions are those of the `randint`, `choice`
-and `sample` draws the model once made. Leaves are shared nodes, one
-`Const` per value and one `Var` per name. The number laws run on the
-integer pairs that every fold computes with (`meadow.add_pairs`,
-`mul_pairs`, `minv_pair`), drawn from a table of pairs.
+`random_term`. Each of its choices, and each draw of a law body, is one
+`rng.random()` that is scaled to a range or indexes a table built once,
+whose entries repeat in proportion to their probabilities, so the
+distributions are those of the `randint`, `choice` and `sample` draws
+the model once made. Leaves are shared nodes, one `Const` per value and
+one `Var` per name. The number laws run on the integer pairs that every
+fold computes with (`meadow.add_pairs`, `mul_pairs`, `minv_pair`), drawn
+from a table of pairs.
 """
 
 from __future__ import annotations
@@ -258,7 +259,7 @@ def _law_delta_absorbs(rng):
 
 
 def _law_entry_accumulates(rng):
-    channel = rng.choice(_CHANNELS)
+    channel = _CHANNELS[int(rng.random() * len(_CHANNELS))]
     u, v = _expr(rng), _expr(rng)
     return _same(rng, Comp(Entry(channel, u), Entry(channel, v)), Entry(channel, Add(u, v)))
 
@@ -285,7 +286,7 @@ def _law_tests_combine(rng):
 
 
 def _law_test_entry_substitution(rng):
-    channel = rng.choice(_CHANNELS)
+    channel = _CHANNELS[int(rng.random() * len(_CHANNELS))]
     u, v = _expr(rng), _expr(rng)
     guard = Test(sub(u, v))
     return _same(rng, Comp(guard, Entry(channel, u)), Comp(guard, Entry(channel, v)))
@@ -309,7 +310,7 @@ def _law_encap_test(rng):
 
 def _law_encap_entry(rng):
     h = _channels(rng)
-    channel = rng.choice(_CHANNELS)
+    channel = _CHANNELS[int(rng.random() * len(_CHANNELS))]
     u = _expr(rng)
     expected: Tuplix = Test(u) if channel in h else Entry(channel, u)
     return _same(rng, Encap(h, Entry(channel, u)), expected)
@@ -359,13 +360,13 @@ def tuplix_laws() -> list[Law]:
 
 
 def _law_normalize_matches_direct(rng):
-    t = random_term(rng, rng.randint(1, 6), _CHANNELS, _NAMES)
+    t = random_term(rng, 1 + int(rng.random() * 6), _CHANNELS, _NAMES)
     v = _valuation(rng)
     return ground_of(normalize(t, v)) == denote_ground(t, v)
 
 
 def _law_normalize_closed_terms(rng):
-    t = random_term(rng, rng.randint(1, 6), _CHANNELS, ())
+    t = random_term(rng, 1 + int(rng.random() * 6), _CHANNELS, ())
     return ground_of(normalize(t)) == denote_ground(t)
 
 
@@ -435,7 +436,7 @@ def _law_eq_encoding(rng):
 
 
 def _law_conjunction_encoding(rng):
-    parts = [_expr(rng) for _ in range(rng.randint(2, 4))]
+    parts = [_expr(rng) for _ in range(2 + int(rng.random() * 3))]
     v = _valuation(rng)
     combined = denote_ground(Test(conjunction_expr(parts)), v)
     separate = denote_ground(compose(*[Test(p) for p in parts]), v)
@@ -462,19 +463,19 @@ def constraint_laws() -> list[Law]:
 
 
 def _law_fold_preserves_evaluation(rng):
-    e = random_expr(rng, _NAMES, rng.randint(0, 5))
+    e = random_expr(rng, _NAMES, int(rng.random() * 6))
     v = _valuation(rng)
     return evaluate(fold_constants(e), v) == evaluate(e, v)
 
 
 def _law_fold_idempotent(rng):
-    e = fold_constants(random_expr(rng, _NAMES, rng.randint(0, 5)))
+    e = fold_constants(random_expr(rng, _NAMES, int(rng.random() * 6)))
     return fold_constants(e) == e
 
 
 def _law_substitute_binds(rng):
-    e = random_expr(rng, _NAMES, rng.randint(0, 4))
-    name = rng.choice(_NAMES)
+    e = random_expr(rng, _NAMES, int(rng.random() * 5))
+    name = _NAMES[int(rng.random() * len(_NAMES))]
     r = random_rational(rng)
     rest = {n: random_rational(rng) for n in _NAMES if n != name}
     bound = fold_constants(e, {name: Const(r)})

@@ -140,19 +140,8 @@ def lowest_terms(numerators: list[int], denominators: int | list[int]) -> tuple[
     return list(map(floordiv, numerators, gcds)), list(map(floordiv, denominators, gcds))
 
 
-def format_pair(numerator: int, denominator: int) -> str:
-    """Canonical text of numerator/denominator, given in lowest terms with denominator > 0.
-
-    That is 'n/d', or just 'n' when the denominator is 1.
-    """
-    try:
-        return str(numerator) if denominator == 1 else f"{numerator}/{denominator}"
-    except ValueError:
-        raise DigitLimitError() from None
-
-
 def format_column(numerators: list[int], denominators: list[int]) -> list[str]:
-    """The canonical text of each row of a column in lowest terms, as `format_pair` gives it."""
+    """The canonical text of each row of a column in lowest terms, as `format_rational` gives it."""
     try:
         if denominators.count(1) == len(denominators):
             return list(map(str, numerators))
@@ -163,7 +152,10 @@ def format_column(numerators: list[int], denominators: list[int]) -> list[str]:
 
 def format_rational(x: Rational) -> str:
     """Canonical text form: 'n/d', or just 'n' when the denominator is 1."""
-    return format_pair(x.numerator, x.denominator)
+    try:
+        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    except ValueError:
+        raise DigitLimitError() from None
 
 
 def decimal_repr(x: Rational) -> str | None:

@@ -38,7 +38,7 @@ from tuplix.laws import (
     tuplix_laws,
 )
 
-MSC = parse(bundled("msc.bgt").read_text())
+MSC = parse(bundled("msc.bgt").read_text(encoding="utf-8"))
 
 
 def report(n, ok, elapsed, bound, detail):
@@ -120,7 +120,7 @@ def test_acceptance_4_ground_synchronization(tmp_path):
         assert oracle.feasible
 
         f = tmp_path / f"s{i}.bindings"
-        f.write_text("".join(f"{name} = {value}\n" for name, value in v.items()))
+        f.write_text("".join(f"{name} = {value}\n" for name, value in v.items()), encoding="utf-8")
         code = main(["check", str(bundled("msc.bgt")), "--budget", "Total", "--bindings", str(f)])
         assert code == 0, f"scenario {i} rejected"
         entries = ground_of(normalize(elaborate(MSC, "Total"), v))

@@ -135,8 +135,9 @@ def test_a_bound_budget_folds_without_a_const_per_subterm(monkeypatch):
     # pairs and its 3 enc{} balances settle as pairs, so a Const is made only
     # for each of the 2 entries reported, never for a balance or for each of
     # the 55 parameters or 275 expression nodes
-    total = elaborate(parse(bundled("msc.bgt").read_text()), "Total")
-    valuation = parse_bindings_text(bundled("scenario.bindings").read_text(), "scenario.bindings")
+    total = elaborate(parse(bundled("msc.bgt").read_text(encoding="utf-8")), "Total")
+    bindings = bundled("scenario.bindings").read_text(encoding="utf-8")
+    valuation = parse_bindings_text(bindings, "scenario.bindings")
     valuation["k"] = Fraction(424, 1495)
     made = []
     init = Const.__init__
@@ -230,7 +231,7 @@ def test_compiling_the_residual_of_j_makes_no_fraction(monkeypatch):
     # the forms keep their constants and coefficients as integer pairs, and
     # the columns run on integers, so compiling and running the residual
     # makes no Fraction at all
-    j = elaborate(parse(bundled("msc.bgt").read_text()), "J")
+    j = elaborate(parse(bundled("msc.bgt").read_text(encoding="utf-8")), "J")
     c = normalize(j, {name: Fraction(value) for name, value in README_SWEEP.items()})
     assert len(postorder([*c.tests, *(amount for _, amount in c.entries)])) > 50
     made = count_fractions(monkeypatch)

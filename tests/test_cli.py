@@ -158,7 +158,7 @@ GOLDEN_REPORTS = [
 
 def test_eval_and_check_reports_are_byte_exact(tmp_path, capsys):
     f = tmp_path / "golden.bgt"
-    f.write_text(GOLDEN_BGT)
+    f.write_text(GOLDEN_BGT, encoding="utf-8")
     for (command, *flags), code, out, err in GOLDEN_REPORTS:
         assert run([command, str(f), *flags], capsys) == (code, out, err), flags
 
@@ -170,7 +170,7 @@ def run_child(argv):
     return subprocess.run(
         [sys.executable, "-m", "tuplix.cli", *argv],
         capture_output=True,
-        text=True,
+        encoding="utf-8",
         env={**os.environ, "PYTHONPATH": path},
     )
 
@@ -185,7 +185,8 @@ def test_eval_of_a_long_flat_composition(tmp_path, capsys):
     # 20,000 entries a(x + i) lie far past the interpreter's recursion limit
     n = 20_000
     f = tmp_path / "flat.bgt"
-    f.write_text("param x\nbudget B = " + " | ".join(f"a(x + {i})" for i in range(n)) + "\n")
+    entries = " | ".join(f"a(x + {i})" for i in range(n))
+    f.write_text(f"param x\nbudget B = {entries}\n", encoding="utf-8")
     code, out, _ = run(["eval", str(f), "--set", "x=1/2"], capsys)
     assert code == 0
     assert out == f"status: ok\nentries:\n  a: {n // 2 + n * (n - 1) // 2}\n"
@@ -195,13 +196,13 @@ def test_eval_of_a_long_flat_composition(tmp_path, capsys):
 def test_input_nested_too_deeply_exits_2(tmp_path):
     # a long sum is not nesting: every expression pass keeps its own stack
     long_sum = tmp_path / "sum.bgt"
-    long_sum.write_text("param x\nbudget B = a(x" + " + 1" * 3000 + ")\n")
+    long_sum.write_text("param x\nbudget B = a(x" + " + 1" * 3000 + ")\n", encoding="utf-8")
     proc = run_child(["eval", str(long_sum), "--set", "x=1/2"])
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == "status: ok\nentries:\n  a: 6001/2\n"
     # the parser refuses the first bracket past MAX_NESTING, before Python runs out of stack
     deep = tmp_path / "deep.bgt"
-    deep.write_text("budget B = " + "enc{c}(" * 1500 + "c(1)" + ")" * 1500 + "\n")
+    deep.write_text("budget B = " + "enc{c}(" * 1500 + "c(1)" + ")" * 1500 + "\n", encoding="utf-8")
     proc = run_child(["eval", str(deep)])
     col = len("budget B = " + "enc{c}(" * MAX_NESTING + "enc{c}(")
     assert (proc.returncode, proc.stdout) == (2, "")
@@ -214,14 +215,14 @@ def doubling_chain(tmp_path, depth):
     lines = ["param x", "def d0 = x + 1"]
     lines += [f"def d{i} = d{i - 1} + d{i - 1}" for i in range(1, depth + 1)]
     f = tmp_path / "doubling.bgt"
-    f.write_text("\n".join(lines) + f"\nbudget B = a(d{depth})\n")
+    f.write_text("\n".join(lines) + f"\nbudget B = a(d{depth})\n", encoding="utf-8")
     return f
 
 
 def test_doubling_def_chain_costs_its_depth(tmp_path, capsys):
     # written out as a tree the amount would have about 2^202 nodes; parsed, it has 203
     f = doubling_chain(tmp_path, 200)
-    amount = dict(normalize(parse(f.read_text()).budgets["B"]).entries)["a"]
+    amount = dict(normalize(parse(f.read_text(encoding="utf-8")).budgets["B"]).entries)["a"]
     assert len(postorder([amount])) == 203
     assert run(["eval", str(f), "--set", "x=1"], capsys) == (
         0, f"status: ok\nentries:\n  a: {2**201}\n", ""
@@ -241,7 +242,7 @@ def test_doubling_def_chain_costs_its_depth(tmp_path, capsys):
 def test_eval_of_a_100000_term_sum(tmp_path, capsys):
     n = 100_000
     f = tmp_path / "sum.bgt"
-    f.write_text("param x\nbudget B = a(x" + " + 1" * (n - 1) + ")\n")
+    f.write_text("param x\nbudget B = a(x" + " + 1" * (n - 1) + ")\n", encoding="utf-8")
     assert run(["eval", str(f), "--set", "x=1/2"], capsys) == (
         0, f"status: ok\nentries:\n  a: {2 * n - 1}/2\n", ""
     )
@@ -254,7 +255,7 @@ def test_substitute_tests_through_a_5000_term_chain(tmp_path, capsys):
     chain = "y" + " + 1" * n
     f = tmp_path / "pin.bgt"
     tests = f"test(x == {chain}) | test(y == 2) | test(x <= 10)"
-    f.write_text(f"param x\nparam y\nbudget B = {tests} | a(x)\n")
+    f.write_text(f"param x\nparam y\nbudget B = {tests} | a(x)\n", encoding="utf-8")
     residual = f"  x - ({chain})\n  y + -2\n  abs(10 - x) - (10 - x)\n"
     assert run(["eval", str(f)], capsys) == (0, f"status: ok\nresidual tests:\n{residual}", "")
     assert run(["eval", str(f), "--substitute-tests"], capsys) == (
@@ -265,7 +266,7 @@ def test_substitute_tests_through_a_5000_term_chain(tmp_path, capsys):
 def test_bundled_scenario_is_the_consistent_scenario_without_k():
     scenario = consistent_scenario(random.Random(1))
     path = bundled("scenario.bindings")
-    assert cli.parse_bindings_text(path.read_text(), path.name) == {
+    assert cli.parse_bindings_text(path.read_text(encoding="utf-8"), path.name) == {
         name: value for name, value in scenario.items() if name != "k"
     }
     assert scenario["k"] == Fraction(424, 1495)
@@ -274,7 +275,7 @@ def test_bundled_scenario_is_the_consistent_scenario_without_k():
 def test_substitute_tests_solves_the_one_parameter_left_free(capsys):
     # each staffing balance is affine in the free parameter, with the scenario's value as its root
     scenario = consistent_scenario(random.Random(1))
-    total = parse(Path(MSC).read_text()).budgets["Total"]
+    total = parse(Path(MSC).read_text(encoding="utf-8")).budgets["Total"]
     solutions = {"k": "k + -424/1495", "bbpp": "bbpp + -358.8", "escf": "escf + -0.7"}
     for name, solved in solutions.items():
         bound = {other: value for other, value in scenario.items() if other != name}
@@ -288,7 +289,7 @@ def test_substitute_tests_solves_the_one_parameter_left_free(capsys):
 def test_substitute_tests_makes_a_constant_nonzero_test_a_violation(tmp_path, capsys):
     # x - x + -1 is open as written, but its linear form is the constant -1: it fails everywhere
     f = tmp_path / "never.bgt"
-    f.write_text("param x\nbudget B = test(x - x == 1) | a(x)\n")
+    f.write_text("param x\nbudget B = test(x - x == 1) | a(x)\n", encoding="utf-8")
     assert run(["eval", str(f)], capsys) == (0, "status: ok\nresidual tests:\n  x - x + -1\n", "")
     assert run(["eval", str(f), "--substitute-tests"], capsys) == (
         1, "status: null\nviolations:\n  x - x + -1  value -1\n", ""
@@ -300,7 +301,7 @@ def test_substitute_tests_solves_through_a_def_and_its_alias(tmp_path, capsys):
     # D + D uses D's body twice, which makes it one atom of the test
     f = tmp_path / "alias.bgt"
     f.write_text("param x\ndef D = x + 1\ndef E = D\nbudget B = test(D + E == 4) | a(x)\n"
-                 "budget T = test(D + D == 4) | a(x)\n")
+                 "budget T = test(D + D == 4) | a(x)\n", encoding="utf-8")
     argv = ["eval", str(f), "--substitute-tests", "--budget"]
     assert run([*argv, "B"], capsys) == (0, "status: ok\nresidual tests:\n  x + -1\n", "")
     assert run([*argv, "T"], capsys) == (
@@ -313,7 +314,7 @@ def test_substitute_tests_solves_for_a_pivot_coefficient_of_1_minus_1_and_2(tmp_
     text = ("param x\nparam y\nbudget One = test(x == y + 3) | a(x)\n"
             "budget MinusOne = test(3 - x == y) | a(x)\nbudget Two = test(2 * x == y + 3) | a(x)\n")
     f = tmp_path / "pivots.bgt"
-    f.write_text(text)
+    f.write_text(text, encoding="utf-8")
     cases = {"One": ("x - (y + 3)", 4), "MinusOne": ("x - (3 - y)", 2), "Two": ("x - -0.5 * -(y + 3)", 2)}
     for budget, (solved, x) in cases.items():
         argv = ["eval", str(f), "--budget", budget, "--substitute-tests"]
@@ -371,7 +372,7 @@ def test_eval_bad_rational_rejected(capsys):
 
 def test_eval_substitute_tests_reveals_contradiction(tmp_path, capsys):
     f = tmp_path / "pin.bgt"
-    f.write_text("param x\nbudget B = test(x == 2) | test(x <= 1) | a(x)\n")
+    f.write_text("param x\nbudget B = test(x == 2) | test(x <= 1) | a(x)\n", encoding="utf-8")
     plain = run(["eval", str(f)], capsys)
     assert plain[0] == 0  # both tests open, nothing decided
     code, out, _ = run(["eval", str(f), "--substitute-tests"], capsys)
@@ -390,7 +391,7 @@ def test_check_accepts_consistent_scenario(tmp_path, capsys):
     scenario = consistent_scenario(random.Random(5))
     lines = [f"{name} = {value}" for name, value in scenario.items()]
     f = tmp_path / "scenario.bindings"
-    f.write_text("# scenario 5\n" + "\n".join(lines) + "\n")
+    f.write_text("# scenario 5\n" + "\n".join(lines) + "\n", encoding="utf-8")
     code, out, err = run(["check", MSC, "--budget", "Total", "--bindings", str(f)], capsys)
     assert (code, out, err) == (0, "", "")
 
@@ -399,7 +400,7 @@ def test_check_reports_broken_balance(tmp_path, capsys):
     scenario = consistent_scenario(random.Random(6))
     scenario["B:ssot"] += 1
     f = tmp_path / "scenario.bindings"
-    f.write_text("\n".join(f"{n} = {v}" for n, v in scenario.items()) + "\n")
+    f.write_text("\n".join(f"{n} = {v}" for n, v in scenario.items()) + "\n", encoding="utf-8")
     code, _, err = run(["check", MSC, "--budget", "Total", "--bindings", str(f)], capsys)
     assert code == 1
     assert "enc{b}" in err
@@ -407,7 +408,7 @@ def test_check_reports_broken_balance(tmp_path, capsys):
 
 def test_set_overrides_bindings_file(tmp_path, capsys):
     f = tmp_path / "s.bindings"
-    f.write_text("".join(f"{n} = {v}\n" for n, v in S0.items()))
+    f.write_text("".join(f"{n} = {v}\n" for n, v in S0.items()), encoding="utf-8")
     base = run(["eval", MSC, "--budget", "J", "--bindings", str(f), "--set", "k=0", "--format", "json"], capsys)
     override = run(
         ["eval", MSC, "--budget", "J", "--bindings", str(f), "--set", "bbpp=9", "--set", "k=0", "--format", "json"],
@@ -419,7 +420,7 @@ def test_set_overrides_bindings_file(tmp_path, capsys):
 
 def test_bindings_file_syntax_error_carries_line(tmp_path, capsys):
     f = tmp_path / "bad.bindings"
-    f.write_text("bbpp = 8\nwhat even is this\n")
+    f.write_text("bbpp = 8\nwhat even is this\n", encoding="utf-8")
     code, _, err = run(["eval", MSC, "--bindings", str(f)], capsys)
     assert code == 2
     assert "bad.bindings:2" in err
@@ -483,7 +484,7 @@ def squaring_chain(tmp_path):
         f"budget N = a(D{depth}) | test(x - 1)",  # null wherever x is not 1
         f"budget T = test(D{depth} == 0)",
     ]
-    f.write_text("\n".join(lines) + "\n")
+    f.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return str(f)
 
 
@@ -505,7 +506,7 @@ def test_numbers_past_the_digit_limit_exit_2(tmp_path, capsys):
         2, "", f"error: --set '{shown}': a number has more than {LIMIT} decimal digits\n"
     )
     program = tmp_path / "literal.bgt"
-    program.write_text(f"param x\nbudget B = a(x + {literal})\n")
+    program.write_text(f"param x\nbudget B = a(x + {literal})\n", encoding="utf-8")
     assert run(["eval", str(program)], capsys) == (
         2, "", f"error: literal.bgt:2:18: a number has more than {LIMIT} decimal digits\n"
     )
@@ -538,8 +539,8 @@ def test_set_errors_quote_a_long_item_cut_short(capsys):
 
 def test_errors_quote_a_long_value_cut_short(tmp_path, capsys):
     value = "1." * 2200
-    (tmp_path / "value.bindings").write_text(f"x = {value}\n")
-    (tmp_path / "equals.bindings").write_text(f"x == {value}\n")
+    (tmp_path / "value.bindings").write_text(f"x = {value}\n", encoding="utf-8")
+    (tmp_path / "equals.bindings").write_text(f"x == {value}\n", encoding="utf-8")
     calls = [
         ["eval", MSC, "--set", f"x={value}"],
         ["eval", MSC, "--bindings", str(tmp_path / "value.bindings")],
@@ -565,7 +566,7 @@ def test_errors_quote_a_long_name_cut_short(tmp_path, capsys):
     ]
     calls = []
     for i, text in enumerate(programs):
-        (tmp_path / f"p{i}.bgt").write_text(text)
+        (tmp_path / f"p{i}.bgt").write_text(text, encoding="utf-8")
         calls.append(["eval", str(tmp_path / f"p{i}.bgt")])
     calls += [
         ["eval", MSC, "--budget", name],
@@ -595,7 +596,7 @@ def test_unknown_budget_lists_choices(capsys):
 
 def test_parse_error_exits_2(tmp_path, capsys):
     f = tmp_path / "broken.bgt"
-    f.write_text("budget B = a(\n")
+    f.write_text("budget B = a(\n", encoding="utf-8")
     code, _, err = run(["eval", str(f)], capsys)
     assert code == 2
     assert "broken.bgt" in err
@@ -605,7 +606,7 @@ def test_usage_error_exits_2(capsys, tmp_path):
     assert run([], capsys)[0] == 2
     assert run(["sweep", MSC, "--var", "k"], capsys)[0] == 2  # missing range
     only_params = tmp_path / "params.bgt"
-    only_params.write_text("param x\n")
+    only_params.write_text("param x\n", encoding="utf-8")
     for argv, message in [
         (["axioms", "--trials", "0"], "error: --trials must be >= 1\n"),
         (["eval", str(only_params)], "error: the program declares no budgets\n"),
@@ -766,7 +767,9 @@ def test_readme_sweep_is_byte_stable(capsys):
 def test_sweep_json_is_laid_out_as_json_dumps(tmp_path, capsys):
     # ok rows with and without entries, null rows, and a channel name that must be escaped
     f = tmp_path / "rows.bgt"
-    f.write_text("param x\nbudget A = a\u00e9(x) | b(1/3) | test(x * (x - 1))\nbudget E = test(x)\n")
+    f.write_text(
+        "param x\nbudget A = a\u00e9(x) | b(1/3) | test(x * (x - 1))\nbudget E = test(x)\n", encoding="utf-8"
+    )
     for budget in ("A", "E"):
         code, out, _ = run(
             ["sweep", str(f), "--budget", budget, "--var", "x", "--from", "-1", "--to", "2",
@@ -825,7 +828,7 @@ def test_sweep_of_a_null_form_compiles_nothing(capsys, monkeypatch):
 def test_sweep_of_a_residual_folded_to_constants(tmp_path, capsys, monkeypatch):
     # x * 0 folds away, so every row is the same constant form
     f = tmp_path / "folded.bgt"
-    f.write_text("param x\nparam y\nbudget B = a(x * 0 + y) | b(2 * y) | test(0 * x)\n")
+    f.write_text("param x\nparam y\nbudget B = a(x * 0 + y) | b(2 * y) | test(0 * x)\n", encoding="utf-8")
     programs = spy_compiles(monkeypatch)
     code, out, _ = run(
         ["sweep", str(f), "--var", "x", "--from", "-1", "--to", "1", "--step", "1",
@@ -859,7 +862,7 @@ def test_sweep_of_a_doubling_product_chain(tmp_path, capsys, monkeypatch):
     lines = ["param x", "def d0 = x"]
     lines += [f"def d{i} = d{i - 1} * d{i - 1}" for i in range(1, 201)]
     f = tmp_path / "squaring.bgt"
-    f.write_text("\n".join(lines) + "\nbudget B = a(d200) | b(d200 + d0)\n")
+    f.write_text("\n".join(lines) + "\nbudget B = a(d200) | b(d200 + d0)\n", encoding="utf-8")
     programs = spy_compiles(monkeypatch)
     code, out, _ = run(
         ["sweep", str(f), "--var", "x", "--from", "-1", "--to", "1", "--step", "1",
@@ -877,7 +880,8 @@ def test_sweep_of_a_long_flat_composition(tmp_path, capsys):
     # the summed amount of 3,000 entries a(x + i) is a 3,000-deep chain
     n = 3000
     f = tmp_path / "flat.bgt"
-    f.write_text("param x\nbudget B = " + " | ".join(f"a(x + {i})" for i in range(n)) + "\n")
+    entries = " | ".join(f"a(x + {i})" for i in range(n))
+    f.write_text(f"param x\nbudget B = {entries}\n", encoding="utf-8")
     code, out, _ = run(
         ["sweep", str(f), "--var", "x", "--from", "0", "--to", "2", "--step", "1",
          "--format", "json"],
@@ -940,7 +944,7 @@ def test_sweep_single_point(capsys):
 
 def test_sweep_json_of_a_budget_of_tests_alone(tmp_path, capsys):
     f = tmp_path / "tests.bgt"
-    f.write_text("param k\nbudget B = test(k <= 1)\n")
+    f.write_text("param k\nbudget B = test(k <= 1)\n", encoding="utf-8")
     argv = ["sweep", str(f), "--var", "k", "--from", "0", "--to", "2", "--step", "1", "--format", "json"]
     code, out, err = run(argv, capsys)
     rows = [{"entries": {}, "status": "ok", "value": "0"}, {"entries": {}, "status": "ok", "value": "1"}]
@@ -987,7 +991,7 @@ def budget_chain(tmp_path, depth):
     lines = ["param x", "budget B0 = a(x) | test(x <= 5)"]
     lines += [f"budget B{i} = B{i - 1} | B{i - 1}" for i in range(1, depth + 1)]
     f = tmp_path / f"chain{depth}.bgt"
-    f.write_text("\n".join(lines) + "\n")
+    f.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return str(f)
 
 
@@ -1029,8 +1033,8 @@ def test_sweep_checks_the_parameters_of_a_shared_budget_once(tmp_path, capsys):
     lines = ["param x", "param y", "budget B0 = a(x) | a(y)"]
     lines += [f"budget B{i} = B{i - 1} | B{i - 1}" for i in range(1, 61)]
     f = tmp_path / "chain.bgt"
-    f.write_text("\n".join(lines) + "\n")
-    assert free_vars(parse(f.read_text()).budgets["B60"]) == {"x", "y"}
+    f.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert free_vars(parse(f.read_text(encoding="utf-8")).budgets["B60"]) == {"x", "y"}
     start = time.perf_counter()
     result = run(["sweep", str(f), "--var", "x", "--from", "0", "--to", "1", "--step", "1"], capsys)
     assert time.perf_counter() - start < 0.5
@@ -1088,7 +1092,7 @@ def test_axioms_single_trial(capsys):
 
 def test_a_set_flag_does_not_outlive_its_call(tmp_path, capsys):
     f = tmp_path / "x.bgt"
-    f.write_text("param x\nbudget B = a(x)\n")
+    f.write_text("param x\nbudget B = a(x)\n", encoding="utf-8")
     bound = run(["eval", str(f), "--set", "x=1", "--format", "json"], capsys)
     assert json.loads(bound[1])["entries"] == {"a": "1"}
     unbound = run(["eval", str(f), "--format", "json"], capsys)

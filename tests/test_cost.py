@@ -185,7 +185,7 @@ README_SETS = [
 
 def msc(n):
     """The shipped msc.bgt, the same at every size."""
-    return bundled("msc.bgt").read_text()
+    return bundled("msc.bgt").read_text(encoding="utf-8")
 
 
 def readme_sweep_flags(n):
@@ -364,10 +364,10 @@ def test_cost_grows_with_the_budget_as_written(family, command, check, tmp_path,
     sizes = (n, 2 * n)
     arguments = {}
     for size in sizes:
-        (tmp_path / f"{size}.bgt").write_text(text(size))
+        (tmp_path / f"{size}.bgt").write_text(text(size), encoding="utf-8")
         arguments[size] = [str(tmp_path / f"{size}.bgt")]
         if family in BINDINGS:
-            (tmp_path / f"{size}.bindings").write_text(BINDINGS[family](size))
+            (tmp_path / f"{size}.bindings").write_text(BINDINGS[family](size), encoding="utf-8")
             arguments[size] += ["--bindings", str(tmp_path / f"{size}.bindings")]
         arguments[size] += FLAGS[family](size) if family in FLAGS else []
     # At n the floor stands in for any time below it, and at 2n any time below GROWTH floors
@@ -413,7 +413,7 @@ def test_substituting_independent_tests_folds_each_node_a_bounded_number_of_time
     counts = []
     for n in (100, 200):
         f = tmp_path / f"{n}.bgt"
-        f.write_text(equalities(n))
+        f.write_text(equalities(n), encoding="utf-8")
         steps.clear()
         code = main(["eval", "--substitute-tests", str(f)])
         out = capsys.readouterr().out

@@ -149,11 +149,12 @@ def err(text):
 
 
 def test_duplicate_declaration():
-    e = err("param x\nparam x\n")
-    assert "duplicate identifier 'x'" in str(e)
-    assert e.line == 2
-    e = err("param x\ndef x = 1\n")
-    assert "already a param" in str(e)
+    # every (earlier, later) pair of kinds, placed at the later declaration's name
+    declarations = {"param": ("param x", 7), "def": ("def x = 1", 5), "budget": ("budget x = eps", 8)}
+    for earlier, (first, _) in declarations.items():
+        for second, col in declarations.values():
+            e = err(f"{first}\n{second}\n")
+            assert str(e) == f"2:{col}: duplicate identifier 'x' (already a {earlier})"
 
 
 def test_undeclared_identifier():
@@ -342,7 +343,7 @@ def lexer_inputs():
     """The case study, a program of each `scale` family and of each family of tests/test_cost.py."""
     from test_cost import FAMILIES
 
-    yield bundled("msc.bgt").read_text()
+    yield bundled("msc.bgt").read_text(encoding="utf-8")
     yield "param x\nbudget F = " + "\n  | ".join(f"a(x + {c})" for c in (5, 0, 999)) + "\n"
     yield "param x\ndef D0 = x + 7\n" + "".join(f"def D{i} = D{i - 1} * D{i - 1}\n" for i in (1, 2, 3)) + "budget B = a(D3)\n"
     for family, (text, _) in FAMILIES.items():
@@ -484,7 +485,7 @@ def test_labels_name_each_def_where_it_is_referenced(defs, cond):
 
 
 def test_bundled_case_study_shape():
-    prog = parse(bundled("msc.bgt").read_text())
+    prog = parse(bundled("msc.bgt").read_text(encoding="utf-8"))
     assert list(prog.budgets) == ["J", "A", "B", "C", "Total"]
     total = elaborate(prog, "Total")
     assert isinstance(total, Encap)
@@ -498,7 +499,7 @@ def test_bundled_case_study_shape():
 
 
 def test_bundled_case_study_guards_label_their_violations():
-    prog = parse(bundled("msc.bgt").read_text())
+    prog = parse(bundled("msc.bgt").read_text(encoding="utf-8"))
     v = {name: Fraction(1) for name in prog.params}
     v["bbpp"] = Fraction(10**6)  # breaks the basic-budget bound
     c = normalize(elaborate(prog, "J"), v)

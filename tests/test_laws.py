@@ -2,6 +2,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import chain, combinations, repeat
+from types import SimpleNamespace
 
 import pytest
 
@@ -187,3 +188,12 @@ def test_the_ends_of_random_draw_the_first_and_last_entry_of_each_table():
     assert entry == Entry("c", Abs(Abs(Var("v"))))
     assert L.random_term(_Draws(0.6, then=last), 2, ("a", "b", "c"), ()) == Encap(frozenset("abc"), DELTA)
     assert L.random_term(_Draws(0.6, first, then=last), 2, ("a",), ()) == Encap(frozenset(), DELTA)
+
+
+@pytest.mark.parametrize("law", L.all_laws(), ids=lambda law: law.name)
+def test_every_law_draws_only_through_random(law):
+    # each draw of a law body is one `random()`, as the model's are: a generator with no other
+    # method runs every law, also when each draw is the least or greatest value `random()` returns
+    stream = SimpleNamespace(random=random.Random(law.name).random)
+    for draws in (_Draws(then=0.0), _Draws(then=1 - 2**-53), stream):
+        assert all(law.check(draws) for _ in range(20))

@@ -31,7 +31,7 @@ def unused_definitions():
     it; dunder methods, which the language calls, and the names in
     `tuplix.__all__` count as used.
     """
-    modules = [ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))]
+    modules = [ast.parse(path.read_text(encoding="utf-8"), str(path)) for path in sorted(SRC.glob("*.py"))]
     used = sum(map(names_in, modules), Counter())
     found = []
     for module in modules:
@@ -67,7 +67,9 @@ def imported_names(tree):
 
 
 def test_the_law_suite_alone_draws_random_values_and_imports_no_private_name():
-    imports = {path.stem: imported_names(ast.parse(path.read_text())) for path in SRC.glob("*.py")}
+    imports = {
+        path.stem: imported_names(ast.parse(path.read_text(encoding="utf-8"))) for path in SRC.glob("*.py")
+    }
     assert [stem for stem, pairs in imports.items() if any(m == "random" for m, _ in pairs)] == ["laws"]
     assert [name for _, name in imports["laws"] if name and name.startswith("_")] == []
 
@@ -126,7 +128,7 @@ print(code, *sorted(new - {"tuplix"} - sys.stdlib_module_names))
 def test_the_runtime_imports_the_standard_library_only():
     # in a fresh interpreter, so that modules the tests loaded do not hide an import
     proc = subprocess.run(
-        [sys.executable, "-c", STDLIB_ONLY], capture_output=True, text=True, cwd=SRC.parent
+        [sys.executable, "-c", STDLIB_ONLY], capture_output=True, encoding="utf-8", cwd=SRC.parent
     )
     assert (proc.stdout, proc.stderr) == ("0\n", "")
 
@@ -157,7 +159,7 @@ def test_only_the_axioms_command_imports_the_law_suite_and_random():
     proc = subprocess.run(
         [sys.executable, "-S", "-c", DEFERRED_LAWS, str(SRC.parent), str(SRC / "data")],
         capture_output=True,
-        text=True,
+        encoding="utf-8",
     )
     assert (proc.stdout, proc.stderr) == (
         "[]\neval 0 []\ncheck 0 []\nsweep 0 []\naxioms 0 ['random', 'tuplix.laws']\n", ""
