@@ -12,20 +12,27 @@ Exit codes: 0 success, 1 the budget is impossible (or a law failed),
 number past the interpreter's digit limit among them.
 Rationals cross the boundary as exact text ('n/d', or 'n' when the
 denominator is 1), never as floats.
+
+COMMANDS declares each command and each of its options once. `main`
+reads argv with `read_argv`, one pass over argv driven by that table;
+help, and argv that the pass cannot read exactly, such as an
+abbreviation, an unknown option or a refused value, go to the argparse
+parser that `build_arg_parser` builds from the same table, imported and
+built on first use. So every help text and usage error is argparse's own.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
-import json
 import operator
 import os
 import re
 import sys
+from collections import namedtuple
 from collections.abc import Iterable
 from itertools import compress, repeat
 from math import lcm
+from types import SimpleNamespace
 
 from .algebra import (
     CanonicalTuplix,
@@ -84,6 +91,8 @@ def render_text(c: CanonicalTuplix, source: str = "") -> str:
 
 
 def render_json(c: CanonicalTuplix, source: str = "") -> str:
+    import json  # for JSON output alone
+
     entries = ground_of(c)
     doc = {
         "status": "null" if c.is_null else "ok",
@@ -142,9 +151,11 @@ def _read_text(path: str) -> str:
     except UnicodeDecodeError as exc:
         line = exc.object.count(b"\n", 0, exc.start) + 1
         raise CliError(f"{os.path.basename(path)}:{line}: not valid UTF-8 ({exc.reason})") from None
+    except ValueError as exc:  # a NUL byte, which no path can hold
+        raise CliError(f"{exc} in the path {quoted(path)}") from None
 
 
-def collect_bindings(args: argparse.Namespace, program: BudgetProgram) -> dict[str, Rational]:
+def collect_bindings(args: SimpleNamespace, program: BudgetProgram) -> dict[str, Rational]:
     """File bindings first, then --set pairs in order; the last value wins."""
     bindings: dict[str, Rational] = {}
     if args.bindings:
@@ -158,7 +169,7 @@ def collect_bindings(args: argparse.Namespace, program: BudgetProgram) -> dict[s
     return bindings
 
 
-def _load(args: argparse.Namespace) -> tuple[str, BudgetProgram, Tuplix, dict[str, Rational]]:
+def _load(args: SimpleNamespace) -> tuple[str, BudgetProgram, Tuplix, dict[str, Rational]]:
     """The source name, program, chosen budget's term and bindings of a command.
 
     Fails, in this order, on a file that cannot be read, a parse error, an
@@ -182,7 +193,7 @@ def _load(args: argparse.Namespace) -> tuple[str, BudgetProgram, Tuplix, dict[st
 # --- subcommands -------------------------------------------------------------
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
+def cmd_eval(args: SimpleNamespace) -> int:
     source, _, term, bindings = _load(args)
     c = normalize(term, bindings)
     if args.substitute_tests and not c.is_null:
@@ -192,7 +203,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 1 if c.is_null else 0
 
 
-def cmd_check(args: argparse.Namespace) -> int:
+def cmd_check(args: SimpleNamespace) -> int:
     source, program, term, bindings = _load(args)
     missing = sorted(program.params.keys() - bindings.keys())
     if missing:
@@ -236,7 +247,7 @@ def _at_ok_rows(ok: list[bool], ok_cells: Iterable[str], null_cell: str) -> list
     return [next(ok_cells) if fine else null_cell for fine in ok]
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: SimpleNamespace) -> int:
     _, program, term, bindings = _load(args)
     if args.var not in program.params:
         raise CliError(f"--var {quoted(args.var)} is not a parameter of the program")
@@ -257,6 +268,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # an amount is formatted only at the ok rows, and its column of ints is let go once it is
     amounts = [format_column([*compress(n, ok)], [*compress(d, ok)]) for n, d in amounts]
     if args.format == "json":
+        import json  # for JSON output alone
+
         # each row laid out as json.dumps(rows, sort_keys=True, indent=2) would, with each
         # channel's key encoded once; the text of a rational needs no escape
         keys = [f'      {json.dumps(channel)}: "' for channel in channels]
@@ -288,7 +301,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_axioms(args: argparse.Namespace) -> int:
+def cmd_axioms(args: SimpleNamespace) -> int:
     from .laws import all_laws, render_results, run_suite  # with `random`, for this command alone
 
     if args.trials < 1:
@@ -302,74 +315,152 @@ def cmd_axioms(args: argparse.Namespace) -> int:
 
 
 def _rational_arg(text: str) -> Rational:
+    """parse_rational as a converter of COMMANDS: argparse reports the reason it refuses a value."""
     try:
         return parse_rational(text)
     except ValueError as exc:
+        import argparse  # only argparse reports a refused value, so it is loaded or about to be
+
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("file", help="budget program (.bgt)")
-    sub.add_argument("--budget", metavar="NAME", help="budget to use (default: last declared)")
-    sub.add_argument(
-        "--set",
-        action="append",
-        metavar="VAR=RAT",
-        help="bind one parameter (repeatable; overrides --bindings)",
-    )
-    sub.add_argument("--bindings", metavar="FILE", help="file of NAME = RATIONAL lines")
+class Argument(namedtuple("Argument", "dest flag action type choices required default metavar help",
+                          defaults=(None, "store", None, None, None, None, None, None))):
+    """One argument of a command, as argparse's add_argument takes it: a positional where `flag` is None.
+
+    `action` is "store", "append" (the option repeats, each value appended
+    to a list) or "store_true" (the option takes no value); `type` converts
+    a value's text. A field left None is not passed to add_argument.
+    """
+
+    __slots__ = ()
+
+
+_PROGRAM = (
+    Argument("file", help="budget program (.bgt)"),
+    Argument("budget", "--budget", metavar="NAME", help="budget to use (default: last declared)"),
+    Argument("set", "--set", "append", metavar="VAR=RAT",
+             help="bind one parameter (repeatable; overrides --bindings)"),
+    Argument("bindings", "--bindings", metavar="FILE", help="file of NAME = RATIONAL lines"),
+)
+_FORMAT = Argument("format", "--format", choices=("text", "json"), default="text")
+
+# Every command and its arguments, declared once, as name -> (line in the help, function that
+# runs it, arguments in help order): read_argv reads argv from this table, and build_arg_parser
+# builds argparse's parser from it.
+COMMANDS = {
+    "eval": ("normalize a budget under bindings", cmd_eval, (
+        *_PROGRAM,
+        _FORMAT,
+        Argument("substitute_tests", "--substitute-tests", "store_true", default=False,
+                 help="solve residual tests that are linear in a parameter into the amounts"),
+    )),
+    "check": ("exit 0 iff the fully bound budget balances", cmd_check, _PROGRAM),
+    "sweep": ("evaluate across a range of one parameter", cmd_sweep, (
+        *_PROGRAM,
+        Argument("var", "--var", required=True, metavar="NAME", help="parameter to sweep"),
+        Argument("start", "--from", type=_rational_arg, required=True, metavar="RAT"),
+        Argument("stop", "--to", type=_rational_arg, required=True, metavar="RAT"),
+        Argument("step", "--step", type=_rational_arg, required=True, metavar="RAT"),
+        _FORMAT,
+    )),
+    "axioms": ("run the randomized law suite", cmd_axioms, (
+        Argument("trials", "--trials", type=int, default=1000, metavar="N"),
+        Argument("seed", "--seed", type=int, default=0, metavar="S"),
+    )),
+}
+
+
+def read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """What argparse would read from argv, read in one pass over it; None where argparse must read it.
+
+    The pass reads a command, its positional, and options by their full
+    names, as `--opt value` with a value that does not start with '-' or as
+    `--opt=value`. Anything else gives None: help, an abbreviation, an
+    unknown option, '--', a missing value or one that its converter or
+    choices refuse, one positional too many or too few, a missing required
+    option. argparse then reads argv itself, or prints its own help or error.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, run, arguments = COMMANDS[argv[0]]
+    by_flag = {argument.flag: argument for argument in arguments}
+    positionals = (argument for argument in arguments if argument.flag is None)
+    values = {argument.dest: argument.default for argument in arguments}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            argument = next(positionals, None)
+            if argument is None:
+                return None
+            values[argument.dest] = token
+            continue
+        flag, equals, value = token.partition("=")
+        argument = by_flag.get(flag)
+        if argument is None:
+            return None
+        if argument.action == "store_true":
+            if equals:
+                return None
+            values[argument.dest] = True
+            continue
+        if not equals:
+            value = next(tokens, "-")  # at the end of argv, "-" stands for the missing value
+            if value.startswith("-"):
+                return None
+        if argument.type is not None:
+            try:
+                value = argument.type(value)
+            except Exception:  # argparse runs the converter again, and reports or raises what it raises
+                return None
+        if argument.choices is not None and value not in argument.choices:
+            return None
+        if argument.action == "append":
+            if values[argument.dest] is None:
+                values[argument.dest] = []
+            values[argument.dest].append(value)  # in place: a copy per value would be quadratic
+        else:
+            values[argument.dest] = value
+    if any(values[argument.dest] is None for argument in arguments
+           if argument.required or argument.flag is None):  # a positional is required
+        return None
+    return SimpleNamespace(command=argv[0], run=run, **values)
 
 
 @functools.cache
-def build_arg_parser() -> argparse.ArgumentParser:
-    """The parser of every command, built on the first call and shared by all later ones.
+def build_arg_parser() -> "argparse.ArgumentParser":
+    """argparse's parser of COMMANDS, built on the first call and shared by all later ones.
 
     Each parse_args call fills a fresh Namespace, so one call's flags never
     reach the next; no option has a mutable default that a call could share.
     """
+    import argparse  # for help and for the argv that read_argv leaves to argparse alone
+
     parser = argparse.ArgumentParser(
         prog="tuplix",
         description="Evaluate budget programs over exact rationals.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    p_eval = commands.add_parser("eval", help="normalize a budget under bindings")
-    _add_common(p_eval)
-    p_eval.add_argument("--format", choices=("text", "json"), default="text")
-    p_eval.add_argument(
-        "--substitute-tests",
-        action="store_true",
-        help="solve residual tests that are linear in a parameter into the amounts",
-    )
-    p_eval.set_defaults(run=cmd_eval)
-
-    p_check = commands.add_parser("check", help="exit 0 iff the fully bound budget balances")
-    _add_common(p_check)
-    p_check.set_defaults(run=cmd_check)
-
-    p_sweep = commands.add_parser("sweep", help="evaluate across a range of one parameter")
-    _add_common(p_sweep)
-    p_sweep.add_argument("--var", required=True, metavar="NAME", help="parameter to sweep")
-    p_sweep.add_argument("--from", dest="start", required=True, type=_rational_arg, metavar="RAT")
-    p_sweep.add_argument("--to", dest="stop", required=True, type=_rational_arg, metavar="RAT")
-    p_sweep.add_argument("--step", required=True, type=_rational_arg, metavar="RAT")
-    p_sweep.add_argument("--format", choices=("text", "json"), default="text")
-    p_sweep.set_defaults(run=cmd_sweep)
-
-    p_axioms = commands.add_parser("axioms", help="run the randomized law suite")
-    p_axioms.add_argument("--trials", type=int, default=1000, metavar="N")
-    p_axioms.add_argument("--seed", type=int, default=0, metavar="S")
-    p_axioms.set_defaults(run=cmd_axioms)
-
+    for name, (help_, run, arguments) in COMMANDS.items():
+        sub = commands.add_parser(name, help=help_)
+        for argument in arguments:
+            options = {field: value for field, value in argument._asdict().items() if value is not None}
+            if argument.flag is None:  # a positional is named by its dest
+                sub.add_argument(options.pop("dest"), **options)
+            else:
+                sub.add_argument(options.pop("flag"), **options)
+        sub.set_defaults(run=run)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_arg_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exit_:
-        return int(exit_.code or 0)
+    argv = sys.argv[1:] if argv is None else argv
+    args = read_argv(argv)
+    if args is None:
+        try:
+            args = SimpleNamespace(**vars(build_arg_parser().parse_args(argv)))
+        except SystemExit as exit_:
+            return int(exit_.code or 0)
     try:
         return args.run(args)
     except (CliError, DigitLimitError) as exc:

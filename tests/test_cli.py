@@ -611,6 +611,9 @@ def test_usage_error_exits_2(capsys, tmp_path):
         (["axioms", "--trials", "0"], "error: --trials must be >= 1\n"),
         (["eval", str(only_params)], "error: the program declares no budgets\n"),
         (["eval", str(tmp_path / "missing.bgt")], None),  # the system's own message
+        # a path with a NUL byte, which open() refuses with a ValueError, not an OSError
+        (["eval", "\x00"], "error: embedded null byte in the path '\\x00'\n"),
+        (["eval", MSC, "--bindings", "a\x00b"], "error: embedded null byte in the path 'a\\x00b'\n"),
     ]:
         code, out, err = run(argv, capsys)
         assert (code, out) == (2, "")
@@ -1139,3 +1142,123 @@ def test_the_argument_parser_is_built_once_per_process(capsys, monkeypatch):
         assert run(["sweep", MSC, "--var", "k"], capsys)[0] == 2
     # at most the first call builds them: the top-level parser and one per command
     assert len(built) <= 5, built
+
+
+# --- reading argv --------------------------------------------------------------
+
+SCENARIO = str(bundled("scenario.bindings"))
+
+# pieces of argv after a command: options in full, repeated and after "=", values that are
+# negative or start with '-', abbreviations, unknown options, a second file, missing values,
+# bad choices and bad rationals
+SHARED_PIECES = [
+    [TRANSFER], [MSC], [""], ["-"], ["-1"], ["extra"], ["--"], ["-h"], ["--help"], ["--unknown"],
+    ["--unknown=1"], ["-x"], ["--budget", "Net"], ["--budget=P"], ["--budget", "-1"], ["--budget="],
+    ["--budget"], ["--bud", "Net"], ["--set", "k=1/2"], ["--set=x=-1"], ["--set", "-k=1"], ["--set"],
+    ["--se", "k=1"], ["--bindings", SCENARIO], ["--bindings=x.bindings"], ["--bind", SCENARIO],
+]
+FORMAT_PIECES = [
+    ["--format", "json"], ["--format=text"], ["--format", "xml"], ["--form", "json"], ["--format"],
+]
+PIECES = {
+    "eval": [
+        *SHARED_PIECES, *FORMAT_PIECES,
+        ["--substitute-tests"], ["--subst"], ["--substitute-tests=x"], ["--substitute-tests="],
+    ],
+    "check": SHARED_PIECES,
+    "sweep": [
+        *SHARED_PIECES, *FORMAT_PIECES, ["--var", "k"], ["--var=bbpp"], ["--va", "k"],
+        ["--from", "0"], ["--from=-3/2"], ["--from", "-3/2"], ["--from", "-1"], ["--from", "1.1.1"],
+        ["--fr", "0"], ["--to", "1"], ["--to=1/2"], ["--to", "1e3"], ["--step", "1/4"], ["--step=0.25"],
+        ["--step", "1/0"],
+    ],
+    "axioms": [
+        ["--trials", "1"], ["--trials=20"], ["--tri", "1"], ["--trials", "x"], ["--trials"],
+        ["--seed", "3"], ["--seed=-1"], ["--seed", "-1"], ["--seed", "1_0"], ["--", "1"], ["-h"],
+        ["--unknown"], ["extra"],
+    ],
+}
+# the pieces of a call that reads, each kept or left out at random
+VALID_PIECES = {
+    "eval": [[TRANSFER]],
+    "check": [[TRANSFER]],
+    "sweep": [[MSC], ["--var", "k"], ["--from", "0"], ["--to", "1"], ["--step", "1/4"]],
+    "axioms": [],
+}
+
+
+def seeded_argv(seed):
+    """A command, most pieces of a valid call and a few other pieces, shuffled; now and then no command."""
+    rng = random.Random(seed)
+    command = rng.choice(list(PIECES))
+    pieces = [piece for piece in VALID_PIECES[command] if rng.random() < 0.85]
+    pieces += rng.choices(PIECES[command], k=rng.randrange(4))
+    rng.shuffle(pieces)
+    head = rng.choice([[command]] * 8 + [[], ["bogus"], ["--help"]])
+    return [*head, *(token for piece in pieces for token in piece)]
+
+
+def test_the_reader_reads_argv_as_argparse_does_or_leaves_it_to_argparse(capsys):
+    # Either read_argv gives argparse's attributes, or it gives None and argparse reads argv;
+    # where argparse then exits, with help or an error, main exits the same way with the same text.
+    # Each version of Python brings its own argparse, and the reader must agree with each.
+    parser = cli.build_arg_parser()
+    outcomes = {"read": 0, "help or error from argparse": 0, "read by argparse alone": 0}
+    for seed in range(1000):
+        argv = seeded_argv(seed)
+        try:
+            expected = vars(parser.parse_args(argv))
+        except SystemExit as exit_:
+            expected = (int(exit_.code or 0), *capsys.readouterr())
+        read = cli.read_argv(argv)
+        if read is not None:
+            assert vars(read) == expected, argv
+            outcomes["read"] += 1
+        elif isinstance(expected, tuple):
+            assert run(argv, capsys) == expected, argv
+            outcomes["help or error from argparse"] += 1
+        else:  # an abbreviation, say
+            outcomes["read by argparse alone"] += 1
+    assert min(outcomes.values()) >= 50, outcomes
+
+
+def test_the_readme_and_ci_calls_are_read_without_argparse(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(README.parent)
+    built = []
+    build = cli.build_arg_parser
+
+    def counted():
+        built.append(None)
+        return build()
+
+    monkeypatch.setattr(cli, "build_arg_parser", counted)
+    # the calls of the installed-package step of the CI workflow, on files made as it makes them
+    chain = tmp_path / "chain.bgt"
+    doublings = "".join(f"budget B{i} = B{i - 1} | B{i - 1}\n" for i in range(1, 41))
+    chain.write_text("param x\nbudget B0 = a(x)\n" + doublings, encoding="utf-8")
+    unicode = tmp_path / "unicode.bgt"
+    unicode.write_text("param xé\nparam A:y\nbudget B = in:x(xé + ٣) | out(A:y * 2)\n", encoding="utf-8")
+    many = tmp_path / "many.bgt"
+    many.write_text("".join(f"param p{i}\n" for i in range(4000)) + "budget P = a(p0)\n", encoding="utf-8")
+    total = [MSC, "--budget", "Total", "--bindings", SCENARIO]
+    bbpp_sweep = [
+        "sweep", MSC, "--budget", "J", "--var", "bbpp", "--from=-1/2", "--to", "34", "--step", "1/2",
+        "--set", "k=1/2", *sets({name: value for name, value in S0.items() if name != "bbpp"}),
+    ]
+    calls = [
+        ["check", *total, "--set", "k=424/1495"],
+        ["eval", *total, "--set", "k=424/1495", "--format", "json"],
+        README_SWEEP,
+        [*README_SWEEP, "--format", "json"],
+        bbpp_sweep,
+        [*bbpp_sweep, "--format", "json"],
+        ["eval", *total, "--substitute-tests"],
+        ["eval", str(chain), "--set", "x=1"],
+        ["axioms", "--trials", "20", "--seed", "0"],
+        ["eval", str(unicode), "--set", "xé=-2", "--set", "A:y=+1/2"],
+        ["check", str(many), *(item for i in range(4000) for item in ("--set", f"p{i}={i}/7"))],
+        *(argv for argv, _ in readme_examples()),
+    ]
+    for argv in calls:
+        assert run(argv, capsys)[0] == 0, argv[:4]
+    assert built == []

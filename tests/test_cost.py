@@ -2,7 +2,7 @@
 
 Each family maps a size n to the text of a budget, a family in
 BINDINGS also to the text of a bindings file, and a family in FLAGS
-also to flags after the file, such as a sweep of n rows. Each run names a
+also to flags after the file, such as n --set flags or a sweep of n rows. Each run names a
 family, a command to run on it and a check of what the command prints.
 For n and 2n the command must pass its check on every run, and its
 best-of-3 time may grow at most GROWTH times, above a floor that keeps
@@ -140,6 +140,11 @@ def many_params(n):
 def many_params_bindings(n):
     """p_i = i/7."""
     return "".join(f"p{i} = {i}/7\n" for i in range(n))
+
+
+def many_params_flags(n):
+    """p_i = i/7 again, each bound by a --set flag of its own."""
+    return [item for i in range(n) for item in ("--set", f"p{i}={i}/7")]
 
 
 def many_params_value(n, x):
@@ -309,6 +314,7 @@ FAMILIES = {
     "nested brackets": (nested_brackets, dsl.MAX_NESTING // 2),
     "abs chain": (abs_chain, 500),
     "many params": (many_params, 2000),
+    "many set flags": (many_params, 2000),
     "long literal": (long_literal, 2000),
     "chain of inverses": (inverse_chain, 500),
     # a sweep that carried each column over the product of its denominators would square
@@ -323,7 +329,7 @@ FAMILIES = {
 BINDINGS = {"many params": many_params_bindings}
 
 # family -> the flags of every run of the family at size n, after the file
-FLAGS = {"sweep points": readme_sweep_flags}
+FLAGS = {"many set flags": many_params_flags, "sweep points": readme_sweep_flags}
 
 # (family, the command before the file, the check of its exit code, stdout and stderr)
 RUNS = [
@@ -338,6 +344,8 @@ RUNS = [
     *evaluated_runs("abs chain", abs_chain_value, "x=-1/3"),
     ("many params", ["eval"], eval_text(many_params_value, None)),
     ("many params", ["check"], check_at(many_params_value, None)),
+    ("many set flags", ["eval"], eval_text(many_params_value, None)),
+    ("many set flags", ["check"], check_at(many_params_value, None)),
     ("long literal", ["eval"], eval_text(long_literal_value, None)),
     ("long literal", ["check"], check_at(long_literal_value, None)),
     # as text only: JSON takes no other path through the inverses

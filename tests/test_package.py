@@ -138,7 +138,8 @@ import contextlib, io, os, sys
 sys.path.insert(0, sys.argv[1])
 msc, scenario = (os.path.join(sys.argv[2], name) for name in ("msc.bgt", "scenario.bindings"))
 import tuplix.cli
-deferred = {"dataclasses", "pathlib", "typing", "copy", "inspect", "random", "tuplix.laws"}
+deferred = {"dataclasses", "pathlib", "typing", "copy", "inspect", "random", "tuplix.laws",
+            "argparse", "gettext", "shutil", "locale", "json"}
 print(sorted(deferred & set(sys.modules)))
 readme_sweep = "--var k --from 0 --to 1 --step 1/4 --set cpec=1 --set cpdg=10 --set escf=1/5 --set bbpp=8"
 for argv in (
@@ -155,7 +156,9 @@ for argv in (
 
 def test_only_the_axioms_command_imports_the_law_suite_and_random():
     # a cold eval, check or sweep loads only what it runs: never the laws, nor the modules that
-    # records, paths and type aliases once needed; -S keeps site from importing modules of its own
+    # records, paths and type aliases once needed, nor argparse (with what its help text loads)
+    # and json, which help, argv that the one-pass reader leaves to argparse, and JSON output
+    # load; -S keeps site from importing modules of its own
     proc = subprocess.run(
         [sys.executable, "-S", "-c", DEFERRED_LAWS, str(SRC.parent), str(SRC / "data")],
         capture_output=True,
