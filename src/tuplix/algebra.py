@@ -36,6 +36,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import reduce
+from itertools import repeat
 
 from .expr import (
     Const,
@@ -45,6 +46,7 @@ from .expr import (
     Mul,
     Neg,
     Var,
+    _COLUMN_OPS,
     _Form,
     _Node,
     _TERMS,
@@ -62,7 +64,7 @@ from .expr import (
     sort_key,
     sub,
 )
-from .meadow import Column, Pair, Rational
+from .meadow import Column, Pair, Rational, lowest_terms
 
 
 class Eps(_Node):
@@ -355,26 +357,27 @@ def ground_columns(
     """The ground value of a canonical form at each of `rows` rows of values, column by column.
 
     `values` maps every variable left in the form to a column of `rows`
-    rationals (see `expr.LinearForms.columns`). The result tells which rows
-    are ok, True where every residual test is 0 and False where the row is
-    the null budget, and gives the amount column of every channel of the
-    form, in sorted order, as numerators and positive denominators in
-    lowest terms; at a null row an amount means nothing. Folding is sound
-    at every valuation and evaluation is total, so normalizing under some
-    bindings and then evaluating under the rest gives the ground
-    denotation under all of them. The residuals are compiled once, into
-    `expr.LinearForms`, so no depth is too great, and each instruction runs
-    once for all rows.
+    rationals (see `meadow.Column`). The result tells which rows are ok,
+    True where every residual test is 0 and False where the row is the
+    null budget, and gives the amount column of every channel of the form,
+    in sorted order, as numerators and positive denominators in lowest
+    terms; at a null row an amount means nothing. Folding is sound at every
+    valuation and evaluation is total, so normalizing under some bindings
+    and then evaluating under the rest gives the ground denotation under
+    all of them. The residuals are compiled once, into `expr.LinearForms`,
+    so no depth is too great, and run once over columns (`expr._COLUMN_OPS`).
+    A test's column is read only for its zero numerators, and only the amount
+    columns are reduced, each once; a constant root is spread over the rows.
     """
     if c.is_null:
         return [False] * rows, []
-    linear = LinearForms([*c.tests, *(amount for _, amount in c.entries)])
-    columns = linear.columns(values, rows)
+    roots = LinearForms([*c.tests, *(amount for _, amount in c.entries)]).run(_COLUMN_OPS, values)
     tested = len(c.tests)
+    amounts = [([n] * rows, [d] * rows) if type(n) is int else lowest_terms(n, d) for n, d in roots[tested:]]
     if not tested:
-        return [True] * rows, columns
-    failed = map(any, zip(*(numerators for numerators, _ in columns[:tested])))
-    return list(map(operator.not_, failed)), columns[tested:]
+        return [True] * rows, amounts
+    failed = map(any, zip(*(repeat(n, rows) if type(n) is int else n for n, _ in roots[:tested])))
+    return list(map(operator.not_, failed)), amounts
 
 
 # ---------------------------------------------------------------------------

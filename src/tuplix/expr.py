@@ -28,12 +28,12 @@ stays on `Fraction`. `LinearForms` writes expressions as a constant plus
 exact multiples of atoms, as a meadow allows, with every coefficient an
 integer pair too, and is also the straight-line program that computes
 them: test substitution solves the tests linear in a variable
-(`LinearForms.pivot`, which gives its coefficient and constant as pairs),
-and `LinearForms.columns` runs each step once over whole columns of
-integer numerators, each column over one shared denominator until an
-inverse gives it one per row (a shared one divided by the gcd of the
-whole column after each sum and product), and reduces each root's column
-once, so `LinearForms` makes no `Fraction`.
+(`LinearForms.pivot`, which gives its coefficient and constant as pairs).
+`LinearForms.run` is the one interpreter of that program, over a domain:
+`algebra.ground_columns` runs it over whole columns of integer numerators
+(`_COLUMN_OPS`), each over one shared denominator until an inverse gives
+it one per row, so `LinearForms` makes no `Fraction`; the tests also run
+it on `Fraction`s and on sympy symbols.
 The law suite (`laws`) draws random expressions.
 """
 
@@ -404,9 +404,15 @@ def _inverse(x: Column) -> Column:
     return lowest_terms(n, d) if type(b) is int else (n, d)
 
 
-# What each instruction of `LinearForms` does to columns: the operator of
-# the instruction maps to a function of the columns of its operands.
+# The domain of columns for `LinearForms.run`. A column (`meadow.Column`)
+# holds the integer numerators of all rows over one int denominator, in any
+# terms, or over one denominator per row, in lowest terms. A constant stays a
+# scalar pair: every instruction has an operand that is not a constant, as
+# the forms fold the others. Sums, products, negations and absolute values
+# keep a shared denominator, which each sum and product divides by the gcd of
+# the whole column, one scalar pass; only an inverse gives each row its own.
 _COLUMN_OPS: dict[Callable, Callable] = {
+    Const: lambda pair: pair,
     operator.add: partial(_sum, operator.add),
     operator.sub: partial(_sum, operator.sub),
     operator.mul: _product,
@@ -498,10 +504,12 @@ class LinearForms:
     computed once into a slot and is an atom of each user.
 
     `forms` holds each root's form; `emit` adds the instructions that compute
-    a form. A reference is j for variable j, len(variables) + k for
-    instruction k and -1 - i for constant i: the slots that `columns` runs
-    on hold the variables, the instructions and the constants in reverse,
-    so constants found last need no renumbering. A form costs about one
+    a form, and `outputs` holds the reference of each root's value, as the
+    constructor emits each root's form once, so running the program never
+    changes it. A reference is j for variable j, len(variables) + k for
+    instruction k and -1 - i for constant i: the slots that `run` works on
+    hold the variables, the instructions and the constants in reverse, so
+    constants found last need no renumbering. A form costs about one
     instruction per term: an addition or a subtraction, and a product by
     its coefficient unless that is 1 or -1. A form grows only in its one
     user, and each user of a shared node takes a copy of a form of at most
@@ -557,6 +565,7 @@ class LinearForms:
                 form = atom(emit(form))
             forms[id(node)] = form
         self.forms = [take(root) for root in roots]
+        self.outputs = [emit(form) for form in self.forms]
 
     def _constant(self, value: Pair) -> int:
         return self.constants.setdefault(value, -1 - len(self.constants))
@@ -590,31 +599,21 @@ class LinearForms:
             ref = self._instruction(operator.sub, ref, self._times((-n, d), atom))
         return ref
 
-    def columns(self, values: Mapping[str, Column], rows: int) -> list[tuple[list[int], list[int]]]:
-        """The values of every root at each of `rows` rows, as one column per root.
+    def run(self, ops: Mapping[Callable, Callable], values: Mapping) -> list:
+        """The value of every root in a domain, with each variable bound to its value in `values`.
 
-        `values` maps each variable to a column of `rows` rationals, as
-        integer numerators over one shared int denominator, in any terms,
-        or over a list of one denominator per row, in lowest terms (see
-        `meadow.Column`); every variable of the roots must be bound, as
-        `evaluate` needs, even one whose terms cancel. The roots' forms are
-        emitted first, then each instruction runs once over all rows, a few
-        passes over lists of ints. The inverse of 0 is 0, so every
-        instruction is total on every row. Constants stay scalar pairs of
-        ints, spread over the rows only where a root is a constant: every
-        instruction has an operand that is not a constant, as the forms
-        fold the others. A column keeps one shared denominator through
-        sums, products, negations and absolute values of such columns, and
-        only an inverse gives it one per row. No row is reduced on the way:
-        after each sum and product a shared column is divided by the gcd
-        of its denominator and all its numerators, one scalar pass, and
-        each root's column is reduced once, at the end. A column is let go
-        after its last use. Each root's column has a denominator per row
-        and is in lowest terms; it may be the very lists of `values` or of
-        another root.
+        This is the one loop that interprets the program. The domain is
+        `ops`: it maps the operator of each instruction (`operator.add`,
+        `sub`, `mul` and `neg`, `abs` and `meadow.minv`) to the function
+        that applies it to values of the domain, and `Const` to the
+        function that takes a constant, an integer pair, into the domain.
+        Every variable of the roots must be bound, as `evaluate` needs,
+        even one whose terms cancel. The inverse of 0 is 0, so the program
+        is total in any domain whose inverse is. Each instruction runs
+        once, and a slot is let go after its last use. A root's value may
+        be the very value of a variable, a constant or another root.
         """
-        outputs = [self.emit(form) for form in self.forms]
-        instructions = list(self.instructions)
+        instructions = self.instructions
         slots: list = []
         for name in self.variables:
             try:
@@ -622,24 +621,20 @@ class LinearForms:
             except KeyError:
                 raise UnboundVariableError(name) from None
         slots += repeat(None, len(instructions))
-        slots += reversed(self.constants)
+        slots += map(ops[Const], reversed(self.constants))
         last_use = {}
         for k, (_, a, b) in enumerate(instructions):
             last_use[a] = last_use[b] = k
-        drops: list[list[int]] = [[] for _ in instructions]  # the columns each one uses last
-        kept = set(outputs)
+        drops: list[list[int]] = [[] for _ in instructions]  # the slots each one uses last
+        kept = set(self.outputs)
         for ref, k in last_use.items():
             if ref is not None and ref not in kept:
                 drops[k].append(ref)
         for k, ((op, a, b), drop) in enumerate(zip(instructions, drops), len(self.variables)):
-            if b is None:
-                slots[k] = _COLUMN_OPS[op](slots[a])
-            else:
-                slots[k] = _COLUMN_OPS[op](slots[a], slots[b])
+            slots[k] = ops[op](slots[a]) if b is None else ops[op](slots[a], slots[b])
             for ref in drop:
                 slots[ref] = None
-        roots = [slots[ref] for ref in outputs]
-        return [([n] * rows, [d] * rows) if type(n) is int else lowest_terms(n, d) for n, d in roots]
+        return [slots[ref] for ref in self.outputs]
 
     def pivot(self) -> tuple[tuple[str, Pair] | None, Pair | None]:
         """A variable that the first root is linear in, and the root's constant value.

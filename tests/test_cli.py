@@ -10,10 +10,11 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import tuplix
 from case_study import PROGRAMS, consistent_scenario, straight_line
-from tuplix import algebra, bundled, cli
+from tuplix import algebra, bundled, cli, expr, meadow
 from tuplix.algebra import normalize
 from tuplix.cli import main
 from tuplix.dsl import MAX_NESTING, parse
@@ -793,14 +794,26 @@ def test_sweep_json_is_laid_out_as_json_dumps(tmp_path, capsys):
 def spy_compiles(monkeypatch):
     """Record every program that a sweep compiles and runs."""
     programs = []
-    run_columns = LinearForms.columns
+    run_program = LinearForms.run
 
-    def run_and_record(linear, values, rows):
+    def run_and_record(linear, ops, values):
         programs.append(linear)
-        return run_columns(linear, values, rows)
+        return run_program(linear, ops, values)
 
-    monkeypatch.setattr(LinearForms, "columns", run_and_record)
+    monkeypatch.setattr(LinearForms, "run", run_and_record)
     return programs
+
+
+def test_a_sweep_reduces_only_its_amount_columns(capsys, monkeypatch):
+    # of J's two residual tests only the zero numerators are read, so only the open amounts a and
+    # b, of 5 rows each, reach lowest_terms; c, e and in are constants, spread over the rows
+    reduce = mock.Mock(wraps=meadow.lowest_terms)
+    for module in (expr, algebra):
+        monkeypatch.setattr(module, "lowest_terms", reduce, raising=False)
+    programs = spy_compiles(monkeypatch)
+    assert run(README_SWEEP, capsys)[0] == 0
+    assert [len(program.forms) for program in programs] == [7]
+    assert [len(call.args[0]) for call in reduce.call_args_list] == [5, 5]
 
 
 def test_sweep_of_an_unmentioned_parameter_repeats_eval(capsys, monkeypatch):

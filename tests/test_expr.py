@@ -8,7 +8,7 @@ from math import gcd, lcm
 
 import pytest
 
-from tuplix.algebra import EPS, Comp, Delta, Entry, Test, _canonical_tests, encap
+from tuplix.algebra import EPS, CanonicalTuplix, Comp, Delta, Entry, Test, _canonical_tests, encap, ground_columns
 from tuplix import expr
 from tuplix.expr import (
     IDENTIFIER_RE,
@@ -226,6 +226,12 @@ def shared_column(values, factor=1):
     return [v.numerator * (denominator // v.denominator) for v in values], denominator
 
 
+def amount_columns(roots, values, rows):
+    """The roots' columns as `algebra.ground_columns` gives the amounts of a form: each in lowest terms."""
+    entries = tuple((str(i), root) for i, root in enumerate(roots))
+    return ground_columns(CanonicalTuplix(False, (), entries), values, rows)[1]
+
+
 def in_lowest_terms(columns):
     """Whether every root's column has a positive denominator per row, and every row is in lowest terms."""
     return all(type(d) is list and min(d) > 0 and set(map(gcd, n, d)) == {1} for n, d in columns)
@@ -241,17 +247,14 @@ def pairs(values):
     return tuple((v.numerator, v.denominator) for v in values)
 
 
+# The plain operators as a domain of `LinearForms.run`: on `Fraction`s, or on sympy symbols
+PLAIN = {op: op for op in (operator.add, operator.sub, operator.mul, operator.neg, abs, minv)}
+PLAIN[Const] = lambda pair: Fraction(*pair)
+
+
 def row(linear, valuation):
-    """The value of every root under a valuation binding all its variables, as one row."""
-    values = {name: column([value]) for name, value in valuation.items()}
-    return [Fraction(n[0], d[0]) for n, d in linear.columns(values, 1)]
-
-
-def instructions(linear):
-    """The instructions that compute every root, the roots' own forms emitted last."""
-    for form in linear.forms:
-        linear.emit(form)
-    return list(linear.instructions)
+    """The value of every root under a valuation binding all its variables, as one row of `Fraction`s."""
+    return linear.run(PLAIN, valuation)
 
 
 def test_compiled_program_agrees_with_evaluate():
@@ -276,8 +279,9 @@ def test_compiled_program_agrees_with_evaluate():
         valuations = [{name: random_rational(rng) for name in names} for _ in range(3)]
         valuations.append(dict.fromkeys(names, Fraction(0)))
         values = {name: column([v[name] for v in valuations]) for name in names}
-        rows = rows_of(program.columns(values, 4))
-        assert rows == [pairs([evaluate(root, v) for root in roots]) for v in valuations]
+        expected = [[evaluate(root, v) for root in roots] for v in valuations]
+        assert rows_of(amount_columns(roots, values, 4)) == list(map(pairs, expected))
+        assert [row(program, v) for v in valuations] == expected  # the same program on Fractions
 
 
 def test_columns_agree_with_evaluate_row_by_row():
@@ -291,7 +295,7 @@ def test_columns_agree_with_evaluate_row_by_row():
         valuations += [dict.fromkeys(names, Fraction(value)) for value in (0, -1, 1)]
         program = LinearForms(roots)
         values = {name: column([v[name] for v in valuations]) for name in names}
-        rows = rows_of(program.columns(values, len(valuations)))
+        rows = rows_of(amount_columns(roots, values, len(valuations)))
         assert rows == [pairs([evaluate(root, v) for root in roots]) for v in valuations]
         assert rows[0] == pairs(row(program, valuations[0]))  # the one-row view
         # each variable over one denominator, in lowest terms as a whole or not, and with x over a
@@ -299,7 +303,7 @@ def test_columns_agree_with_evaluate_row_by_row():
         for factor in (1, 6):
             shared = {name: shared_column([v[name] for v in valuations], factor) for name in names}
             for given in (shared, dict(shared, x=values["x"])):
-                columns = program.columns(given, len(valuations))
+                columns = amount_columns(roots, given, len(valuations))
                 assert rows_of(columns) == rows and in_lowest_terms(columns)
 
 
@@ -311,8 +315,7 @@ def test_columns_invert_zero_negatives_and_large_numbers():
     roots = [Inv(x), Inv(Add(x, y)), Abs(x), Neg(Mul(x, y)), Add(Mul(x, y), Inv(y)), Mul(x, Inv(x))]
     # a constant times a column, and a constant added to one, over one denominator or one a row
     roots += [Add(Mul(const(Fraction(-6, 5)), x), const(Fraction(1, 6))), Mul(const(Fraction(4)), Inv(y))]
-    program = LinearForms(roots)
-    rows = rows_of(program.columns({"x": column(xs), "y": column(ys)}, 4))
+    rows = rows_of(amount_columns(roots, {"x": column(xs), "y": column(ys)}, 4))
     valuations = [{"x": a, "y": b} for a, b in zip(xs, ys)]
     assert rows == [pairs([evaluate(root, v) for root in roots]) for v in valuations]
     assert rows[0][:6] == ((0, 1),) * 6  # 1/0 = 0, in lowest terms with denominator 1
@@ -324,9 +327,9 @@ def test_columns_invert_zero_negatives_and_large_numbers():
     for factor in (1, 10**30):
         shared = {"x": shared_column(xs, factor), "y": shared_column(ys, factor)}
         assert max(map(abs, shared["x"][0])) > 2**70
-        columns = program.columns(shared, 4)
+        columns = amount_columns(roots, shared, 4)
         assert rows_of(columns) == rows and in_lowest_terms(columns)
-        columns = program.columns(dict(shared, y=column(ys)), 4)
+        columns = amount_columns(roots, dict(shared, y=column(ys)), 4)
         assert rows_of(columns) == rows and in_lowest_terms(columns)
 
 
@@ -356,19 +359,18 @@ def test_shared_columns_are_divided_by_their_gcd_at_each_step(monkeypatch):
         monkeypatch.setitem(expr._COLUMN_OPS, op, spy(expr._COLUMN_OPS[op]))
     for given in (([1, 3], 2), ([1], 2)):
         rows = len(given[0])
-        assert program.columns({"x": given}, rows) == [([1] * rows, [1] * rows)]
+        assert program.run(expr._COLUMN_OPS, {"x": given}) == [([1] * rows, 1)]
     assert len(sizes) > 40 and max(sizes) <= 3
 
 
 def test_columns_of_a_program_without_variables_fill_every_row():
-    program = LinearForms([Add(const(1), Inv(const(3))), Inv(const(0)), Abs(Var("x"))])
-    assert tuple(program.variables) == ("x",)
-    constants = LinearForms([Add(const(1), Inv(const(3))), Inv(const(0))])
-    assert (tuple(constants.variables), instructions(constants)) == ((), [])
-    assert constants.columns({}, 3) == [([4, 4, 4], [3, 3, 3]), ([0, 0, 0], [1, 1, 1])]
-    assert program.columns({"x": ([-1, 2], [1, 5])}, 2) == [
-        ([4, 4], [3, 3]), ([0, 0], [1, 1]), ([1, 2], [1, 5])
-    ]
+    roots = [Add(const(1), Inv(const(3))), Inv(const(0)), Abs(Var("x"))]
+    constants = LinearForms(roots[:2])
+    assert (tuple(constants.variables), constants.instructions) == ((), {})
+    assert constants.run(expr._COLUMN_OPS, {}) == [(4, 3), (0, 1)]  # a constant root stays a pair
+    assert amount_columns(roots[:2], {}, 3) == [([4, 4, 4], [3, 3, 3]), ([0, 0, 0], [1, 1, 1])]
+    columns = amount_columns(roots, {"x": ([-1, 2], [1, 5])}, 2)
+    assert columns == [([4, 4], [3, 3]), ([0, 0], [1, 1]), ([1, 2], [1, 5])]
 
 
 def test_compiled_program_names_an_unbound_variable():
@@ -376,9 +378,6 @@ def test_compiled_program_names_an_unbound_variable():
     assert row(program, {"x": Fraction(2), "missing": Fraction(1)}) == [Fraction(2), Fraction(1)]
     with pytest.raises(UnboundVariableError) as info:
         row(program, {"x": Fraction(2)})
-    assert info.value.name == "missing"
-    with pytest.raises(UnboundVariableError) as info:
-        program.columns({"x": ([2, 3], [1, 1])}, 2)
     assert info.value.name == "missing"
 
 
@@ -389,7 +388,7 @@ def test_compiled_program_runs_a_deep_chain():
     for i in range(n):
         chain = Add(chain, Const(Fraction(i)))
     program = LinearForms([chain])
-    assert len(instructions(program)) == 1  # the constants collect into one: x + n(n-1)/2
+    assert len(program.instructions) == 1  # the constants collect into one: x + n(n-1)/2
     assert row(program, {"x": Fraction(1, 2)}) == [Fraction(1, 2) + n * (n - 1) // 2]
 
 
@@ -404,7 +403,7 @@ def test_columns_let_each_column_go_after_its_last_use():
     xs = [Fraction(j - 1000, 7) for j in range(2000)]
     tracemalloc.start()
     try:
-        (root,) = program.columns({"x": column(xs)}, 2000)
+        (root,) = program.run(expr._COLUMN_OPS, {"x": column(xs)})
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -423,7 +422,7 @@ def test_compiled_program_collects_linear_forms():
         Abs(Mul(const(3), Add(x, Neg(const(1))))),
     ]
     program = LinearForms(roots)
-    ops = [op for op, _, _ in instructions(program)]
+    ops = [op for op, _, _ in program.instructions]
     assert ops == [minv, operator.mul, operator.add, operator.mul, operator.mul, operator.add, abs]
     for value in (Fraction(0), Fraction(1), Fraction(-5, 2)):
         v = {"x": value}
@@ -441,7 +440,7 @@ def test_running_totals_compile_to_a_linear_program():
         totals.append(Add(Var(name), totals[-1]))
     totals.reverse()
     program = LinearForms(totals)
-    assert len(instructions(program)) == n - 1
+    assert len(program.instructions) == n - 1
     v = {name: Fraction(i, 3) for i, name in enumerate(names)}
     assert row(program, v) == [Fraction(i * (i + 1), 6) for i in reversed(range(n))]
 
@@ -496,19 +495,6 @@ def ring_expr(rng, names, size):
     return kind(ring_expr(rng, names, split), ring_expr(rng, names, size - 1 - split))
 
 
-def run_instructions(linear, valuation):
-    """The roots under a valuation, one instruction at a time, on any values
-    that the operators take, such as sympy symbols."""
-    outputs = [linear.emit(form) for form in linear.forms]
-    slots = [valuation[name] for name in linear.variables]
-    start = len(slots)
-    slots += [None] * len(linear.instructions)
-    slots += [Fraction(*c) for c in reversed(linear.constants)]  # constant i, a pair, at -1 - i
-    for k, (op, a, b) in enumerate(linear.instructions, start):
-        slots[k] = op(slots[a]) if b is None else op(slots[a], slots[b])
-    return [slots[ref] for ref in outputs]
-
-
 def test_compiled_linear_forms_expand_to_the_same_polynomial_as_sympy():
     # run on symbols, the program reads its linear forms back as sympy expressions;
     # evaluate on symbols writes out each tree as it stands
@@ -520,7 +506,7 @@ def test_compiled_linear_forms_expand_to_the_same_polynomial_as_sympy():
         roots = [ring_expr(rng, names, rng.randint(0, 10)) for _ in range(3)]
         roots += [Add(roots[0], Neg(roots[1])), Mul(roots[2], roots[2])]
         program = LinearForms(roots)
-        for form, root in zip(run_instructions(program, symbols), roots):
+        for form, root in zip(program.run(PLAIN, symbols), roots):
             assert sympy.expand(form - evaluate(root, symbols)) == 0
 
 
@@ -562,7 +548,7 @@ def test_compiling_a_sum_of_distinct_atoms_takes_linear_time(monkeypatch):
     small, large = sum_of_distinct_abs(n), sum_of_distinct_abs(2 * n)
     half = Fraction(-1, 2)
     program = LinearForms([small])
-    assert len(instructions(program)) == 3 * n - 2  # per term: x + i, abs and the running sum
+    assert len(program.instructions) == 3 * n - 2  # per term: x + i, abs and the running sum
     assert row(program, {"x": half}) == [sum(abs(Fraction(2 * i - 1, 2)) for i in range(n))]
     # The running sum is the only form that grows, and each merge adds one
     # term to it in place: one entry written per term, where a merge that
