@@ -11,7 +11,9 @@ Exit codes: 0 success, 1 the budget is impossible (or a law failed),
 2 usage, parse or binding errors, nesting past 256 brackets and a
 number past the interpreter's digit limit among them.
 Rationals cross the boundary as exact text ('n/d', or 'n' when the
-denominator is 1), never as floats.
+denominator is 1), never as floats. `report` turns an eval or check
+result into one document of text; `render_json` dumps it,
+`render_text` lays it out, and check writes its violation lines.
 
 COMMANDS declares each command and each of its options once. `main`
 reads argv with `read_argv`, one pass over argv driven by that table;
@@ -37,7 +39,6 @@ from types import SimpleNamespace
 from .algebra import (
     CanonicalTuplix,
     Tuplix,
-    Violation,
     apply_test_substitution,
     ground_columns,
     ground_of,
@@ -63,46 +64,42 @@ class CliError(Exception):
     """A usage-level problem; maps to exit code 2."""
 
 
-def _span_text(source: str, violation: Violation) -> str:
-    """A violation's place as 'file:line:col', or '' when its test has no place in the source."""
-    return "" if violation.span is None else f"{source}:{violation.span}"
-
-
-def _violation_line(source: str, violation: Violation) -> str:
-    """'file:line:col  label  value v', without the place when the test has no span."""
-    where = _span_text(source, violation)
-    prefix = f"{where}  " if where else ""
-    return f"{prefix}{violation.label}  value {format_rational(violation.value)}"
-
-
-def render_text(c: CanonicalTuplix, source: str = "") -> str:
-    lines = [f"status: {'null' if c.is_null else 'ok'}"]
+def report(c: CanonicalTuplix, source: str) -> dict:
+    """An eval or check result as README's JSON document; a span is '' where a test has no place."""
     entries = ground_of(c)  # sorted by channel
-    if entries is not None:
-        lines.append("entries:")
-        lines += [f"  {channel}: {format_rational(amount)}" for channel, amount in entries.items()]
-    if c.tests:
-        lines.append("residual tests:")
-        lines += [f"  {pretty(t)}" for t in c.tests]
-    if c.violations:
-        lines.append("violations:")
-        lines += [f"  {_violation_line(source, v)}" for v in c.violations]
-    return "\n".join(lines) + "\n"
-
-
-def render_json(c: CanonicalTuplix, source: str = "") -> str:
-    import json  # for JSON output alone
-
-    entries = ground_of(c)
-    doc = {
+    return {
         "status": "null" if c.is_null else "ok",
         "entries": None if entries is None else {ch: format_rational(a) for ch, a in entries.items()},
         "residual_tests": [pretty(t) for t in c.tests],
-        "violations": [
-            {"span": _span_text(source, v), "test": v.label, "value": format_rational(v.value)}
-            for v in c.violations
-        ],
+        "violations": [{"span": "" if v.span is None else f"{source}:{v.span}", "test": v.label,
+                        "value": format_rational(v.value)} for v in c.violations],
     }
+
+
+def _violation_line(violation: dict) -> str:
+    """A report's violation as 'file:line:col  test  value v', without the place when its span is ''."""
+    where = f"{violation['span']}  " if violation["span"] else ""
+    return f"{where}{violation['test']}  value {violation['value']}"
+
+
+def render_text(doc: dict) -> str:
+    """A report laid out as text: a section a key, each item on an indented line."""
+    lines = [f"status: {doc['status']}"]
+    if doc["entries"] is not None:
+        lines.append("entries:")
+        lines += [f"  {channel}: {amount}" for channel, amount in doc["entries"].items()]
+    if doc["residual_tests"]:
+        lines.append("residual tests:")
+        lines += [f"  {test}" for test in doc["residual_tests"]]
+    if doc["violations"]:
+        lines.append("violations:")
+        lines += [f"  {_violation_line(v)}" for v in doc["violations"]]
+    return "\n".join(lines) + "\n"
+
+
+def render_json(doc: dict) -> str:
+    import json  # for JSON output alone
+
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
@@ -199,7 +196,7 @@ def cmd_eval(args: SimpleNamespace) -> int:
     if args.substitute_tests and not c.is_null:
         c = apply_test_substitution(c)
     render = render_json if args.format == "json" else render_text
-    sys.stdout.write(render(c, source))
+    sys.stdout.write(render(report(c, source)))
     return 1 if c.is_null else 0
 
 
@@ -211,7 +208,7 @@ def cmd_check(args: SimpleNamespace) -> int:
     c = normalize(term, bindings)
     if not c.is_null:
         return 0
-    sys.stderr.write("".join(_violation_line(source, v) + "\n" for v in c.violations))
+    sys.stderr.write("".join(_violation_line(v) + "\n" for v in report(c, source)["violations"]))
     return 1
 
 

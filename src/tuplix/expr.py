@@ -85,7 +85,7 @@ class UnboundVariableError(LookupError):
 class _Node:
     """A node of an immutable DAG: an expression here, or a budget term in `algebra`.
 
-    Equality and hashing are structural, over `compare` and `postorder`,
+    Equality is structural, over `compare`, hashing reads `_prefix` alone,
     and repr is the text a dataclass's generated repr would give; none of
     them recurses. Each kind is numbered in the order its class is defined,
     which is the order `compare` puts kinds in. A kind's `_children` is
@@ -131,12 +131,7 @@ class _Node:
         return compare(self, other) == 0
 
     def __hash__(self):
-        hashes: dict[int, int] = {}  # id(node) -> its hash, which agrees with compare
-        for node in postorder([self]):
-            children = node._children
-            key = node._own(), () if children is None else tuple(hashes[id(c)] for c in children(node))
-            hashes[id(node)] = hash((node._kind, key))
-        return hashes[id(self)]
+        return hash(_prefix(self))  # bounded, and equal nodes have equal preorders
 
     def __repr__(self) -> str:
         parts: list[str] = []
@@ -777,20 +772,11 @@ def compare(a: _Node, b: _Node) -> int:
 
 
 _by_compare = cmp_to_key(compare)
-_KEY_TOKENS = 16  # the preorder tokens that `sort_key` lists
+_KEY_TOKENS = 16  # the preorder tokens that `_prefix` lists
 
 
-def sort_key(node: _Node) -> tuple[tuple, object]:
-    """A sort key that orders expressions and terms exactly as `compare` does.
-
-    `compare` is lexicographic on the preorder of the nodes' tokens, each a
-    node's kind and its `_own()`, and no preorder is a proper prefix of
-    another. So the key's first part, the first 16 tokens, decides the
-    order of any two nodes whose preorders differ there, and sorting
-    compares those tuples in C; nodes whose first 16 tokens agree fall back
-    to `compare`, by `cmp_to_key`. The walk stops after 16 tokens, so a
-    shared subterm costs no more than that.
-    """
+def _prefix(node: _Node) -> tuple:
+    """A node's first 16 preorder tokens, each a node's kind and `_own()`: equal nodes give equal prefixes."""
     tokens: list = []
     stack = [node]
     while stack and len(tokens) < 2 * _KEY_TOKENS:
@@ -799,7 +785,20 @@ def sort_key(node: _Node) -> tuple[tuple, object]:
         children = x._children
         if children is not None:
             stack += children(x)
-    return tuple(tokens), _by_compare(node)
+    return tuple(tokens)
+
+
+def sort_key(node: _Node) -> tuple[tuple, object]:
+    """A sort key that orders expressions and terms exactly as `compare` does.
+
+    `compare` is lexicographic on the preorder of the nodes' tokens, and no
+    preorder is a proper prefix of another. So the key's first part, the
+    `_prefix` of 16 tokens, decides the order of any two nodes whose
+    preorders differ there, and sorting compares those tuples in C; nodes
+    whose first 16 tokens agree fall back to `compare`, by `cmp_to_key`.
+    The walk stops after 16 tokens, so a shared subterm costs no more.
+    """
+    return _prefix(node), _by_compare(node)
 
 
 # Pretty-printing precedence levels.

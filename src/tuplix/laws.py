@@ -212,9 +212,9 @@ def _term_of(
     return DELTA
 
 
-def _term(rng: random.Random, max_size: int = 5) -> Tuplix:
+def _term(rng: random.Random) -> Tuplix:
     draw = rng.random
-    return _term_of(draw, 1 + int(draw() * max_size), _CHANNELS, _SUBSETS, _LEAVES)
+    return _term_of(draw, 1 + int(draw() * 5), _CHANNELS, _SUBSETS, _LEAVES)
 
 
 def _expr(rng: random.Random) -> Expr:

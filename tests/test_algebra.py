@@ -315,6 +315,14 @@ def test_terms_of_20000_entries_compare_and_hash_without_recursion():
     assert Delta("f:2:3") == DELTA and hash(Delta("f:2:3")) == hash(DELTA)
 
 
+def test_hashing_a_term_of_20000_entries_reads_only_a_prefix(monkeypatch):
+    # the hash is that of a bounded preorder prefix: it walks nothing below it
+    first, second = (compose(*(Entry("a", Add(Var("x"), const(i))) for i in range(20_000))) for _ in "ab")
+    walks = []
+    monkeypatch.setattr(expr, "postorder", lambda *args: walks.append(args) or postorder(*args))
+    assert hash(first) == hash(second) and walks == []
+
+
 def test_encap_missing_channel_is_identity():
     assert normalize(encap({"z"}, ent("a", 4))) == normalize(ent("a", 4))
 

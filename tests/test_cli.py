@@ -407,6 +407,37 @@ def test_check_reports_broken_balance(tmp_path, capsys):
     assert "enc{b}" in err
 
 
+def report_scenarios():
+    """Seeded msc scenarios, each (bindings, flags, whether check can read them)."""
+    ok = consistent_scenario(random.Random(5))
+    opened = {n: v for n, v in consistent_scenario(random.Random(7)).items() if n not in ("k", "bbpp")}
+    broken = consistent_scenario(random.Random(6))
+    broken["B:ssot"] += 1  # a broken balance
+    # solving k from one balance contradicts another: a violation with no place in the source
+    unsolvable = {n: v for n, v in consistent_scenario(random.Random(8)).items() if n != "k"}
+    unsolvable["A:sset"] += 1
+    return [(ok, [], True), (opened, [], False), (broken, [], True), (unsolvable, ["--substitute-tests"], False)]
+
+
+def test_eval_text_eval_json_and_check_give_one_report(capsys):
+    outcomes = []
+    for bindings, flags, closed in report_scenarios():
+        argv = [MSC, "--budget", "Total", *sets(bindings)]
+        code, text, _ = run(["eval", *argv, *flags], capsys)
+        json_code, json_out, _ = run(["eval", *argv, *flags, "--format", "json"], capsys)
+        # the text is the text layout of the JSON document
+        assert json_code == code and cli.render_text(json.loads(json_out)) == text
+        # and check writes the text's violation lines without their indent
+        violations = text.partition("violations:\n")[2]
+        if closed:
+            assert run(["check", *argv], capsys) == (code, "", violations.replace("\n  ", "\n")[2:])
+        else:
+            assert run(["check", *argv], capsys)[0] == 2
+        outcomes.append((code, text.count("\n  "), violations.count("\n")))
+    # (exit code, indented lines, violations): ok, open in k and bbpp, null and substituted
+    assert outcomes == [(0, 2, 0), (0, 6, 0), (1, 1, 1), (1, 1, 1)]
+
+
 def test_set_overrides_bindings_file(tmp_path, capsys):
     f = tmp_path / "s.bindings"
     f.write_text("".join(f"{n} = {v}\n" for n, v in S0.items()), encoding="utf-8")
