@@ -46,14 +46,15 @@ from .expr import (
     Mul,
     Neg,
     Var,
+    _Binary,
     _COLUMN_OPS,
     _Form,
     _Node,
     _TERMS,
-    _arg,
+    _Unary,
     _as_expr,
     _fold_node,
-    _right_left,
+    _set_arg,
     _setters,
     Valuation,
     evaluate,
@@ -98,32 +99,24 @@ class Entry(_Node):
 _entry_channel, _entry_amount = _setters(Entry)
 
 
-class Test(_Node):
+class Test(_Unary, _Node):
     # label and span tell where the test came from, for violation reports;
     # they are never part of the term's identity
-    __slots__ = __match_args__ = ("arg", "label", "span")
+    __slots__ = ("label", "span")
+    __match_args__ = ("arg", "label", "span")
     __test__ = False  # keep pytest from collecting this class
-    _children = staticmethod(_arg)
 
     def __init__(self, arg: Expr, label: str | None = None, span: str | None = None):
-        _test_arg(self, arg)
+        _set_arg(self, arg)
         _test_label(self, label)
         _test_span(self, span)
 
 
-_test_arg, _test_label, _test_span = _setters(Test)
+_test_label, _test_span = _setters(Test)[1:]  # after `arg`, which `_Unary` sets
 
 
-class Comp(_Node):
-    __slots__ = __match_args__ = ("left", "right")
-    _children = staticmethod(_right_left)
-
-    def __init__(self, left: Tuplix, right: Tuplix):
-        _comp_left(self, left)
-        _comp_right(self, right)
-
-
-_comp_left, _comp_right = _setters(Comp)
+class Comp(_Binary, _Node):
+    __slots__ = ()
 
 
 class Encap(_Node):

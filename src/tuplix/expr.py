@@ -16,8 +16,8 @@ folds a term's expressions in its one walk of the term, by `_fold_node`.
 A node costs what its fields do: its kind's constructor writes each slot
 once, through the slot's descriptor, and a name is checked against the
 identifier pattern only when it is not an ASCII identifier. `pretty`
-prints a leaf, a name or a constant, at once, with no stack and no copy
-of the names it is given.
+looks each node up in the names it is given, which it never copies or
+iterates, and prints a leaf, a name or a constant, at once, with no stack.
 
 Two representations serve different ends. `fold_constants` keeps the
 tree as written, only smaller, and `pretty` prints it. Inside a fold a
@@ -96,11 +96,15 @@ class _Node:
     encapsulation's sorted channels. Spans and labels, which tell where a
     term came from, are never among them.
 
-    A kind lists its fields, in order, as both its `__slots__` and its
-    `__match_args__`, so a node has no `__dict__` and class patterns match
-    its fields by position. Its constructor writes each slot once, through
-    the slot's descriptor (`_setters`), and `__setattr__` and `__delattr__`
-    refuse with AttributeError, so no field changes once a node is built.
+    A kind's fields, in order, are its `__match_args__`: the slots of its
+    layout, if it has one, then its own `__slots__`, so a node has no
+    `__dict__` and class patterns match its fields by position. The
+    layouts are plain mixins, not kinds, and take no number: `_Binary`
+    gives Add, Mul and Comp their `left` and `right`, and `_Unary` gives
+    Neg, Inv, Abs and Test their `arg`, each with its constructor and
+    `_children`. A constructor writes each slot once, through the slot's
+    descriptor (`_setters`), and `__setattr__` and `__delattr__` refuse
+    with AttributeError, so no field changes once a node is built.
     Pickle, `copy` and the parser's copy of a def's body rebuild a node from
     its fields through its kind's constructor (`__reduce__`).
     """
@@ -151,17 +155,9 @@ class _Node:
         return "".join(parts)
 
 
-def _setters(kind: type[_Node]) -> tuple[Callable[[_Node, object], None], ...]:
-    """The `__set__` of each slot descriptor of a kind, in field order: its constructor's cheapest write."""
+def _setters(kind: type) -> tuple[Callable[[_Node, object], None], ...]:
+    """The `__set__` of each slot descriptor of a kind or a layout, in field order: its constructor's cheapest write."""
     return tuple(getattr(kind, name).__set__ for name in kind.__match_args__)
-
-
-def _right_left(node: _Node) -> tuple[_Node, _Node]:
-    return node.right, node.left
-
-
-def _arg(node: _Node) -> tuple[_Node]:
-    return (node.arg,)
 
 
 class Const(_Node):
@@ -192,61 +188,51 @@ class Var(_Node):
 (_var_name,) = _setters(Var)
 
 
-class Add(_Node):
+class _Binary:
+    """The layout of a kind with two child nodes, `left` and `right`: Add, Mul and `algebra.Comp`."""
+
     __slots__ = __match_args__ = ("left", "right")
-    _children = staticmethod(_right_left)
+    _children = staticmethod(lambda node: (node.right, node.left))
 
-    def __init__(self, left: Expr, right: Expr):
-        _add_left(self, left)
-        _add_right(self, right)
-
-
-_add_left, _add_right = _setters(Add)
+    def __init__(self, left: _Node, right: _Node):
+        _set_left(self, left)
+        _set_right(self, right)
 
 
-class Mul(_Node):
-    __slots__ = __match_args__ = ("left", "right")
-    _children = staticmethod(_right_left)
-
-    def __init__(self, left: Expr, right: Expr):
-        _mul_left(self, left)
-        _mul_right(self, right)
+_set_left, _set_right = _setters(_Binary)
 
 
-_mul_left, _mul_right = _setters(Mul)
+class _Unary:
+    """The layout of a kind with one child node, `arg`: Neg, Inv, Abs and `algebra.Test`."""
 
-
-class Neg(_Node):
     __slots__ = __match_args__ = ("arg",)
-    _children = staticmethod(_arg)
+    _children = staticmethod(lambda node: (node.arg,))
 
-    def __init__(self, arg: Expr):
-        _neg_arg(self, arg)
-
-
-(_neg_arg,) = _setters(Neg)
+    def __init__(self, arg: _Node):
+        _set_arg(self, arg)
 
 
-class Inv(_Node):
-    __slots__ = __match_args__ = ("arg",)
-    _children = staticmethod(_arg)
-
-    def __init__(self, arg: Expr):
-        _inv_arg(self, arg)
+(_set_arg,) = _setters(_Unary)
 
 
-(_inv_arg,) = _setters(Inv)
+class Add(_Binary, _Node):
+    __slots__ = ()
 
 
-class Abs(_Node):
-    __slots__ = __match_args__ = ("arg",)
-    _children = staticmethod(_arg)
-
-    def __init__(self, arg: Expr):
-        _abs_arg(self, arg)
+class Mul(_Binary, _Node):
+    __slots__ = ()
 
 
-(_abs_arg,) = _setters(Abs)
+class Neg(_Unary, _Node):
+    __slots__ = ()
+
+
+class Inv(_Unary, _Node):
+    __slots__ = ()
+
+
+class Abs(_Unary, _Node):
+    __slots__ = ()
 
 
 Expr = Const | Var | Add | Mul | Neg | Inv | Abs
@@ -828,7 +814,10 @@ def pretty(e: Expr, names: Mapping[int, str] = {}) -> str:
 
     `names` maps the id() of a node to a name to print in its place, never
     bracketed, as the budget language prints a def's body by the def's name.
-    A leaf is its name, or its own text, at once: nothing brackets a root.
+    Each node is looked up in `names` as it is met, and `names` is never
+    copied or iterated, so the cost stays linear in the text however many
+    names it holds. A leaf is its name, or its own text, at once: nothing
+    brackets a root.
     """
     kind = type(e)
     if kind is Var or kind is Const:
@@ -837,8 +826,7 @@ def pretty(e: Expr, names: Mapping[int, str] = {}) -> str:
             return name
         return e.name if kind is Var else _const_text(e.value)
     parts: list[str] = []
-    # id(node) -> its name, or where its text lies in `parts`, then the text itself once it is met again
-    texts: dict[int, tuple[int, int] | str] = dict(names)
+    texts: dict[int, tuple[int, int] | str] = {}  # id(node) -> where its text lies in `parts`, then the text
     stack: list = [(e, 0)]  # (node, context), (id(node), start) for the end of a node, or text
     while stack:
         item = stack.pop()
@@ -849,14 +837,17 @@ def pretty(e: Expr, names: Mapping[int, str] = {}) -> str:
         if type(node) is int:
             texts[node] = (context, len(parts))
             continue
+        key = id(node)
+        text = names.get(key)
+        if text is not None:
+            parts.append(text)
+            continue
         kind = type(node)
         bracket = _level(node) < context
-        text = texts.get(id(node))
+        text = texts.get(key)
         if text is not None:
             if type(text) is tuple:
-                text = texts[id(node)] = "".join(parts[text[0] : text[1]])
-            elif id(node) in names:
-                bracket = False
+                text = texts[key] = "".join(parts[text[0] : text[1]])
         elif kind is Const:
             text = _const_text(node.value)
         elif kind is Var:
@@ -867,7 +858,7 @@ def pretty(e: Expr, names: Mapping[int, str] = {}) -> str:
         if bracket:
             parts.append("(")
             stack.append(")")
-        stack.append((id(node), len(parts)))
+        stack.append((key, len(parts)))
         if kind is Add and type(node.right) is Neg and id(node.right) not in names:
             pieces = ((node.left, _ADD), " - ", (node.right.arg, _ADD + 1))
         elif kind is Add:

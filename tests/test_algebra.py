@@ -620,8 +620,9 @@ def test_every_kind_of_node_is_slotted_and_frozen():
     value_of = {"value": Fraction(1, 3), "name": "x", "channel": "a", "channels": frozenset({"a"}),
                 "label": "x <= 1", "span": "1:1"}  # any other field holds a node
     for cls in kinds:
-        names = cls.__match_args__  # the fields, in order, which are also the slots
-        assert cls.__slots__ == names and not dataclasses.is_dataclass(cls), cls
+        names = cls.__match_args__  # the fields, in order: the slots of its layout, if any, then its own
+        slots = tuple(name for base in reversed(cls.__mro__) for name in vars(base).get("__slots__", ()))
+        assert slots == names and not dataclasses.is_dataclass(cls), cls
         node = cls(*(value_of.get(name, Var("x")) for name in names))
         assert not hasattr(node, "__dict__"), cls
         for name in names:

@@ -191,6 +191,56 @@ def check_cancelled_squares(n, code, out, err):
     assert (code, out, err) == (0, "x    status  a\n1/2  ok      1\n3/2  ok      1\n", "")
 
 
+def alternating_chain(n):
+    """d0 = x0, and each d_i is x_i - d_i-1, under a test that d_n is 0: each step negates the sum before it."""
+    params = "".join(f"param x{i}\n" for i in range(n + 1))
+    defs = [f"def d{i} = x{i} - d{i - 1}\n" for i in range(1, n + 1)]
+    return params + "def d0 = x0\n" + "".join(defs) + f"budget S = test(d{n} == 0) | a(1)\n"
+
+
+def check_alternating_chain(n, code, out, err):
+    """The test, solved for x_n, is kept as it was written: x_n - (x_n-1 - (... - (x1 - x0)))."""
+    text = "x1 - x0"
+    for i in range(2, n + 1):
+        text = f"x{i} - ({text})"
+    assert (code, out, err) == (0, f"status: ok\nresidual tests:\n  {text}\n", "")
+
+
+def abs_alternating_chain(n):
+    """d0 = x, and each d_i is abs(x + i) - d_i-1: n atoms, and a negation of the sum before each."""
+    defs = [f"def d{i} = abs(x + {i}) - d{i - 1}\n" for i in range(1, n + 1)]
+    return "param x\ndef d0 = x\n" + "".join(defs) + f"budget A = a(d{n})\n"
+
+
+def abs_alternating_value(n, x):
+    d = Fraction(x)
+    for i in range(1, n + 1):
+        d = abs(x + i) - d
+    return {"a": d}, []
+
+
+def defs_under_tests(n):
+    """n defs d_i = x + i, each under a test of its own that holds: each label prints its def by name."""
+    defs = "".join(f"def d{i} = x + {i}\n" for i in range(n))
+    tests = "\n  | ".join(f"test(d{i} + 1 <= d{i} + 2)" for i in range(n))
+    return f"param x\n{defs}budget T = {tests}\n"
+
+
+def squaring_chain(n):
+    """d0 = 3/7 and each d_i is d_i-1 squared, under a test that d_n is 0: (3/7)^(2^n) has 2^n times the digits."""
+    defs = [f"def d{i} = d{i - 1} * d{i - 1}\n" for i in range(1, n + 1)]
+    return "def d0 = 3/7\n" + "".join(defs) + f"budget Q = test(d{n} == 0)\n"
+
+
+def check_squaring_chain(n, code, out, err):
+    """The one violation, or past the interpreter's digit limit the refusal to print it."""
+    value = Fraction(3, 7) ** (2**n)
+    if value.denominator < 10**4300:
+        assert (code, out, err) == (1, "", violation_line(f"{n}.bgt:{n + 2}:12", f"d{n} == 0", value) + "\n")
+    else:
+        assert (code, out, err) == (2, "", "error: a number has more than 4300 decimal digits\n")
+
+
 # the bindings of the README's sweep of k over budget J: every parameter of J but k
 README_SETS = [
     "--set", "cpec=1", "--set", "cpdg=10", "--set", "escf=1/5", "--set", "bbpp=8",
@@ -343,6 +393,13 @@ FAMILIES = {
     # 4/4 up to numbers of 2^(2n + 1) bits: small sizes, so that such a slip costs seconds
     # at 2n, not all the memory of the host
     "cancelled squares": (cancelled_squares, 12),
+    # each label printed with all the defs before it: a copy of them per label would be quadratic
+    "many defs under many tests": (defs_under_tests, 5000),
+    # a scaling that touched every coefficient would be quadratic in each chain
+    "alternating chain under a test": (alternating_chain, 2000),
+    "abs alternating chain": (abs_alternating_chain, 2000),
+    # the digits double at each level: 0.05 s at 16 deep and 0.75 s at 18 on a 2-core Xeon
+    "squaring chain": (squaring_chain, 9),
     # n rows
     "sweep points": (msc, 500),
 }
@@ -382,6 +439,11 @@ RUNS = [
     ("chain of inverses", ["check", "--set", "x=1/3"], check_at(inverse_chain_value, Fraction(1, 3))),
     ("chain of inverses", SWEEP, sweep_rows(inverse_chain_value)),
     ("cancelled squares", CANCELLED_SWEEP, check_cancelled_squares),
+    ("many defs under many tests", ["check", "--set", "x=0"], exactly("")),
+    ("alternating chain under a test", ["eval", "--substitute-tests"], check_alternating_chain),
+    ("abs alternating chain", SWEEP, sweep_rows(abs_alternating_value)),
+    pytest.param("squaring chain", ["check"], check_squaring_chain, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason="ROADMAP item 11: the size of exact numbers is not bounded")),
     ("sweep points", ["sweep"], check_readme_sweep),
 ]
 

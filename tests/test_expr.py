@@ -2,6 +2,7 @@ import operator
 import random
 import string
 import tracemalloc
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
@@ -765,6 +766,34 @@ def test_pretty_prints_a_named_node_by_its_name():
     assert pretty(Mul(Var("a"), inv), names) == "a * R"  # nor a / b
     assert pretty(Add(total, sub(total, Var("c")))) == "a + b + (a + b - c)"
     assert pretty(Add(total, sub(total, Var("c"))), names) == "T + (T - c)"
+
+
+class LookupOnly(Mapping):
+    """A mapping that answers lookups and refuses to be iterated or copied."""
+
+    def __init__(self, items):
+        self.items = items
+
+    def __getitem__(self, key):
+        return self.items[key]
+
+    def __len__(self):
+        return len(self.items)
+
+    def __iter__(self):
+        raise AssertionError("iterated")
+
+    def keys(self):
+        raise AssertionError("iterated")
+
+
+def test_pretty_looks_each_name_up_and_never_copies_the_names():
+    # the parser prints each label with every def read so far: a copy would cost each label them all
+    total, neg = Add(Var("a"), Var("b")), Neg(Var("b"))
+    names = LookupOnly({id(total): "T", id(neg): "N"})
+    assert pretty(Add(total, sub(total, Var("c"))), names) == "T + (T - c)"
+    assert pretty(Add(Var("a"), neg), names) == "a + N"
+    assert pretty(total, names) == "T" and pretty(Var("c"), names) == "c"
 
 
 def test_pretty_prints_a_leaf_as_the_stack_prints_it():
