@@ -164,36 +164,39 @@ def denote_ground(t: Tuplix, valuation: Valuation | None = None) -> dict[str, Ra
 
     The result is None for the null budget, or a fresh channel->amount
     dict. An explicit zero entry is kept distinct from no entry at all: a
-    channel carrying amount 0 is still a commitment on that channel. A
-    shared sub-budget is walked once per path, so this is for small terms.
+    channel carrying amount 0 is still a commitment on that channel. The
+    naive oracle, for small terms: each kind tested, most frequent first,
+    a shared sub-budget walked once per path, and both sides of a
+    composition denoted before either is read for None, so an unbound
+    variable on either side raises.
     """
     v = valuation if valuation is not None else {}
-    match t:
-        case Eps():
-            return {}
-        case Delta():
+    kind = type(t)
+    if kind is Comp:
+        a = denote_ground(t.left, v)
+        b = denote_ground(t.right, v)
+        if a is None or b is None:
             return None
-        case Entry(channel, amount):
-            return {channel: evaluate(amount, v)}
-        case Test(arg):
-            return {} if evaluate(arg, v) == 0 else None
-        case Comp(left, right):
-            a = denote_ground(left, v)
-            b = denote_ground(right, v)
-            if a is None or b is None:
+        for channel, amount in b.items():
+            a[channel] = a[channel] + amount if channel in a else amount
+        return a
+    if kind is Test:
+        return {} if evaluate(t.arg, v) == 0 else None
+    if kind is Entry:
+        return {t.channel: evaluate(t.amount, v)}
+    if kind is Encap:
+        amounts = denote_ground(t.body, v)
+        if amounts is None:
+            return None
+        for channel in t.channels:
+            if channel in amounts and amounts.pop(channel) != 0:
                 return None
-            for channel, amount in b.items():
-                a[channel] = a.get(channel, Fraction(0)) + amount
-            return a
-        case Encap(channels, body):
-            amounts = denote_ground(body, v)
-            if amounts is None:
-                return None
-            for channel in channels:
-                if channel in amounts and amounts.pop(channel) != 0:
-                    return None
-            return amounts
-    raise TypeError(f"not a budget term: {t!r}")
+        return amounts
+    if kind is Eps:
+        return {}
+    if kind is Delta:
+        return None
+    raise TypeError(f"not a budget term: {kind.__qualname__}")
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +265,7 @@ def normalize(t: Tuplix, valuation: Valuation | None = None) -> CanonicalTuplix:
     uses: dict[int, int] = {}  # id(node) -> its users: for a term, its Comp and Encap parents and the root
     order = postorder([t], uses)
     if t._kind < _TERMS:
-        raise TypeError(f"not a budget term: {t!r}")
+        raise TypeError(f"not a budget term: {type(t).__qualname__}")
     folded: dict[int, Expr | Pair] = {}  # id(expression node) -> its fold, a pair if closed
     parts: dict[int, dict | None] = {}  # id(term node) -> its part, until its last user takes it
     tests: dict[int, Expr] = {}  # id(folded open test) -> the test

@@ -98,7 +98,9 @@ class _Node:
 
     A kind's fields, in order, are its `__match_args__`: the slots of its
     layout, if it has one, then its own `__slots__`, so a node has no
-    `__dict__` and class patterns match its fields by position. The
+    `__dict__`. `__reduce__`, `__repr__` and `_setters` read them, as do
+    the tests' reference walks by class pattern; the walks here, the
+    oracles too, test `type(node)` and read each field by name. The
     layouts are plain mixins, not kinds, and take no number: `_Binary`
     gives Add, Mul and Comp their `left` and `right`, and `_Unary` gives
     Neg, Inv, Abs and Test their `arg`, each with its constructor and
@@ -249,26 +251,30 @@ def div(a: Expr, b: Expr) -> Expr:
 
 
 def evaluate(e: Expr, valuation: Valuation) -> Rational:
-    """Evaluate a fully bound expression. Never fails on division by zero."""
-    match e:
-        case Const(value):
-            return value
-        case Var(name):
-            try:
-                return valuation[name]
-            except KeyError:
-                raise UnboundVariableError(name) from None
-        case Add(left, right):
-            return evaluate(left, valuation) + evaluate(right, valuation)
-        case Mul(left, right):
-            return evaluate(left, valuation) * evaluate(right, valuation)
-        case Neg(arg):
-            return -evaluate(arg, valuation)
-        case Inv(arg):
-            return minv(evaluate(arg, valuation))
-        case Abs(arg):
-            return abs(evaluate(arg, valuation))
-    raise TypeError(f"not an expression: {e!r}")
+    """Evaluate a fully bound expression. Never fails on division by zero.
+
+    The naive oracle: `Fraction` arithmetic and a recursive call per child,
+    a shared subterm once per path, each kind tested, most frequent first.
+    """
+    kind = type(e)
+    if kind is Var:
+        try:
+            return valuation[e.name]
+        except KeyError:
+            raise UnboundVariableError(e.name) from None
+    if kind is Const:
+        return e.value
+    if kind is Add:
+        return evaluate(e.left, valuation) + evaluate(e.right, valuation)
+    if kind is Mul:
+        return evaluate(e.left, valuation) * evaluate(e.right, valuation)
+    if kind is Neg:
+        return -evaluate(e.arg, valuation)
+    if kind is Inv:
+        return minv(evaluate(e.arg, valuation))
+    if kind is Abs:
+        return abs(evaluate(e.arg, valuation))
+    raise TypeError(f"not an expression: {kind.__qualname__}")
 
 
 _EMIT = object()  # on the postorder stack: the node below it has all its children listed

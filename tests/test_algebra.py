@@ -15,6 +15,7 @@ from tuplix.algebra import (
     Delta,
     Encap,
     Entry,
+    Eps,
     Test,
     apply_test_substitution,
     compose,
@@ -44,7 +45,8 @@ from tuplix.expr import (
     pretty,
     sub,
 )
-from tuplix.laws import random_rational, random_term
+from tuplix.laws import random_expr, random_rational, random_term
+from tuplix.meadow import minv
 
 EMPTY = CanonicalTuplix(False, (), (), ())
 
@@ -423,6 +425,114 @@ def test_expressions_and_budget_terms_are_not_taken_for_each_other():
     with pytest.raises(TypeError, match="not an expression"):
         evaluate(EPS, {})
     assert (Var("x") == "x") is False  # a node is equal to no other kind of object
+
+
+def test_a_wrong_layer_error_names_the_kind_not_the_node():
+    # the repr of a shared term doubles with each level; the message stays short at any depth
+    expression, term = Var("x"), ent("a", 1)
+    for _ in range(40):
+        expression, term = Add(expression, expression), Comp(term, term)
+    for call, message in (
+        (lambda: normalize(expression), "not a budget term: Add"),
+        (lambda: denote_ground(expression), "not a budget term: Add"),
+        (lambda: evaluate(term, {}), "not an expression: Comp"),
+    ):
+        with pytest.raises(TypeError) as raised:
+            call()
+        assert str(raised.value) == message and len(message) < 100
+
+
+def test_the_oracles_error_contract():
+    # both sides of a composition are denoted before either is read for None
+    with pytest.raises(UnboundVariableError, match="unbound variable: u") as raised:
+        denote_ground(Comp(DELTA, Entry("a", Var("u"))))
+    assert raised.value.name == "u"
+    with pytest.raises(TypeError, match="not an expression: int"):
+        evaluate(1, {})
+    with pytest.raises(TypeError, match="not a budget term: object"):
+        denote_ground(object())
+
+
+def reference_evaluate(e, valuation):
+    """`evaluate` as it was written with class patterns, which the kind tests must match exactly."""
+    match e:
+        case Const(value):
+            return value
+        case Var(name):
+            try:
+                return valuation[name]
+            except KeyError:
+                raise UnboundVariableError(name) from None
+        case Add(left, right):
+            return reference_evaluate(left, valuation) + reference_evaluate(right, valuation)
+        case Mul(left, right):
+            return reference_evaluate(left, valuation) * reference_evaluate(right, valuation)
+        case Neg(arg):
+            return -reference_evaluate(arg, valuation)
+        case Inv(arg):
+            return minv(reference_evaluate(arg, valuation))
+        case Abs(arg):
+            return abs(reference_evaluate(arg, valuation))
+    raise TypeError(f"not an expression: {type(e).__qualname__}")
+
+
+def reference_denote_ground(t, v):
+    """`denote_ground` as it was written with class patterns, over `reference_evaluate`."""
+    match t:
+        case Eps():
+            return {}
+        case Delta():
+            return None
+        case Entry(channel, amount):
+            return {channel: reference_evaluate(amount, v)}
+        case Test(arg):
+            return {} if reference_evaluate(arg, v) == 0 else None
+        case Comp(left, right):
+            a = reference_denote_ground(left, v)
+            b = reference_denote_ground(right, v)
+            if a is None or b is None:
+                return None
+            for channel, amount in b.items():
+                a[channel] = a.get(channel, Fraction(0)) + amount
+            return a
+        case Encap(channels, body):
+            amounts = reference_denote_ground(body, v)
+            if amounts is None:
+                return None
+            for channel in channels:
+                if channel in amounts and amounts.pop(channel) != 0:
+                    return None
+            return amounts
+    raise TypeError(f"not a budget term: {type(t).__qualname__}")
+
+
+def outcome(oracle, node, valuation):
+    """What an oracle gives: ("value", its result, with a dict's entries in order) or ("unbound", the name)."""
+    try:
+        result = oracle(node, valuation)
+    except UnboundVariableError as raised:
+        return "unbound", raised.name
+    return "value", list(result.items()) if type(result) is dict else result
+
+
+def test_the_oracles_agree_exactly_with_their_class_pattern_references():
+    rng = random.Random(35)
+    names = ("u", "v", "w")
+    seen = {"null": 0, "empty": 0, "zero entry": 0, "unbound": 0}
+    for _ in range(2_000):
+        # law-table values, a quarter of them zero; now and then a name is left unbound
+        valuation = {name: random_rational(rng) for name in names if rng.random() < 0.95}
+        term = random_term(rng, 1 + rng.randrange(8), ("a", "b", "c"), names)
+        expected = outcome(reference_denote_ground, term, valuation)
+        assert outcome(denote_ground, term, valuation) == expected
+        e = random_expr(rng, names, rng.randrange(6))
+        assert outcome(evaluate, e, valuation) == outcome(reference_evaluate, e, valuation)
+        kind, result = expected
+        seen["unbound"] += kind == "unbound"
+        seen["null"] += kind == "value" and result is None
+        seen["empty"] += result == []
+        seen["zero entry"] += kind == "value" and result is not None and any(a == 0 for _, a in result)
+    assert min(seen.values()) >= 50, seen
 
 
 def test_substitution_solves_entry_amounts():
