@@ -22,8 +22,8 @@ iterates, and prints a leaf, a name or a constant, at once, with no stack.
 Two representations serve different ends. `fold_constants` keeps the
 tree as written, only smaller, and `pretty` prints it. Inside a fold a
 closed value is an integer pair (numerator, denominator > 0) in lowest
-terms, reduced as `Fraction` reduces, and it becomes a `Const` only where
-it meets an open parent or is a root; `evaluate`, the naive oracle,
+terms, each step its kind's in `PAIR_STEPS`, and it becomes a `Const`
+only under an open parent or as a root; `evaluate`, the naive oracle,
 stays on `Fraction`. `LinearForms` writes expressions as a constant plus
 exact multiples of atoms, as a meadow allows, with every coefficient an
 integer pair too, and is also the straight-line program that computes
@@ -240,6 +240,11 @@ class Abs(_Unary, _Node):
 Expr = Const | Var | Add | Mul | Neg | Inv | Abs
 _TERMS = Abs._kind + 1  # the kinds from here on are budget terms
 Valuation = Mapping[str, Rational]
+
+# Each kind's one step on closed pairs in lowest terms, which the fold, `LinearForms` and the laws take.
+PAIR_STEPS: dict[type, Callable[..., Pair]] = {
+    Add: add_pairs, Mul: mul_pairs, Neg: lambda x: (-x[0], x[1]), Inv: minv_pair, Abs: lambda x: (abs(x[0]), x[1])
+}
 
 
 def sub(a: Expr, b: Expr) -> Expr:
@@ -480,13 +485,13 @@ class LinearForms:
     Each node becomes a linear form c0 + c1 * atom1 + ... with exact
     coefficients, by rules that hold in a meadow, a commutative ring: sums
     merge, a negation or a product with a constant side scales, and an
-    inverse or absolute value of a constant folds. Zero coefficients are
-    dropped, so x - x is 0. An atom is a variable, or one instruction for
-    an inverse, an absolute value or a product of two non-constant forms,
-    applied to the slots of its argument forms. Products are never
-    expanded, and x * Inv(x) stays an atom. Forms and atoms are interned by
-    their content, never by the node, whose hash and equality walk its
-    whole tree, so equal subterms built apart share their slots. A node
+    inverse or absolute value of a constant folds by its `PAIR_STEPS` step.
+    Zero coefficients are dropped, so x - x is 0. An atom is a variable, or
+    one instruction for an inverse, an absolute value or a product of two
+    non-constant forms, applied to the slots of its argument forms. Products
+    are never expanded, and x * Inv(x) stays an atom. Forms and atoms are
+    interned by their content, never by the node, whose hash and equality
+    walk its whole tree, so equal subterms built apart share their slots. A node
     that more than one node or root uses, such as the body of a def, is
     computed once into a slot and is an atom of each user.
 
@@ -546,8 +551,7 @@ class LinearForms:
                 if a.terms:
                     form = atom(instruction(_OPS[kind], emit(a)))
                 else:
-                    n, d = value = a.value()
-                    form = _Form(minv_pair(value) if kind is Inv else (abs(n), d), {})
+                    form = _Form(PAIR_STEPS[kind](a.value()), {})
             if uses[id(node)] > 1 and form.terms:
                 form = atom(emit(form))
             forms[id(node)] = form
@@ -582,8 +586,8 @@ class LinearForms:
         ref = added[0] if added else self._times(*subtracted.pop(0))
         for other in added[1:]:
             ref = self._instruction(operator.add, ref, other)
-        for (n, d), atom in subtracted:
-            ref = self._instruction(operator.sub, ref, self._times((-n, d), atom))
+        for c, atom in subtracted:
+            ref = self._instruction(operator.sub, ref, self._times(PAIR_STEPS[Neg](c), atom))
         return ref
 
     def run(self, ops: Mapping[Callable, Callable], values: Mapping) -> list:
@@ -629,7 +633,7 @@ class LinearForms:
         The variable, paired with its coefficient, is the first one with a
         coefficient in the root's form and under none of its other atoms.
         The value is None unless that form has no terms, as for x - x + -1.
-        The coefficient and the value are integer pairs, as in the forms.
+        The coefficient and the value are integer pairs, read from the settled form.
         """
         form, operands = self.forms[0], list(self.instructions)
         under = {atom for atom in form.terms if atom >= len(self.variables)}
@@ -638,8 +642,8 @@ class LinearForms:
                 under.update(operands[k][1:])
         for name, atom in self.variables.items():
             if atom in form.terms and atom not in under:
-                return (name, mul_pairs(form.scale, form.terms[atom])), None
-        return None, None if form.terms else form.value()
+                return (name, form.terms[atom]), None
+        return None, None if form.terms else form.const
 
 
 def free_vars(*roots: _Node) -> frozenset[str]:
@@ -660,20 +664,20 @@ def _fold_node(
     """`fold_constants` of one node, whose children's folds `folded` holds by their id().
 
     A closed fold is not a `Const` but its value as an integer pair
-    (numerator, denominator > 0) in lowest terms, so folding a closed
-    subterm makes neither a `Fraction` nor a node; an open fold is an
-    expression. `_as_expr` turns a pair into a `Const` where an open parent
-    or a caller reads it. A variable folds to its binding: a closed one may
-    be bound to a pair, which is its fold as it is, or to a `Const`. The
-    identities fire on pairs: x + 0, x * 1 and x * 0 by the numerator, as 0
-    is 0/1 and 1 is 1/1.
+    (numerator, denominator > 0) in lowest terms, by the kind's step in
+    `PAIR_STEPS`, so folding a closed subterm makes neither a `Fraction`
+    nor a node; an open fold is an expression. `_as_expr` turns a pair into
+    a `Const` where an open parent or a caller reads it. A variable folds to
+    its binding: a closed one may be bound to a pair, which is its fold as
+    it is, or to a `Const`. The identities fire on pairs: x + 0, x * 1 and
+    x * 0 by the numerator, as 0 is 0/1 and 1 is 1/1.
     """
     kind = type(node)
     if kind is Add or kind is Mul:
         left, right = folded[id(node.left)], folded[id(node.right)]
         if type(left) is tuple:
             if type(right) is tuple:
-                return add_pairs(left, right) if kind is Add else mul_pairs(left, right)
+                return PAIR_STEPS[kind](left, right)
             if not left[0]:  # 0 + x is x, 0 * x is 0
                 return right if kind is Add else left
             if kind is Mul and left[0] == left[1]:
@@ -693,12 +697,7 @@ def _fold_node(
         return node.value.as_integer_ratio()
     arg = folded[id(node.arg)]
     if type(arg) is tuple:
-        n, d = arg
-        if kind is Neg:
-            return -n, d
-        if kind is Abs:
-            return abs(n), d
-        return minv_pair(arg)
+        return PAIR_STEPS[kind](arg)
     if kind is not Abs and type(arg) is kind:  # Neg(Neg(x)), Inv(Inv(x))
         return arg.arg
     return node if arg is node.arg else kind(arg)

@@ -12,9 +12,9 @@ The random model is here too: `random_rational`, `random_expr` and
 whose entries repeat in proportion to their probabilities, so the
 distributions are those of the `randint`, `choice` and `sample` draws
 the model once made. Leaves are shared nodes, one `Const` per value and
-one `Var` per name. The number laws run on the integer pairs that every
-fold computes with (`meadow.add_pairs`, `mul_pairs`, `minv_pair`), drawn
-from a table of pairs.
+one `Var` per name. The number laws run on integer pairs, drawn from a
+table of pairs, with the five steps that every fold takes on them: those
+of `expr.PAIR_STEPS`, so they check what ships.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .algebra import (
 )
 from .constraints import conjunction_expr, leq_expr
 from .expr import (
+    PAIR_STEPS,
     Abs,
     Add,
     Const,
@@ -57,7 +58,7 @@ from .expr import (
     postorder,
     sub,
 )
-from .meadow import Rational, add_pairs, minv_pair, mul_pairs
+from .meadow import Rational
 
 _CHANNELS = ("a", "b", "c")
 _NAMES = ("u", "v", "w")
@@ -386,9 +387,8 @@ def _nums(rng, n):
 
 
 def meadow_laws() -> list[Law]:
-    """The meadow's laws on integer pairs, which must be equal pairs where the values are equal."""
-    add, mul, inv, zero, one = add_pairs, mul_pairs, minv_pair, (0, 1), (1, 1)
-    neg, absolute = (lambda x: (-x[0], x[1])), (lambda x: (abs(x[0]), x[1]))  # as `_fold_node` has them
+    """The meadow's laws on the fold's own pair steps, `PAIR_STEPS`: equal values must be equal pairs."""
+    (add, mul, neg, inv, absolute), zero, one = map(PAIR_STEPS.get, (Add, Mul, Neg, Inv, Abs)), (0, 1), (1, 1)
     checks = [
         ("add-commutes", lambda x, y: add(x, y) == add(y, x)),
         ("add-associates", lambda x, y, z: add(add(x, y), z) == add(x, add(y, z))),

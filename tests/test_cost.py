@@ -14,11 +14,13 @@ import gc
 import json
 import re
 import time
+from collections import Counter
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
-from tuplix import algebra, bundled, dsl, expr
+from tuplix import algebra, bundled, dsl, expr, meadow
 from tuplix.cli import main
 
 GROWTH = 3
@@ -520,3 +522,39 @@ def test_substituting_independent_tests_folds_each_node_a_bounded_number_of_time
         assert code == 0 and sorted(out.splitlines()[2:]) == sorted(f"  u{i} - v{i}" for i in range(n))
         counts.append(len(steps))
     assert counts[1] <= 2.5 * counts[0], counts
+
+
+def integer_sweep_rows(n):
+    """B = a(x) | b(2x + 1) at x = 0, ..., n - 1: the values stay integers."""
+    table = [["x", "status", "a", "b"], *([str(x), "ok", str(x), str(2 * x + 1)] for x in range(n))]
+    widths = [max(map(len, column)) for column in zip(*table)]
+    return "".join("  ".join(map(str.ljust, row, widths)).rstrip() + "\n" for row in table)
+
+
+# Rows that count work rather than time it: the calls of `meadow.gcd` and `meadow.floordiv`, which
+# `add_pairs`, `mul_pairs` and `lowest_terms` reduce with. A step that changes no value, such as a
+# form rescaled by 1 or a column divided by gcds that are all 1, fails these rows and no other.
+WORK = [
+    ("README sweep", msc(5), readme_sweep_flags(5), partial(check_readme_sweep, 5), (303, 10)),
+    ("integer sweep", "param x\nbudget B = a(x) | b(2 * x + 1)\n",
+     ["--var", "x", "--from", "0", "--to", "9", "--step", "1"], partial(exactly(integer_sweep_rows(10)), 10), (43, 0)),
+]
+
+
+@pytest.mark.parametrize("text, flags, check, calls", [run[1:] for run in WORK], ids=[run[0] for run in WORK])
+def test_a_sweep_reduces_its_pairs_a_fixed_number_of_times(text, flags, check, calls, tmp_path, monkeypatch, capsys):
+    counts = Counter()
+
+    def counted(name, function):
+        def call(*args):
+            counts[name] += 1
+            return function(*args)
+
+        return call
+
+    for name in ("gcd", "floordiv"):
+        monkeypatch.setattr(meadow, name, counted(name, getattr(meadow, name)))
+    f = tmp_path / "budget.bgt"
+    f.write_text(text, encoding="utf-8")
+    check(main(["sweep", str(f), *flags]), *capsys.readouterr())
+    assert (counts["gcd"], counts["floordiv"]) == calls

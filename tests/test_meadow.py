@@ -1,3 +1,4 @@
+import operator
 import random
 import sys
 from fractions import Fraction
@@ -5,6 +6,7 @@ from math import gcd
 
 import pytest
 
+from tuplix.expr import PAIR_STEPS, Abs, Add, Inv, Mul, Neg
 from tuplix.meadow import (
     ZERO,
     DigitLimitError,
@@ -15,7 +17,6 @@ from tuplix.meadow import (
     lowest_terms,
     minv,
     minv_pair,
-    mul_pairs,
     parse_rational,
     _parse_by_pattern,
 )
@@ -54,12 +55,17 @@ def in_lowest_terms(pair):
 
 
 def test_pair_arithmetic_agrees_with_fraction_in_lowest_terms():
+    # each step of PAIR_STEPS, which the fold takes, against its kind's operation on Fraction
+    on_fractions = {Add: operator.add, Mul: operator.mul, Neg: operator.neg, Inv: minv, Abs: abs}
+    assert PAIR_STEPS.keys() == on_fractions.keys()
     rng = random.Random(11)
     for _ in range(2_000):
         x, y = random_fraction(rng), random_fraction(rng)
         p, q = x.as_integer_ratio(), y.as_integer_ratio()
-        for got, want in [(add_pairs(p, q), x + y), (mul_pairs(p, q), x * y), (minv_pair(p), minv(x))]:
-            assert in_lowest_terms(got) and got == want.as_integer_ratio(), (x, y, got)
+        for kind, step in PAIR_STEPS.items():
+            arity = step.__code__.co_argcount
+            got, want = step(*(p, q)[:arity]), on_fractions[kind](*(x, y)[:arity])
+            assert in_lowest_terms(got) and got == want.as_integer_ratio(), (kind, x, y, got)
     assert minv_pair((0, 1)) == (0, 1)
     assert add_pairs((1, 6), (-1, 6)) == (0, 1)  # a sum of zero over a shared denominator
 
