@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import operator
 from collections import namedtuple
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from fractions import Fraction
 from functools import reduce
 from itertools import repeat
@@ -72,10 +72,42 @@ class Eps(_Node):
     __slots__ = ()  # no fields, no children
 
 
-class Delta(_Node):
-    __slots__ = __match_args__ = ("span",)
+class _Text:
+    """A field of text that tells where a term came from: a test's label, or a term's span.
 
-    def __init__(self, span: str | None = None):
+    It is kept in the slot of its name with a leading underscore, as the
+    constructor was given it: the text, None, or a function of no arguments
+    that makes the text. Such a function is called on the field's first
+    read, and the text it makes takes its place, so a parsed program writes
+    no text that no violation reports.
+    """
+
+    __slots__ = ("slot",)
+
+    def __set_name__(self, kind: type, name: str):
+        self.slot = vars(kind)[f"_{name}"]
+
+    def __get__(self, node: _Node | None, kind: type | None = None):
+        if node is None:
+            return self
+        text = self.slot.__get__(node)
+        if text is None or type(text) is str:
+            return text
+        text = text()
+        self.slot.__set__(node, text)
+        return text
+
+
+# A text, or a function of no arguments that makes it on first read; see `_Text`.
+Text = str | Callable[[], str]
+
+
+class Delta(_Node):
+    __slots__ = ("_span",)
+    __match_args__ = ("span",)
+    span = _Text()
+
+    def __init__(self, span: Text | None = None):
         _delta_span(self, span)
 
 
@@ -101,18 +133,21 @@ _entry_channel, _entry_amount = _setters(Entry)
 
 class Test(_Unary, _Node):
     # label and span tell where the test came from, for violation reports;
-    # they are never part of the term's identity
-    __slots__ = ("label", "span")
+    # they are never part of the term's identity, and the parser gives each
+    # as a function that makes it on first read (`_Text`)
+    __slots__ = ("_label", "_span")
     __match_args__ = ("arg", "label", "span")
     __test__ = False  # keep pytest from collecting this class
+    label = _Text()
+    span = _Text()
 
-    def __init__(self, arg: Expr, label: str | None = None, span: str | None = None):
+    def __init__(self, arg: Expr, label: Text | None = None, span: Text | None = None):
         _set_arg(self, arg)
         _test_label(self, label)
         _test_span(self, span)
 
 
-_test_label, _test_span = _setters(Test)[1:]  # after `arg`, which `_Unary` sets
+_test_label, _test_span = _setters(Test)  # its own slots; `arg` is `_Unary`'s
 
 
 class Comp(_Binary, _Node):
@@ -120,10 +155,12 @@ class Comp(_Binary, _Node):
 
 
 class Encap(_Node):
-    __slots__ = __match_args__ = ("channels", "body", "span")
+    __slots__ = ("channels", "body", "_span")
+    __match_args__ = ("channels", "body", "span")
     _children = staticmethod(lambda node: (node.body,))
+    span = _Text()
 
-    def __init__(self, channels: frozenset[str], body: Tuplix, span: str | None = None):
+    def __init__(self, channels: frozenset[str], body: Tuplix, span: Text | None = None):
         for channel in channels:
             if not is_identifier(channel):
                 raise ValueError(f"invalid channel name: {channel!r}")
@@ -144,7 +181,7 @@ EPS = Eps()
 DELTA = Delta()
 
 
-def encap(channels: Iterable[str], body: Tuplix, span: str | None = None) -> Encap:
+def encap(channels: Iterable[str], body: Tuplix, span: Text | None = None) -> Encap:
     return Encap(frozenset(channels), body, span)
 
 

@@ -31,15 +31,18 @@ The parser builds core terms (`algebra.Tuplix`) directly, in one pass
 over the tokens: a reference to a def is the def's body, the same object
 at every use, a condition becomes one test argument that is zero iff
 every relation holds, a budget reference returns the term already
-built, and each test, delta and enc{} keeps its source position
-"line:col" for violation reports. A test also keeps its source text,
-printed from its argument with each def's body written as the def's
-name. One symbol table maps each name and literal to its node. The
-lexer is one `findall` of the token pattern, and a token is its index
-into the list of token texts. Its offset into the text is summed from
-the lengths of the texts before it, and its line and column are worked
-out over an index of the text's newlines; both are computed only for
-those positions and for errors.
+built, and each test, delta and enc{} gets its source position
+"line:col" for violation reports. A test also gets its label, its source
+text, printed from its relations as parsed with each def's body written
+as the def's name. Both are written only when a violation reports them
+(`algebra._Text`): a test keeps its relations, each `(op, left, right)`,
+with the parser's map of def names, and a position keeps its keyword's
+token index with the program's `_Source`, none of which leads back to
+the parser or to a term. One symbol table maps each name and literal to
+its node. The lexer is one `findall` of the token pattern, and a token
+is its index into the list of token texts. `_Source` keeps the text and
+no token, and places a token, for a span or an error, by lexing the text
+again from a place it kept on the way to an earlier one.
 """
 
 from __future__ import annotations
@@ -47,6 +50,8 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from collections import namedtuple
+from functools import partial
+from itertools import islice
 
 from .algebra import (
     EPS,
@@ -101,30 +106,32 @@ class BudgetProgram(namedtuple("BudgetProgram", "params budgets")):
 # --- lexer -------------------------------------------------------------------
 
 
-# One match skips the blanks and comments before a token, then matches the
-# token: an operator (the one-character ones first, as the commonest
-# tokens; none of them starts a longer one), a name, a number, a string,
-# or the empty token at the end of the text. `findall` gives one
-# (skipped, token, rest) triple per token, and a token's kind is told by
-# its first character. `rest` is empty unless the text holds a character
-# that starts no token: the last alternative then takes the text from
-# there to its end, so no match is made past the first such character,
-# and it is in the last triple but one (the last is the empty match at the
-# end). Every place matches something, so no match gives back characters
-# of a comment or backtracks into blanks, and none searches ahead.
-_TOKEN_RE = re.compile(
-    r"""([ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*)
-      (?: ( [(){},|+\-*/]
+# The blanks and comments before a token, and a token: an operator (the
+# one-character ones first, as the commonest tokens; none of them starts a
+# longer one), a name, a number or a string.
+_SKIP = r"[ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*"
+_TOKEN = r"""[(){},|+\-*/]
           | IDENT
           | \d+(?:\.\d+)?
           | "[^"\n]*"
-          | [<=>!]= | && | [=<>&]
-          | \Z
-          )
-        | ((?s:.+))
-      )""".replace("IDENT", IDENT_PATTERN),
-    re.VERBOSE,
-)
+          | [<=>!]= | && | [=<>&]""".replace("IDENT", IDENT_PATTERN)
+
+# One match skips the text before a token, then matches the token, or the
+# empty token at the end of the text. `findall` gives one (skipped, token,
+# rest) triple per token, and a token's kind is told by its first
+# character. `rest` is empty unless the text holds a character that starts
+# no token: the last alternative then takes the text from there to its
+# end, so no match is made past the first such character, and it is in
+# the last triple but one (the last is the empty match at the end). Every
+# place matches something, so no match gives back characters of a comment
+# or backtracks into blanks, and none searches ahead.
+_TOKEN_RE = re.compile(rf"({_SKIP}) (?: ({_TOKEN} | \Z) | ((?s:.+)) )", re.VERBOSE)
+
+# `_Source` keeps the place of every this many tokens, and passes over that
+# many tokens of a text that lexes with one match of `_STRIDE_RE`, which
+# makes no string or match object per token.
+_STRIDE = 16
+_STRIDE_RE = re.compile(rf"(?: {_SKIP} (?:{_TOKEN}) ){{{_STRIDE}}}", re.VERBOSE)
 
 
 # --- parser ------------------------------------------------------------------
@@ -145,45 +152,31 @@ def _is_name(token: str) -> bool:
     return token[:1].isidentifier()
 
 
-class _Parser:
-    """A parser over the text's tokens, each token its index into `tokens`."""
+class _Source:
+    """A program's text, and where in it each token lies, found on request.
+
+    It keeps the text and none of its tokens, so a parsed program holds no
+    more than its text. A token is found by lexing the text again from the
+    last place kept before it: the place of every `_STRIDE`-th token, listed
+    as far as the token asked for. Its line and column are worked out over
+    an index of the text's newlines, listed on first use. Only an error and
+    the span of a reported violation ask, so a program whose calls report
+    nothing is lexed once.
+    """
+
+    __slots__ = ("text", "marks", "newlines")
 
     def __init__(self, text: str):
         self.text = text
+        self.marks = [0]  # the offset where the text skipped before each _STRIDE-th token starts
         self.newlines: list[int] | None = None  # offsets of the text's newlines, listed on first use
-        matches = _TOKEN_RE.findall(text)
-        rest = matches[-2][2] if len(matches) > 1 else ""
-        if rest:
-            message = "unterminated string" if rest[0] == '"' else f"unexpected character {quoted(rest[0])}"
-            raise DslError(message, *self.place(len(text) - len(rest)))
-        self.matches = matches
-        self.tokens = [token for _, token, _ in matches]  # the last one is "", the end
-        self.skipped: list[str] | None = None  # the text skipped before each token, listed on first use
-        self.cursor = 0, 0  # a token's index and the offset where the text skipped before it starts
-        self.pos = 0  # the index of the current token
-        self.depth = 0  # brackets open at the current token
-        # the symbol table: a name or literal -> its node at every use, a param's Var, def's body or Const
-        self.values: dict[str, Expr] = {}
-        self.params: dict[str, str | None] = {}  # param -> its doc, for BudgetProgram
-        self.defs: dict[int, str] = {}  # id(body) -> its def's name, for the labels of tests
-        self.budgets: dict[str, Tuplix] = {}
-
-    # positions
 
     def offset(self, index: int) -> int:
-        """Where the text of token `index` starts.
-
-        The lengths are summed on from the token last asked for, or from
-        the first token for one before it, which only an error asks for.
-        """
-        if self.skipped is None:
-            self.skipped = [skipped for skipped, _, _ in self.matches]
-        start, offset = self.cursor
-        if index < start:
-            start, offset = 0, 0
-        offset += sum(map(len, self.skipped[start:index])) + sum(map(len, self.tokens[start:index]))
-        self.cursor = index, offset
-        return offset + len(self.skipped[index])
+        """Where the text of token `index` starts."""
+        text, marks = self.text, self.marks
+        while len(marks) <= index // _STRIDE:
+            marks.append(_STRIDE_RE.match(text, marks[-1]).end())
+        return next(islice(_TOKEN_RE.finditer(text, marks[index // _STRIDE]), index % _STRIDE, None)).start(2)
 
     def place(self, offset: int) -> tuple[int, int]:
         """The line and column, both from 1, of an offset into the text."""
@@ -193,13 +186,53 @@ class _Parser:
         return line + 1, offset - (self.newlines[line - 1] if line else -1)
 
     def span(self, index: int) -> str:
+        """The "line:col" of token `index`, a term's span."""
         line, col = self.place(self.offset(index))
         return f"{line}:{col}"
+
+
+# A relation as written, for a test's label: (op, left, right), with op "<=" or
+# "==", or (None, expression, None) for a bare expression.
+Relation = tuple[str | None, Expr, Expr | None]
+
+
+def _label(relations: list[Relation], names: dict[int, str]) -> str:
+    """A test's label: the source text of its relations, printed as parsed, each def's body by the def's name.
+
+    `names` is the parser's map from id(def body) to the def's name. It
+    still grows after the test, but only with bodies built after it, which
+    none of its relations holds.
+    """
+    return " && ".join(
+        pretty(left, names) if op is None else f"{pretty(left, names)} {op} {pretty(right, names)}"
+        for op, left, right in relations
+    )
+
+
+class _Parser:
+    """A parser over the text's tokens, each token its index into `tokens`."""
+
+    def __init__(self, text: str):
+        self.source = _Source(text)
+        matches = _TOKEN_RE.findall(text)
+        rest = matches[-2][2] if len(matches) > 1 else ""
+        if rest:
+            message = "unterminated string" if rest[0] == '"' else f"unexpected character {quoted(rest[0])}"
+            raise DslError(message, *self.source.place(len(text) - len(rest)))
+        self.tokens = [token for _, token, _ in matches]  # the last one is "", the end
+        self.pos = 0  # the index of the current token
+        self.depth = 0  # brackets open at the current token
+        # the symbol table: a name or literal -> its node at every use, a param's Var, def's body or Const
+        self.values: dict[str, Expr] = {}
+        self.params: dict[str, str | None] = {}  # param -> its doc, for BudgetProgram
+        self.defs: dict[int, str] = {}  # id(body) -> its def's name, for the labels of tests
+        self.budgets: dict[str, Tuplix] = {}
 
     # token helpers
 
     def error(self, message: str, index: int | None = None) -> DslError:
-        return DslError(message, *self.place(self.offset(self.pos if index is None else index)))
+        source = self.source
+        return DslError(message, *source.place(source.offset(self.pos if index is None else index)))
 
     def found(self) -> str:
         return quoted(self.tokens[self.pos] or "end of input")
@@ -310,16 +343,14 @@ class _Parser:
             return EPS
         if text == "delta":
             self.pos += 1
-            return Delta(span=self.span(at))
+            return Delta(span=partial(self.source.span, at))
         if text == "test":
-            span = self.span(at)
             self.pos += 1
             self.open_bracket()
-            arg, label = self.parse_cond()
+            arg, relations = self.parse_cond()
             self.close_bracket()
-            return Test(arg, label=label, span=span)
+            return Test(arg, label=partial(_label, relations, self.defs), span=partial(self.source.span, at))
         if text == "enc":
-            span = self.span(at)
             self.pos += 1
             self.expect_op("{")
             channels = [self.expect_name("a channel name")]
@@ -330,7 +361,7 @@ class _Parser:
             self.open_bracket()
             body = self.parse_tuplix()
             self.close_bracket()
-            return Encap(frozenset(channels), body, span=span)
+            return Encap(frozenset(channels), body, span=partial(self.source.span, at))
         if text in KEYWORDS:
             raise self.error(f"keyword {quoted(text)} cannot start a budget term")
         self.pos += 1
@@ -346,25 +377,21 @@ class _Parser:
 
     # conditions
 
-    def parse_cond(self) -> tuple[Expr, str]:
-        """A test's argument, zero iff every relation holds, and its label.
-
-        The label is the source text of the relations, printed from the
-        relations as parsed, each def's body by the def's name.
-        """
-        args, texts = [], []
+    def parse_cond(self) -> tuple[Expr, list[Relation]]:
+        """A test's argument, zero iff every relation holds, and its relations as written."""
+        args, relations = [], []
         while True:
-            arg, text = self.parse_relation()
+            arg, relation = self.parse_relation()
             args.append(arg)
-            texts.append(text)
+            relations.append(relation)
             if self.tokens[self.pos] != "&&":
                 break
             self.pos += 1
         arg = args[0] if len(args) == 1 else conjunction_expr(args)
-        return arg, " && ".join(texts)
+        return arg, relations
 
-    def parse_relation(self) -> tuple[Expr, str]:
-        """A relation's argument, with defs inlined, and its source text, with defs named."""
+    def parse_relation(self) -> tuple[Expr, Relation]:
+        """A relation's argument, with defs inlined, and the relation as written."""
         left = self.parse_expr()
         op = self.tokens[self.pos]
         if op in _COMPARISONS_UNSUPPORTED:
@@ -372,11 +399,10 @@ class _Parser:
                 f"comparison {quoted(op)} is not supported; only <= and == exist"
             )
         if op != "<=" and op != "==":
-            return left, pretty(left, self.defs)
+            return left, (None, left, None)
         self.pos += 1
         right = self.parse_expr()
-        text = f"{pretty(left, self.defs)} {op} {pretty(right, self.defs)}"
-        return (leq_expr(left, right) if op == "<=" else sub(left, right)), text
+        return (leq_expr(left, right) if op == "<=" else sub(left, right)), (op, left, right)
 
     # expressions
 

@@ -46,6 +46,7 @@ from fractions import Fraction
 from functools import cmp_to_key, partial
 from itertools import count, repeat
 from math import gcd
+from operator import floordiv
 
 from .meadow import (
     Column,
@@ -98,10 +99,12 @@ class _Node:
 
     A kind's fields, in order, are its `__match_args__`: the slots of its
     layout, if it has one, then its own `__slots__`, so a node has no
-    `__dict__`. `__reduce__`, `__repr__` and `_setters` read them, as do
-    the tests' reference walks by class pattern; the walks here, the
-    oracles too, test `type(node)` and read each field by name. The
-    layouts are plain mixins, not kinds, and take no number: `_Binary`
+    `__dict__`. A field of text that may be made on first read, a test's
+    label or a term's span (`algebra._Text`), is kept in the slot of its
+    name with a leading underscore. `__reduce__` and `__repr__` read the
+    fields, as do the tests' reference walks by class pattern; the walks
+    here, the oracles too, test `type(node)` and read each field by name.
+    The layouts are plain mixins, not kinds, and take no number: `_Binary`
     gives Add, Mul and Comp their `left` and `right`, and `_Unary` gives
     Neg, Inv, Abs and Test their `arg`, each with its constructor and
     `_children`. A constructor writes each slot once, through the slot's
@@ -158,8 +161,8 @@ class _Node:
 
 
 def _setters(kind: type) -> tuple[Callable[[_Node, object], None], ...]:
-    """The `__set__` of each slot descriptor of a kind or a layout, in field order: its constructor's cheapest write."""
-    return tuple(getattr(kind, name).__set__ for name in kind.__match_args__)
+    """The `__set__` of each of the own slots of a kind or a layout, in order: its constructor's cheapest write."""
+    return tuple(getattr(kind, name).__set__ for name in kind.__slots__)
 
 
 class Const(_Node):
@@ -348,7 +351,7 @@ def _common(numerators: list[int], d: int) -> Column:
     g = gcd(d, *numerators)
     if g == 1:
         return numerators, d
-    return list(map(operator.floordiv, numerators, repeat(g))), d // g
+    return list(map(floordiv, numerators, repeat(g))), d // g
 
 
 def _sum(op: Callable, x, y) -> Column:
@@ -392,7 +395,7 @@ def _inverse(x: Column) -> Column:
     """
     a, b = x
     d = list(map(max, map(abs, a), repeat(1)))  # |a|, or 1 where a is 0
-    n = list(map(operator.floordiv, map(operator.mul, a, _rows(b)), d))
+    n = list(map(floordiv, map(operator.mul, a, _rows(b)), d))
     return lowest_terms(n, d) if type(b) is int else (n, d)
 
 

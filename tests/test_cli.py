@@ -14,7 +14,7 @@ from unittest import mock
 
 import tuplix
 from case_study import PROGRAMS, consistent_scenario, straight_line
-from tuplix import algebra, bundled, cli, expr, meadow
+from tuplix import algebra, bundled, cli, dsl, expr, meadow
 from tuplix.algebra import normalize
 from tuplix.cli import main
 from tuplix.dsl import MAX_NESTING, parse
@@ -405,6 +405,44 @@ def test_check_reports_broken_balance(tmp_path, capsys):
     code, _, err = run(["check", MSC, "--budget", "Total", "--bindings", str(f)], capsys)
     assert code == 1
     assert "enc{b}" in err
+
+
+def spy_text(monkeypatch):
+    """Record each text the parser's labels and spans make: ("pretty", text) or ("span", text)."""
+    made = []
+
+    def recorded(kind, make):
+        def call(*args):
+            made.append((kind, make(*args)))
+            return made[-1][1]
+
+        return call
+
+    monkeypatch.setattr(dsl, "pretty", recorded("pretty", dsl.pretty))
+    monkeypatch.setattr(dsl._Source, "span", recorded("span", dsl._Source.span))
+    return made
+
+
+def test_a_call_that_reports_no_violation_writes_no_label_or_span(capsys, monkeypatch):
+    made = spy_text(monkeypatch)
+    argv = [MSC, "--budget", "Total", *sets(consistent_scenario(random.Random(5)))]
+    assert run(["check", *argv], capsys) == (0, "", "")
+    code, out, _ = run(["eval", *argv, "--format", "json"], capsys)
+    assert code == 0 and json.loads(out)["violations"] == []
+    assert made == []
+
+
+def test_a_check_writes_the_labels_and_spans_of_its_violations_alone(capsys, monkeypatch):
+    made = spy_text(monkeypatch)
+    flags = sets({"A:ndg": 0, "B:ndg": 0, "C:ndg": 0, "k": "1/3"})
+    code, out, err = run(["check", MSC, "--budget", "Total", "--bindings", str(bundled("scenario.bindings")), *flags],
+                         capsys)
+    assert (code, out) == (1, "")
+    assert err == ("msc.bgt:149:12  bbpp <= 1 / 3 * (1 - escf) * (ECC + DGC)  value 732/5\n"
+                   "msc.bgt:150:12  k <= DGC * (1 - escf) / (3 * bbpp)  value 2/3\n")
+    # two sides and a span for each of the two violated tests: J's third test and Total's enc{} make none
+    assert made == [("pretty", "bbpp"), ("pretty", "1 / 3 * (1 - escf) * (ECC + DGC)"), ("span", "149:12"),
+                    ("pretty", "k"), ("pretty", "DGC * (1 - escf) / (3 * bbpp)"), ("span", "150:12")]
 
 
 def report_scenarios():

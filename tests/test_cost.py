@@ -228,6 +228,18 @@ def defs_under_tests(n):
     return f"param x\n{defs}budget T = {tests}\n"
 
 
+def defs_under_failing_tests(n):
+    """The same n defs, each under a test of its own that fails: each violation writes its label and span."""
+    defs = "".join(f"def d{i} = x + {i}\n" for i in range(n))
+    tests = "\n  | ".join(f"test(d{i} + 2 <= d{i} + 1)" for i in range(n))
+    return f"param x\n{defs}budget T = {tests}\n"
+
+
+def defs_under_failing_tests_value(n, x):
+    """Every test fails by 2, in source order: the first at column 12 of its line, each other at column 5."""
+    return None, [(f"{n}.bgt:{n + 2 + i}:{5 if i else 12}", f"d{i} + 2 <= d{i} + 1", 2) for i in range(n)]
+
+
 def squaring_chain(n):
     """d0 = 3/7 and each d_i is d_i-1 squared, under a test that d_n is 0: (3/7)^(2^n) has 2^n times the digits."""
     defs = [f"def d{i} = d{i - 1} * d{i - 1}\n" for i in range(1, n + 1)]
@@ -397,6 +409,8 @@ FAMILIES = {
     "cancelled squares": (cancelled_squares, 12),
     # each label printed with all the defs before it: a copy of them per label would be quadratic
     "many defs under many tests": (defs_under_tests, 5000),
+    # the same with every test failing: each label and span is written when its violation is reported
+    "many defs under many failing tests": (defs_under_failing_tests, 5000),
     # a scaling that touched every coefficient would be quadratic in each chain
     "alternating chain under a test": (alternating_chain, 2000),
     "abs alternating chain": (abs_alternating_chain, 2000),
@@ -442,6 +456,7 @@ RUNS = [
     ("chain of inverses", SWEEP, sweep_rows(inverse_chain_value)),
     ("cancelled squares", CANCELLED_SWEEP, check_cancelled_squares),
     ("many defs under many tests", ["check", "--set", "x=0"], exactly("")),
+    ("many defs under many failing tests", ["check", "--set", "x=0"], check_at(defs_under_failing_tests_value, 0)),
     ("alternating chain under a test", ["eval", "--substitute-tests"], check_alternating_chain),
     ("abs alternating chain", SWEEP, sweep_rows(abs_alternating_value)),
     pytest.param("squaring chain", ["check"], check_squaring_chain, marks=pytest.mark.xfail(
@@ -532,12 +547,14 @@ def integer_sweep_rows(n):
 
 
 # Rows that count work rather than time it: the calls of `meadow.gcd` and `meadow.floordiv`, which
-# `add_pairs`, `mul_pairs` and `lowest_terms` reduce with. A step that changes no value, such as a
-# form rescaled by 1 or a column divided by gcds that are all 1, fails these rows and no other.
+# `add_pairs`, `mul_pairs` and `lowest_terms` reduce with, then of `expr.gcd` and `expr.floordiv`, which
+# the column kernel reduces with (`expr._common`, `expr._inverse`). A step that changes no value, such
+# as a form rescaled by 1 or a column divided by gcds that are all 1, fails these rows and no other.
 WORK = [
-    ("README sweep", msc(5), readme_sweep_flags(5), partial(check_readme_sweep, 5), (303, 10)),
+    ("README sweep", msc(5), readme_sweep_flags(5), partial(check_readme_sweep, 5), (303, 10, 13, 15)),
     ("integer sweep", "param x\nbudget B = a(x) | b(2 * x + 1)\n",
-     ["--var", "x", "--from", "0", "--to", "9", "--step", "1"], partial(exactly(integer_sweep_rows(10)), 10), (43, 0)),
+     ["--var", "x", "--from", "0", "--to", "9", "--step", "1"], partial(exactly(integer_sweep_rows(10)), 10),
+     (43, 0, 3, 0)),
 ]
 
 
@@ -552,9 +569,10 @@ def test_a_sweep_reduces_its_pairs_a_fixed_number_of_times(text, flags, check, c
 
         return call
 
-    for name in ("gcd", "floordiv"):
-        monkeypatch.setattr(meadow, name, counted(name, getattr(meadow, name)))
+    names = [(module, name) for module in (meadow, expr) for name in ("gcd", "floordiv")]
+    for module, name in names:
+        monkeypatch.setattr(module, name, counted((module, name), getattr(module, name)))
     f = tmp_path / "budget.bgt"
     f.write_text(text, encoding="utf-8")
     check(main(["sweep", str(f), *flags]), *capsys.readouterr())
-    assert (counts["gcd"], counts["floordiv"]) == calls
+    assert tuple(counts[key] for key in names) == calls

@@ -1,3 +1,4 @@
+import gc
 import random
 import re
 import sys
@@ -15,7 +16,7 @@ from tuplix.algebra import (
     ground_of,
     normalize,
 )
-from tuplix.dsl import MAX_NESTING, DslError, _is_name, _Parser, elaborate, parse
+from tuplix.dsl import MAX_NESTING, DslError, _is_name, _Parser, _Source, elaborate, parse
 from tuplix.expr import IDENT_PATTERN, Add, Const, Var, evaluate, free_vars
 from tuplix.meadow import quoted
 
@@ -306,16 +307,18 @@ def lexed(text, rng):
     """What the lexer makes of a text, in the oracle's terms.
 
     The offsets are asked for in order, then a few again out of order,
-    which counts them again from the start.
+    of the same text's places and of a fresh one's, which lists its places
+    as far as the first it is asked for.
     """
     try:
         parser = _Parser(text)
     except DslError as exc:
         return str(exc)
     tokens = parser.tokens[: parser.tokens.index("") + 1]
-    offsets = [parser.offset(i) for i in range(len(tokens))]
+    offsets = [parser.source.offset(i) for i in range(len(tokens))]
+    fresh = _Source(text)
     for i in rng.sample(range(len(tokens)), min(3, len(tokens))):
-        assert parser.offset(i) == offsets[i]
+        assert parser.source.offset(i) == offsets[i] == fresh.offset(i)
     return [(kind_of(token), token, offset) for token, offset in zip(tokens, offsets)]
 
 
@@ -434,6 +437,39 @@ def test_parser_labels_and_places_every_violation():
         ("delta", "4:46"),
         ("enc{a}", "4:54"),
     ]
+
+
+def test_a_label_names_only_the_defs_declared_before_its_test():
+    # the label is printed when the violation is reported, after D is declared, with a body equal
+    # to the test's left side: only a def's own body prints as its name
+    prog = parse("param x\nbudget B = test(x + 1 <= 0)\ndef D = x + 1\nbudget C = B | a(D)\n")
+    c = normalize(elaborate(prog, "C"), {"x": Fraction(1)})
+    assert [(v.label, v.span) for v in c.violations] == [("x + 1 <= 0", "2:12")]
+
+
+def test_a_parsed_program_is_freed_by_reference_counting_alone():
+    # a label or a span that held the parser would tie every parsed program into a cycle through the
+    # parser's budgets, left to the cyclic collector
+    texts = [
+        bundled("msc.bgt").read_text(encoding="utf-8"),
+        "param x\ndef D = x + 1\nbudget B = delta | enc{a}(a(D)) | test(x <= 0 && x == 1) | test(D)\n",
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        for text in texts:
+            program = parse(text)
+            del program
+            assert gc.collect() == 0
+        # nor is one whose violations were reported
+        program = parse(texts[1])
+        violations = normalize(program.budgets["B"], {"x": Fraction(1)}).violations
+        assert [(v.label, v.span) for v in violations] == [
+            ("delta", "3:12"), ("enc{a}", "3:20"), ("x <= 0 && x == 1", "3:35"), ("D", "3:60")]
+        del program, violations
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_parsed_terms_mention_only_params():
