@@ -39,10 +39,11 @@ as the def's name. Both are written only when a violation reports them
 with the parser's map of def names, and a position keeps its keyword's
 token index with the program's `_Source`, none of which leads back to
 the parser or to a term. One symbol table maps each name and literal to
-its node. The lexer is one `findall` of the token pattern, and a token
-is its index into the list of token texts. `_Source` keeps the text and
-no token, and places a token, for a span or an error, by lexing the text
-again from a place it kept on the way to an earlier one.
+its node. The lexer is one `findall` of the token pattern, which gives
+the list of token texts, and a token is its index into that list.
+`_Source` keeps the text, and on the first span or error asked for lists
+where every token starts in one more pass over it, so that it then holds
+one int per token.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ import re
 from bisect import bisect_left
 from collections import namedtuple
 from functools import partial
-from itertools import islice
 
 from .algebra import (
     EPS,
@@ -117,21 +117,15 @@ _TOKEN = r"""[(){},|+\-*/]
           | [<=>!]= | && | [=<>&]""".replace("IDENT", IDENT_PATTERN)
 
 # One match skips the text before a token, then matches the token, or the
-# empty token at the end of the text. `findall` gives one (skipped, token,
-# rest) triple per token, and a token's kind is told by its first
-# character. `rest` is empty unless the text holds a character that starts
-# no token: the last alternative then takes the text from there to its
-# end, so no match is made past the first such character, and it is in
-# the last triple but one (the last is the empty match at the end). Every
-# place matches something, so no match gives back characters of a comment
-# or backtracks into blanks, and none searches ahead.
-_TOKEN_RE = re.compile(rf"({_SKIP}) (?: ({_TOKEN} | \Z) | ((?s:.+)) )", re.VERBOSE)
-
-# `_Source` keeps the place of every this many tokens, and passes over that
-# many tokens of a text that lexes with one match of `_STRIDE_RE`, which
-# makes no string or match object per token.
-_STRIDE = 16
-_STRIDE_RE = re.compile(rf"(?: {_SKIP} (?:{_TOKEN}) ){{{_STRIDE}}}", re.VERBOSE)
+# empty token at the end of the text, and `findall` gives the token texts; a
+# token's kind is told by its first character. If the text holds a character
+# that starts no token, the last alternative takes the text from there to its
+# end, the rest, so no match is made past the first such character, and the
+# rest is the last token but one (the last is the empty token at the end). A
+# rest never matches a whole token, as the first alternative would have taken
+# it. Every place matches something, so no match gives back characters of a
+# comment or backtracks into blanks, and none searches ahead.
+_TOKEN_RE = re.compile(rf"{_SKIP} ({_TOKEN} | \Z | (?s:.+))", re.VERBOSE)
 
 
 # --- parser ------------------------------------------------------------------
@@ -153,30 +147,29 @@ def _is_name(token: str) -> bool:
 
 
 class _Source:
-    """A program's text, and where in it each token lies, found on request.
+    """A program's text, and where in it each token starts, listed on request.
 
     It keeps the text and none of its tokens, so a parsed program holds no
-    more than its text. A token is found by lexing the text again from the
-    last place kept before it: the place of every `_STRIDE`-th token, listed
-    as far as the token asked for. Its line and column are worked out over
-    an index of the text's newlines, listed on first use. Only an error and
-    the span of a reported violation ask, so a program whose calls report
+    more than its text until a token is placed. The first span or error
+    asked for lexes the text once more and lists the offset of every token,
+    one int each; a token's line and column are worked out over an index of
+    the text's newlines, also listed on first use. Only an error and the
+    span of a reported violation ask, so a program whose calls report
     nothing is lexed once.
     """
 
-    __slots__ = ("text", "marks", "newlines")
+    __slots__ = ("text", "starts", "newlines")
 
     def __init__(self, text: str):
         self.text = text
-        self.marks = [0]  # the offset where the text skipped before each _STRIDE-th token starts
+        self.starts: list[int] | None = None  # the offset of each token, listed on first use
         self.newlines: list[int] | None = None  # offsets of the text's newlines, listed on first use
 
     def offset(self, index: int) -> int:
         """Where the text of token `index` starts."""
-        text, marks = self.text, self.marks
-        while len(marks) <= index // _STRIDE:
-            marks.append(_STRIDE_RE.match(text, marks[-1]).end())
-        return next(islice(_TOKEN_RE.finditer(text, marks[index // _STRIDE]), index % _STRIDE, None)).start(2)
+        if self.starts is None:
+            self.starts = [m.start(1) for m in _TOKEN_RE.finditer(self.text)]
+        return self.starts[index]
 
     def place(self, offset: int) -> tuple[int, int]:
         """The line and column, both from 1, of an offset into the text."""
@@ -214,12 +207,11 @@ class _Parser:
 
     def __init__(self, text: str):
         self.source = _Source(text)
-        matches = _TOKEN_RE.findall(text)
-        rest = matches[-2][2] if len(matches) > 1 else ""
-        if rest:
+        self.tokens = _TOKEN_RE.findall(text)  # the last one is "", the end
+        rest = self.tokens[-2] if len(self.tokens) > 1 else ""
+        if rest and not re.fullmatch(_TOKEN, rest, re.VERBOSE):
             message = "unterminated string" if rest[0] == '"' else f"unexpected character {quoted(rest[0])}"
             raise DslError(message, *self.source.place(len(text) - len(rest)))
-        self.tokens = [token for _, token, _ in matches]  # the last one is "", the end
         self.pos = 0  # the index of the current token
         self.depth = 0  # brackets open at the current token
         # the symbol table: a name or literal -> its node at every use, a param's Var, def's body or Const

@@ -445,6 +445,27 @@ def test_a_check_writes_the_labels_and_spans_of_its_violations_alone(capsys, mon
                     ("pretty", "k"), ("pretty", "DGC * (1 - escf) / (3 * bbpp)"), ("span", "150:12")]
 
 
+def test_a_check_lexes_its_text_once_more_for_all_the_spans_it_reports(tmp_path, capsys, monkeypatch):
+    # one findall to parse, then one finditer that places every token for the first span: the 4,999 spans
+    # after it are looked up, so a check that lexed again per span would make 5,000 finditer calls
+    pattern, calls = dsl._TOKEN_RE, []
+
+    class Counted:
+        def __getattr__(self, name):
+            calls.append(name)
+            return getattr(pattern, name)
+
+    monkeypatch.setattr(dsl, "_TOKEN_RE", Counted())
+    f = tmp_path / "failing.bgt"
+    f.write_text("param x\nbudget T = " + "\n  | ".join(["test(x + 2 <= x + 1)"] * 5000) + "\n", encoding="utf-8")
+    code, out, err = run(["check", str(f), "--set", "x=0"], capsys)
+    lines = err.splitlines()
+    assert (code, out, len(lines)) == (1, "", 5000)
+    assert lines[0] == "failing.bgt:2:12  x + 2 <= x + 1  value 2"
+    assert lines[-1] == "failing.bgt:5001:5  x + 2 <= x + 1  value 2"
+    assert calls == ["findall", "finditer"]
+
+
 def report_scenarios():
     """Seeded msc scenarios, each (bindings, flags, whether check can read them)."""
     ok = consistent_scenario(random.Random(5))

@@ -240,6 +240,17 @@ def defs_under_failing_tests_value(n, x):
     return None, [(f"{n}.bgt:{n + 2 + i}:{5 if i else 12}", f"d{i} + 2 <= d{i} + 1", 2) for i in range(n)]
 
 
+def defs_then_syntax_error(n):
+    """n defs d_i = x + i, then a budget that ends in a dangling "|": a syntax error after every token."""
+    defs = "".join(f"def d{i} = x + {i}\n" for i in range(n))
+    return f"param x\n{defs}budget B = a(d{n - 1})\n  |"
+
+
+def check_syntax_error(n, code, out, err):
+    """The one error line, at the end of input just past the "|"."""
+    assert (code, out, err) == (2, "", f"error: {n}.bgt:{n + 3}:4: expected a budget term, found 'end of input'\n")
+
+
 def squaring_chain(n):
     """d0 = 3/7 and each d_i is d_i-1 squared, under a test that d_n is 0: (3/7)^(2^n) has 2^n times the digits."""
     defs = [f"def d{i} = d{i - 1} * d{i - 1}\n" for i in range(1, n + 1)]
@@ -411,6 +422,8 @@ FAMILIES = {
     "many defs under many tests": (defs_under_tests, 5000),
     # the same with every test failing: each label and span is written when its violation is reported
     "many defs under many failing tests": (defs_under_failing_tests, 5000),
+    # an error places its token by listing where every token starts, once
+    "syntax error after n defs": (defs_then_syntax_error, 5000),
     # a scaling that touched every coefficient would be quadratic in each chain
     "alternating chain under a test": (alternating_chain, 2000),
     "abs alternating chain": (abs_alternating_chain, 2000),
@@ -457,6 +470,7 @@ RUNS = [
     ("cancelled squares", CANCELLED_SWEEP, check_cancelled_squares),
     ("many defs under many tests", ["check", "--set", "x=0"], exactly("")),
     ("many defs under many failing tests", ["check", "--set", "x=0"], check_at(defs_under_failing_tests_value, 0)),
+    ("syntax error after n defs", ["eval"], check_syntax_error),
     ("alternating chain under a test", ["eval", "--substitute-tests"], check_alternating_chain),
     ("abs alternating chain", SWEEP, sweep_rows(abs_alternating_value)),
     pytest.param("squaring chain", ["check"], check_squaring_chain, marks=pytest.mark.xfail(

@@ -227,6 +227,12 @@ def test_a_last_line_comment_without_newline_is_skipped(closing):
         ("param x\n\tbudget B = a(x) @\n", "2:18: unexpected character '@'"),
         ('param x\nparam y "doc', "2:9: unterminated string"),
         ("# one\n# two\n  # three\nbudget B = ?\n", "4:12: unexpected character '?'"),
+        # the text from a character that starts no token to the end is one rest, told from a last
+        # token by not matching a whole token, even when it ends in a quote or is one character
+        ('param x "doc\n"', "1:9: unterminated string"),
+        ('budget B = a(1) "', "1:17: unterminated string"),
+        ("budget B = a(1) $", "1:17: unexpected character '$'"),
+        ('param x "doc"\nbudget B = a(1) |', "2:18: expected a budget term, found 'end of input'"),
         ("budget B = a(1", "1:15: expected ')', found 'end of input'"),
         ("budget B = )", "1:12: expected a budget term, found ')'"),
         ("budget B = abs", "1:12: keyword 'abs' cannot start a budget term"),
@@ -306,9 +312,9 @@ def kind_of(token):
 def lexed(text, rng):
     """What the lexer makes of a text, in the oracle's terms.
 
-    The offsets are asked for in order, then a few again out of order,
-    of the same text's places and of a fresh one's, which lists its places
-    as far as the first it is asked for.
+    The offsets are asked for in order, then all again in a shuffled
+    order, of the same text's places and of a fresh one's, which lists the
+    place of every token on the first it is asked for.
     """
     try:
         parser = _Parser(text)
@@ -317,7 +323,7 @@ def lexed(text, rng):
     tokens = parser.tokens[: parser.tokens.index("") + 1]
     offsets = [parser.source.offset(i) for i in range(len(tokens))]
     fresh = _Source(text)
-    for i in rng.sample(range(len(tokens)), min(3, len(tokens))):
+    for i in rng.sample(range(len(tokens)), len(tokens)):
         assert parser.source.offset(i) == offsets[i] == fresh.offset(i)
     return [(kind_of(token), token, offset) for token, offset in zip(tokens, offsets)]
 
