@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import operator
 from collections import namedtuple
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import reduce
 from itertools import repeat
@@ -76,30 +76,25 @@ class _Text:
     """A field of text that tells where a term came from: a test's label, or a term's span.
 
     It is kept in the slot of its name with a leading underscore, as the
-    constructor was given it: the text, None, or a function of no arguments
-    that makes the text. Such a function is called on the field's first
-    read, and the text it makes takes its place, so a parsed program writes
-    no text that no violation reports.
+    constructor was given it: the text, None, or the term's origin
+    (`dsl._Origin`), whose method of the field's name makes the text on
+    every read. The slot is never written again, so no text is made that
+    no violation reports, and no node changes once it is built.
     """
 
-    __slots__ = ("slot",)
+    __slots__ = ("slot", "name")
 
     def __set_name__(self, kind: type, name: str):
-        self.slot = vars(kind)[f"_{name}"]
+        self.slot, self.name = vars(kind)[f"_{name}"], name
 
     def __get__(self, node: _Node | None, kind: type | None = None):
         if node is None:
             return self
         text = self.slot.__get__(node)
-        if text is None or type(text) is str:
-            return text
-        text = text()
-        self.slot.__set__(node, text)
-        return text
+        return text if text is None or type(text) is str else getattr(text, self.name)()
 
 
-# A text, or a function of no arguments that makes it on first read; see `_Text`.
-Text = str | Callable[[], str]
+Text = str | object  # a text, or an origin whose method of the field's name makes it; see `_Text`
 
 
 class Delta(_Node):
@@ -132,9 +127,7 @@ _entry_channel, _entry_amount = _setters(Entry)
 
 
 class Test(_Unary, _Node):
-    # label and span tell where the test came from, for violation reports;
-    # they are never part of the term's identity, and the parser gives each
-    # as a function that makes it on first read (`_Text`)
+    # label and span, made on each read from the one origin the parser gives both (`_Text`), are no part of its identity
     __slots__ = ("_label", "_span")
     __match_args__ = ("arg", "label", "span")
     __test__ = False  # keep pytest from collecting this class

@@ -8,8 +8,8 @@ Subcommands:
   axioms  run the randomized law suite
 
 Exit codes: 0 success, 1 the budget is impossible (or a law failed),
-2 usage, parse or binding errors, nesting past 256 brackets and a
-number past the interpreter's digit limit among them.
+2 usage, parse or binding errors, nesting past 256 brackets, a number
+past the interpreter's digit limit and output closed early among them.
 Rationals cross the boundary as exact text ('n/d', or 'n' when the
 denominator is 1), never as floats. `report` turns an eval or check
 result into one document of text; `render_json` dumps it,
@@ -462,6 +462,12 @@ def main(argv: list[str] | None = None) -> int:
         return args.run(args)
     except (CliError, DigitLimitError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 2
+    except BrokenPipeError:  # the reader closed stdout early, as `| head` does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the last flush cannot fail again
+        from contextlib import suppress  # here, as few commands meet a closed pipe
+        with suppress(BrokenPipeError):  # stderr may be the same closed pipe
+            sys.stderr.write("error: the output was closed before it was all written\n")
         return 2
 
 

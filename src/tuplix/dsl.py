@@ -30,20 +30,15 @@ comparisons exist; strict inequality is deliberately unsupported.
 The parser builds core terms (`algebra.Tuplix`) directly, in one pass
 over the tokens: a reference to a def is the def's body, the same object
 at every use, a condition becomes one test argument that is zero iff
-every relation holds, a budget reference returns the term already
-built, and each test, delta and enc{} gets its source position
-"line:col" for violation reports. A test also gets its label, its source
-text, printed from its relations as parsed with each def's body written
-as the def's name. Both are written only when a violation reports them
-(`algebra._Text`): a test keeps its relations, each `(op, left, right)`,
-with the parser's map of def names, and a position keeps its keyword's
-token index with the program's `_Source`, none of which leads back to
-the parser or to a term. One symbol table maps each name and literal to
-its node. The lexer is one `findall` of the token pattern, which gives
-the list of token texts, and a token is its index into that list.
-`_Source` keeps the text, and on the first span or error asked for lists
-where every token starts in one more pass over it, so that it then holds
-one int per token.
+every relation holds, and a budget reference returns the term already
+built. Each test, delta and enc{} holds one `_Origin`, from which each
+read makes a text that a violation reports (`algebra._Text`): the
+position "line:col", and a test's label, its source text printed from
+its relations as parsed, each def's body by the def's name. No node
+changes once built, so a reported test keeps its relations. One symbol
+table maps each name and literal to its node. The lexer is one `findall`
+of the token pattern, and a token is its index into the list of token
+texts, placed by `_Source` on request.
 """
 
 from __future__ import annotations
@@ -51,7 +46,6 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from collections import namedtuple
-from functools import partial
 
 from .algebra import (
     EPS,
@@ -178,28 +172,34 @@ class _Source:
         line = bisect_left(self.newlines, offset)  # the newlines before the offset
         return line + 1, offset - (self.newlines[line - 1] if line else -1)
 
-    def span(self, index: int) -> str:
-        """The "line:col" of token `index`, a term's span."""
-        line, col = self.place(self.offset(index))
-        return f"{line}:{col}"
 
-
-# A relation as written, for a test's label: (op, left, right), with op "<=" or
-# "==", or (None, expression, None) for a bare expression.
+# A relation as written, for a test's label: (op, left, right), op "<=" or "==", or (None, expression, None)
 Relation = tuple[str | None, Expr, Expr | None]
 
 
-def _label(relations: list[Relation], names: dict[int, str]) -> str:
-    """A test's label: the source text of its relations, printed as parsed, each def's body by the def's name.
+class _Origin:
+    """Where a parsed test, delta or enc{} came from: the program's source and its keyword's token index.
 
-    `names` is the parser's map from id(def body) to the def's name. It
-    still grows after the test, but only with bodies built after it, which
-    none of its relations holds.
+    A test's also keeps its relations as parsed and the parser's map from
+    id(def body) to the def's name, which grows after the test only with
+    bodies built after it; none of these leads back to the parser.
     """
-    return " && ".join(
-        pretty(left, names) if op is None else f"{pretty(left, names)} {op} {pretty(right, names)}"
-        for op, left, right in relations
-    )
+
+    __slots__ = ("source", "index", "relations", "names")
+
+    def __init__(self, source: _Source, index: int, relations: list[Relation] | None = None, names: dict | None = None):
+        self.source, self.index, self.relations, self.names = source, index, relations, names
+
+    def span(self) -> str:
+        """The "line:col" of the term's keyword."""
+        return "{}:{}".format(*self.source.place(self.source.offset(self.index)))
+
+    def label(self) -> str:
+        """A test's source text: its relations printed as parsed, each def's body by the def's name."""
+        return " && ".join(
+            pretty(left, self.names) if op is None else f"{pretty(left, self.names)} {op} {pretty(right, self.names)}"
+            for op, left, right in self.relations
+        )
 
 
 class _Parser:
@@ -335,13 +335,14 @@ class _Parser:
             return EPS
         if text == "delta":
             self.pos += 1
-            return Delta(span=partial(self.source.span, at))
+            return Delta(span=_Origin(self.source, at))
         if text == "test":
             self.pos += 1
             self.open_bracket()
             arg, relations = self.parse_cond()
             self.close_bracket()
-            return Test(arg, label=partial(_label, relations, self.defs), span=partial(self.source.span, at))
+            origin = _Origin(self.source, at, relations, self.defs)
+            return Test(arg, label=origin, span=origin)
         if text == "enc":
             self.pos += 1
             self.expect_op("{")
@@ -353,7 +354,7 @@ class _Parser:
             self.open_bracket()
             body = self.parse_tuplix()
             self.close_bracket()
-            return Encap(frozenset(channels), body, span=partial(self.source.span, at))
+            return Encap(frozenset(channels), body, span=_Origin(self.source, at))
         if text in KEYWORDS:
             raise self.error(f"keyword {quoted(text)} cannot start a budget term")
         self.pos += 1

@@ -99,19 +99,19 @@ class _Node:
 
     A kind's fields, in order, are its `__match_args__`: the slots of its
     layout, if it has one, then its own `__slots__`, so a node has no
-    `__dict__`. A field of text that may be made on first read, a test's
-    label or a term's span (`algebra._Text`), is kept in the slot of its
-    name with a leading underscore. `__reduce__` and `__repr__` read the
-    fields, as do the tests' reference walks by class pattern; the walks
+    `__dict__`. A test's label or a term's span is kept in the slot of its
+    name with a leading underscore, which may hold the origin that makes the
+    text on each read (`algebra._Text`). `__reduce__` and `__repr__` read
+    the fields, as do the tests' reference walks by class pattern; the walks
     here, the oracles too, test `type(node)` and read each field by name.
     The layouts are plain mixins, not kinds, and take no number: `_Binary`
     gives Add, Mul and Comp their `left` and `right`, and `_Unary` gives
     Neg, Inv, Abs and Test their `arg`, each with its constructor and
     `_children`. A constructor writes each slot once, through the slot's
-    descriptor (`_setters`), and `__setattr__` and `__delattr__` refuse
-    with AttributeError, so no field changes once a node is built.
-    Pickle, `copy` and the parser's copy of a def's body rebuild a node from
-    its fields through its kind's constructor (`__reduce__`).
+    descriptor (`_setters`), and `__setattr__` and `__delattr__` refuse with
+    AttributeError, so no field changes once a node is built. Pickle, `copy`
+    and the parser's copy of a def's body rebuild a node from its fields
+    through its kind's constructor (`__reduce__`).
     """
 
     __slots__ = ()

@@ -164,15 +164,15 @@ def test_eval_and_check_reports_are_byte_exact(tmp_path, capsys):
         assert run([command, str(f), *flags], capsys) == (code, out, err), flags
 
 
-def run_child(argv):
+def child_env():
     # the child must import the same tuplix as this process, installed or not
     src = str(Path(tuplix.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def run_child(argv):
     return subprocess.run(
-        [sys.executable, "-m", "tuplix.cli", *argv],
-        capture_output=True,
-        encoding="utf-8",
-        env={**os.environ, "PYTHONPATH": path},
+        [sys.executable, "-m", "tuplix.cli", *argv], capture_output=True, encoding="utf-8", env=child_env()
     )
 
 
@@ -180,6 +180,19 @@ def test_eval_entry_point_runs_as_subprocess():
     proc = run_child(["eval", TRANSFER, "--format", "json"])
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["entries"] == {"a": "-30", "c": "30"}
+
+
+def test_a_sweep_whose_reader_closes_the_pipe_early_exits_2_without_a_traceback(tmp_path):
+    # 100,000 rows are far more than a pipe holds, so the sweep's write meets the closed pipe
+    f = tmp_path / "sweep.bgt"
+    f.write_text("param x\nbudget B = a(x) | b(2 * x + 1)\n", encoding="utf-8")
+    argv = ["sweep", str(f), "--budget", "B", "--var", "x", "--from", "0", "--to", "99999", "--step", "1"]
+    with subprocess.Popen([sys.executable, "-m", "tuplix.cli", *argv], stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, encoding="utf-8", env=child_env()) as proc:
+        assert proc.stdout.readline() == "x      status  a      b\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert (proc.returncode, err) == (2, "error: the output was closed before it was all written\n")
 
 
 def test_eval_of_a_long_flat_composition(tmp_path, capsys):
@@ -419,7 +432,7 @@ def spy_text(monkeypatch):
         return call
 
     monkeypatch.setattr(dsl, "pretty", recorded("pretty", dsl.pretty))
-    monkeypatch.setattr(dsl._Source, "span", recorded("span", dsl._Source.span))
+    monkeypatch.setattr(dsl._Origin, "span", recorded("span", dsl._Origin.span))
     return made
 
 

@@ -7,17 +7,19 @@ from fractions import Fraction
 
 import pytest
 
-from tuplix import bundled
+from tuplix import bundled, dsl
 from tuplix.algebra import (
     CanonicalTuplix,
+    Delta,
     Encap,
     Entry,
+    Test,
     denote_ground,
     ground_of,
     normalize,
 )
 from tuplix.dsl import MAX_NESTING, DslError, _is_name, _Parser, _Source, elaborate, parse
-from tuplix.expr import IDENT_PATTERN, Add, Const, Var, evaluate, free_vars
+from tuplix.expr import IDENT_PATTERN, Add, Const, Var, evaluate, free_vars, postorder
 from tuplix.meadow import quoted
 
 EMPTY = CanonicalTuplix(False, (), (), ())
@@ -453,6 +455,16 @@ def test_a_label_names_only_the_defs_declared_before_its_test():
     assert [(v.label, v.span) for v in c.violations] == [("x + 1 <= 0", "2:12")]
 
 
+def read_texts_twice(program):
+    """Read the label and span of every test, and the span of every delta and enc{}, of a program twice."""
+    for _ in range(2):
+        for node in postorder(list(program.budgets.values())):
+            if type(node) is Test:
+                assert node.label and node.span
+            elif type(node) in (Delta, Encap):
+                assert node.span
+
+
 def test_a_parsed_program_is_freed_by_reference_counting_alone():
     # a label or a span that held the parser would tie every parsed program into a cycle through the
     # parser's budgets, left to the cyclic collector
@@ -465,6 +477,7 @@ def test_a_parsed_program_is_freed_by_reference_counting_alone():
     try:
         for text in texts:
             program = parse(text)
+            read_texts_twice(program)
             del program
             assert gc.collect() == 0
         # nor is one whose violations were reported
@@ -472,10 +485,24 @@ def test_a_parsed_program_is_freed_by_reference_counting_alone():
         violations = normalize(program.budgets["B"], {"x": Fraction(1)}).violations
         assert [(v.label, v.span) for v in violations] == [
             ("delta", "3:12"), ("enc{a}", "3:20"), ("x <= 0 && x == 1", "3:35"), ("D", "3:60")]
+        read_texts_twice(program)
         del program, violations
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_a_reported_test_keeps_its_one_origin_and_its_relations_as_parsed():
+    # the label and the span are made from the origin on each read, and neither slot is written again
+    prog = parse("param x\ndef D = x + 1\nbudget B = test(D <= 0 && x == 2)\n")
+    test = prog.budgets["B"]
+    [violation] = normalize(test, {"x": Fraction(1)}).violations
+    assert (violation.label, violation.span) == ("D <= 0 && x == 2", "3:12")
+    assert [(test.label, test.span) for _ in range(2)] == [(violation.label, violation.span)] * 2
+    origin = Test._label.__get__(test)
+    assert type(origin) is dsl._Origin and Test._span.__get__(test) is origin
+    x = Var("x")
+    assert origin.relations == [("<=", Add(x, Const(Fraction(1))), Const(Fraction(0))), ("==", x, Const(Fraction(2)))]
 
 
 def test_parsed_terms_mention_only_params():

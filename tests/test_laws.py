@@ -84,6 +84,14 @@ def test_suite_catches_pair_arithmetic_that_skips_its_reduction(monkeypatch):
     assert [r.name for r in results if not r.passed] == ["mul-distributes", "add-inverse"]
 
 
+def test_substitute_binds_fails_without_raising_when_the_fold_leaves_its_variable_free(monkeypatch):
+    # a fold that ignores its bindings leaves the variable free, and evaluating the result without it would raise
+    [law] = [law for law in L.expr_laws() if law.name == "substitute-binds"]
+    monkeypatch.setattr(L, "fold_constants", lambda e, bindings=None: e)
+    result = L.run_law(law, trials=50, seed=0)
+    assert 0 < result.failures < result.trials
+
+
 def test_render_results_reports_totals():
     results = L.run_suite(L.meadow_laws(), trials=7, seed=1)
     text = L.render_results(results)
