@@ -4,7 +4,10 @@ Every law pairs two ways of building the same budget (or number) and
 checks that they agree on random ground instantiations. The suite is
 deterministic for a given seed: each law draws from its own generator
 seeded with "<seed>:<law name>". The same registry backs the `axioms`
-CLI subcommand and the acceptance tests.
+CLI subcommand and the acceptance tests. Each law of the budget algebra
+is one row of `_BUDGET_LAWS`: the kinds of the arguments it draws, and
+its equations, each between two terms that `_same` compares by
+`denote_ground` at a random valuation.
 
 The random model is here too: `random_rational`, `random_expr` and
 `random_term`. Each of its choices, and each draw of a law body, is one
@@ -227,8 +230,13 @@ def _channels(rng: random.Random) -> frozenset[str]:
     return _SUBSETS[int(rng.random() * len(_SUBSETS))]
 
 
+def _channel(rng: random.Random) -> str:
+    return _CHANNELS[int(rng.random() * len(_CHANNELS))]
+
+
 def _valuation(rng: random.Random) -> dict[str, Fraction]:
-    return dict(zip(_NAMES, _nums(rng, len(_NAMES))))
+    draw = rng.random
+    return {name: _RATIONALS[int(draw() * len(_RATIONALS))] for name in _NAMES}
 
 
 def _same(rng: random.Random, t1: Tuplix, t2: Tuplix) -> bool:
@@ -238,123 +246,52 @@ def _same(rng: random.Random, t1: Tuplix, t2: Tuplix) -> bool:
 
 # --- the budget algebra ----------------------------------------------------------
 
+# the draw of each kind of argument: a term, an expression, a subset of the channels or one channel
+_DRAWS = {"term": _term, "expr": _expr, "channels": _channels, "channel": _channel}
+_ZERO, _ONE = Const(Fraction(0)), Const(Fraction(1))
 
-def _law_comp_commutes(rng):
-    x, y = _term(rng), _term(rng)
-    return _same(rng, Comp(x, y), Comp(y, x))
-
-
-def _law_comp_associates(rng):
-    x, y, z = _term(rng), _term(rng), _term(rng)
-    return _same(rng, Comp(Comp(x, y), z), Comp(x, Comp(y, z)))
-
-
-def _law_eps_unit(rng):
-    x = _term(rng)
-    return _same(rng, Comp(x, EPS), x)
-
-
-def _law_delta_absorbs(rng):
-    x = _term(rng)
-    return _same(rng, Comp(x, DELTA), DELTA)
-
-
-def _law_entry_accumulates(rng):
-    channel = _CHANNELS[int(rng.random() * len(_CHANNELS))]
-    u, v = _expr(rng), _expr(rng)
-    return _same(rng, Comp(Entry(channel, u), Entry(channel, v)), Entry(channel, Add(u, v)))
-
-
-def _law_test_self_division(rng):
-    u = _expr(rng)
-    return _same(rng, Test(u), Test(div(u, u)))
-
-
-def _law_test_zero_void(rng):
-    e = _expr(rng)
-    return _same(rng, Test(Const(Fraction(0))), EPS) and _same(rng, Test(sub(e, e)), EPS)
+# One row per law: its name, the kinds of the arguments it draws, in order, and a function from
+# those arguments to its equations, each a pair of terms that denote the same.
+_BUDGET_LAWS = (
+    ("comp-commutes", "term term", lambda x, y: [(Comp(x, y), Comp(y, x))]),
+    ("comp-associates", "term term term", lambda x, y, z: [(Comp(Comp(x, y), z), Comp(x, Comp(y, z)))]),
+    ("eps-unit", "term", lambda x: [(Comp(x, EPS), x)]),
+    ("delta-absorbs", "term", lambda x: [(Comp(x, DELTA), DELTA)]),
+    ("entry-accumulates", "channel expr expr", lambda c, u, v: [(Comp(Entry(c, u), Entry(c, v)), Entry(c, Add(u, v)))]),
+    ("test-self-division", "expr", lambda u: [(Test(u), Test(div(u, u)))]),
+    ("test-zero-void", "expr", lambda e: [(Test(_ZERO), EPS), (Test(sub(e, e)), EPS)]),
+    # e/e + 1 is 1 or 2
+    ("test-one-null", "expr", lambda e: [(Test(_ONE), DELTA), (Test(Add(div(e, e), _ONE)), DELTA)]),
+    ("tests-combine", "expr expr", lambda u, v: [(Comp(Test(u), Test(v)), Test(Add(div(u, u), div(v, v))))]),
+    ("test-entry-substitution", "channel expr expr",
+     lambda c, u, v: [(Comp(Test(sub(u, v)), Entry(c, u)), Comp(Test(sub(u, v)), Entry(c, v)))]),
+    ("encap-eps", "channels", lambda h: [(Encap(h, EPS), EPS)]),
+    ("encap-delta", "channels", lambda h: [(Encap(h, DELTA), DELTA)]),
+    ("encap-test", "channels expr", lambda h, u: [(Encap(h, Test(u)), Test(u))]),
+    ("encap-entry", "channels channel expr",
+     lambda h, c, u: [(Encap(h, Entry(c, u)), Test(u) if c in h else Entry(c, u))]),
+    ("encap-distributes", "channels term term",
+     lambda h, x, y: [(Encap(h, Comp(x, Encap(h, y))), Comp(Encap(h, x), Encap(h, y)))]),
+    ("encap-decomposes", "channels channels term", lambda h1, h2, x: [(Encap(h1 | h2, x), Encap(h1, Encap(h2, x)))]),
+    ("encap-empty-identity", "term", lambda x: [(Encap(frozenset(), x), x)]),
+)
 
 
-def _law_test_one_null(rng):
-    e = _expr(rng)
-    nonzero = Add(div(e, e), Const(Fraction(1)))  # evaluates to 1 or 2
-    return _same(rng, Test(Const(Fraction(1))), DELTA) and _same(rng, Test(nonzero), DELTA)
+def _equational(kinds: str, equations: Callable[..., list[tuple[Tuplix, Tuplix]]]) -> Callable[[random.Random], bool]:
+    """A check that draws one argument of each of `kinds`, then compares the equations' sides until one differs."""
+    draws = [_DRAWS[kind] for kind in kinds.split()]
 
+    def check(rng: random.Random) -> bool:
+        for t1, t2 in equations(*[draw(rng) for draw in draws]):
+            if not _same(rng, t1, t2):
+                return False
+        return True
 
-def _law_tests_combine(rng):
-    u, v = _expr(rng), _expr(rng)
-    return _same(rng, Comp(Test(u), Test(v)), Test(Add(div(u, u), div(v, v))))
-
-
-def _law_test_entry_substitution(rng):
-    channel = _CHANNELS[int(rng.random() * len(_CHANNELS))]
-    u, v = _expr(rng), _expr(rng)
-    guard = Test(sub(u, v))
-    return _same(rng, Comp(guard, Entry(channel, u)), Comp(guard, Entry(channel, v)))
-
-
-def _law_encap_eps(rng):
-    h = _channels(rng)
-    return _same(rng, Encap(h, EPS), EPS)
-
-
-def _law_encap_delta(rng):
-    h = _channels(rng)
-    return _same(rng, Encap(h, DELTA), DELTA)
-
-
-def _law_encap_test(rng):
-    h = _channels(rng)
-    u = _expr(rng)
-    return _same(rng, Encap(h, Test(u)), Test(u))
-
-
-def _law_encap_entry(rng):
-    h = _channels(rng)
-    channel = _CHANNELS[int(rng.random() * len(_CHANNELS))]
-    u = _expr(rng)
-    expected: Tuplix = Test(u) if channel in h else Entry(channel, u)
-    return _same(rng, Encap(h, Entry(channel, u)), expected)
-
-
-def _law_encap_distributes(rng):
-    h = _channels(rng)
-    x, y = _term(rng), _term(rng)
-    return _same(rng, Encap(h, Comp(x, Encap(h, y))), Comp(Encap(h, x), Encap(h, y)))
-
-
-def _law_encap_decomposes(rng):
-    h1, h2 = _channels(rng), _channels(rng)
-    x = _term(rng)
-    return _same(rng, Encap(h1 | h2, x), Encap(h1, Encap(h2, x)))
-
-
-def _law_encap_empty_identity(rng):
-    x = _term(rng)
-    return _same(rng, Encap(frozenset(), x), x)
+    return check
 
 
 def tuplix_laws() -> list[Law]:
-    checks = [
-        ("comp-commutes", _law_comp_commutes),
-        ("comp-associates", _law_comp_associates),
-        ("eps-unit", _law_eps_unit),
-        ("delta-absorbs", _law_delta_absorbs),
-        ("entry-accumulates", _law_entry_accumulates),
-        ("test-self-division", _law_test_self_division),
-        ("test-zero-void", _law_test_zero_void),
-        ("test-one-null", _law_test_one_null),
-        ("tests-combine", _law_tests_combine),
-        ("test-entry-substitution", _law_test_entry_substitution),
-        ("encap-eps", _law_encap_eps),
-        ("encap-delta", _law_encap_delta),
-        ("encap-test", _law_encap_test),
-        ("encap-entry", _law_encap_entry),
-        ("encap-distributes", _law_encap_distributes),
-        ("encap-decomposes", _law_encap_decomposes),
-        ("encap-empty-identity", _law_encap_empty_identity),
-    ]
-    return [Law(name, check) for name, check in checks]
+    return [Law(name, _equational(kinds, equations)) for name, kinds, equations in _BUDGET_LAWS]
 
 
 # --- normalizer against the direct evaluator --------------------------------------

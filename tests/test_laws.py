@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 from tuplix import laws as L
-from tuplix.algebra import DELTA, Comp, Encap, Entry, Test, denote_ground
+from tuplix.algebra import DELTA, Comp, Encap, Entry, Test, denote_ground, normalize
 from tuplix.expr import PAIR_STEPS, Abs, Add, Const, Var
 
 
@@ -39,6 +39,23 @@ def test_each_law_gets_its_own_stream():
     assert all(r.passed for r in results)
     assert len(first) == 10 and first == again
     assert set(first).isdisjoint(second)
+
+
+def test_eleven_budget_laws_hold_on_normal_forms_and_six_only_at_a_valuation():
+    # ROADMAP item 3: each law's equations compared as normal forms, with no valuation. A change
+    # that makes one more law hold there, such as item 20's linear forms, updates this test.
+    failures = {}
+    for name, kinds, equations in L._BUDGET_LAWS:
+        rng = random.Random(f"0:{name}")
+        draws = [L._DRAWS[kind] for kind in kinds.split()]
+        failures[name] = sum(
+            not all(normalize(t1) == normalize(t2) for t1, t2 in equations(*[draw(rng) for draw in draws]))
+            for _ in range(300)
+        )
+    holding = {"comp-commutes", "comp-associates", "eps-unit", "delta-absorbs"}
+    holding |= {name for name in failures if name.startswith("encap-")}
+    assert len(holding) == 11
+    assert {name for name, count in failures.items() if count == 0} == holding, failures
 
 
 def test_suite_catches_a_false_law():
@@ -171,13 +188,14 @@ def test_the_ends_of_random_draw_the_first_and_last_entry_of_each_table():
     zero, one = Fraction(0), Fraction(1)
     pairs = []
     check = L._on_pairs(lambda x, y: pairs.append((x, y)) is None)
-    ends = [(first, zero, frozenset(), Const(zero)), (last, one, frozenset("abc"), Var("w"))]
-    for end, value, channels, leaf in ends:
+    ends = [(first, zero, frozenset(), "a", Const(zero)), (last, one, frozenset("abc"), "c", Var("w"))]
+    for end, value, channels, channel, leaf in ends:
         draws = _Draws(then=end)
         assert L.random_rational(draws) == value
         assert L._nums(draws, 3) == [value] * 3
         assert L._valuation(draws) == dict.fromkeys(L._NAMES, value)
         assert L._channels(draws) == channels
+        assert L._channel(draws) == channel
         assert check(draws) and pairs.pop() == (value.as_integer_ratio(),) * 2
         assert L.random_expr(draws, L._NAMES, 0) == leaf
         assert L.random_expr(draws, (), 0) == Const(value)
